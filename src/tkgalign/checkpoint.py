@@ -2,7 +2,8 @@
 
 A checkpoint is a numpy ``.npz`` archive holding every parameter array under
 its name plus a ``__meta__`` entry: a JSON header recording the format
-version, architecture sizes, precision, and the seed that produced the run.
+version, architecture sizes, precision, the graph options (mode, self-loops,
+unique times) and the seed that produced the run.
 Arrays are stored row-major exactly as trained.
 """
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .optim import ParameterStore
 if TYPE_CHECKING:  # pragma: no cover
     from .train import TrainResult
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,7 @@ class CheckpointMeta:
     self_loops: bool
     mode: str
     seed: int
+    unique_times: bool = False
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -62,6 +64,7 @@ def meta_from_result(result: "TrainResult") -> CheckpointMeta:
         self_loops=cfg.self_loops,
         mode=cfg.mode,
         seed=cfg.seed,
+        unique_times=cfg.unique_times,
     )
 
 

@@ -20,7 +20,6 @@ import json
 import logging
 import os
 import sys
-import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,7 +28,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, meta_from_result, save_checkpoint
 from .errors import ConfigError, DatasetError, NumericsError, ParseError, TkgAlignError
-from .evaluate import average_reports, partition_test_pairs, rank_alignment
+from .evaluate import average_reports, partition_test_pairs, rank_pool
 from .forge import (
     ForgeSpec,
     dataset_stats,
@@ -42,9 +41,9 @@ from .forge import (
     synth_tkg,
     write_dataset,
 )
-from .model import FlatGraph, model_forward, num_relation_rows, prepare_graph
+from .model import ModelConfig, model_forward, num_relation_rows
 from .tkg import DATASET_FILES, merge_pair, parse_dataset
-from .train import MODES, TrainConfig, apply_time_unaware, train
+from .train import MODES, TrainConfig, build_graph, train
 
 logger = logging.getLogger(__name__)
 
@@ -220,11 +219,10 @@ def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
 
         reps = model_forward(result.store, result.graph, run_cfg.model_config()).data
         merged_test = result.merged.merged_pairs(seeds.test_pairs)
-        run_reports = []
-        for space in ("l1", "csls"):
-            rep = rank_alignment(reps, merged_test, metric_space=space, k_csls=cfg.k_csls)
-            rep.seed = run_seed
-            run_reports.append(rep)
+        run_reports = rank_pool(reps, merged_test, spaces=("l1", "csls"), k_csls=cfg.k_csls)
+        for rep in run_reports:
+            # metrics.json is byte-deterministic, so it carries no wall-clock time
+            rep.seed, rep.seconds = run_seed, None
         metrics_path = run_dir / "metrics.json"
         _write_json(metrics_path, {
             "seed": run_seed,
@@ -284,37 +282,21 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
             f"{expected} required (entities, relation rows, time ids)"
         )
 
-    graph, index = prepare_graph(merged, meta.self_loops)
-    if meta.mode == "time-unaware":
-        graph = FlatGraph.from_index(apply_time_unaware(index))
-    from .model import ModelConfig
-
-    mcfg = ModelConfig(dim=meta.dim, num_layers=meta.num_layers,
-                       self_loops=meta.self_loops, precision=meta.precision)
+    graph, index = build_graph(merged, meta.mode, meta.self_loops, meta.unique_times)
+    mcfg = ModelConfig(dim=meta.dim, num_layers=meta.num_layers, self_loops=meta.self_loops,
+                       unique_times=meta.unique_times, precision=meta.precision)
     reps = model_forward(store, graph, mcfg).data
     merged_test = merged.merged_pairs(seeds.test_pairs)
 
     spaces = ("l1", "csls") if args.metric == "both" else (args.metric,)
     directions = ("g1->g2", "g2->g1") if args.direction == "both" else (args.direction,)
-    reports = []
-    for space in spaces:
-        for direction in directions:
-            t0 = time.perf_counter()
-            rep = rank_alignment(reps, merged_test, metric_space=space,
-                                 k_csls=args.k_csls, direction=direction)
-            rep.seed = meta.seed
-            rep.seconds = time.perf_counter() - t0
-            reports.append(rep)
-            if args.partition:
-                high, low = partition_test_pairs(merged_test, index)
-                for name, idx in (("highly", high), ("lowly", low)):
-                    if len(idx) == 0:
-                        continue
-                    sub = rank_alignment(reps, merged_test[idx], metric_space=space,
-                                         k_csls=args.k_csls, direction=direction,
-                                         partition=name)
-                    sub.seed = meta.seed
-                    reports.append(sub)
+    partitions = ()
+    if args.partition:
+        partitions = tuple(zip(("highly", "lowly"), partition_test_pairs(merged_test, index)))
+    reports = rank_pool(reps, merged_test, spaces=spaces, directions=directions,
+                        k_csls=args.k_csls, partitions=partitions)
+    for rep in reports:
+        rep.seed = meta.seed
 
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "eval_report.json"

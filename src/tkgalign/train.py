@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, TrainingDivergedError
-from .evaluate import compute_metrics, csls_adjust, similarity_matrix
+from .evaluate import rank_alignment
 from .model import (
     AttentionProbe,
     FlatGraph,
@@ -180,6 +180,25 @@ def apply_time_unaware(index: NeighborhoodIndex) -> NeighborhoodIndex:
     return NeighborhoodIndex(inward=inward, self_relation=index.self_relation)
 
 
+def build_graph(
+    merged: MergedGraph,
+    mode: str = "time-aware",
+    self_loops: bool = True,
+    unique_times: bool = False,
+) -> tuple[FlatGraph, NeighborhoodIndex]:
+    """The graph a run trains on, and the index it was built from.
+
+    Training and evaluation both build through here, so a checkpoint is
+    evaluated on exactly the graph it was trained on. The time-unaware mode
+    blanks every link timestamp before flattening; the index keeps the real
+    timestamps for sensitivity analysis.
+    """
+    graph, index = prepare_graph(merged, self_loops, unique_times)
+    if mode == "time-unaware":
+        graph = FlatGraph.from_index(apply_time_unaware(index), unique_times)
+    return graph, index
+
+
 @dataclass
 class TrainReport:
     """Everything measured during one run; timings never enter the fingerprint."""
@@ -230,14 +249,11 @@ def _validation_metrics(
     store: ParameterStore,
     graph: FlatGraph,
     mcfg: ModelConfig,
-    merged: MergedGraph,
     test_pairs: np.ndarray,
     k_csls: int,
 ) -> dict:
     reps = model_forward(store, graph, mcfg, training=False).data
-    sim = similarity_matrix(reps[test_pairs[:, 0]], reps[test_pairs[:, 1]])
-    k_eff = max(1, min(k_csls, sim.shape[0], sim.shape[1]))
-    report = compute_metrics(csls_adjust(sim, k_eff), np.arange(len(test_pairs)))
+    report = rank_alignment(reps, test_pairs, metric_space="csls", k_csls=k_csls)
     return {"mrr": report.mrr, "hits1": report.hits1, "hits10": report.hits10}
 
 
@@ -256,9 +272,7 @@ def train(
     """
     merged = merge_pair(g1, g2)
     mcfg = config.model_config()
-    graph, index = prepare_graph(merged, config.self_loops, config.unique_times)
-    if config.mode == "time-unaware":
-        graph = FlatGraph.from_index(apply_time_unaware(index), config.unique_times)
+    graph, index = build_graph(merged, config.mode, config.self_loops, config.unique_times)
 
     rng = np.random.default_rng(config.seed)
     store = init_params(
@@ -304,7 +318,7 @@ def train(
         report.losses.append(loss_value)
         report.attention_deviations.append(probe.worst)
         if config.eval_every and (epoch % config.eval_every == 0 or epoch == config.epochs - 1):
-            metrics = _validation_metrics(store, graph, mcfg, merged, test_pairs, config.k_csls)
+            metrics = _validation_metrics(store, graph, mcfg, test_pairs, config.k_csls)
             metrics["epoch"] = epoch
             report.eval_history.append(metrics)
             logger.info(

@@ -280,6 +280,46 @@ class TestEval:
         n_sub = sum(len(r["ranks"]) for r in reports if r["partition"] != "all")
         assert n_sub == len(n_all)
 
+    def test_report_order(self, dataset_dir, trained, tmp_path):
+        out = tmp_path / "order"
+        code = main(["eval", "--checkpoint", str(trained / "run_0" / "checkpoint.npz"),
+                     "--data", str(dataset_dir), "--metric", "both", "--direction", "both",
+                     "--partition", "--out", str(out)])
+        assert code == 0
+        reports = json.loads((out / "eval_report.json").read_text())
+        keys = [(r["metric_space"], r["direction"], r["partition"]) for r in reports]
+        parts = [p for p in ("highly", "lowly") if ("l1", "g1->g2", p) in keys]
+        assert parts
+        assert keys == [(space, direction, part)
+                        for space in ("l1", "csls")
+                        for direction in ("g1->g2", "g2->g1")
+                        for part in ("all", *parts)]
+        assert [r["seconds"] is not None for r in reports] == [k[2] == "all" for k in keys]
+        csv = (out / "eval_report.csv").read_text().splitlines()[1:]
+        assert [tuple(row.split(",")[2:5]) for row in csv[::3]] == \
+               [(p, s, d) for s, d, p in keys]
+
+    @pytest.mark.parametrize("mode", ["time-aware", "time-unaware"])
+    @pytest.mark.parametrize("self_loops", [True, False])
+    @pytest.mark.parametrize("unique_times", [True, False])
+    def test_eval_reproduces_train_time_reports(self, dataset_dir, tmp_path, mode, self_loops,
+                                                unique_times):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"unique_times": unique_times, "self_loops": self_loops,
+                                   "mode": mode}))
+        out = tmp_path / "run"
+        assert main(TRAIN_ARGS + ["--config", str(cfg), "--data", str(dataset_dir),
+                                  "--out", str(out)]) == 0
+        ck = out / "run_0" / "checkpoint.npz"
+        _, meta = load_checkpoint(ck)
+        assert (meta.mode, meta.self_loops, meta.unique_times) == (mode, self_loops, unique_times)
+        assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset_dir),
+                     "--metric", "both", "--out", str(tmp_path / "ev")]) == 0
+        trained = json.loads((out / "run_0" / "metrics.json").read_text())["reports"]
+        evaluated = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
+        strip = lambda r: {k: v for k, v in r.items() if k != "seconds"}
+        assert [strip(r) for r in evaluated] == [strip(r) for r in trained]
+
     def test_checkpoint_dataset_mismatch_exits_2(self, trained, tmp_path, capsys):
         other = tmp_path / "other"
         assert main(["forge", "synth", "--entities", "26", "--relations", "3",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tkgalign import evaluate
 from tkgalign.errors import ConfigError
 from tkgalign.evaluate import (
     RankingReport,
@@ -14,6 +15,7 @@ from tkgalign.evaluate import (
     csls_adjust,
     partition_test_pairs,
     rank_alignment,
+    rank_pool,
     similarity_matrix,
     time_sensitivity,
 )
@@ -68,22 +70,24 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError, match="incompatible"):
             similarity_matrix(np.zeros((3, 4)), np.zeros((3, 5)))
 
-    def test_unknown_measure_rejected(self):
-        with pytest.raises(ConfigError, match="measure"):
-            similarity_matrix(np.zeros((2, 2)), np.zeros((2, 2)), measure="dot")
-
-    def test_cosine_hand_values(self):
-        src = np.array([[1.0, 0.0], [0.0, 2.0]])
-        tgt = np.array([[3.0, 0.0], [-1.0, 0.0]])
-        sim = similarity_matrix(src, tgt, measure="cosine")
-        assert np.allclose(sim, [[1.0, -1.0], [0.0, 0.0]], atol=1e-12)
-
-    def test_cosine_scale_invariant(self, rng):
-        src = rng.normal(size=(5, 7))
-        tgt = rng.normal(size=(6, 7))
-        base = similarity_matrix(src, tgt, measure="cosine")
-        scaled = similarity_matrix(src * 100.0, tgt * 0.01, measure="cosine")
-        assert np.allclose(base, scaled, atol=1e-10)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,m,k", [(17, 23, 13), (1, 31, 11), (29, 1, 9), (6, 5, 3), (9, 11, 133)])
+    @pytest.mark.parametrize("tile_cells", [1, 5, 40, 10 ** 6])
+    def test_tiles_are_bitwise_equal_to_the_pair_loop(self, rng, monkeypatch, dtype, n, m, k,
+                                                      tile_cells):
+        # tile_cells < m splits every row into several column tiles; larger
+        # budgets give multi-row tiles (capped by block) or the whole matrix
+        itemsize = np.dtype(dtype).itemsize
+        monkeypatch.setattr(evaluate, "TILE_BYTES", tile_cells * k * itemsize)
+        src = rng.normal(size=(n, k)).astype(dtype)
+        tgt = rng.normal(size=(m, k)).astype(dtype)
+        sim = similarity_matrix(src, tgt, block=4)
+        naive = np.empty((n, m), dtype=dtype)
+        for i in range(n):
+            for j in range(m):
+                naive[i, j] = -np.abs(src[i] - tgt[j]).sum()
+        assert sim.dtype == dtype
+        assert np.array_equal(sim, naive)
 
 
 class TestCsls:
@@ -252,6 +256,62 @@ class TestRankAlignment:
         pairs = np.array([[0, 1]])
         with pytest.raises(ConfigError, match="metric space"):
             rank_alignment(rng.normal(size=(2, 3)), pairs, metric_space="l2")
+
+
+class TestRankPool:
+    SPACES = ("l1", "csls")
+    DIRECTIONS = ("g1->g2", "g2->g1")
+
+    def pool(self, rng, reps):
+        n = len(reps) // 2
+        pairs = np.stack([np.arange(n), n + rng.permutation(n)], axis=1)
+        partitions = (
+            ("highly", np.array([7, 2, 11])),  # smaller than k_csls: clamped
+            ("empty", np.array([], dtype=np.int64)),  # skipped
+            ("lowly", np.setdiff1d(np.arange(n), [7, 2, 11])),
+        )
+        return pairs, partitions
+
+    @pytest.mark.parametrize("kind", ["normal", "ties"])
+    def test_each_report_equals_a_standalone_ranking(self, rng, kind):
+        if kind == "normal":
+            reps = rng.normal(size=(40, 13)).astype(np.float32)
+        else:  # few distinct values: many tied scores, ranked pessimistically
+            reps = rng.integers(0, 3, size=(40, 5)).astype(np.float32)
+        pairs, partitions = self.pool(rng, reps)
+        reports = rank_pool(reps, pairs, spaces=self.SPACES, directions=self.DIRECTIONS,
+                            k_csls=5, partitions=partitions)
+        expected = [
+            (space, direction, name, idx)
+            for space in self.SPACES
+            for direction in self.DIRECTIONS
+            for name, idx in (("all", np.arange(len(pairs))),) + partitions
+            if len(idx)
+        ]
+        assert len(reports) == len(expected)
+        for rep, (space, direction, name, idx) in zip(reports, expected):
+            alone = rank_alignment(reps, pairs[idx], metric_space=space, k_csls=5,
+                                   partition=name, direction=direction)
+            assert (rep.metric_space, rep.direction, rep.partition) == (space, direction, name)
+            assert rep.ranks == alone.ranks
+            assert (rep.mrr, rep.hits1, rep.hits10) == (alone.mrr, alone.hits1, alone.hits10)
+            assert (rep.seconds is not None) == (name == "all")
+
+    def test_single_space_and_direction(self, rng):
+        reps = rng.normal(size=(10, 4))
+        pairs, _ = self.pool(rng, reps[:8])
+        (rep,) = rank_pool(reps, pairs, spaces=("csls",), directions=("g2->g1",), k_csls=2)
+        alone = rank_alignment(reps, pairs, metric_space="csls", k_csls=2, direction="g2->g1")
+        assert rep.ranks == alone.ranks and rep.direction == "g2->g1"
+
+    def test_bad_pair_shape(self, rng):
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            rank_pool(rng.normal(size=(4, 3)), np.array([0, 1]))
+
+    def test_l1_block_must_fit_the_pairs(self, rng):
+        with pytest.raises(ValueError, match="does not fit"):
+            rank_alignment(rng.normal(size=(4, 3)), np.array([[0, 2], [1, 3]]),
+                           l1=np.zeros((3, 3)))
 
 
 class TestAverageReports:

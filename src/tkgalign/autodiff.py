@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateEmbeddingError, NonFiniteError
+from .errors import ConfigError, DegenerateEmbeddingError
 
 ZERO_NORM_TOLERANCE = 1e-12
 
@@ -83,11 +83,6 @@ def backward(root: Tensor) -> None:
     for node in reversed(order):
         if node.backward_fn is not None and node.grad is not None:
             node.backward_fn(node.grad)
-
-
-def assert_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"non-finite values in {name}")
 
 
 # ---------------------------------------------------------------------------

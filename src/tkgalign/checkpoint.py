@@ -2,8 +2,10 @@
 
 A checkpoint is a numpy ``.npz`` archive holding every parameter array under
 its name plus a ``__meta__`` entry: a JSON header recording the format
-version, architecture sizes, precision, the graph options (mode, self-loops,
-unique times) and the seed that produced the run.
+version, architecture sizes, precision, the graph options (mode and
+self-loops) and the seed that produced the run. The version is checked before
+anything else in the header is read, so a checkpoint of another format is
+refused with a ConfigError whatever keys it carries.
 Arrays are stored row-major exactly as trained.
 """
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .optim import ParameterStore
 if TYPE_CHECKING:  # pragma: no cover
     from .train import TrainResult
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -39,14 +41,9 @@ class CheckpointMeta:
     self_loops: bool
     mode: str
     seed: int
-    unique_times: bool = False
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CheckpointMeta":
-        return cls(**json.loads(text))
 
 
 def meta_from_result(result: "TrainResult") -> CheckpointMeta:
@@ -64,7 +61,6 @@ def meta_from_result(result: "TrainResult") -> CheckpointMeta:
         self_loops=cfg.self_loops,
         mode=cfg.mode,
         seed=cfg.seed,
-        unique_times=cfg.unique_times,
     )
 
 
@@ -79,11 +75,16 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
     with np.load(Path(path)) as archive:
         if "__meta__" not in archive:
             raise ConfigError(f"{path}: not a checkpoint (missing header)")
-        meta = CheckpointMeta.from_json(bytes(archive["__meta__"]).decode())
-        if meta.format_version != FORMAT_VERSION:
+        header = json.loads(bytes(archive["__meta__"]).decode())
+        version = header.get("format_version") if isinstance(header, dict) else None
+        if version != FORMAT_VERSION:
             raise ConfigError(
-                f"{path}: checkpoint format {meta.format_version}, expected {FORMAT_VERSION}"
+                f"{path}: checkpoint format {version}, expected {FORMAT_VERSION}"
             )
+        try:
+            meta = CheckpointMeta(**header)
+        except TypeError as exc:
+            raise ConfigError(f"{path}: malformed checkpoint header ({exc})") from exc
         cfg = ModelConfig(
             dim=meta.dim,
             num_layers=meta.num_layers,

@@ -155,46 +155,14 @@ def _build_train_config(args: argparse.Namespace) -> TrainConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _set_thread_count(threads: int | None) -> int:
-    """The compute path is single-threaded by construction; values above 1
-    are accepted but have no effect on the numerics."""
-    if threads is None:
-        return 1
-    if threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {threads}")
-    if threads > 1:
-        logger.warning("thread count %d requested; computation runs single-threaded", threads)
-    return threads
-
-
 # ---------------------------------------------------------------------------
 # train
-
-
-def _write_plot_files(run_dir: Path, report) -> list[Path]:
-    """Gnuplot-ready data files: loss curve, plus validation curve if recorded."""
-    loss_path = run_dir / "plot_loss.dat"
-    lines = ["# epoch loss"]
-    lines += [f"{i} {loss:.8f}" for i, loss in enumerate(report.losses)]
-    loss_path.write_text("\n".join(lines) + "\n")
-    written = [loss_path]
-    if report.eval_history:
-        val_path = run_dir / "plot_validation.dat"
-        lines = ["# epoch mrr hits1 hits10"]
-        lines += [
-            f"{e['epoch']} {e['mrr']:.6f} {e['hits1']:.6f} {e['hits10']:.6f}"
-            for e in report.eval_history
-        ]
-        val_path.write_text("\n".join(lines) + "\n")
-        written.append(val_path)
-    return written
 
 
 def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
     data_dir = resolve_data_dir(args.data)
     manifest.record_input_dir(data_dir)
     cfg = _build_train_config(args)
-    threads = _set_thread_count(args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     g1, g2, seeds = parse_dataset(data_dir)
@@ -202,7 +170,6 @@ def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
     repeats = args.repeats
     run_seeds = [cfg.seed + i for i in range(repeats)]
     manifest.data["config"] = dataclasses.asdict(cfg)
-    manifest.data["config"]["threads"] = threads
     manifest.data["seeds"] = run_seeds
 
     reports = []
@@ -233,10 +200,7 @@ def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
             "fingerprint": result.report.fingerprint(),
             "reports": [json.loads(r.to_json()) for r in run_reports],
         })
-        artifacts = [ck_path, history_path, metrics_path]
-        if args.emit_plots:
-            artifacts.extend(_write_plot_files(run_dir, result.report))
-        for p in artifacts:
+        for p in (ck_path, history_path, metrics_path):
             manifest.record_artifact(p)
         reports.append(run_reports)
         logger.info("run %d: csls hits@1 %.4f", run_seed, run_reports[1].hits1)
@@ -282,9 +246,9 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
             f"{expected} required (entities, relation rows, time ids)"
         )
 
-    graph, index = build_graph(merged, meta.mode, meta.self_loops, meta.unique_times)
+    graph, sensitivity = build_graph(merged, meta.mode, meta.self_loops)
     mcfg = ModelConfig(dim=meta.dim, num_layers=meta.num_layers, self_loops=meta.self_loops,
-                       unique_times=meta.unique_times, precision=meta.precision)
+                       precision=meta.precision)
     reps = model_forward(store, graph, mcfg).data
     merged_test = merged.merged_pairs(seeds.test_pairs)
 
@@ -292,7 +256,7 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
     directions = ("g1->g2", "g2->g1") if args.direction == "both" else (args.direction,)
     partitions = ()
     if args.partition:
-        partitions = tuple(zip(("highly", "lowly"), partition_test_pairs(merged_test, index)))
+        partitions = tuple(zip(("highly", "lowly"), partition_test_pairs(merged_test, sensitivity)))
     reports = rank_pool(reps, merged_test, spaces=spaces, directions=directions,
                         k_csls=args.k_csls, partitions=partitions)
     for rep in reports:
@@ -396,8 +360,6 @@ def cmd_forge_stats(args: argparse.Namespace, manifest: RunManifest) -> int:
 
 def _add_common(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--out", default="runs", help="output directory (default: runs)")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker threads (computation is single-threaded; >1 is advisory)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--k-csls", type=int, default=None)
     tr.add_argument("--precision", choices=("f32", "f64"), default=None)
     tr.add_argument("--self-loops", choices=("on", "off"), default=None)
-    tr.add_argument("--emit-plots", action="store_true",
-                    help="also write gnuplot-ready loss/validation data files per run")
     _add_common(tr)
     tr.set_defaults(func=cmd_train)
 

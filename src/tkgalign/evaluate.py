@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .tkg import UNKNOWN_TIME_ID, NeighborhoodIndex
+from .tkg import UNKNOWN_TIME_ID
 
 DEFAULT_CSLS_K = 10
 DEFAULT_SENSITIVITY_THRESHOLD = 0.5
@@ -251,22 +251,23 @@ def average_reports(reports: list[RankingReport]) -> dict:
 # time sensitivity
 
 
-def time_sensitivity(entity: int, index: NeighborhoodIndex) -> float:
-    """Fraction of an entity's links carrying a real (non-unknown) timestamp.
+def time_sensitivity(dst: np.ndarray, time: np.ndarray, num_entities: int) -> np.ndarray:
+    """Per entity, the fraction of its inward links carrying a real timestamp.
 
-    Self-loops are implementation plumbing, not graph facts, so they are
-    excluded; an entity with no remaining links gets sensitivity 0.
+    ``dst``/``time`` are the links of the graph itself, without self-loops
+    (plumbing, not graph facts); an entity with no links gets sensitivity 0.
     """
-    links = index.links_without_self_loops(entity)
-    if not links:
-        return 0.0
-    untimed = sum(1 for ln in links if ln.time == UNKNOWN_TIME_ID)
-    return 1.0 - untimed / len(links)
+    total = np.bincount(dst, minlength=num_entities)
+    untimed = np.bincount(dst, weights=time == UNKNOWN_TIME_ID, minlength=num_entities)
+    sensitivity = np.zeros(num_entities, dtype=np.float64)
+    linked = total > 0
+    sensitivity[linked] = 1.0 - untimed[linked] / total[linked]
+    return sensitivity
 
 
 def partition_test_pairs(
     pairs: np.ndarray,
-    index: NeighborhoodIndex,
+    sensitivity: np.ndarray,
     threshold: float = DEFAULT_SENSITIVITY_THRESHOLD,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split merged-id pairs into (highly, lowly) time-sensitive index arrays.
@@ -275,11 +276,6 @@ def partition_test_pairs(
     >= threshold. The two returned arrays index into ``pairs`` and together
     cover it exactly.
     """
-    pairs = np.asarray(pairs)
-    highly, lowly = [], []
-    for p, (a, b) in enumerate(pairs):
-        if time_sensitivity(int(a), index) >= threshold and time_sensitivity(int(b), index) >= threshold:
-            highly.append(p)
-        else:
-            lowly.append(p)
-    return np.asarray(highly, dtype=np.int64), np.asarray(lowly, dtype=np.int64)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    highly = (np.asarray(sensitivity)[pairs] >= threshold).all(axis=1)
+    return np.flatnonzero(highly), np.flatnonzero(~highly)

@@ -9,22 +9,16 @@ the entity's incident timestamps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, GraphError
+from .evaluate import time_sensitivity
 from .optim import ParameterStore
-from .tkg import (
-    UNKNOWN_TIME_ID,
-    MergedGraph,
-    NeighborhoodIndex,
-    augment_self_loops,
-    build_neighborhoods,
-    generate_reverse_links,
-)
+from .tkg import UNKNOWN_TIME_ID, MergedGraph
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 
@@ -37,7 +31,6 @@ class ModelConfig:
     num_layers: int = 2
     dropout: float = 0.3
     self_loops: bool = True
-    unique_times: bool = False  # True: incident-timestamp mean over distinct times
     precision: str = "f32"
 
     def __post_init__(self):
@@ -65,10 +58,9 @@ class FlatGraph:
     """Link structure flattened to parallel arrays for vectorized passes.
 
     Row m of ``src``/``dst``/``rel``/``time`` is one directed link
-    src[m] -> dst[m]; aggregation groups rows by ``dst``. ``ts_entity`` /
-    ``ts_time`` list the incident-timestamp multiset used for the final
-    time-mean block (by construction one entry per inward link, or one per
-    distinct (entity, time) pair when built with unique_times).
+    src[m] -> dst[m]; aggregation groups rows by ``dst``. The ``time`` of an
+    entity's rows is also its incident-timestamp multiset, which the final
+    time-mean block averages (one entry per inward link).
     """
 
     num_entities: int
@@ -76,57 +68,51 @@ class FlatGraph:
     dst: np.ndarray
     rel: np.ndarray
     time: np.ndarray
-    ts_entity: np.ndarray
-    ts_time: np.ndarray
 
     @property
     def num_links(self) -> int:
         return len(self.src)
 
-    @classmethod
-    def from_index(cls, index: NeighborhoodIndex, unique_times: bool = False) -> "FlatGraph":
-        src, dst, rel, time = [], [], [], []
-        for i, links in enumerate(index.inward):
-            for ln in links:
-                src.append(ln.subject)
-                dst.append(i)
-                rel.append(ln.relation)
-                time.append(ln.time)
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        rel = np.asarray(rel, dtype=np.int64)
-        time = np.asarray(time, dtype=np.int64)
-        if unique_times:
-            pairs = np.unique(np.stack([dst, time], axis=1), axis=0) if len(dst) else np.zeros((0, 2), dtype=np.int64)
-            ts_entity, ts_time = pairs[:, 0], pairs[:, 1]
-        else:
-            ts_entity, ts_time = dst.copy(), time.copy()
-        return cls(index.num_entities, src, dst, rel, time, ts_entity, ts_time)
-
-    def time_unaware(self) -> "FlatGraph":
-        """Replace every timestamp (links and incident multiset) with the unknown id."""
-        return replace(
-            self,
-            time=np.full_like(self.time, UNKNOWN_TIME_ID),
-            ts_time=np.full_like(self.ts_time, UNKNOWN_TIME_ID),
-        )
-
 
 def prepare_graph(
-    merged: MergedGraph, self_loops: bool = True, unique_times: bool = False
-) -> tuple[FlatGraph, NeighborhoodIndex]:
-    """Reverse-augment a merged graph and flatten it for the forward pass.
+    merged: MergedGraph, self_loops: bool = True
+) -> tuple[FlatGraph, np.ndarray]:
+    """Decompose a merged graph into its link arrays, plus time sensitivity.
 
-    The returned index carries the raw link structure (self-loops tagged via
-    its ``self_relation``) for sensitivity analysis and inspection.
+    Quadruple (s, r, o, [b, e]) yields the forward link s -> o (relation r,
+    time b) and the reverse link o -> s (relation r + |R|, time e); with
+    ``self_loops`` every entity also gets one link to itself under the
+    self-loop relation at the unknown time. Rows are stably sorted by ``dst``,
+    so each entity's inward links keep quadruple order (forward before
+    reverse) with its self-loop last.
+
+    The second value is every entity's time sensitivity (see
+    :func:`evaluate.time_sensitivity`), computed before self-loops are added.
     """
-    links = generate_reverse_links(merged.kg)
-    self_rel = None
+    kg = merged.kg
+    n = kg.num_entities
+    quads = np.array(
+        [(q.subject, q.relation, q.object, q.interval.begin, q.interval.end)
+         for q in kg.quadruples],
+        dtype=np.int64,
+    ).reshape(-1, 5)
+    s, r, o, begin, end = quads.T
+    if len(quads) and (min(s.min(), o.min()) < 0 or max(s.max(), o.max()) >= n):
+        raise GraphError(f"a quadruple references an entity id outside 0..{n - 1}")
+    # each quadruple's forward link directly followed by its reverse link
+    src = np.stack([s, o], 1).ravel()
+    dst = np.stack([o, s], 1).ravel()
+    rel = np.stack([r, r + kg.num_relations], 1).ravel()
+    time = np.stack([begin, end], 1).ravel()
+    sensitivity = time_sensitivity(dst, time, n)
     if self_loops:
-        self_rel = merged.self_relation
-        links = augment_self_loops(links, merged.kg.num_entities, self_rel)
-    index = build_neighborhoods(links, merged.kg.num_entities, self_relation=self_rel)
-    return FlatGraph.from_index(index, unique_times=unique_times), index
+        loops = np.arange(n, dtype=np.int64)
+        src = np.concatenate([src, loops])
+        dst = np.concatenate([dst, loops])
+        rel = np.concatenate([rel, np.full(n, merged.self_relation, dtype=np.int64)])
+        time = np.concatenate([time, np.full(n, UNKNOWN_TIME_ID, dtype=np.int64)])
+    order = np.argsort(dst, kind="stable")
+    return FlatGraph(n, src[order], dst[order], rel[order], time[order]), sensitivity
 
 
 def num_relation_rows(num_relations: int, self_loops: bool) -> int:
@@ -234,12 +220,12 @@ def cross_layer_concat(acts: list[Tensor]) -> Tensor:
 
 def incident_time_mean(time_table: Tensor, graph: FlatGraph, dtype: np.dtype) -> Tensor:
     """Mean embedding of each entity's incident timestamps (zero row if none)."""
-    counts = np.bincount(graph.ts_entity, minlength=graph.num_entities)
+    counts = np.bincount(graph.dst, minlength=graph.num_entities)
     inv = np.zeros(graph.num_entities, dtype=dtype)
     nonzero = counts > 0
     inv[nonzero] = 1.0 / counts[nonzero]
-    gathered = ad.gather_rows(time_table, graph.ts_time)
-    summed = ad.segment_sum(gathered, graph.ts_entity, graph.num_entities)
+    gathered = ad.gather_rows(time_table, graph.time)
+    summed = ad.segment_sum(gathered, graph.dst, graph.num_entities)
     return ad.scale_rows_const(summed, inv)
 
 
@@ -284,12 +270,3 @@ def model_forward(
         )
     return multi_view(cross_layer_concat(acts), time_table, graph, cfg.dtype)
 
-
-def effective_edge_tables(store: ParameterStore) -> tuple[np.ndarray, np.ndarray]:
-    """The unit-norm relation/time tables as the forward pass sees them."""
-    rel = store["relation"].data
-    tim = store["time"].data
-    return (
-        rel / np.linalg.norm(rel, axis=1, keepdims=True),
-        tim / np.linalg.norm(tim, axis=1, keepdims=True),
-    )

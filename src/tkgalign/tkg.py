@@ -5,10 +5,11 @@ over dense integer id spaces for entities, relations and timestamps. Two
 graphs being aligned always share one timestamp index, in which id 0 is
 reserved for unknown/absent time information and never denotes a real date.
 
-Every interval fact is decomposed into a pair of directed links: the forward
-link carries the begin time and a reverse link (with a synthetic reverse
-relation) carries the end time, so a single attention pass sees relation
-direction and both interval endpoints.
+The model later decomposes every interval fact into a pair of directed
+links (see ``model.prepare_graph``): the forward link carries the begin time
+and a reverse link (with a synthetic reverse relation) carries the end time,
+so a single attention pass sees relation direction and both interval
+endpoints.
 """
 from __future__ import annotations
 
@@ -56,16 +57,6 @@ class Quadruple:
     relation: int
     object: int
     interval: TimeInterval
-
-
-@dataclass(frozen=True, slots=True)
-class DirectedLink:
-    """One post-decomposition edge with a single timestamp."""
-
-    subject: int
-    relation: int
-    object: int
-    time: int
 
 
 class TimeIndex:
@@ -181,76 +172,6 @@ class SeedAlignments:
     @property
     def all_pairs(self) -> list[tuple[int, int]]:
         return self.train_pairs + self.test_pairs
-
-
-class NeighborhoodIndex:
-    """Per-entity inward links and neighboring-timestamp multisets.
-
-    ``inward[i]`` holds exactly the links whose object is ``i``; the
-    timestamp multiset of ``i`` is the times of those links (after reverse
-    generation they cover everything incident to ``i``). ``self_relation``
-    records the synthetic self-loop relation id when the link set was
-    augmented, so analyses that must see the original graph can skip those
-    links.
-    """
-
-    def __init__(self, inward: list[list[DirectedLink]], self_relation: int | None = None):
-        self.inward = inward
-        self.self_relation = self_relation
-
-    @property
-    def num_entities(self) -> int:
-        return len(self.inward)
-
-    @property
-    def num_links(self) -> int:
-        return sum(len(ls) for ls in self.inward)
-
-    def time_multiset(self, entity: int) -> list[int]:
-        return [link.time for link in self.inward[entity]]
-
-    def links_without_self_loops(self, entity: int) -> list[DirectedLink]:
-        if self.self_relation is None:
-            return self.inward[entity]
-        return [l for l in self.inward[entity] if l.relation != self.self_relation]
-
-
-def generate_reverse_links(kg: TemporalKG) -> list[DirectedLink]:
-    """Decompose every quadruple into its forward and reverse links.
-
-    (s, r, o, [b, e]) yields (s, r, o, b) and (o, r + |R|, s, e); the output
-    always has exactly 2 * |quadruples| links.
-    """
-    n_rel = kg.num_relations
-    links: list[DirectedLink] = []
-    for q in kg.quadruples:
-        links.append(DirectedLink(q.subject, q.relation, q.object, q.interval.begin))
-        links.append(DirectedLink(q.object, q.relation + n_rel, q.subject, q.interval.end))
-    return links
-
-
-def augment_self_loops(
-    links: list[DirectedLink], num_entities: int, self_relation: int
-) -> list[DirectedLink]:
-    """Append one self-loop link per entity, carrying the unknown time."""
-    out = list(links)
-    for e in range(num_entities):
-        out.append(DirectedLink(e, self_relation, e, UNKNOWN_TIME_ID))
-    return out
-
-
-def build_neighborhoods(
-    links: list[DirectedLink],
-    num_entities: int,
-    self_relation: int | None = None,
-) -> NeighborhoodIndex:
-    """Group links by object entity; entities without links get empty lists."""
-    inward: list[list[DirectedLink]] = [[] for _ in range(num_entities)]
-    for link in links:
-        if not (0 <= link.object < num_entities and 0 <= link.subject < num_entities):
-            raise GraphError(f"link {link} references an entity id out of range")
-        inward[link.object].append(link)
-    return NeighborhoodIndex(inward, self_relation=self_relation)
 
 
 @dataclass

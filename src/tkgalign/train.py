@@ -11,7 +11,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -29,15 +29,7 @@ from .model import (
     prepare_graph,
 )
 from .optim import ParameterStore, RmsPropState
-from .tkg import (
-    UNKNOWN_TIME_ID,
-    DirectedLink,
-    MergedGraph,
-    NeighborhoodIndex,
-    SeedAlignments,
-    TemporalKG,
-    merge_pair,
-)
+from .tkg import UNKNOWN_TIME_ID, MergedGraph, SeedAlignments, TemporalKG, merge_pair
 
 logger = logging.getLogger(__name__)
 
@@ -61,7 +53,6 @@ class TrainConfig:
     mode: str = "time-aware"
     precision: str = "f32"
     self_loops: bool = True
-    unique_times: bool = False
     k_csls: int = 10
 
     def __post_init__(self):
@@ -82,7 +73,6 @@ class TrainConfig:
             num_layers=self.num_layers,
             dropout=self.dropout,
             self_loops=self.self_loops,
-            unique_times=self.unique_times,
             precision=self.precision,
         )
 
@@ -92,15 +82,6 @@ def default_negatives(num_entities_1: int, num_entities_2: int, num_seeds: int) 
     if num_seeds < 1:
         raise ConfigError("need at least one seed pair to train")
     return (num_entities_1 + num_entities_2) // num_seeds + 1
-
-
-def l1_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Sum of absolute coordinate differences between two representations."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch {x.shape} vs {y.shape}")
-    return float(np.abs(x - y).sum())
 
 
 def l1_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -171,32 +152,25 @@ def margin_loss(
     return ad.add(ad.sum_all(hinge_tgt), ad.sum_all(hinge_src))
 
 
-def apply_time_unaware(index: NeighborhoodIndex) -> NeighborhoodIndex:
+def apply_time_unaware(graph: FlatGraph) -> FlatGraph:
     """Replace every link timestamp with the unknown id (the ablation input)."""
-    inward = [
-        [DirectedLink(ln.subject, ln.relation, ln.object, UNKNOWN_TIME_ID) for ln in links]
-        for links in index.inward
-    ]
-    return NeighborhoodIndex(inward=inward, self_relation=index.self_relation)
+    return replace(graph, time=np.full_like(graph.time, UNKNOWN_TIME_ID))
 
 
 def build_graph(
-    merged: MergedGraph,
-    mode: str = "time-aware",
-    self_loops: bool = True,
-    unique_times: bool = False,
-) -> tuple[FlatGraph, NeighborhoodIndex]:
-    """The graph a run trains on, and the index it was built from.
+    merged: MergedGraph, mode: str = "time-aware", self_loops: bool = True
+) -> tuple[FlatGraph, np.ndarray]:
+    """The graph a run trains on, and every entity's time sensitivity.
 
     Training and evaluation both build through here, so a checkpoint is
     evaluated on exactly the graph it was trained on. The time-unaware mode
-    blanks every link timestamp before flattening; the index keeps the real
-    timestamps for sensitivity analysis.
+    blanks every link timestamp; the sensitivity always comes from the real
+    timestamps.
     """
-    graph, index = prepare_graph(merged, self_loops, unique_times)
+    graph, sensitivity = prepare_graph(merged, self_loops)
     if mode == "time-unaware":
-        graph = FlatGraph.from_index(apply_time_unaware(index), unique_times)
-    return graph, index
+        graph = apply_time_unaware(graph)
+    return graph, sensitivity
 
 
 @dataclass
@@ -241,7 +215,7 @@ class TrainResult:
     report: TrainReport
     merged: MergedGraph
     graph: FlatGraph  # as trained on (mode substitution applied)
-    index: NeighborhoodIndex  # pre-substitution structure, for sensitivity analysis
+    index: np.ndarray  # per-entity time sensitivity from the real timestamps
     config: TrainConfig
 
 
@@ -272,7 +246,7 @@ def train(
     """
     merged = merge_pair(g1, g2)
     mcfg = config.model_config()
-    graph, index = build_graph(merged, config.mode, config.self_loops, config.unique_times)
+    graph, index = build_graph(merged, config.mode, config.self_loops)
 
     rng = np.random.default_rng(config.seed)
     store = init_params(

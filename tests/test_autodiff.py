@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from tkgalign import autodiff as ad
-from tkgalign.errors import ConfigError, DegenerateEmbeddingError, NonFiniteError
+from tkgalign.errors import ConfigError, DegenerateEmbeddingError
 
 
 def fd_grad(fn, arr: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -338,11 +338,6 @@ class TestTape:
     def test_backward_requires_scalar_root(self):
         with pytest.raises(ValueError):
             ad.backward(ad.leaf(np.ones(3)))
-
-    def test_assert_finite(self):
-        ad.assert_finite("ok", np.ones(3))
-        with pytest.raises(NonFiniteError):
-            ad.assert_finite("bad", np.array([1.0, np.nan]))
 
     def test_quadratic_loss_exact_gradient(self, rng):
         theta = rng.normal(size=(4, 3))

@@ -44,7 +44,7 @@ class TestRoundTrip:
 
     def test_meta_json_round_trip(self):
         _, meta = small_store()
-        assert CheckpointMeta.from_json(meta.to_json()) == meta
+        assert CheckpointMeta(**json.loads(meta.to_json())) == meta
 
     def test_from_train_result(self, tmp_path, fixture_6ent):
         g1, g2, seeds = fixture_6ent
@@ -79,6 +79,28 @@ class TestHeaderChecks:
         arrays = {name: t.data for name, t in store.items()}
         np.savez(path, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
         with pytest.raises(ConfigError, match="format"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [
+        {"format_version": 2, "unique_times": False},  # the previous format
+        {"format_version": FORMAT_VERSION, "threads": 1},  # an unknown key
+    ])
+    def test_foreign_header_keys_rejected(self, tmp_path, extra):
+        store, meta = small_store()
+        header = {**json.loads(meta.to_json()), **extra}
+        path = tmp_path / "foreign.npz"
+        arrays = {name: t.data for name, t in store.items()}
+        np.savez(path, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
+        with pytest.raises(ConfigError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [{"dim": 4}, [3]])
+    def test_header_without_version_rejected(self, tmp_path, header):
+        store, _ = small_store()
+        path = tmp_path / "unversioned.npz"
+        arrays = {name: t.data for name, t in store.items()}
+        np.savez(path, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
+        with pytest.raises(ConfigError, match="format None"):
             load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):

@@ -209,6 +209,21 @@ class TestTrain:
         assert "learning_rate" in capsys.readouterr().err
         assert read_manifest(out)["status"] == "failure"
 
+    @pytest.mark.parametrize("flags", [["--threads", "2"], ["--emit-plots"]])
+    def test_removed_flags_exit_2(self, dataset_dir, tmp_path, capsys, flags):
+        code = main(TRAIN_ARGS + ["--data", str(dataset_dir), "--out", str(tmp_path / "o")]
+                    + flags)
+        assert code == 2
+        assert flags[0] in capsys.readouterr().err
+
+    def test_removed_config_key_exits_2(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"dim": 4, "unique_times": True}))
+        code = main(["train", "--data", str(dataset_dir), "--config", str(cfg),
+                     "--out", str(tmp_path / "oldrun")])
+        assert code == 2
+        assert "unique_times" in capsys.readouterr().err
+
     def test_broken_dataset_names_missing_file(self, dataset_dir, tmp_path, capsys):
         broken = tmp_path / "broken"
         broken.mkdir()
@@ -219,19 +234,6 @@ class TestTrain:
         assert code == 2
         assert "sup_pairs" in capsys.readouterr().err
 
-    def test_emit_plots(self, dataset_dir, tmp_path):
-        out = tmp_path / "plots"
-        code = main(["train", "--data", str(dataset_dir), "--repeats", "1",
-                     "--seed", "0", "--dim", "4", "--layers", "1", "--epochs", "2",
-                     "--dropout", "0.0", "--eval-every", "1", "--emit-plots",
-                     "--out", str(out)])
-        assert code == 0
-        loss = (out / "run_0" / "plot_loss.dat").read_text().splitlines()
-        assert loss[0] == "# epoch loss"
-        assert len(loss) == 3
-        val = (out / "run_0" / "plot_validation.dat").read_text().splitlines()
-        assert val[0] == "# epoch mrr hits1 hits10"
-
     def test_mode_flag_reaches_checkpoint(self, dataset_dir, tmp_path):
         out = tmp_path / "tu"
         code = main(TRAIN_ARGS + ["--data", str(dataset_dir), "--mode", "time-unaware",
@@ -239,12 +241,6 @@ class TestTrain:
         assert code == 0
         _, meta = load_checkpoint(out / "run_0" / "checkpoint.npz")
         assert meta.mode == "time-unaware"
-
-    def test_bad_threads_exits_2(self, dataset_dir, tmp_path, capsys):
-        code = main(TRAIN_ARGS + ["--data", str(dataset_dir), "--threads", "0",
-                                  "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "--threads" in capsys.readouterr().err
 
 
 class TestEval:
@@ -301,18 +297,13 @@ class TestEval:
 
     @pytest.mark.parametrize("mode", ["time-aware", "time-unaware"])
     @pytest.mark.parametrize("self_loops", [True, False])
-    @pytest.mark.parametrize("unique_times", [True, False])
-    def test_eval_reproduces_train_time_reports(self, dataset_dir, tmp_path, mode, self_loops,
-                                                unique_times):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"unique_times": unique_times, "self_loops": self_loops,
-                                   "mode": mode}))
+    def test_eval_reproduces_train_time_reports(self, dataset_dir, tmp_path, mode, self_loops):
         out = tmp_path / "run"
-        assert main(TRAIN_ARGS + ["--config", str(cfg), "--data", str(dataset_dir),
-                                  "--out", str(out)]) == 0
+        assert main(TRAIN_ARGS + ["--mode", mode, "--self-loops", "on" if self_loops else "off",
+                                  "--data", str(dataset_dir), "--out", str(out)]) == 0
         ck = out / "run_0" / "checkpoint.npz"
         _, meta = load_checkpoint(ck)
-        assert (meta.mode, meta.self_loops, meta.unique_times) == (mode, self_loops, unique_times)
+        assert (meta.mode, meta.self_loops) == (mode, self_loops)
         assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset_dir),
                      "--metric", "both", "--out", str(tmp_path / "ev")]) == 0
         trained = json.loads((out / "run_0" / "metrics.json").read_text())["reports"]
@@ -329,6 +320,22 @@ class TestEval:
                      "--data", str(other), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "does not fit" in capsys.readouterr().err
+
+    def test_foreign_format_header_exits_2(self, dataset_dir, trained, tmp_path, capsys):
+        """A format-2 checkpoint (it carried unique_times) is refused, not a crash."""
+        with np.load(trained / "run_0" / "checkpoint.npz") as archive:
+            arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
+            header = json.loads(bytes(archive["__meta__"]).decode())
+        header.update(format_version=2, unique_times=False)
+        old = tmp_path / "format2.npz"
+        np.savez(old, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+                 **arrays)
+        out = tmp_path / "o"
+        code = main(["eval", "--checkpoint", str(old), "--data", str(dataset_dir),
+                     "--out", str(out)])
+        assert code == 2
+        assert "format 2" in capsys.readouterr().err
+        assert read_manifest(out)["status"] == "failure"
 
     def test_single_metric_single_direction(self, dataset_dir, trained, tmp_path):
         out = tmp_path / "ev1"

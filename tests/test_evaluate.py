@@ -19,12 +19,10 @@ from tkgalign.evaluate import (
     similarity_matrix,
     time_sensitivity,
 )
-from tkgalign.tkg import (
-    UNKNOWN_TIME_ID,
-    DirectedLink,
-    NeighborhoodIndex,
-    build_neighborhoods,
-)
+from tkgalign.model import prepare_graph
+from tkgalign.tkg import UNKNOWN_TIME_ID, merge_pair
+
+from conftest import make_kg, quad
 
 
 def naive_l1_sim(src, tgt):
@@ -327,77 +325,82 @@ class TestAverageReports:
 
 
 class TestTimeSensitivity:
-    def index_for(self, links, n=6, self_relation=None):
-        return build_neighborhoods(links, n, self_relation=self_relation)
+    def sensitivity(self, times, n=6):
+        """Entity 0 receives one link per time."""
+        return time_sensitivity(np.zeros(len(times), dtype=np.int64), np.array(times), n)
 
     def test_all_unknown_times(self):
-        links = [DirectedLink(1, 0, 0, UNKNOWN_TIME_ID) for _ in range(3)]
-        assert time_sensitivity(0, self.index_for(links)) == 0.0
+        assert self.sensitivity([UNKNOWN_TIME_ID] * 3)[0] == 0.0
 
     def test_all_real_times(self):
-        links = [DirectedLink(1, 0, 0, t) for t in (2, 3, 4)]
-        assert time_sensitivity(0, self.index_for(links)) == 1.0
+        assert self.sensitivity([2, 3, 4])[0] == 1.0
 
     def test_three_quarters(self):
-        times = (UNKNOWN_TIME_ID, 2, 3, 4)
-        links = [DirectedLink(1, 0, 0, t) for t in times]
-        assert time_sensitivity(0, self.index_for(links)) == pytest.approx(0.75)
+        assert self.sensitivity([UNKNOWN_TIME_ID, 2, 3, 4])[0] == pytest.approx(0.75)
 
     def test_no_links_is_zero(self):
-        assert time_sensitivity(2, self.index_for([])) == 0.0
+        assert self.sensitivity([]).tolist() == [0.0] * 6
 
-    def test_self_loops_do_not_dilute(self):
-        real = [DirectedLink(1, 0, 0, 2), DirectedLink(2, 1, 0, 3)]
-        loop = [DirectedLink(0, 9, 0, UNKNOWN_TIME_ID)]
-        idx = self.index_for(real + loop, self_relation=9)
-        assert time_sensitivity(0, idx) == 1.0
-        # ...but an untagged index has no way to tell the loop apart
-        naive = self.index_for(real + loop, self_relation=None)
-        assert time_sensitivity(0, naive) == pytest.approx(2.0 / 3.0)
+    def test_matches_per_entity_fraction(self, fixture_6ent):
+        g1, g2, _ = fixture_6ent
+        graph, sens = prepare_graph(merge_pair(g1, g2), self_loops=False)
+        for e in range(graph.num_entities):
+            times = graph.time[graph.dst == e]
+            expected = 1.0 - np.sum(times == UNKNOWN_TIME_ID) / len(times) if len(times) else 0.0
+            assert sens[e] == expected
 
-    def test_only_self_loops_counts_as_zero(self):
-        loop = [DirectedLink(0, 9, 0, UNKNOWN_TIME_ID)]
-        idx = self.index_for(loop, self_relation=9)
-        assert time_sensitivity(0, idx) == 0.0
+    def test_self_loops_do_not_dilute(self, time_index):
+        quads = [quad(1, 0, 0, 2), quad(2, 0, 0, 3)]
+        g = make_kg(3, 1, time_index, quads)
+        merged = merge_pair(g, make_kg(3, 1, time_index, list(quads)))
+        graph, sens = prepare_graph(merged, self_loops=True)
+        assert sens[0] == 1.0
+        assert np.array_equal(sens, prepare_graph(merged, self_loops=False)[1])
+        # ...but over the rows with the self-loop, entity 0 would read 2/3
+        rows_sens = time_sensitivity(graph.dst, graph.time, graph.num_entities)
+        assert rows_sens[0] == pytest.approx(2.0 / 3.0)
+
+    def test_only_self_loops_counts_as_zero(self, time_index):
+        g = make_kg(3, 1, time_index, [quad(0, 0, 1, 2)])  # entity 2 has no facts
+        _, sens = prepare_graph(merge_pair(g, make_kg(3, 1, time_index, [])), self_loops=True)
+        assert sens[2] == 0.0
 
 
 class TestPartition:
-    def build_index(self):
+    def build_sensitivity(self):
         # entities 0,1: fully timed; entity 2: half timed; entity 3: untimed
-        links = [
-            DirectedLink(1, 0, 0, 2),
-            DirectedLink(0, 0, 1, 3),
-            DirectedLink(1, 0, 2, 4),
-            DirectedLink(0, 0, 2, UNKNOWN_TIME_ID),
-            DirectedLink(2, 0, 3, UNKNOWN_TIME_ID),
-        ]
-        return build_neighborhoods(links, 4)
+        dst = np.array([0, 1, 2, 2, 3])
+        time = np.array([2, 3, 4, UNKNOWN_TIME_ID, UNKNOWN_TIME_ID])
+        return time_sensitivity(dst, time, 4)
 
     def test_both_must_clear_threshold(self):
-        idx = self.build_index()
+        sens = self.build_sensitivity()
         pairs = np.array([[0, 1], [0, 3], [3, 1], [2, 3]])
-        highly, lowly = partition_test_pairs(pairs, idx)
+        highly, lowly = partition_test_pairs(pairs, sens)
         assert highly.tolist() == [0]
         assert lowly.tolist() == [1, 2, 3]
 
     def test_exact_threshold_is_highly(self):
-        idx = self.build_index()  # entity 2 sits exactly at 0.5
-        highly, lowly = partition_test_pairs(np.array([[2, 2], [2, 3]]), idx)
+        sens = self.build_sensitivity()  # entity 2 sits exactly at 0.5
+        assert sens[2] == 0.5
+        highly, lowly = partition_test_pairs(np.array([[2, 2], [2, 3]]), sens)
         assert highly.tolist() == [0]
         assert lowly.tolist() == [1]
 
     def test_custom_threshold(self):
-        idx = self.build_index()
-        highly, _ = partition_test_pairs(np.array([[2, 2]]), idx, threshold=0.75)
+        sens = self.build_sensitivity()
+        highly, _ = partition_test_pairs(np.array([[2, 2]]), sens, threshold=0.75)
         assert highly.size == 0
 
     def test_partition_covers_exactly(self, rng):
-        idx = self.build_index()
+        sens = self.build_sensitivity()
         pairs = rng.integers(0, 4, size=(20, 2))
-        highly, lowly = partition_test_pairs(pairs, idx)
+        highly, lowly = partition_test_pairs(pairs, sens)
         merged = sorted(highly.tolist() + lowly.tolist())
         assert merged == list(range(20))
 
     def test_empty_pairs(self):
-        highly, lowly = partition_test_pairs(np.empty((0, 2), dtype=np.int64), self.build_index())
+        highly, lowly = partition_test_pairs(
+            np.empty((0, 2), dtype=np.int64), self.build_sensitivity())
         assert highly.size == 0 and lowly.size == 0
+        assert highly.dtype == lowly.dtype == np.int64

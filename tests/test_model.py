@@ -12,7 +12,6 @@ from tkgalign.model import (
     ModelConfig,
     attention_logits,
     cross_layer_concat,
-    effective_edge_tables,
     incident_time_mean,
     init_params,
     layer_forward,
@@ -22,6 +21,7 @@ from tkgalign.model import (
     prepare_graph,
 )
 from tkgalign.tkg import UNKNOWN_TIME_ID, merge_pair
+from tkgalign.train import apply_time_unaware
 
 from conftest import make_kg, quad
 
@@ -66,7 +66,7 @@ def random_flat_graph(rng, n_entities=5, n_links=12, n_rel=4, n_time=6):
     dst = rng.integers(0, n_entities, n_links)
     rel = rng.integers(0, n_rel, n_links)
     time = rng.integers(0, n_time, n_links)
-    return FlatGraph(n_entities, src, dst, rel, time, dst.copy(), time.copy())
+    return FlatGraph(n_entities, src, dst, rel, time)
 
 
 class TestAttentionPieces:
@@ -187,7 +187,6 @@ class TestLayerForward:
             g = FlatGraph(
                 graph.num_entities, graph.src[order], graph.dst[order],
                 graph.rel[order], graph.time[order],
-                graph.ts_entity, graph.ts_time,
             )
             return layer_forward(
                 ad.leaf(h), g, ad.leaf(rel_e[order]), ad.leaf(time_e[order]),
@@ -229,50 +228,36 @@ class TestConcatAndTimeMean:
 
     def test_single_incident_time(self, rng):
         table = rng.normal(size=(5, 3))
-        graph = FlatGraph(2, *[np.array([0])] * 4, np.array([1]), np.array([4]))
+        graph = FlatGraph(2, np.array([0]), np.array([1]), np.array([0]), np.array([4]))
         out = incident_time_mean(ad.leaf(table), graph, np.float64).data
         assert np.allclose(out[1], table[4])
         assert np.allclose(out[0], 0.0)
 
     def test_repeated_time_is_plain_mean(self, rng):
         table = rng.normal(size=(5, 3))
-        graph = FlatGraph(
-            1, *[np.array([0, 0])] * 4, np.array([0, 0]), np.array([2, 2])
-        )
+        graph = FlatGraph(1, *[np.array([0, 0])] * 3, np.array([2, 2]))
         out = incident_time_mean(ad.leaf(table), graph, np.float64).data
         assert np.allclose(out[0], table[2])
 
     def test_multiplicity_weighted_mean(self, rng):
         table = rng.normal(size=(5, 3))
-        graph = FlatGraph(
-            1, *[np.array([0, 0, 0])] * 4,
-            np.array([0, 0, 0]), np.array([1, 2, 2]),
-        )
+        graph = FlatGraph(1, *[np.array([0, 0, 0])] * 3, np.array([1, 2, 2]))
         out = incident_time_mean(ad.leaf(table), graph, np.float64).data
         assert np.allclose(out[0], (table[1] + 2 * table[2]) / 3)
-
-    def test_unique_times_collapses_multiplicity(self, tiny_pair):
-        g1, g2, _ = tiny_pair
-        merged = merge_pair(g1, g2)
-        flat_multi, _ = prepare_graph(merged, self_loops=False, unique_times=False)
-        flat_uniq, _ = prepare_graph(merged, self_loops=False, unique_times=True)
-        pairs = set(zip(flat_uniq.ts_entity.tolist(), flat_uniq.ts_time.tolist()))
-        assert len(pairs) == len(flat_uniq.ts_entity)  # distinct by construction
-        assert set(zip(flat_multi.ts_entity.tolist(), flat_multi.ts_time.tolist())) == pairs
 
 
 class TestModelForward:
     def build(self, pair, self_loops=True, layers=2, dim=5, precision="f64", seed=0):
         g1, g2, _ = pair
         merged = merge_pair(g1, g2)
-        graph, index = prepare_graph(merged, self_loops=self_loops)
+        graph, sensitivity = prepare_graph(merged, self_loops=self_loops)
         cfg = ModelConfig(dim=dim, num_layers=layers, precision=precision)
         store = init_params(
             np.random.default_rng(seed), merged.kg.num_entities,
             num_relation_rows(merged.kg.num_relations, self_loops),
             merged.kg.time_index.num_ids, cfg,
         )
-        return store, graph, index, cfg, merged
+        return store, graph, sensitivity, cfg, merged
 
     def test_output_shape(self, fixture_6ent):
         store, graph, _, cfg, merged = self.build(fixture_6ent)
@@ -288,7 +273,7 @@ class TestModelForward:
         g2 = make_kg(3, 1, time_index, list(quads), name="g2")
         store, graph, _, cfg, _ = self.build((g1, g2, None))
         aware = model_forward(store, graph, cfg).data
-        unaware = model_forward(store, graph.time_unaware(), cfg).data
+        unaware = model_forward(store, apply_time_unaware(graph), cfg).data
         assert np.array_equal(aware, unaware)
 
     def test_timestamps_separate_entities_only_in_aware_mode(self, time_index):
@@ -300,7 +285,7 @@ class TestModelForward:
         g2 = make_kg(3, 1, time_index, list(quads), name="g2")
         store, graph, _, cfg, _ = self.build((g1, g2, None), self_loops=False)
         aware = model_forward(store, graph, cfg).data
-        unaware = model_forward(store, graph.time_unaware(), cfg).data
+        unaware = model_forward(store, apply_time_unaware(graph), cfg).data
         k = cfg.dim
         # layer blocks beyond the raw embedding + the time mean block
         assert not np.allclose(aware[1, k:], aware[2, k:])
@@ -308,16 +293,14 @@ class TestModelForward:
 
     def test_unaware_mode_invariant_to_time_relabeling(self, fixture_6ent, rng):
         store, graph, _, cfg, merged = self.build(fixture_6ent)
-        base = model_forward(store, graph.time_unaware(), cfg).data
+        base = model_forward(store, apply_time_unaware(graph), cfg).data
         n_times = merged.kg.time_index.num_ids
         scrambled_times = rng.integers(1, n_times, size=graph.num_links)
         scrambled = FlatGraph(
-            graph.num_entities, graph.src, graph.dst, graph.rel,
-            scrambled_times, graph.ts_entity,
-            rng.integers(1, n_times, size=len(graph.ts_time)),
+            graph.num_entities, graph.src, graph.dst, graph.rel, scrambled_times,
         )
         assert np.array_equal(
-            model_forward(store, scrambled.time_unaware(), cfg).data, base
+            model_forward(store, apply_time_unaware(scrambled), cfg).data, base
         )
 
     def test_bit_determinism_in_training_mode(self, fixture_6ent):
@@ -334,13 +317,6 @@ class TestModelForward:
         store, graph, _, cfg, _ = self.build(fixture_6ent)
         with pytest.raises(ConfigError):
             model_forward(store, graph, cfg, training=True)
-
-    def test_effective_tables_unit_norm(self, fixture_6ent):
-        store, _, _, _, _ = self.build(fixture_6ent)
-        store["relation"].data *= 3.7  # drift off the constraint surface
-        rel, tim = effective_edge_tables(store)
-        assert np.allclose(np.linalg.norm(rel, axis=1), 1.0, atol=1e-6)
-        assert np.allclose(np.linalg.norm(tim, axis=1), 1.0, atol=1e-6)
 
     def test_forward_insensitive_to_stored_table_scale(self, fixture_6ent):
         """The pass normalizes rel/time tables internally, so scaling the

@@ -1,26 +1,27 @@
-"""Data model, ingestion, reverse decomposition, and neighborhood indexing."""
+"""Data model, ingestion, reverse decomposition, and link grouping."""
 from __future__ import annotations
 
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tkgalign.errors import GraphError, ParseError
+from tkgalign.model import prepare_graph
 from tkgalign.tkg import (
     UNKNOWN_TIME_ID,
     UNKNOWN_TIME_LABEL,
-    DirectedLink,
+    MergedGraph,
     SeedAlignments,
     TimeInterval,
-    augment_self_loops,
-    build_neighborhoods,
-    generate_reverse_links,
     merge_pair,
     parse_dataset,
     unify_time_sets,
 )
 
-from conftest import make_kg, quad, write_dataset_dir
+from conftest import build_time_index, make_kg, quad, write_dataset_dir
 
 
 class TestTimeIndex:
@@ -59,99 +60,149 @@ class TestTimeIndex:
         assert labels == sorted(labels, key=int)
 
 
+def links_of(kg, self_loops=False):
+    """prepare_graph on one KG (a merged graph with an empty second side)."""
+    merged = MergedGraph(kg, kg.num_entities, 0, kg.num_relations, 0)
+    graph, _ = prepare_graph(merged, self_loops)
+    return graph
+
+
+def rows(graph, mask=None):
+    """Links as (src, rel, dst, time) tuples in row order."""
+    cols = (graph.src, graph.rel, graph.dst, graph.time)
+    if mask is not None:
+        cols = tuple(c[mask] for c in cols)
+    return list(zip(*(c.tolist() for c in cols)))
+
+
 class TestReverseLinks:
     def test_interval_decomposition(self, time_index):
         kg = make_kg(2, 1, time_index, [quad(0, 0, 1, 1, 2)])
-        links = generate_reverse_links(kg)
-        assert links == [DirectedLink(0, 0, 1, 1), DirectedLink(1, 1, 0, 2)]
+        assert set(rows(links_of(kg))) == {(0, 0, 1, 1), (1, 1, 0, 2)}
 
     def test_time_point_carries_same_time_both_ways(self, time_index):
         kg = make_kg(2, 1, time_index, [quad(0, 0, 1, 3)])
-        links = generate_reverse_links(kg)
-        assert {l.time for l in links} == {3}
+        assert set(links_of(kg).time.tolist()) == {3}
 
     def test_nontemporal_fact_stays_unknown(self, time_index):
         kg = make_kg(2, 1, time_index, [quad(0, 0, 1, 0)])
-        links = generate_reverse_links(kg)
-        assert all(l.time == UNKNOWN_TIME_ID for l in links)
+        assert np.all(links_of(kg).time == UNKNOWN_TIME_ID)
 
     def test_link_count_is_twice_quad_count(self, fixture_6ent):
         g1, _, _ = fixture_6ent
-        assert len(generate_reverse_links(g1)) == 2 * len(g1.quadruples)
+        assert links_of(g1).num_links == 2 * len(g1.quadruples)
 
     def test_reverse_involution(self, fixture_6ent):
-        """Swapping (subject, object), r <-> r+|R| and begin <-> end recovers
-        the original link set."""
+        """Swapping (src, dst) and r <-> r+|R| maps the link multiset onto
+        itself up to time, which swaps begin <-> end within each pair."""
         g1, _, _ = fixture_6ent
-        links = generate_reverse_links(g1)
         n_rel = g1.num_relations
+        links = Counter(rows(links_of(g1)))
 
-        def flip(l: DirectedLink) -> DirectedLink:
-            r = l.relation - n_rel if l.relation >= n_rel else l.relation + n_rel
-            return DirectedLink(l.object, r, l.subject, l.time)
+        def flip(s, r, d, t):
+            return (d, r - n_rel if r >= n_rel else r + n_rel, s, t)
 
-        flipped = {flip(l) for l in links}
-        # the flip exchanges each forward link with its reverse partner's
-        # mirrored form; times swap begin<->end within each pair
-        originals = set(links)
+        flipped = Counter(flip(*link) for link in links.elements())
         for q in g1.quadruples:
-            fwd = DirectedLink(q.subject, q.relation, q.object, q.interval.begin)
-            rev = DirectedLink(q.object, q.relation + n_rel, q.subject, q.interval.end)
-            assert fwd in originals and rev in originals
-            assert DirectedLink(q.object, q.relation + n_rel, q.subject, q.interval.begin) in flipped
-            assert DirectedLink(q.subject, q.relation, q.object, q.interval.end) in flipped
+            b, e = q.interval.begin, q.interval.end
+            assert links[(q.subject, q.relation, q.object, b)] >= 1
+            assert links[(q.object, q.relation + n_rel, q.subject, e)] >= 1
+            assert flipped[(q.object, q.relation + n_rel, q.subject, b)] >= 1
+            assert flipped[(q.subject, q.relation, q.object, e)] >= 1
+        assert sum(flipped.values()) == sum(links.values())
 
 
 class TestNeighborhoods:
-    def test_single_link_lands_on_object(self):
-        links = [DirectedLink(0, 0, 1, 2)]
-        index = build_neighborhoods(links, 2)
-        assert index.inward[1] == links
-        assert index.inward[0] == []
+    def test_row_order_pins_quad_order_then_self_loop(self, time_index):
+        """Per dst: forward and reverse links in quadruple order, then the
+        self-loop (relation 2|R|, unknown time)."""
+        quads = [quad(0, 0, 1, 1, 2), quad(2, 1, 0, 3, 4), quad(1, 0, 0, 5)]
+        graph = links_of(make_kg(3, 2, time_index, quads), self_loops=True)
+        assert rows(graph) == [
+            (1, 2, 0, 2), (2, 1, 0, 3), (1, 0, 0, 5), (0, 4, 0, 0),
+            (0, 0, 1, 1), (0, 2, 1, 5), (1, 4, 1, 0),
+            (0, 3, 2, 4), (2, 4, 2, 0),
+        ]
+
+    def test_single_link_lands_on_object(self, time_index):
+        kg = make_kg(2, 1, time_index, [quad(0, 0, 1, 2)])
+        graph = links_of(kg)
+        assert rows(graph, graph.dst == 1) == [(0, 0, 1, 2)]
+        assert rows(graph, graph.dst == 0) == [(1, 1, 0, 2)]
 
     def test_reverse_generation_gives_both_endpoints_one_inward_link(self, time_index):
         kg = make_kg(2, 1, time_index, [quad(0, 0, 1, 1, 2)])
-        index = build_neighborhoods(generate_reverse_links(kg), 2)
-        assert len(index.inward[0]) == 1
-        assert len(index.inward[1]) == 1
+        assert np.bincount(links_of(kg).dst, minlength=2).tolist() == [1, 1]
 
     def test_matches_hand_enumeration(self, fixture_6ent):
         g1, _, _ = fixture_6ent
-        links = generate_reverse_links(g1)
-        index = build_neighborhoods(links, g1.num_entities)
+        n_rel = g1.num_relations
+        graph = links_of(g1)
+        assert np.all(np.diff(graph.dst) >= 0)
         for e in range(g1.num_entities):
-            expected = [l for l in links if l.object == e]
-            assert index.inward[e] == expected
+            expected = []
+            for q in g1.quadruples:
+                if q.object == e:
+                    expected.append((q.subject, q.relation, e, q.interval.begin))
+                if q.subject == e:
+                    expected.append((q.object, q.relation + n_rel, e, q.interval.end))
+            assert rows(graph, graph.dst == e) == expected
+
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 1), st.integers(0, n - 1),
+                               st.integers(0, 6), st.integers(0, 6)),
+                     max_size=12),
+        )),
+        st.booleans(),
+    )
+    def test_random_graphs_match_hand_enumeration(self, graph_spec, self_loops):
+        n, specs = graph_spec
+        quads = [quad(s, r, o, min(b, e), max(b, e)) for s, r, o, b, e in specs]
+        quads = list(dict.fromkeys(quads))  # sorting the endpoints can collide
+        graph = links_of(make_kg(n, 2, build_time_index(), quads), self_loops)
+        for e in range(n):
+            expected = []
+            for q in quads:
+                if q.object == e:
+                    expected.append((q.subject, q.relation, e, q.interval.begin))
+                if q.subject == e:
+                    expected.append((q.object, q.relation + 2, e, q.interval.end))
+            if self_loops:
+                expected.append((e, 4, e, UNKNOWN_TIME_ID))
+            assert rows(graph, graph.dst == e) == expected
+        assert np.all(np.diff(graph.dst) >= 0)
 
     def test_degree_conservation(self, fixture_6ent):
         g1, _, _ = fixture_6ent
-        links = generate_reverse_links(g1)
-        index = build_neighborhoods(links, g1.num_entities)
-        assert index.num_links == len(links)
+        graph = links_of(g1)
+        assert np.bincount(graph.dst, minlength=g1.num_entities).sum() == graph.num_links
 
-    def test_out_of_range_id_rejected(self):
+    def test_out_of_range_id_rejected(self, time_index):
+        kg = make_kg(2, 1, time_index, [])
+        kg.quadruples.append(quad(0, 0, 5, 0))
         with pytest.raises(GraphError):
-            build_neighborhoods([DirectedLink(0, 0, 5, 0)], 2)
+            links_of(kg)
 
     def test_self_loops_carry_unknown_time_and_are_filterable(self, fixture_6ent):
         g1, _, _ = fixture_6ent
         self_rel = 2 * g1.num_relations
-        links = augment_self_loops(generate_reverse_links(g1), g1.num_entities, self_rel)
-        index = build_neighborhoods(links, g1.num_entities, self_relation=self_rel)
+        graph = links_of(g1, self_loops=True)
+        plain = links_of(g1)
+        assert graph.num_links == plain.num_links + g1.num_entities
         for e in range(g1.num_entities):
-            loops = [l for l in index.inward[e] if l.relation == self_rel]
-            assert len(loops) == 1
-            assert loops[0].time == UNKNOWN_TIME_ID
-            assert loops[0] not in index.links_without_self_loops(e)
+            group = rows(graph, graph.dst == e)
+            loops = [link for link in group if link[1] == self_rel]
+            assert loops == [(e, self_rel, e, UNKNOWN_TIME_ID)]
+            assert group[-1] == loops[0]
+            without = [link for link in group if link[1] != self_rel]
+            assert without == rows(plain, plain.dst == e)
 
-    def test_time_multiset_counts_multiplicity(self):
-        links = [
-            DirectedLink(0, 0, 1, 2),
-            DirectedLink(2, 0, 1, 2),
-            DirectedLink(3, 0, 1, 4),
-        ]
-        index = build_neighborhoods(links, 4)
-        assert sorted(index.time_multiset(1)) == [2, 2, 4]
+    def test_time_multiset_counts_multiplicity(self, time_index):
+        quads = [quad(0, 0, 1, 2), quad(2, 0, 1, 2), quad(3, 0, 1, 4)]
+        graph = links_of(make_kg(4, 1, time_index, quads))
+        assert sorted(graph.time[graph.dst == 1].tolist()) == [2, 2, 4]
 
 
 class TestValidation:

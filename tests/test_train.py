@@ -16,7 +16,6 @@ from tkgalign.train import (
     TrainConfig,
     apply_time_unaware,
     default_negatives,
-    l1_distance,
     l1_rows,
     margin_loss,
     sample_negatives,
@@ -26,26 +25,27 @@ from tkgalign.train import (
 
 class TestL1:
     def test_identical_is_zero(self, rng):
-        x = rng.normal(size=8)
-        assert l1_distance(x, x.copy()) == 0.0
+        x = rng.normal(size=(3, 8))
+        assert np.all(l1_rows(ad.leaf(x), ad.leaf(x.copy())).data == 0.0)
 
     def test_simple_pair(self):
-        assert l1_distance(np.array([1.0, 2.0]), np.zeros(2)) == 3.0
+        rows = l1_rows(ad.leaf(np.array([[1.0, 2.0]])), ad.leaf(np.zeros((1, 2)))).data
+        assert rows.tolist() == [3.0]
 
     def test_matches_naive_loop(self, rng):
-        x, y = rng.normal(size=30), rng.normal(size=30)
-        naive = sum(abs(a - b) for a, b in zip(x, y))
-        assert l1_distance(x, y) == pytest.approx(naive, abs=1e-12)
+        x, y = rng.normal(size=(1, 30)), rng.normal(size=(1, 30))
+        naive = sum(abs(a - b) for a, b in zip(x[0], y[0]))
+        assert l1_rows(ad.leaf(x), ad.leaf(y)).data[0] == pytest.approx(naive, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            l1_distance(np.zeros(3), np.zeros(4))
+            l1_rows(ad.leaf(np.zeros((2, 3))), ad.leaf(np.zeros((2, 4))))
 
     def test_tape_version_agrees(self, rng):
         a, b = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
         rows = l1_rows(ad.leaf(a), ad.leaf(b)).data
         for i in range(4):
-            assert rows[i] == pytest.approx(l1_distance(a[i], b[i]), abs=1e-12)
+            assert rows[i] == pytest.approx(np.abs(a[i] - b[i]).sum(), abs=1e-12)
 
 
 class TestSampleNegatives:
@@ -188,34 +188,30 @@ class TestMarginLoss:
 
 
 class TestApplyTimeUnaware:
+    def graph(self, pair):
+        g1, g2, _ = pair
+        graph, _ = prepare_graph(merge_pair(g1, g2), self_loops=True)
+        return graph
+
     def test_all_times_become_unknown(self, fixture_6ent):
-        g1, g2, _ = fixture_6ent
-        merged = merge_pair(g1, g2)
-        _, index = prepare_graph(merged, self_loops=True)
-        blanked = apply_time_unaware(index)
-        assert all(
-            ln.time == UNKNOWN_TIME_ID for links in blanked.inward for ln in links
-        )
+        blanked = apply_time_unaware(self.graph(fixture_6ent))
+        assert np.all(blanked.time == UNKNOWN_TIME_ID)
 
     def test_structure_preserved(self, fixture_6ent):
-        g1, g2, _ = fixture_6ent
-        merged = merge_pair(g1, g2)
-        _, index = prepare_graph(merged, self_loops=True)
-        blanked = apply_time_unaware(index)
-        assert blanked.num_links == index.num_links
-        assert blanked.self_relation == index.self_relation
-        for a, b in zip(index.inward, blanked.inward):
-            assert [(l.subject, l.relation, l.object) for l in a] == [
-                (l.subject, l.relation, l.object) for l in b
-            ]
+        graph = self.graph(fixture_6ent)
+        real_times = graph.time.copy()
+        blanked = apply_time_unaware(graph)
+        assert blanked.num_entities == graph.num_entities
+        assert blanked.num_links == graph.num_links
+        for name in ("src", "dst", "rel"):
+            assert np.array_equal(getattr(blanked, name), getattr(graph, name))
+        assert np.array_equal(graph.time, real_times)  # the input is not modified
 
     def test_idempotent(self, fixture_6ent):
-        g1, g2, _ = fixture_6ent
-        merged = merge_pair(g1, g2)
-        _, index = prepare_graph(merged, self_loops=True)
-        once = apply_time_unaware(index)
+        once = apply_time_unaware(self.graph(fixture_6ent))
         twice = apply_time_unaware(once)
-        assert once.inward == twice.inward
+        for name in ("src", "dst", "rel", "time"):
+            assert np.array_equal(getattr(once, name), getattr(twice, name))
 
 
 class TestTrainConfig:
@@ -287,12 +283,10 @@ class TestTrainLoop:
             g1, g2, seeds, self.small_config(epochs=2, mode="time-unaware")
         )
         assert np.all(result.graph.time == UNKNOWN_TIME_ID)
-        assert np.all(result.graph.ts_time == UNKNOWN_TIME_ID)
-        # the pre-substitution index still holds the real structure
-        real_times = {
-            ln.time for links in result.index.inward for ln in links
-        }
-        assert real_times != {UNKNOWN_TIME_ID}
+        # the sensitivity still comes from the real timestamps
+        _, real = prepare_graph(merge_pair(g1, g2), self_loops=True)
+        assert np.array_equal(result.index, real)
+        assert np.any(result.index > 0.0)
 
     def test_divergence_aborts_with_last_good_state(self, fixture_6ent):
         # The optimizer normalizes step sizes, so a merely large lr walks the

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -28,11 +29,11 @@ from .errors import ConfigError, DatasetError
 from .tkg import (
     UNKNOWN_TIME_ID,
     UNKNOWN_TIME_LABEL,
-    Quadruple,
+    QuadTable,
     SeedAlignments,
     TemporalKG,
     TimeIndex,
-    TimeInterval,
+    first_occurrences,
 )
 
 logger = logging.getLogger(__name__)
@@ -190,6 +191,32 @@ def split_overlap(
     return SplitResult(q1, q2, emap1, emap2, rmap1, rmap2, alignment, shared_n, n)
 
 
+def _side_kg(
+    name: str,
+    local_quads: list[SourceQuad],
+    emap: dict[int, int],
+    rmap: dict[int, int],
+    time_index: TimeIndex,
+    entity_label: Callable[[int], str] = "e{}".format,
+) -> TemporalKG:
+    """The validated graph of one split side.
+
+    ``emap``/``rmap`` map source ids to the side's local ids; a local entity
+    is labelled ``entity_label(source id)`` and a local relation ``r<source id>``.
+    """
+    kg = TemporalKG(
+        num_entities=len(emap),
+        num_relations=len(rmap),
+        time_index=time_index,
+        quadruples=QuadTable(local_quads),
+        entity_labels=[entity_label(e) for e in sorted(emap, key=emap.get)],
+        relation_labels=[f"r{r}" for r in sorted(rmap, key=rmap.get)],
+        name=name,
+    )
+    kg.validate()
+    return kg
+
+
 def measured_overlap(g1: TemporalKG, g2: TemporalKG, all_pairs) -> float:
     """Fraction of distinct facts present in both graphs.
 
@@ -197,27 +224,28 @@ def measured_overlap(g1: TemporalKG, g2: TemporalKG, all_pairs) -> float:
     relation label matches, and its interval is identical. Denominator is
     the size of the union under the same identification.
     """
-    e_map = {a: b for a, b in (tuple(p) for p in all_pairs)}
+    pairs = np.array(all_pairs, dtype=np.int64).reshape(-1, 2)
+    e_map = np.full(g1.num_entities, -1, dtype=np.int64)
+    e_map[pairs[:, 0]] = pairs[:, 1]
+    label_code = {lab: i for i, lab in enumerate(dict.fromkeys(g1.relation_labels + g2.relation_labels))}
 
-    def canon(kg: TemporalKG, mapped: bool):
-        out = set()
-        for q in kg.quadruples:
-            if mapped:
-                if q.subject not in e_map or q.object not in e_map:
-                    out.add(("only1", q.subject, q.relation, q.object, q.interval))
-                    continue
-                key = (e_map[q.subject], kg.relation_labels[q.relation], e_map[q.object],
-                       q.interval.begin, q.interval.end)
-            else:
-                key = (q.subject, kg.relation_labels[q.relation], q.object,
-                       q.interval.begin, q.interval.end)
-            out.add(key)
-        return out
+    def canon(kg: TemporalKG, rows: np.ndarray) -> np.ndarray:
+        """Distinct rows, with relation ids replaced by shared label codes."""
+        codes = np.array([label_code[lab] for lab in kg.relation_labels], dtype=np.int64)
+        rows = rows.copy()
+        rows[:, 1] = codes[rows[:, 1]]
+        return rows[first_occurrences(rows)]
 
-    s1 = canon(g1, mapped=True)
-    s2 = canon(g2, mapped=False)
-    union = len(s1 | s2)
-    return len(s1 & s2) / union if union else 0.0
+    q1 = g1.quadruples.rows
+    mapped = (e_map[q1[:, 0]] >= 0) & (e_map[q1[:, 2]] >= 0)
+    only1 = int(first_occurrences(q1[~mapped]).sum())  # facts graph 2 cannot share
+    aligned = q1[mapped]
+    aligned[:, [0, 2]] = e_map[aligned[:, [0, 2]]]
+    s1 = canon(g1, aligned)
+    s2 = canon(g2, g2.quadruples.rows)
+    both = int(first_occurrences(np.concatenate([s1, s2])).sum())
+    union = both + only1
+    return (len(s1) + len(s2) - both) / union if union else 0.0
 
 
 def _generate_base_quads(spec: ForgeSpec, rng: np.random.Generator) -> tuple[list[SourceQuad], set[int]]:
@@ -351,28 +379,11 @@ def synth_tkg(spec: ForgeSpec, rng: np.random.Generator | None = None) -> ForgeR
     ent_labels = {e: f"e{e}" for e in range(spec.entities)}
     for plan in plans:
         ent_labels[plan.source_id] = f"twin{plan.group}{plan.member}"
-    rel_labels = [f"r{r}" for r in range(spec.relations)]
     time_index = TimeIndex([UNKNOWN_TIME_LABEL] + [f"t{i}" for i in range(1, spec.time_steps + 1)])
-
-    def build_kg(tag: str, local_quads, emap, rmap) -> TemporalKG:
-        inv_e = sorted(emap, key=emap.get)
-        inv_r = sorted(rmap, key=rmap.get)
-        kg = TemporalKG(
-            num_entities=len(emap),
-            num_relations=len(rmap),
-            time_index=time_index,
-            quadruples=[
-                Quadruple(s, r, o, TimeInterval(tb, te)) for s, r, o, tb, te in local_quads
-            ],
-            entity_labels=[ent_labels[e] for e in inv_e],
-            relation_labels=[rel_labels[r] for r in inv_r],
-            name=f"{spec.name}_{tag}",
-        )
-        kg.validate()
-        return kg
-
-    g1 = build_kg("1", split.quads_1, split.ent_map_1, split.rel_map_1)
-    g2 = build_kg("2", split.quads_2, split.ent_map_2, split.rel_map_2)
+    g1 = _side_kg(f"{spec.name}_1", split.quads_1, split.ent_map_1, split.rel_map_1,
+                  time_index, ent_labels.__getitem__)
+    g2 = _side_kg(f"{spec.name}_2", split.quads_2, split.ent_map_2, split.rel_map_2,
+                  time_index, ent_labels.__getitem__)
 
     # every twin's quads are shared, so twins are always alignable
     twin_sources = {p.source_id for p in plans}
@@ -437,18 +448,14 @@ def planted_isomorphic(kg: TemporalKG, a: int, b: int, time_blind: bool = True) 
     anchors through the same relations pass it while the timestamp-aware
     comparison tells them apart.
     """
+    q = kg.quadruples.rows
+    cols = [1, 2] if time_blind else [1, 2, 3, 4]
 
-    def profile(e: int):
-        rows = []
-        for q in kg.quadruples:
-            if q.subject == e:
-                key = (q.relation, q.object) if time_blind else (
-                    q.relation, q.object, q.interval.begin, q.interval.end
-                )
-                rows.append(key)
-        return sorted(rows)
+    def profile(e: int) -> np.ndarray:
+        rows = q[q[:, 0] == e][:, cols]
+        return rows[np.lexsort(rows.T[::-1])]
 
-    return profile(a) == profile(b)
+    return np.array_equal(profile(a), profile(b))
 
 
 def param_count(stats: DatasetStats, k: int, num_layers: int) -> int:
@@ -516,8 +523,8 @@ def write_dataset(
         (directory / fname).write_text("".join(f"{row}\n" for row in rows))
 
     def quad_rows(kg: TemporalKG, eo: int, ro: int):
-        for q in kg.quadruples:
-            yield f"{q.subject + eo}\t{q.relation + ro}\t{q.object + eo}\t{q.interval.begin}\t{q.interval.end}"
+        for s, r, o, tb, te in (kg.quadruples.rows + [eo, ro, eo, 0, 0]).tolist():
+            yield f"{s}\t{r}\t{o}\t{tb}\t{te}"
 
     lines_to("triples_1", quad_rows(g1, 0, 0))
     lines_to("triples_2", quad_rows(g2, e_off, r_off))
@@ -569,25 +576,8 @@ def split_to_result(
     split = split_overlap(quads, overlap_ratio, rng)
     max_time = max(max(q[3], q[4]) for q in quads)
     time_index = TimeIndex([UNKNOWN_TIME_LABEL] + [f"t{i}" for i in range(1, max_time + 1)])
-    rel_labels = {r: f"r{r}" for q in quads for r in (q[1],)}
-
-    def build(tag, local_quads, emap, rmap):
-        inv_e = sorted(emap, key=emap.get)
-        inv_r = sorted(rmap, key=rmap.get)
-        kg = TemporalKG(
-            num_entities=len(emap),
-            num_relations=len(rmap),
-            time_index=time_index,
-            quadruples=[Quadruple(s, r, o, TimeInterval(tb, te)) for s, r, o, tb, te in local_quads],
-            entity_labels=[f"e{e}" for e in inv_e],
-            relation_labels=[rel_labels[r] for r in inv_r],
-            name=f"{name}_{tag}",
-        )
-        kg.validate()
-        return kg
-
-    g1 = build("1", split.quads_1, split.ent_map_1, split.rel_map_1)
-    g2 = build("2", split.quads_2, split.ent_map_2, split.rel_map_2)
+    g1 = _side_kg(f"{name}_1", split.quads_1, split.ent_map_1, split.rel_map_1, time_index)
+    g2 = _side_kg(f"{name}_2", split.quads_2, split.ent_map_2, split.rel_map_2, time_index)
     if seed_count > len(split.alignment):
         raise ConfigError(
             f"seed_count {seed_count} exceeds {len(split.alignment)} alignable pairs"

@@ -91,13 +91,8 @@ def prepare_graph(
     """
     kg = merged.kg
     n = kg.num_entities
-    quads = np.array(
-        [(q.subject, q.relation, q.object, q.interval.begin, q.interval.end)
-         for q in kg.quadruples],
-        dtype=np.int64,
-    ).reshape(-1, 5)
-    s, r, o, begin, end = quads.T
-    if len(quads) and (min(s.min(), o.min()) < 0 or max(s.max(), o.max()) >= n):
+    s, r, o, begin, end = kg.quadruples.rows.T
+    if len(s) and (min(s.min(), o.min()) < 0 or max(s.max(), o.max()) >= n):
         raise GraphError(f"a quadruple references an entity id outside 0..{n - 1}")
     # each quadruple's forward link directly followed by its reverse link
     src = np.stack([s, o], 1).ravel()

@@ -1,15 +1,19 @@
 """Temporal knowledge graph data model and dataset ingestion.
 
-A temporal KG is a set of quadruples (subject, relation, object, interval)
-over dense integer id spaces for entities, relations and timestamps. Two
-graphs being aligned always share one timestamp index, in which id 0 is
-reserved for unknown/absent time information and never denotes a real date.
+A temporal KG is a set of facts (subject, relation, object, [begin, end])
+over dense integer id spaces for entities, relations and timestamps. A graph
+holds its facts in one :class:`QuadTable`, a read-only (n, 5) int64 array
+with the columns subject, relation, object, begin and end. Begin and end are
+time ids; a time point has begin == end, an unknown endpoint is the reserved
+id 0 and a fully non-temporal fact is (0, 0). Two graphs being aligned
+always share one timestamp index, in which id 0 is reserved for
+unknown/absent time information and never denotes a real date.
 
-The model later decomposes every interval fact into a pair of directed
-links (see ``model.prepare_graph``): the forward link carries the begin time
-and a reverse link (with a synthetic reverse relation) carries the end time,
-so a single attention pass sees relation direction and both interval
-endpoints.
+The table keeps its form from the file reader through :func:`merge_pair` to
+``model.prepare_graph``, which decomposes every fact into a pair of directed
+links: the forward link carries the begin time and a reverse link (with a
+synthetic reverse relation) carries the end time, so a single attention pass
+sees relation direction and both interval endpoints.
 """
 from __future__ import annotations
 
@@ -37,26 +41,6 @@ DATASET_FILES = (
     "sup_pairs",
     "ref_pairs",
 )
-
-
-@dataclass(frozen=True, slots=True)
-class TimeInterval:
-    """[begin, end] endpoints as time ids; a time point has begin == end.
-
-    An unknown begin or end is the reserved id 0; a fully non-temporal fact
-    is (0, 0).
-    """
-
-    begin: int
-    end: int
-
-
-@dataclass(frozen=True, slots=True)
-class Quadruple:
-    subject: int
-    relation: int
-    object: int
-    interval: TimeInterval
 
 
 class TimeIndex:
@@ -121,6 +105,64 @@ def unify_time_sets(labels_1: list[str], labels_2: list[str]) -> TimeIndex:
     return TimeIndex([UNKNOWN_TIME_LABEL] + ordered)
 
 
+def first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a 2-D int64 array that do not repeat an earlier row."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    # one opaque fixed-width key per row: np.unique on it sorts bytes, not fields
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    keep = np.zeros(len(rows), dtype=bool)
+    keep[first] = True
+    return keep
+
+
+def _first_dangling(rows: np.ndarray, columns) -> tuple[int, str] | None:
+    """The first row holding an id outside its id space, and that id's kind.
+
+    ``columns`` lists ``(column indices, first id, id count, kind)``.
+    """
+    dangling = [((rows[:, cols] < first) | (rows[:, cols] > first + count - 1)).any(axis=1)
+                for cols, first, count, _ in columns]
+    bad = np.flatnonzero(np.logical_or.reduce(dangling))
+    if len(bad) == 0:
+        return None
+    i = int(bad[0])
+    return i, next(c[3] for c, d in zip(columns, dangling) if d[i])
+
+
+class QuadTable:
+    """A graph's facts: one read-only, C-contiguous (n, 5) int64 array.
+
+    Row i of ``rows`` is fact i as (subject, relation, object, begin, end).
+    The constructor copies its input, so nothing else can write to a table.
+    ``==`` compares whole tables, row order included, and gives a ``bool``.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows=()):
+        table = np.array(rows, dtype=np.int64, order="C")
+        if table.size == 0:
+            table = table.reshape(0, 5)
+        if table.ndim != 2 or table.shape[1] != 5:
+            raise GraphError(f"quad rows must have shape (n, 5), got {table.shape}")
+        table.setflags(write=False)
+        self.rows = table
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuadTable):
+            return NotImplemented
+        return bool(np.array_equal(self.rows, other.rows))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"QuadTable(n={len(self)})"
+
+
 @dataclass
 class TemporalKG:
     """One temporal KG over dense id spaces with a shared time index."""
@@ -128,28 +170,24 @@ class TemporalKG:
     num_entities: int
     num_relations: int
     time_index: TimeIndex
-    quadruples: list[Quadruple]
+    quadruples: QuadTable
     entity_labels: list[str] = field(default_factory=list)
     relation_labels: list[str] = field(default_factory=list)
     name: str = "g"
 
     def validate(self) -> None:
         """Check referential integrity and duplicate-freeness."""
-        seen = set()
-        for q in self.quadruples:
-            if not (0 <= q.subject < self.num_entities):
-                raise GraphError(f"{self.name}: subject {q.subject} out of range")
-            if not (0 <= q.object < self.num_entities):
-                raise GraphError(f"{self.name}: object {q.object} out of range")
-            if not (0 <= q.relation < self.num_relations):
-                raise GraphError(f"{self.name}: relation {q.relation} out of range")
-            for t in (q.interval.begin, q.interval.end):
-                if not (0 <= t < self.time_index.num_ids):
-                    raise GraphError(f"{self.name}: time id {t} out of range")
-            key = (q.subject, q.relation, q.object, q.interval.begin, q.interval.end)
-            if key in seen:
-                raise GraphError(f"{self.name}: duplicate quadruple {key}")
-            seen.add(key)
+        q = self.quadruples.rows
+        hit = _first_dangling(q, (
+            ([0, 2], 0, self.num_entities, "entity"),
+            ([1], 0, self.num_relations, "relation"),
+            ([3, 4], 0, self.time_index.num_ids, "time"),
+        ))
+        if hit is not None:
+            raise GraphError(f"{self.name}: {hit[1]} id out of range in {tuple(q[hit[0]].tolist())}")
+        repeat = ~first_occurrences(q)
+        if repeat.any():
+            raise GraphError(f"{self.name}: duplicate quadruple {tuple(q[repeat.argmax()].tolist())}")
 
 
 @dataclass
@@ -160,14 +198,11 @@ class SeedAlignments:
     test_pairs: list[tuple[int, int]]
 
     def validate(self) -> None:
+        pairs = np.array(self.all_pairs, dtype=np.int64).reshape(-1, 2)
         for side in (0, 1):
-            seen: set[int] = set()
-            for split in (self.train_pairs, self.test_pairs):
-                for pair in split:
-                    e = pair[side]
-                    if e in seen:
-                        raise GraphError(f"entity {e} appears in more than one alignment pair")
-                    seen.add(e)
+            ids, counts = np.unique(pairs[:, side], return_counts=True)
+            if (counts > 1).any():
+                raise GraphError(f"g{side + 1} entity {ids[counts > 1][0]} is in more than one pair")
 
     @property
     def all_pairs(self) -> list[tuple[int, int]]:
@@ -203,13 +238,9 @@ class MergedGraph:
         # one id past the reverse block
         return 2 * self.kg.num_relations
 
-    def merged_pair(self, pair: tuple[int, int]) -> tuple[int, int]:
-        return (pair[0], pair[1] + self.entity_offset)
-
     def merged_pairs(self, pairs) -> np.ndarray:
         """Per-side pairs -> (n, 2) array in the merged id space."""
-        out = np.asarray([self.merged_pair(tuple(p)) for p in pairs], dtype=np.int64)
-        return out.reshape(-1, 2)
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2) + [0, self.entity_offset]
 
 
 def merge_pair(g1: TemporalKG, g2: TemporalKG) -> MergedGraph:
@@ -218,16 +249,12 @@ def merge_pair(g1: TemporalKG, g2: TemporalKG) -> MergedGraph:
         raise GraphError("graphs must share one time index")
     e_off = g1.num_entities
     r_off = g1.num_relations
-    quads = list(g1.quadruples)
-    for q in g2.quadruples:
-        quads.append(
-            Quadruple(q.subject + e_off, q.relation + r_off, q.object + e_off, q.interval)
-        )
+    shifted = g2.quadruples.rows + [e_off, r_off, e_off, 0, 0]
     merged = TemporalKG(
         num_entities=g1.num_entities + g2.num_entities,
         num_relations=g1.num_relations + g2.num_relations,
         time_index=g1.time_index,
-        quadruples=quads,
+        quadruples=QuadTable(np.concatenate([g1.quadruples.rows, shifted])),
         name="merged",
     )
     return MergedGraph(
@@ -245,14 +272,12 @@ def _read_lines(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
 
 
-def _parse_int(value: str, file: str, line_no: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(file, line_no, f"non-integer id {value!r}") from None
+def _read_id_labels(path: Path) -> tuple[list[str], int]:
+    """Read an id<TAB>label file; return the labels in id order and the first id.
 
-
-def _read_id_label_file(path: Path) -> dict[int, str]:
+    Ids must be contiguous but may start anywhere: each graph's ids are
+    shifted down by their own first id to dense 0..n-1 ids.
+    """
     mapping: dict[int, str] = {}
     for i, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
@@ -260,37 +285,68 @@ def _read_id_label_file(path: Path) -> dict[int, str]:
         cols = line.split("\t")
         if len(cols) != 2:
             raise ParseError(path.name, i, f"expected 2 columns, got {len(cols)}")
-        idx = _parse_int(cols[0], path.name, i)
+        try:
+            idx = int(cols[0])
+        except ValueError:
+            raise ParseError(path.name, i, f"non-integer id {cols[0]!r}") from None
         if idx in mapping:
             raise ParseError(path.name, i, f"duplicate id {idx}")
         mapping[idx] = cols[1]
     if not mapping:
         raise ParseError(path.name, 0, "file is empty")
-    return mapping
-
-
-def _localize_ids(mapping: dict[int, str], path_name: str) -> list[str]:
-    """Re-base an id->label map to a dense 0..n-1 label list.
-
-    Ids must be contiguous; a nonzero start (the convention where the second
-    graph's ids continue after the first's) is shifted down.
-    """
     lo, hi = min(mapping), max(mapping)
     if hi - lo + 1 != len(mapping):
-        raise ParseError(path_name, 0, f"ids are not contiguous ({lo}..{hi}, {len(mapping)} rows)")
-    return [mapping[i] for i in range(lo, hi + 1)]
+        raise ParseError(path.name, 0, f"ids are not contiguous ({lo}..{hi}, {len(mapping)} rows)")
+    if lo < np.iinfo(np.int64).min or hi > np.iinfo(np.int64).max:
+        raise ParseError(path.name, 0, f"ids {lo}..{hi} are not 64-bit integers")
+    return [mapping[i] for i in range(lo, hi + 1)], lo
 
 
-def _read_pair_file(path: Path) -> list[tuple[int, int]]:
-    pairs: list[tuple[int, int]] = []
-    for i, line in enumerate(_read_lines(path), start=1):
+def _first_bad_line(name: str, lines: list[str], width: int) -> ParseError:
+    """The error for the first non-blank line that is not ``width`` int64 fields."""
+    for i, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         cols = line.split("\t")
-        if len(cols) != 2:
-            raise ParseError(path.name, i, f"expected 2 columns, got {len(cols)}")
-        pairs.append((_parse_int(cols[0], path.name, i), _parse_int(cols[1], path.name, i)))
-    return pairs
+        if len(cols) != width:
+            return ParseError(name, i, f"expected {width} columns, got {len(cols)}")
+        for col in cols:
+            try:
+                np.int64(int(col))
+            except (ValueError, OverflowError):
+                return ParseError(name, i, f"id {col!r} is not a 64-bit integer")
+    return ParseError(name, 0, "unreadable integer rows")
+
+
+def _read_local_ids(path: Path, columns) -> np.ndarray:
+    """Read a tab-separated integer file, shifting its ids to 0-based local ids.
+
+    ``columns`` covers every column with ``(column indices, first id, id
+    count, kind)`` groups; an id becomes ``id - first``. Blank lines are
+    skipped. A wrong column count, a non-integer field, or an id outside
+    ``first .. first + count - 1`` raises ParseError at the first such line
+    (1-based, blank lines counted). Ranges are checked before the shift, so
+    it cannot wrap around int64.
+    """
+    width = sum(len(cols) for cols, *_ in columns)
+    lines = _read_lines(path)
+    line_no = [i for i, line in enumerate(lines, start=1) if line.strip()]
+    rows = [lines[i - 1] for i in line_no]
+    try:
+        if any(row.count("\t") != width - 1 for row in rows):
+            raise ValueError
+        fields = "\t".join(rows).split("\t") if rows else []
+        raw = np.array(list(map(int, fields)), dtype=np.int64).reshape(-1, width)
+    except (ValueError, OverflowError):
+        raise _first_bad_line(path.name, lines, width) from None
+    hit = _first_dangling(raw, columns)
+    if hit is not None:
+        i, kind = hit
+        raise ParseError(path.name, line_no[i], f"dangling {kind} id in {raw[i].tolist()}")
+    shift = np.zeros(width, dtype=np.int64)
+    for cols, first, _, _ in columns:
+        shift[cols] = first
+    return raw - shift
 
 
 def parse_dataset(directory: str | Path) -> tuple[TemporalKG, TemporalKG, SeedAlignments]:
@@ -299,105 +355,52 @@ def parse_dataset(directory: str | Path) -> tuple[TemporalKG, TemporalKG, SeedAl
     The directory layout is the tab-separated contract shared with the forge:
     ``triples_1``/``triples_2`` (5 integer columns; time id 0 = unknown),
     ``ent_ids_*``/``rel_ids_*``/``time_id`` (id<TAB>label) and
-    ``sup_pairs``/``ref_pairs`` (train seeds / test pairs). Ids of the second
-    graph may be 0-based or continue the first graph's range; both are
-    normalized to per-graph dense ids.
+    ``sup_pairs``/``ref_pairs`` (train seeds / test pairs). Each graph's
+    entity and relation ids may start anywhere (0, 1, or past the other
+    graph's range); every file is localized by the first id of its graph's
+    id file. Repeated fact rows are dropped, keeping the first occurrence.
     """
     d = Path(directory)
     if not d.is_dir():
         raise DatasetError(f"dataset directory not found: {d}")
 
-    ent1 = _localize_ids(_read_id_label_file(d / "ent_ids_1"), "ent_ids_1")
-    rel1 = _localize_ids(_read_id_label_file(d / "rel_ids_1"), "rel_ids_1")
-    ent2_raw = _read_id_label_file(d / "ent_ids_2")
-    rel2_raw = _read_id_label_file(d / "rel_ids_2")
-    ent2_offset = min(ent2_raw)
-    rel2_offset = min(rel2_raw)
-    ent2 = _localize_ids(ent2_raw, "ent_ids_2")
-    rel2 = _localize_ids(rel2_raw, "rel_ids_2")
-
-    time_rows = _read_id_label_file(d / "time_id")
-    if min(time_rows) != 0 or max(time_rows) != len(time_rows) - 1:
+    ents1, e1 = _read_id_labels(d / "ent_ids_1")
+    rels1, r1 = _read_id_labels(d / "rel_ids_1")
+    ents2, e2 = _read_id_labels(d / "ent_ids_2")
+    rels2, r2 = _read_id_labels(d / "rel_ids_2")
+    time_labels, t0 = _read_id_labels(d / "time_id")
+    if t0 != 0:
         raise ParseError("time_id", 0, "time ids must be dense starting at 0")
-    time_index = TimeIndex([time_rows[i] for i in range(len(time_rows))])
+    time_index = TimeIndex(time_labels)
 
-    def build_kg(tag: str, ents, rels, e_off, r_off) -> TemporalKG:
-        path = d / f"triples_{tag}"
-        seen: set[tuple] = set()
-        quads: list[Quadruple] = []
-        dropped = 0
-        for i, line in enumerate(_read_lines(path), start=1):
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != 5:
-                raise ParseError(path.name, i, f"expected 5 columns, got {len(cols)}")
-            s, r, o, tb, te = (_parse_int(c, path.name, i) for c in cols)
-            s, r, o = s - e_off, r - r_off, o - e_off
-            if not (0 <= s < len(ents)) or not (0 <= o < len(ents)):
-                raise ParseError(path.name, i, f"dangling entity id ({s} or {o})")
-            if not (0 <= r < len(rels)):
-                raise ParseError(path.name, i, f"dangling relation id {r}")
-            if not (0 <= tb < time_index.num_ids) or not (0 <= te < time_index.num_ids):
-                raise ParseError(path.name, i, f"dangling time id ({tb} or {te})")
-            key = (s, r, o, tb, te)
-            if key in seen:
-                dropped += 1
-                continue
-            seen.add(key)
-            quads.append(Quadruple(s, r, o, TimeInterval(tb, te)))
-        if dropped:
-            logger.warning("%s: dropped %d duplicate quadruples", path.name, dropped)
-        return TemporalKG(
-            num_entities=len(ents),
-            num_relations=len(rels),
-            time_index=time_index,
-            quadruples=quads,
-            entity_labels=ents,
-            relation_labels=rels,
-            name=f"g{tag}",
-        )
+    def read_kg(tag: str, ents: list[str], rels: list[str], e_off: int, r_off: int) -> TemporalKG:
+        local = _read_local_ids(d / f"triples_{tag}", (
+            ([0, 2], e_off, len(ents), "entity"),
+            ([1], r_off, len(rels), "relation"),
+            ([3, 4], 0, time_index.num_ids, "time"),
+        ))
+        keep = first_occurrences(local)
+        if not keep.all():
+            logger.warning("triples_%s: dropped %d duplicate quadruples", tag, len(keep) - keep.sum())
+        return TemporalKG(len(ents), len(rels), time_index, QuadTable(local[keep]), ents, rels, f"g{tag}")
 
-    g1 = build_kg("1", ent1, rel1, 0, 0)
-    g2 = build_kg("2", ent2, rel2, ent2_offset, rel2_offset)
+    g1 = read_kg("1", ents1, rels1, e1, r1)
+    g2 = read_kg("2", ents2, rels2, e2, r2)
 
-    def localize_pairs(name: str) -> list[tuple[int, int]]:
-        pairs = []
-        for i, (a, b) in enumerate(_read_pair_file(d / name), start=1):
-            a2, b2 = a, b - ent2_offset
-            if not (0 <= a2 < g1.num_entities) or not (0 <= b2 < g2.num_entities):
-                raise ParseError(name, i, f"dangling entity id in pair ({a}, {b})")
-            pairs.append((a2, b2))
-        return pairs
+    def read_pairs(name: str) -> list[tuple[int, int]]:
+        local = _read_local_ids(d / name, (([0], e1, len(ents1), "entity"), ([1], e2, len(ents2), "entity")))
+        return list(map(tuple, local.tolist()))
 
-    seeds = SeedAlignments(
-        train_pairs=localize_pairs("sup_pairs"),
-        test_pairs=localize_pairs("ref_pairs"),
-    )
+    seeds = SeedAlignments(train_pairs=read_pairs("sup_pairs"), test_pairs=read_pairs("ref_pairs"))
+    try:
+        seeds.validate()
+    except GraphError as exc:
+        raise ParseError("sup_pairs/ref_pairs", 0, str(exc)) from None
 
-    for side, tag in ((0, "g1"), (1, "g2")):
-        seen: set[int] = set()
-        for a, b in seeds.all_pairs:
-            e = (a, b)[side]
-            if e in seen:
-                raise ParseError(
-                    "sup_pairs/ref_pairs", 0, f"duplicate seed entity {e} in {tag}"
-                )
-            seen.add(e)
-
-    g1.validate()
-    g2.validate()
     logger.info(
         "parsed %s: |E1|=%d |E2|=%d |R1|=%d |R2|=%d |T|=%d |Q1|=%d |Q2|=%d seeds=%d test=%d",
-        d,
-        g1.num_entities,
-        g2.num_entities,
-        g1.num_relations,
-        g2.num_relations,
-        time_index.num_ids,
-        len(g1.quadruples),
-        len(g2.quadruples),
-        len(seeds.train_pairs),
-        len(seeds.test_pairs),
+        d, g1.num_entities, g2.num_entities, g1.num_relations, g2.num_relations,
+        time_index.num_ids, len(g1.quadruples), len(g2.quadruples),
+        len(seeds.train_pairs), len(seeds.test_pairs),
     )
     return g1, g2, seeds

@@ -4,29 +4,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tkgalign.tkg import (
-    Quadruple,
-    SeedAlignments,
-    TemporalKG,
-    TimeInterval,
-    unify_time_sets,
-)
+from tkgalign.tkg import QuadTable, SeedAlignments, TemporalKG, unify_time_sets
 
 
-def quad(s: int, r: int, o: int, tb: int, te: int | None = None) -> Quadruple:
-    return Quadruple(s, r, o, TimeInterval(tb, tb if te is None else te))
+def quad(s: int, r: int, o: int, tb: int, te: int | None = None) -> tuple[int, ...]:
+    """One fact row (subject, relation, object, begin, end); a time point by default."""
+    return (s, r, o, tb, tb if te is None else te)
 
 
-def make_kg(num_entities, num_relations, time_index, quads, name="g") -> TemporalKG:
-    kg = TemporalKG(
+def unvalidated_kg(num_entities, num_relations, time_index, quads, name="g") -> TemporalKG:
+    return TemporalKG(
         num_entities=num_entities,
         num_relations=num_relations,
         time_index=time_index,
-        quadruples=quads,
+        quadruples=QuadTable(quads),
         entity_labels=[f"e{i}" for i in range(num_entities)],
         relation_labels=[f"r{i}" for i in range(num_relations)],
         name=name,
     )
+
+
+def make_kg(num_entities, num_relations, time_index, quads, name="g") -> TemporalKG:
+    kg = unvalidated_kg(num_entities, num_relations, time_index, quads, name)
     kg.validate()
     return kg
 
@@ -94,14 +93,10 @@ def write_dataset_dir(directory, g1, g2, seeds, continue_ids=False):
     def write(name, rows):
         (directory / name).write_text("".join(f"{row}\n" for row in rows))
 
-    write("triples_1", (
-        f"{q.subject}\t{q.relation}\t{q.object}\t{q.interval.begin}\t{q.interval.end}"
-        for q in g1.quadruples
-    ))
+    write("triples_1", ("\t".join(map(str, q)) for q in g1.quadruples.rows.tolist()))
     write("triples_2", (
-        f"{q.subject + e_off}\t{q.relation + r_off}\t{q.object + e_off}"
-        f"\t{q.interval.begin}\t{q.interval.end}"
-        for q in g2.quadruples
+        "\t".join(map(str, q))
+        for q in (g2.quadruples.rows + [e_off, r_off, e_off, 0, 0]).tolist()
     ))
     write("ent_ids_1", (f"{i}\t{lab}" for i, lab in enumerate(g1.entity_labels)))
     write("ent_ids_2", (f"{i + e_off}\t{lab}" for i, lab in enumerate(g2.entity_labels)))

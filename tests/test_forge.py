@@ -256,14 +256,12 @@ class TestSynth:
     def test_untimed_entities_emit_unknown_times_only(self):
         res = synth_tkg(self.spec(nontemporal_entity_fraction=1.0))
         for kg in (res.g1, res.g2):
-            for q in kg.quadruples:
-                assert q.interval.begin == UNKNOWN_TIME_ID
-                assert q.interval.end == UNKNOWN_TIME_ID
+            assert np.all(kg.quadruples.rows[:, 3:] == UNKNOWN_TIME_ID)
         assert res.manifest["untimed_entities"] == 30
 
     def test_partial_untimed_fraction_mixes(self):
         res = synth_tkg(self.spec(nontemporal_entity_fraction=0.4))
-        begins = {q.interval.begin for q in res.g1.quadruples}
+        begins = set(res.g1.quadruples.rows[:, 3].tolist())
         assert UNKNOWN_TIME_ID in begins
         assert any(b != UNKNOWN_TIME_ID for b in begins)
 

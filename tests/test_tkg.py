@@ -1,27 +1,55 @@
 """Data model, ingestion, reverse decomposition, and link grouping."""
 from __future__ import annotations
 
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tkgalign.cli import main
 from tkgalign.errors import GraphError, ParseError
+from tkgalign.forge import write_dataset
 from tkgalign.model import prepare_graph
 from tkgalign.tkg import (
     UNKNOWN_TIME_ID,
     UNKNOWN_TIME_LABEL,
     MergedGraph,
+    QuadTable,
     SeedAlignments,
-    TimeInterval,
     merge_pair,
     parse_dataset,
     unify_time_sets,
 )
 
-from conftest import build_time_index, make_kg, quad, write_dataset_dir
+from conftest import build_time_index, make_kg, quad, unvalidated_kg, write_dataset_dir
+
+
+class TestQuadTable:
+    def test_holds_a_read_only_copy(self):
+        src = np.array([[0, 0, 1, 1, 1]], dtype=np.int64)
+        table = QuadTable(src)
+        src[0, 0] = 9
+        assert table.rows.tolist() == [[0, 0, 1, 1, 1]]
+        assert table.rows.dtype == np.int64 and table.rows.flags.c_contiguous
+        assert QuadTable(np.zeros((5, 5), dtype=np.int32).T).rows.flags.c_contiguous
+        with pytest.raises(ValueError):
+            table.rows[0, 0] = 5
+
+    def test_len_and_whole_table_equality(self):
+        a, b = quad(0, 0, 1, 1), quad(1, 0, 0, 2, 3)
+        assert len(QuadTable([a, b])) == 2
+        assert (QuadTable([a, b]) == QuadTable([a, b])) is True
+        assert (QuadTable([a, b]) == QuadTable([b, a])) is False
+        assert (QuadTable([a]) != QuadTable()) is True
+        assert QuadTable().rows.shape == (0, 5)
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(GraphError):
+            QuadTable([(0, 1, 2)])
 
 
 class TestTimeIndex:
@@ -103,12 +131,11 @@ class TestReverseLinks:
             return (d, r - n_rel if r >= n_rel else r + n_rel, s, t)
 
         flipped = Counter(flip(*link) for link in links.elements())
-        for q in g1.quadruples:
-            b, e = q.interval.begin, q.interval.end
-            assert links[(q.subject, q.relation, q.object, b)] >= 1
-            assert links[(q.object, q.relation + n_rel, q.subject, e)] >= 1
-            assert flipped[(q.object, q.relation + n_rel, q.subject, b)] >= 1
-            assert flipped[(q.subject, q.relation, q.object, e)] >= 1
+        for s, r, o, b, e in g1.quadruples.rows.tolist():
+            assert links[(s, r, o, b)] >= 1
+            assert links[(o, r + n_rel, s, e)] >= 1
+            assert flipped[(o, r + n_rel, s, b)] >= 1
+            assert flipped[(s, r, o, e)] >= 1
         assert sum(flipped.values()) == sum(links.values())
 
 
@@ -141,11 +168,11 @@ class TestNeighborhoods:
         assert np.all(np.diff(graph.dst) >= 0)
         for e in range(g1.num_entities):
             expected = []
-            for q in g1.quadruples:
-                if q.object == e:
-                    expected.append((q.subject, q.relation, e, q.interval.begin))
-                if q.subject == e:
-                    expected.append((q.object, q.relation + n_rel, e, q.interval.end))
+            for s, r, o, b, end in g1.quadruples.rows.tolist():
+                if o == e:
+                    expected.append((s, r, e, b))
+                if s == e:
+                    expected.append((o, r + n_rel, e, end))
             assert rows(graph, graph.dst == e) == expected
 
     @given(
@@ -164,11 +191,11 @@ class TestNeighborhoods:
         graph = links_of(make_kg(n, 2, build_time_index(), quads), self_loops)
         for e in range(n):
             expected = []
-            for q in quads:
-                if q.object == e:
-                    expected.append((q.subject, q.relation, e, q.interval.begin))
-                if q.subject == e:
-                    expected.append((q.object, q.relation + 2, e, q.interval.end))
+            for s, r, o, b, end in quads:
+                if o == e:
+                    expected.append((s, r, e, b))
+                if s == e:
+                    expected.append((o, r + 2, e, end))
             if self_loops:
                 expected.append((e, 4, e, UNKNOWN_TIME_ID))
             assert rows(graph, graph.dst == e) == expected
@@ -180,8 +207,7 @@ class TestNeighborhoods:
         assert np.bincount(graph.dst, minlength=g1.num_entities).sum() == graph.num_links
 
     def test_out_of_range_id_rejected(self, time_index):
-        kg = make_kg(2, 1, time_index, [])
-        kg.quadruples.append(quad(0, 0, 5, 0))
+        kg = unvalidated_kg(2, 1, time_index, [quad(0, 0, 5, 0)])
         with pytest.raises(GraphError):
             links_of(kg)
 
@@ -207,16 +233,19 @@ class TestNeighborhoods:
 
 class TestValidation:
     def test_dangling_entity(self, time_index):
-        kg = make_kg(2, 1, time_index, [])
-        kg.quadruples.append(quad(0, 0, 7, 1))
+        kg = unvalidated_kg(2, 1, time_index, [quad(0, 0, 7, 1)])
         with pytest.raises(GraphError):
             kg.validate()
 
     def test_duplicate_quadruple(self, time_index):
-        kg = make_kg(2, 1, time_index, [quad(0, 0, 1, 1)])
-        kg.quadruples.append(quad(0, 0, 1, 1))
-        with pytest.raises(GraphError):
+        kg = unvalidated_kg(2, 1, time_index, [quad(0, 0, 1, 1), quad(0, 0, 1, 1)])
+        with pytest.raises(GraphError, match=r"duplicate quadruple \(0, 0, 1, 1, 1\)"):
             kg.validate()
+
+    @pytest.mark.parametrize("row", [(0, 1, 1, 1, 1), (0, 0, 1, 9, 1), (0, 0, 1, 1, -1)])
+    def test_relation_and_time_ranges(self, time_index, row):
+        with pytest.raises(GraphError, match="out of range"):
+            unvalidated_kg(2, 1, time_index, [row]).validate()
 
     def test_self_referential_fact_is_legal(self, time_index):
         kg = make_kg(2, 1, time_index, [quad(0, 0, 0, 1)])
@@ -245,12 +274,50 @@ class TestMerge:
         arr = merged.merged_pairs(seeds.test_pairs)
         assert arr.shape == (1, 2)
         assert arr[0, 1] == 2 + g1.num_entities
+        empty = merged.merged_pairs([])
+        assert empty.shape == (0, 2) and empty.dtype == np.int64
 
     def test_mismatched_time_index_rejected(self, tiny_pair):
         g1, g2, _ = tiny_pair
         g2.time_index = unify_time_sets(["1900"], [])
         with pytest.raises(GraphError):
             merge_pair(g1, g2)
+
+
+def train_exit_code(data, tmp_path) -> int:
+    return main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--repeats", "1",
+                 "--epochs", "1", "--dim", "4", "--layers", "1", "--seed", "0"])
+
+
+def shift_graph1_ids(directory, by: int) -> None:
+    """Add ``by`` to every graph-1 entity and relation id on disk."""
+    for name, cols in (("triples_1", (0, 1, 2)), ("ent_ids_1", (0,)), ("rel_ids_1", (0,)),
+                       ("sup_pairs", (0,)), ("ref_pairs", (0,))):
+        rows = [line.split("\t") for line in (directory / name).read_text().splitlines()]
+        (directory / name).write_text("".join(
+            "\t".join(str(int(c) + by) if i in cols else c for i, c in enumerate(row)) + "\n"
+            for row in rows
+        ))
+
+
+@st.composite
+def graph_pairs(draw):
+    """Two random valid graphs on one time index plus identity seed pairs."""
+    time_index = build_time_index()
+
+    def graph(name):
+        n = draw(st.integers(1, 6))
+        n_rel = draw(st.integers(1, 3))
+        t = time_index.num_ids - 1
+        rows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n_rel - 1),
+                                       st.integers(0, n - 1), st.integers(0, t), st.integers(0, t)),
+                             unique=True, max_size=15))
+        return make_kg(n, n_rel, time_index, rows, name=name)
+
+    g1, g2 = graph("g1"), graph("g2")
+    pairs = [(i, i) for i in range(draw(st.integers(0, min(g1.num_entities, g2.num_entities))))]
+    cut = draw(st.integers(0, len(pairs)))
+    return g1, g2, SeedAlignments(train_pairs=pairs[:cut], test_pairs=pairs[cut:])
 
 
 class TestParseDataset:
@@ -323,6 +390,89 @@ class TestParseDataset:
         g1, g2, seeds = tiny_pair
         d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
         p1, _, _ = parse_dataset(d)
-        intervals = {(q.interval.begin, q.interval.end) for q in p1.quadruples}
-        assert TimeInterval(2, 3) in {q.interval for q in p1.quadruples}
+        intervals = set(map(tuple, p1.quadruples.rows[:, 3:].tolist()))
+        assert (2, 3) in intervals
         assert (0, 0) in intervals
+
+    def test_graph1_ids_may_start_anywhere(self, tmp_path, tiny_pair):
+        """Graph-1 ids starting at 5 parse like their 0-based twin."""
+        g1, g2, seeds = tiny_pair
+        base = parse_dataset(write_dataset_dir(tmp_path / "base", g1, g2, seeds))
+        d = write_dataset_dir(tmp_path / "shifted", g1, g2, seeds)
+        shift_graph1_ids(d, 5)
+        assert parse_dataset(d) == base
+        assert base == (g1, g2, seeds)
+
+    def test_id_file_beyond_int64_rejected(self, tmp_path, tiny_pair):
+        g1, g2, seeds = tiny_pair
+        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
+        shift_graph1_ids(d, 10 ** 20)
+        with pytest.raises(ParseError) as exc:
+            parse_dataset(d)
+        assert exc.value.file == "ent_ids_1"
+
+    @pytest.mark.parametrize("file, bad", [
+        ("triples_1", "0\t0\t1\t1"),
+        ("triples_1", "0\t0\tone\t1\t1"),
+        ("triples_1", "0\t0\t3\t1\t1"),
+        ("triples_1", "0\t1\t1\t1\t1"),
+        ("triples_1", "0\t0\t1\t1\t99"),
+        ("triples_2", "-1\t0\t1\t1\t1"),
+        ("sup_pairs", "2\t2\t2"),
+        ("ref_pairs", "0\t3"),
+    ])
+    def test_bad_line_named_with_blank_lines_counted(self, tmp_path, tiny_pair, file, bad):
+        g1, g2, seeds = tiny_pair
+        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
+        lines = (d / file).read_text().splitlines()
+        (d / file).write_text("\n".join(["", " ", lines[0], "", bad] + lines[1:]) + "\n")
+        with pytest.raises(ParseError) as exc:
+            parse_dataset(d)
+        assert (exc.value.file, exc.value.line) == (file, 5)
+
+    def test_id_beyond_int64_exits_2(self, tmp_path, tiny_pair):
+        g1, g2, seeds = tiny_pair
+        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
+        with open(d / "triples_1", "a") as f:
+            f.write("0\t0\t99999999999999999999\t1\t1\n")
+        with pytest.raises(ParseError) as exc:
+            parse_dataset(d)
+        assert (exc.value.file, exc.value.line) == ("triples_1", 4)
+        assert train_exit_code(d, tmp_path) == 2
+
+    def test_non_integer_field_after_blank_lines_exits_2(self, tmp_path, tiny_pair, capsys):
+        g1, g2, seeds = tiny_pair
+        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
+        lines = (d / "triples_2").read_text().splitlines()
+        (d / "triples_2").write_text("\n".join([lines[0], "", "", lines[1], "2\t0\t0\tx\t0"]) + "\n")
+        with pytest.raises(ParseError) as exc:
+            parse_dataset(d)
+        assert (exc.value.file, exc.value.line) == ("triples_2", 5)
+        assert train_exit_code(d, tmp_path) == 2
+        assert "triples_2:5" in capsys.readouterr().err
+
+    def test_interleaved_duplicates_keep_first_occurrence_order(self, tmp_path, tiny_pair, caplog):
+        g1, g2, seeds = tiny_pair
+        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
+        a, b, c = (d / "triples_1").read_text().splitlines()
+        (d / "triples_1").write_text("\n".join([b, a, b, "", c, a, b]) + "\n")
+        with caplog.at_level("WARNING"):
+            p1, _, _ = parse_dataset(d)
+        rows = g1.quadruples.rows
+        assert p1.quadruples == QuadTable(rows[[1, 0, 2]])
+        assert any("dropped 3 duplicate" in r.message for r in caplog.records)
+        assert train_exit_code(d, tmp_path) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph_pairs(), st.booleans())
+    def test_random_tables_round_trip(self, data, forge_writer):
+        g1, g2, seeds = data
+        with tempfile.TemporaryDirectory() as tmp:
+            if forge_writer:
+                d = write_dataset(Path(tmp), g1, g2, seeds)
+            else:
+                d = write_dataset_dir(Path(tmp), g1, g2, seeds, continue_ids=True)
+            p1, p2, ps = parse_dataset(d)
+        assert p1.quadruples == g1.quadruples
+        assert p2.quadruples == g2.quadruples
+        assert (p1, p2, ps) == (g1, g2, seeds)

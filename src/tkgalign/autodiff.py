@@ -7,6 +7,13 @@ own analytic backward rule. Tensors wrap numpy arrays; calling
 reachable from it. All ops preserve the dtype of their inputs (float32 for
 training, float64 for verification) and avoid BLAS so that results are
 bit-reproducible at thread count 1.
+
+Every reduction by an index array (the segment ops and the backward of
+:func:`gather_rows`) groups the rows by index under one stable order and
+reduces each contiguous run with ``ufunc.reduceat``. Indices that are already
+non-decreasing, like a graph's ``dst`` column, reduce in place; others are
+argsorted first, so rows of one group keep their original relative order.
+Groups that no row names stay zero.
 """
 from __future__ import annotations
 
@@ -166,16 +173,47 @@ def row_sum(a: Tensor) -> Tensor:
 # indexing, shaping
 
 
+class _Runs:
+    """Positions grouped by index value under one stable order.
+
+    ``order`` is None when the indices are already non-decreasing (rows are
+    reduced where they lie); otherwise it is the stable argsort. ``starts``
+    are the first sorted positions of each run of equal indices and ``ids``
+    the index value of each run.
+    """
+
+    __slots__ = ("order", "starts", "ids")
+
+    def __init__(self, idx: np.ndarray):
+        idx = np.asarray(idx, dtype=np.int64)
+        self.order = None
+        if np.any(idx[1:] < idx[:-1]):
+            # (index, position) keys are unique, so the fast unstable sort
+            # yields exactly the stable order
+            self.order = np.argsort(idx * len(idx) + np.arange(len(idx)))
+            idx = idx[self.order]
+        first = np.ones(len(idx), dtype=bool)
+        first[1:] = idx[1:] != idx[:-1]
+        self.starts = np.flatnonzero(first)
+        self.ids = idx[self.starts]
+
+    def reduce(self, ufunc: np.ufunc, x: np.ndarray, size: int, fill=0) -> np.ndarray:
+        """``ufunc`` over the rows of ``x`` in each run; ``fill`` where no row falls."""
+        out = np.full((size,) + x.shape[1:], fill, dtype=x.dtype)
+        if len(self.starts):
+            rows = x if self.order is None else np.take(x, self.order, axis=0)
+            out[self.ids] = ufunc.reduceat(rows, self.starts, axis=0)
+        return out
+
+
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows (axis 0); the backward scatter-adds into the source."""
+    """Select rows (axis 0); the backward sums each source row's gradients."""
     idx = np.asarray(idx, dtype=np.int64)
 
     def bw(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        a.accumulate(out)
+        a.accumulate(_Runs(idx).reduce(np.add, g, len(a.data)))
 
-    return Tensor(a.data[idx], (a,), bw)
+    return Tensor(np.take(a.data, idx, axis=0), (a,), bw)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -270,17 +308,13 @@ def segment_softmax(logits: Tensor, segments: np.ndarray, num_segments: int) -> 
     zero can occur.
     """
     seg = np.asarray(segments, dtype=np.int64)
+    runs = _Runs(seg)
     z = logits.data
-    seg_max = np.full(num_segments, -np.inf, dtype=z.dtype)
-    np.maximum.at(seg_max, seg, z)
-    e = np.exp(z - seg_max[seg])
-    denom = np.zeros(num_segments, dtype=z.dtype)
-    np.add.at(denom, seg, e)
-    w = e / denom[seg]
+    e = np.exp(z - runs.reduce(np.maximum, z, num_segments, -np.inf)[seg])
+    w = e / runs.reduce(np.add, e, num_segments)[seg]
 
     def bw(g):
-        dot = np.zeros(num_segments, dtype=z.dtype)
-        np.add.at(dot, seg, g * w)
+        dot = runs.reduce(np.add, g * w, num_segments)
         logits.accumulate(w * (g - dot[seg]))
 
     return Tensor(w, (logits,), bw)
@@ -289,13 +323,11 @@ def segment_softmax(logits: Tensor, segments: np.ndarray, num_segments: int) -> 
 def segment_sum(x: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
     """Sum rows of x into their segment's output row."""
     seg = np.asarray(segments, dtype=np.int64)
-    out = np.zeros((num_segments, x.data.shape[1]), dtype=x.data.dtype)
-    np.add.at(out, seg, x.data)
 
     def bw(g):
-        x.accumulate(g[seg])
+        x.accumulate(np.take(g, seg, axis=0))
 
-    return Tensor(out, (x,), bw)
+    return Tensor(_Runs(seg).reduce(np.add, x.data, num_segments), (x,), bw)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:

@@ -58,9 +58,12 @@ class FlatGraph:
     """Link structure flattened to parallel arrays for vectorized passes.
 
     Row m of ``src``/``dst``/``rel``/``time`` is one directed link
-    src[m] -> dst[m]; aggregation groups rows by ``dst``. The ``time`` of an
-    entity's rows is also its incident-timestamp multiset, which the final
-    time-mean block averages (one entry per inward link).
+    src[m] -> dst[m]; aggregation groups rows by ``dst``. Rows are stored
+    grouped by ``dst`` (see :func:`prepare_graph`), so every per-entity
+    aggregation is a reduction over contiguous runs of rows, with no sort
+    and no scatter. The ``time`` of an entity's rows is also its
+    incident-timestamp multiset, which the final time-mean block averages
+    (one entry per inward link).
     """
 
     num_entities: int
@@ -150,9 +153,19 @@ def init_params(
     return store
 
 
-def attention_logits(h_dst: Tensor, transformed: Tensor, h_edge: Tensor, nu: Tensor) -> Tensor:
-    """Per-link score nu . [h_dst | reflected neighbor | edge embedding]."""
-    return ad.matvec(ad.concat_cols([h_dst, transformed, h_edge]), nu)
+def attention_logits(
+    h: Tensor, dst: np.ndarray, transformed: Tensor, h_edge: Tensor, nu: Tensor
+) -> Tensor:
+    """Per-link score nu . [h[dst] | reflected neighbor | edge embedding].
+
+    ``nu`` is split into its three k-slices: the destination term
+    ``(h @ nu_1)[dst]`` is computed once per entity and gathered, the other
+    two are per-link dot products of width k.
+    """
+    k = h.shape[1]
+    nu_dst, nu_via, nu_edge = (ad.gather_rows(nu, np.arange(i * k, (i + 1) * k)) for i in range(3))
+    dst_term = ad.gather_rows(ad.matvec(h, nu_dst), dst)
+    return ad.add(ad.add(dst_term, ad.matvec(transformed, nu_via)), ad.matvec(h_edge, nu_edge))
 
 
 def normalize_attention(logits: Tensor, dst: np.ndarray, num_entities: int) -> Tensor:
@@ -167,10 +180,8 @@ class AttentionProbe:
     deviations: list[float] = field(default_factory=list)
 
     def record(self, weights: np.ndarray, dst: np.ndarray, num_entities: int) -> None:
-        sums = np.zeros(num_entities, dtype=np.float64)
-        np.add.at(sums, dst, weights.astype(np.float64))
-        occupied = np.zeros(num_entities, dtype=bool)
-        occupied[dst] = True
+        sums = np.bincount(dst, weights=weights.astype(np.float64), minlength=num_entities)
+        occupied = np.bincount(dst, minlength=num_entities) > 0
         dev = float(np.max(np.abs(sums[occupied] - 1.0))) if occupied.any() else 0.0
         self.deviations.append(dev)
 
@@ -194,11 +205,10 @@ def layer_forward(
     sum). ``h`` must already carry dropout if training.
     """
     h_src = ad.gather_rows(h, graph.src)
-    h_dst = ad.gather_rows(h, graph.dst)
     via_time = ad.householder_apply(time_e, h_src)
     via_rel = ad.householder_apply(rel_e, h_src)
-    alpha = attention_logits(h_dst, via_time, time_e, nu_time)
-    beta = attention_logits(h_dst, via_rel, rel_e, nu_rel)
+    alpha = attention_logits(h, graph.dst, via_time, time_e, nu_time)
+    beta = attention_logits(h, graph.dst, via_rel, rel_e, nu_rel)
     omega = normalize_attention(alpha, graph.dst, graph.num_entities)
     upsilon = normalize_attention(beta, graph.dst, graph.num_entities)
     if probe is not None:

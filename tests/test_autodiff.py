@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
@@ -218,6 +218,113 @@ class TestSegmentOps:
         check_grads(
             lambda t: ad.sum_all(ad.mul(ad.segment_sum(t, seg, 3), ad.leaf(c))), x
         )
+
+
+@st.composite
+def segment_cases(draw):
+    """Segment ids (sorted or not, some segments empty, high ids unused, maybe
+    no rows at all), row width (None = 1-D rows), dtype and a data seed."""
+    num_segments = draw(st.integers(1, 6))
+    used = draw(st.integers(1, num_segments))
+    ids = draw(st.lists(st.integers(0, used - 1), max_size=12))
+    if draw(st.booleans()):
+        ids.sort()
+    width = draw(st.sampled_from([None, 1, 3]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return np.array(ids, dtype=np.int64), num_segments, width, dtype, draw(st.integers(0, 2**31 - 1))
+
+
+# always tried: no rows; unsorted repeats with empty and unused high segments
+EDGE_CASES = (
+    (np.zeros(0, dtype=np.int64), 3, None, np.float32, 0),
+    (np.array([2, 0, 2, 2, 0]), 5, 3, np.float64, 1),
+)
+
+
+def with_edge_cases(test):
+    for case in EDGE_CASES:
+        test = example(case)(test)
+    return test
+
+
+def rows_of(gen, count, width, dtype):
+    return gen.normal(size=(count,) if width is None else (count, width)).astype(dtype)
+
+
+def rounding_tol(dtype):
+    return 1e-5 if dtype == np.float32 else 1e-12
+
+
+def input_grad(op, x, c):
+    """Gradient of sum(op(x) * c) with respect to x, through the tape."""
+    t = ad.leaf(x)
+    ad.backward(ad.sum_all(ad.mul(op(t), ad.leaf(c))))
+    return t.grad
+
+
+class TestSortedReductions:
+    """Run-wise reductions against np.add.at / np.maximum.at references.
+
+    Summation order differs from the scatter, so values agree to rounding."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(segment_cases())
+    @with_edge_cases
+    def test_segment_sum_matches_scatter(self, case):
+        seg, n, width, dtype, seed = case
+        gen = np.random.default_rng(seed)
+        x = rows_of(gen, len(seg), width or 2, dtype)  # the model sums 2-D rows
+        want = np.zeros((n, x.shape[1]), dtype=dtype)
+        np.add.at(want, seg, x)
+        got = ad.segment_sum(ad.leaf(x), seg, n).data
+        assert got.dtype == dtype
+        tol = rounding_tol(dtype)
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+        empty = np.setdiff1d(np.arange(n), seg)
+        assert np.array_equal(got[empty], np.zeros_like(got[empty]))
+        c = rows_of(gen, n, x.shape[1], dtype)
+        assert np.array_equal(input_grad(lambda t: ad.segment_sum(t, seg, n), x, c), c[seg])
+
+    @settings(max_examples=40, deadline=None)
+    @given(segment_cases())
+    @with_edge_cases
+    def test_segment_softmax_matches_scatter(self, case):
+        seg, n, _, dtype, seed = case
+        gen = np.random.default_rng(seed)
+        z = rows_of(gen, len(seg), None, dtype)
+        top = np.full(n, -np.inf, dtype=dtype)
+        np.maximum.at(top, seg, z)
+        e = np.exp(z - top[seg])
+        denom = np.zeros(n, dtype=dtype)
+        np.add.at(denom, seg, e)
+        want = e / denom[seg]
+        got = ad.segment_softmax(ad.leaf(z), seg, n).data
+        assert got.dtype == dtype
+        tol = rounding_tol(dtype)
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+        c = rows_of(gen, len(seg), None, dtype)
+        dot = np.zeros(n, dtype=dtype)
+        np.add.at(dot, seg, c * want)
+        got_grad = input_grad(lambda t: ad.segment_softmax(t, seg, n), z, c)
+        np.testing.assert_allclose(got_grad, want * (c - dot[seg]), rtol=tol, atol=tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(segment_cases())
+    @with_edge_cases
+    def test_gather_rows_backward_matches_scatter(self, case):
+        idx, n, width, dtype, seed = case
+        gen = np.random.default_rng(seed)
+        a = rows_of(gen, n, width, dtype)
+        assert np.array_equal(ad.gather_rows(ad.leaf(a), idx).data, a[idx])
+        c = rows_of(gen, len(idx), width, dtype)
+        want = np.zeros_like(a)
+        np.add.at(want, idx, c)
+        got = input_grad(lambda t: ad.gather_rows(t, idx), a, c)
+        assert got.dtype == dtype and got.shape == a.shape
+        tol = rounding_tol(dtype)
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+        untouched = np.setdiff1d(np.arange(n), idx)
+        assert np.array_equal(got[untouched], np.zeros_like(a[untouched]))
 
 
 class TestElementwiseOps:

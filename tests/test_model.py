@@ -72,35 +72,63 @@ def random_flat_graph(rng, n_entities=5, n_links=12, n_rel=4, n_time=6):
 class TestAttentionPieces:
     def test_zero_weight_vector_gives_zero_logit(self, rng):
         k = 4
-        h_dst = ad.leaf(rng.normal(size=(3, k)))
+        h = ad.leaf(rng.normal(size=(3, k)))
         tr = ad.leaf(rng.normal(size=(3, k)))
         edge = ad.leaf(rng.normal(size=(3, k)))
         nu = ad.leaf(np.zeros(3 * k))
-        out = attention_logits(h_dst, tr, edge, nu)
+        out = attention_logits(h, np.array([0, 1, 2]), tr, edge, nu)
         assert np.allclose(out.data, 0.0)
 
     def test_selector_weight_vector_reads_first_component(self, rng):
         k = 4
-        h_dst = ad.leaf(rng.normal(size=(3, k)))
-        tr = ad.leaf(rng.normal(size=(3, k)))
-        edge = ad.leaf(rng.normal(size=(3, k)))
+        h = ad.leaf(rng.normal(size=(3, k)))
+        dst = np.array([0, 0, 1, 2])
+        tr = ad.leaf(rng.normal(size=(4, k)))
+        edge = ad.leaf(rng.normal(size=(4, k)))
         nu = np.zeros(3 * k)
         nu[0] = 1.0
-        out = attention_logits(h_dst, tr, edge, ad.leaf(nu))
-        assert np.allclose(out.data, h_dst.data[:, 0])
+        out = attention_logits(h, dst, tr, edge, ad.leaf(nu))
+        assert np.allclose(out.data, h.data[dst, 0])
 
     def test_logits_match_materialized_matrix_oracle(self, rng):
         k = 4
-        h_dst = rng.normal(size=(5, k))
+        h = rng.normal(size=(3, k))
+        dst = np.array([0, 0, 1, 2, 2])
         h_src = rng.normal(size=(5, k))
         edge = np.stack([unit(rng.normal(size=k)) for _ in range(5)])
         nu = rng.normal(size=3 * k)
         tr = ad.householder_apply(ad.leaf(edge), ad.leaf(h_src))
-        got = attention_logits(ad.leaf(h_dst), tr, ad.leaf(edge), ad.leaf(nu)).data
+        got = attention_logits(ad.leaf(h), dst, tr, ad.leaf(edge), ad.leaf(nu)).data
         for m in range(5):
             mat = ad.materialize_householder(edge[m])
-            want = nu @ np.concatenate([h_dst[m], mat @ h_src[m], edge[m]])
+            want = nu @ np.concatenate([h[dst[m]], mat @ h_src[m], edge[m]])
             assert abs(got[m] - want) < 1e-10
+
+    def test_unsorted_dst_matches_concat_oracle_with_gradients(self, rng):
+        """The per-entity term gathered through an unsorted ``dst`` (entity 3
+        receives no link): values and gradients equal the concat formula's."""
+        k = 3
+        h = rng.normal(size=(4, k))
+        dst = np.array([2, 0, 1, 0, 2, 2])
+        tr = rng.normal(size=(6, k))
+        edge = rng.normal(size=(6, k))
+        nu = rng.normal(size=3 * k)
+        c = rng.normal(size=6)
+        leaves = [ad.leaf(a) for a in (h, tr, edge, nu)]
+        th, ttr, tedge, tnu = leaves
+        out = attention_logits(th, dst, ttr, tedge, tnu)
+        concat = np.concatenate([h[dst], tr, edge], axis=1)  # the (m, 3k) oracle
+        assert np.max(np.abs(out.data - concat @ nu)) < 1e-12
+        ad.backward(ad.sum_all(ad.mul(out, ad.leaf(c))))
+        want_h = np.zeros_like(h)
+        for m in range(6):
+            want_h[dst[m]] += c[m] * nu[:k]
+        want_nu = concat.T @ c
+        assert np.max(np.abs(th.grad - want_h)) < 1e-12
+        assert np.array_equal(th.grad[3], np.zeros(k))
+        assert np.max(np.abs(ttr.grad - c[:, None] * nu[k : 2 * k])) < 1e-12
+        assert np.max(np.abs(tedge.grad - c[:, None] * nu[2 * k :])) < 1e-12
+        assert np.max(np.abs(tnu.grad - want_nu)) < 1e-12
 
     def test_single_link_weight_is_one(self):
         out = normalize_attention(ad.leaf(np.array([2.3])), np.array([0]), 1)
@@ -115,6 +143,20 @@ class TestAttentionPieces:
         probe.record(np.array([0.5, 0.5]), np.array([0, 0]), 2)
         probe.record(np.array([0.9, 0.2]), np.array([1, 1]), 2)
         assert probe.worst == pytest.approx(0.1, abs=1e-12)
+
+    def test_attention_probe_equals_scatter_reference(self, rng):
+        """Bitwise equal to an np.add.at float64 sum; entities 4 and 5 get no
+        link and must not count as a deviation of 1."""
+        probe = AttentionProbe()
+        for _ in range(20):
+            dst = rng.integers(0, 4, size=int(rng.integers(1, 12)))
+            weights = rng.random(len(dst)).astype(np.float32)
+            sums = np.zeros(6)
+            np.add.at(sums, dst, weights.astype(np.float64))
+            occupied = np.zeros(6, dtype=bool)
+            occupied[dst] = True
+            probe.record(weights, dst, 6)
+            assert probe.deviations[-1] == float(np.max(np.abs(sums[occupied] - 1.0)))
 
 
 class TestLayerForward:
@@ -290,6 +332,30 @@ class TestModelForward:
         # layer blocks beyond the raw embedding + the time mean block
         assert not np.allclose(aware[1, k:], aware[2, k:])
         assert np.allclose(unaware[1, k:], unaware[2, k:], atol=1e-12)
+
+    def test_layers_match_brute_force_without_self_loops(self, time_index):
+        """Without self-loops an entity with no quadruple has no inward link:
+        its layer rows stay zero, and every layer block equals the oracle's."""
+        quads = [quad(0, 0, 1, 1), quad(1, 1, 2, 2), quad(2, 0, 0, 3), quad(0, 1, 2, 4)]
+        g1 = make_kg(4, 2, time_index, quads, name="g1")
+        g2 = make_kg(4, 2, time_index, list(quads), name="g2")
+        store, graph, _, cfg, _ = self.build((g1, g2, None), self_loops=False)
+        isolated = np.setdiff1d(np.arange(graph.num_entities), graph.dst)
+        assert isolated.tolist() == [3, 7]
+        out = model_forward(store, graph, cfg).data
+        rel = store["relation"].data
+        tim = store["time"].data
+        rel_e = (rel / np.linalg.norm(rel, axis=1, keepdims=True))[graph.rel]
+        time_e = (tim / np.linalg.norm(tim, axis=1, keepdims=True))[graph.time]
+        k, h = cfg.dim, store["entity"].data
+        for layer in range(cfg.num_layers):
+            h = brute_force_layer(
+                h, graph, rel_e, time_e,
+                store[f"attn_time_{layer}"].data, store[f"attn_rel_{layer}"].data,
+            )
+            block = out[:, (layer + 1) * k : (layer + 2) * k]
+            assert np.max(np.abs(block - h)) < 1e-10
+            assert np.array_equal(block[isolated], np.zeros((2, k)))
 
     def test_unaware_mode_invariant_to_time_relabeling(self, fixture_6ent, rng):
         store, graph, _, cfg, merged = self.build(fixture_6ent)

@@ -3,7 +3,8 @@
 A checkpoint is a numpy ``.npz`` archive holding every parameter array under
 its name plus a ``__meta__`` entry: a JSON header recording the format
 version, architecture sizes, precision, the graph options (mode and
-self-loops) and the seed that produced the run. The version is checked before
+self-loops), the CSLS neighbourhood its metrics were ranked with and the seed
+that produced the run. The version is checked before
 anything else in the header is read, so a checkpoint of another format is
 refused with a ConfigError whatever keys it carries.
 Arrays are stored row-major exactly as trained.
@@ -24,7 +25,7 @@ from .optim import ParameterStore
 if TYPE_CHECKING:  # pragma: no cover
     from .train import TrainResult
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,15 @@ class CheckpointMeta:
     self_loops: bool
     mode: str
     seed: int
+    k_csls: int
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
+
+    def model_config(self) -> ModelConfig:
+        """The architecture to rebuild (dropout stays at its default: inference skips it)."""
+        return ModelConfig(dim=self.dim, num_layers=self.num_layers,
+                           self_loops=self.self_loops, precision=self.precision)
 
 
 def meta_from_result(result: "TrainResult") -> CheckpointMeta:
@@ -61,6 +68,7 @@ def meta_from_result(result: "TrainResult") -> CheckpointMeta:
         self_loops=cfg.self_loops,
         mode=cfg.mode,
         seed=cfg.seed,
+        k_csls=cfg.k_csls,
     )
 
 
@@ -85,18 +93,12 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
             meta = CheckpointMeta(**header)
         except TypeError as exc:
             raise ConfigError(f"{path}: malformed checkpoint header ({exc})") from exc
-        cfg = ModelConfig(
-            dim=meta.dim,
-            num_layers=meta.num_layers,
-            self_loops=meta.self_loops,
-            precision=meta.precision,
-        )
         store = init_params(
             np.random.default_rng(0),
             meta.num_entities,
             meta.num_relation_rows,
             meta.num_times,
-            cfg,
+            meta.model_config(),
         )
         store.load_state_dict({k: archive[k] for k in archive.files if k != "__meta__"})
     return store, meta

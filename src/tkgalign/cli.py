@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, meta_from_result, save_checkpoint
-from .errors import ConfigError, DatasetError, NumericsError, ParseError, TkgAlignError
-from .evaluate import average_reports, partition_test_pairs, rank_pool
+from .errors import ConfigError, DatasetError, ParseError, TkgAlignError
+from .evaluate import average_reports
 from .forge import (
     ForgeSpec,
     dataset_stats,
@@ -41,9 +41,9 @@ from .forge import (
     synth_tkg,
     write_dataset,
 )
-from .model import ModelConfig, model_forward, num_relation_rows
+from .model import num_relation_rows
 from .tkg import DATASET_FILES, merge_pair, parse_dataset
-from .train import MODES, TrainConfig, build_graph, train
+from .train import MODES, TrainConfig, build_graph, score_model, train
 
 logger = logging.getLogger(__name__)
 
@@ -184,9 +184,9 @@ def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
         history_path = run_dir / "history.csv"
         history_path.write_text("\n".join(result.report.history_rows()) + "\n")
 
-        reps = model_forward(result.store, result.graph, run_cfg.model_config()).data
-        merged_test = result.merged.merged_pairs(seeds.test_pairs)
-        run_reports = rank_pool(reps, merged_test, spaces=("l1", "csls"), k_csls=cfg.k_csls)
+        run_reports = score_model(result.store, result.graph, run_cfg.model_config(),
+                                  result.merged.merged_pairs(seeds.test_pairs),
+                                  spaces=("l1", "csls"), k_csls=cfg.k_csls)
         for rep in run_reports:
             # metrics.json is byte-deterministic, so it carries no wall-clock time
             rep.seed, rep.seconds = run_seed, None
@@ -228,9 +228,10 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
     manifest.record_input_dir(data_dir)
     out = Path(args.out)
     store, meta = load_checkpoint(args.checkpoint)
+    k_csls = meta.k_csls if args.k_csls is None else args.k_csls
     manifest.data["inputs"][str(Path(args.checkpoint))] = _sha256(Path(args.checkpoint))
     manifest.data["config"] = {"checkpoint": dataclasses.asdict(meta), "metric": args.metric,
-                               "k_csls": args.k_csls, "partition": args.partition,
+                               "k_csls": k_csls, "partition": args.partition,
                                "direction": args.direction}
     g1, g2, seeds = parse_dataset(data_dir)
     merged = merge_pair(g1, g2)
@@ -247,18 +248,11 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
         )
 
     graph, sensitivity = build_graph(merged, meta.mode, meta.self_loops)
-    mcfg = ModelConfig(dim=meta.dim, num_layers=meta.num_layers, self_loops=meta.self_loops,
-                       precision=meta.precision)
-    reps = model_forward(store, graph, mcfg).data
-    merged_test = merged.merged_pairs(seeds.test_pairs)
-
     spaces = ("l1", "csls") if args.metric == "both" else (args.metric,)
     directions = ("g1->g2", "g2->g1") if args.direction == "both" else (args.direction,)
-    partitions = ()
-    if args.partition:
-        partitions = tuple(zip(("highly", "lowly"), partition_test_pairs(merged_test, sensitivity)))
-    reports = rank_pool(reps, merged_test, spaces=spaces, directions=directions,
-                        k_csls=args.k_csls, partitions=partitions)
+    reports = score_model(store, graph, meta.model_config(), merged.merged_pairs(seeds.test_pairs),
+                          spaces=spaces, directions=directions, k_csls=k_csls,
+                          sensitivity=sensitivity if args.partition else None)
     for rep in reports:
         rep.seed = meta.seed
 
@@ -396,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--metric", choices=("l1", "csls", "both"), default="both")
-    ev.add_argument("--k-csls", type=int, default=10)
+    ev.add_argument("--k-csls", type=int, default=None,
+                    help="CSLS neighbourhood (default: the one recorded in the checkpoint)")
     ev.add_argument("--partition", action="store_true",
                     help="also report highly/lowly time-sensitive partitions")
     ev.add_argument("--direction", choices=("g1->g2", "g2->g1", "both"), default="g1->g2")

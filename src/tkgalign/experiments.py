@@ -9,25 +9,24 @@ Two experiments, each fully pinned by its default config:
 * ``sensitivity_gap_experiment`` — a hybrid dataset (about a third of the
   facts untimed) where the time-aware advantage should concentrate on the
   highly time-sensitive test pairs and mostly vanish on the lowly sensitive
-  ones.
+  ones. Each partition is re-ranked inside its own sub-pool, as
+  ``tkgalign eval --partition`` does.
 
-Reports are plain dicts; ``deterministic_payload`` serializes everything
-except wall-clock timings, so reruns with the same config compare
-byte-identically.
+Every run is scored by CSLS through :func:`train.score_model`. Reports are
+plain dicts; apart from ``runtime_seconds``, reruns with the same config
+give identical reports.
 """
 from __future__ import annotations
 
-import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .evaluate import partition_test_pairs, rank_alignment
+from .evaluate import RankingReport
 from .forge import ForgeResult, ForgeSpec, dataset_stats, synth_tkg
-from .model import model_forward
-from .train import TrainConfig, train
+from .train import TrainConfig, TrainReport, score_model, train
 
 logger = logging.getLogger(__name__)
 
@@ -98,33 +97,18 @@ def _planted_test_indices(data: ForgeResult) -> list[int]:
     return [test.index((rec["e1"], rec["e2"])) for rec in data.manifest["planted"]]
 
 
-def _run_one(data: ForgeResult, cfg: ExperimentConfig, mode: str, seed: int) -> dict:
-    """Train one model and rank the test pairs; returns metrics plus ranks."""
+def _run_one(
+    data: ForgeResult, cfg: ExperimentConfig, mode: str, seed: int
+) -> tuple[dict[str, RankingReport], TrainReport]:
+    """Train one model and rank the test pairs by CSLS: its reports keyed by
+    partition (the whole pool under "all"), and its training report."""
     result = train(data.g1, data.g2, data.seeds, cfg.train_config(mode, seed))
-    reps = model_forward(result.store, result.graph, result.config.model_config()).data
-    merged_test = result.merged.merged_pairs(data.seeds.test_pairs)
-    report = rank_alignment(reps, merged_test, metric_space="csls")
-    high, low = partition_test_pairs(merged_test, result.index)
-    ranks = np.asarray(report.ranks)
-    return {
-        "mode": mode,
-        "seed": seed,
-        "hits1": report.hits1,
-        "hits10": report.hits10,
-        "mrr": report.mrr,
-        "ranks": report.ranks,
-        "high_idx": [int(i) for i in high],
-        "low_idx": [int(i) for i in low],
-        "worst_attention_deviation": max(result.report.attention_deviations),
-        "final_loss": result.report.losses[-1],
-    }
-
-
-def _hits1_subset(ranks: list[int], idx: list[int]) -> float | None:
-    if not idx:
-        return None
-    arr = np.asarray(ranks)[idx]
-    return float((arr == 1).mean())
+    reports = score_model(
+        result.store, result.graph, result.config.model_config(),
+        result.merged.merged_pairs(data.seeds.test_pairs),
+        spaces=("csls",), k_csls=result.config.k_csls, sensitivity=result.index,
+    )
+    return {r.partition: r for r in reports}, result.report
 
 
 def planted_ambiguity_experiment(cfg: ExperimentConfig = PLANTED_AMBIGUITY) -> dict:
@@ -137,12 +121,13 @@ def planted_ambiguity_experiment(cfg: ExperimentConfig = PLANTED_AMBIGUITY) -> d
     for seed in cfg.train_seeds:
         row: dict = {"seed": seed}
         for mode, tag in (("time-aware", "tea"), ("time-unaware", "tu")):
-            r = _run_one(data, cfg, mode, seed)
+            reports, trained = _run_one(data, cfg, mode, seed)
+            whole = reports["all"]
             row[tag] = {
-                "hits1": r["hits1"],
-                "mrr": r["mrr"],
-                "planted_hits1": _hits1_subset(r["ranks"], planted_idx),
-                "worst_attention_deviation": r["worst_attention_deviation"],
+                "hits1": whole.hits1,
+                "mrr": whole.mrr,
+                "planted_hits1": float((np.asarray(whole.ranks)[planted_idx] == 1).mean()),
+                "worst_attention_deviation": max(trained.attention_deviations),
             }
         runs.append(row)
         logger.info(
@@ -179,13 +164,14 @@ def sensitivity_gap_experiment(cfg: ExperimentConfig = SENSITIVITY_GAP) -> dict:
     for seed in cfg.train_seeds:
         row: dict = {"seed": seed}
         for mode, tag in (("time-aware", "tea"), ("time-unaware", "tu")):
-            r = _run_one(data, cfg, mode, seed)
+            reports, _ = _run_one(data, cfg, mode, seed)
+            high, low = reports["highly"], reports["lowly"]
             row[tag] = {
-                "hits1": r["hits1"],
-                "hits1_high": _hits1_subset(r["ranks"], r["high_idx"]),
-                "hits1_low": _hits1_subset(r["ranks"], r["low_idx"]),
+                "hits1": reports["all"].hits1,
+                "hits1_high": high.hits1,
+                "hits1_low": low.hits1,
             }
-            row["num_high"], row["num_low"] = len(r["high_idx"]), len(r["low_idx"])
+            row["num_high"], row["num_low"] = high.num_pairs, low.num_pairs
         row["gap_high"] = row["tea"]["hits1_high"] - row["tu"]["hits1_high"]
         row["gap_low"] = row["tea"]["hits1_low"] - row["tu"]["hits1_low"]
         runs.append(row)
@@ -209,15 +195,3 @@ def sensitivity_gap_experiment(cfg: ExperimentConfig = SENSITIVITY_GAP) -> dict:
         "summary": summary,
         "runtime_seconds": time.perf_counter() - t0,
     }
-
-
-def deterministic_payload(report: dict) -> str:
-    """The report as canonical JSON with all timing fields removed."""
-    def strip(node):
-        if isinstance(node, dict):
-            return {k: strip(v) for k, v in node.items() if not k.endswith("seconds")}
-        if isinstance(node, list):
-            return [strip(v) for v in node]
-        return node
-
-    return json.dumps(strip(report), sort_keys=True, indent=1)

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, TrainingDivergedError
-from .evaluate import rank_alignment
+from .evaluate import RankingReport, partition_test_pairs, rank_pool
 from .model import (
     AttentionProbe,
     FlatGraph,
@@ -173,6 +173,33 @@ def build_graph(
     return graph, sensitivity
 
 
+def score_model(
+    store: ParameterStore,
+    graph: FlatGraph,
+    mcfg: ModelConfig,
+    pairs: np.ndarray,
+    *,
+    spaces: tuple[str, ...],
+    directions: tuple[str, ...] = ("g1->g2",),
+    k_csls: int,
+    sensitivity: np.ndarray | None = None,
+) -> list[RankingReport]:
+    """Rank merged-id test ``pairs`` with the model's inference forward.
+
+    Validation, ``tkgalign train``/``eval`` and the experiments all score
+    through here, in the report order of :func:`evaluate.rank_pool`. Given
+    the per-entity ``sensitivity`` from :func:`build_graph`, the highly and
+    lowly time-sensitive partitions are each re-ranked inside their own
+    sub-pool after every whole-pool report.
+    """
+    reps = model_forward(store, graph, mcfg, training=False).data
+    partitions = ()
+    if sensitivity is not None:
+        partitions = tuple(zip(("highly", "lowly"), partition_test_pairs(pairs, sensitivity)))
+    return rank_pool(reps, pairs, spaces=spaces, directions=directions, k_csls=k_csls,
+                     partitions=partitions)
+
+
 @dataclass
 class TrainReport:
     """Everything measured during one run; timings never enter the fingerprint."""
@@ -217,18 +244,6 @@ class TrainResult:
     graph: FlatGraph  # as trained on (mode substitution applied)
     index: np.ndarray  # per-entity time sensitivity from the real timestamps
     config: TrainConfig
-
-
-def _validation_metrics(
-    store: ParameterStore,
-    graph: FlatGraph,
-    mcfg: ModelConfig,
-    test_pairs: np.ndarray,
-    k_csls: int,
-) -> dict:
-    reps = model_forward(store, graph, mcfg, training=False).data
-    report = rank_alignment(reps, test_pairs, metric_space="csls", k_csls=k_csls)
-    return {"mrr": report.mrr, "hits1": report.hits1, "hits10": report.hits10}
 
 
 def train(
@@ -292,8 +307,9 @@ def train(
         report.losses.append(loss_value)
         report.attention_deviations.append(probe.worst)
         if config.eval_every and (epoch % config.eval_every == 0 or epoch == config.epochs - 1):
-            metrics = _validation_metrics(store, graph, mcfg, test_pairs, config.k_csls)
-            metrics["epoch"] = epoch
+            (rep,) = score_model(store, graph, mcfg, test_pairs, spaces=("csls",),
+                                 k_csls=config.k_csls)
+            metrics = {"mrr": rep.mrr, "hits1": rep.hits1, "hits10": rep.hits10, "epoch": epoch}
             report.eval_history.append(metrics)
             logger.info(
                 "epoch %d: loss %.4f, mrr %.4f, hits@1 %.4f",

@@ -24,7 +24,7 @@ def small_store(seed=0, dim=4, ents=7, rels=3, times=5, layers=2):
         format_version=FORMAT_VERSION,
         dim=dim, num_layers=layers, num_entities=ents,
         num_relation_rows=rows, num_times=times,
-        precision="f32", self_loops=True, mode="time-aware", seed=seed,
+        precision="f32", self_loops=True, mode="time-aware", seed=seed, k_csls=10,
     )
     return store, meta
 
@@ -57,6 +57,7 @@ class TestRoundTrip:
         )
         assert meta.num_times == g1.time_index.num_ids
         assert meta.seed == 1 and meta.mode == "time-aware"
+        assert meta.k_csls == cfg.k_csls
         path = tmp_path / "run.npz"
         save_checkpoint(path, result.store, meta)
         loaded, _ = load_checkpoint(path)
@@ -81,13 +82,16 @@ class TestHeaderChecks:
         with pytest.raises(ConfigError, match="format"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("extra", [
-        {"format_version": 2, "unique_times": False},  # the previous format
-        {"format_version": FORMAT_VERSION, "threads": 1},  # an unknown key
+    @pytest.mark.parametrize("extra, dropped", [
+        ({"format_version": 3}, "k_csls"),  # the previous format
+        ({"format_version": 2, "unique_times": False}, "k_csls"),
+        ({"format_version": FORMAT_VERSION, "threads": 1}, None),  # an unknown key
+        ({"format_version": FORMAT_VERSION}, "k_csls"),  # a missing key
     ])
-    def test_foreign_header_keys_rejected(self, tmp_path, extra):
+    def test_foreign_header_keys_rejected(self, tmp_path, extra, dropped):
         store, meta = small_store()
         header = {**json.loads(meta.to_json()), **extra}
+        header.pop(dropped, None)
         path = tmp_path / "foreign.npz"
         arrays = {name: t.data for name, t in store.items()}
         np.savez(path, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)

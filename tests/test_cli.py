@@ -297,13 +297,18 @@ class TestEval:
 
     @pytest.mark.parametrize("mode", ["time-aware", "time-unaware"])
     @pytest.mark.parametrize("self_loops", [True, False])
-    def test_eval_reproduces_train_time_reports(self, dataset_dir, tmp_path, mode, self_loops):
+    @pytest.mark.parametrize("k_csls", [None, 3])
+    def test_eval_reproduces_train_time_reports(self, dataset_dir, tmp_path, mode, self_loops,
+                                                k_csls):
+        """eval's CSLS neighbourhood defaults to the one the run trained with."""
         out = tmp_path / "run"
-        assert main(TRAIN_ARGS + ["--mode", mode, "--self-loops", "on" if self_loops else "off",
-                                  "--data", str(dataset_dir), "--out", str(out)]) == 0
+        k_flags = [] if k_csls is None else ["--k-csls", str(k_csls)]
+        assert main(TRAIN_ARGS + k_flags + ["--mode", mode,
+                                            "--self-loops", "on" if self_loops else "off",
+                                            "--data", str(dataset_dir), "--out", str(out)]) == 0
         ck = out / "run_0" / "checkpoint.npz"
         _, meta = load_checkpoint(ck)
-        assert (meta.mode, meta.self_loops) == (mode, self_loops)
+        assert (meta.mode, meta.self_loops, meta.k_csls) == (mode, self_loops, k_csls or 10)
         assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset_dir),
                      "--metric", "both", "--out", str(tmp_path / "ev")]) == 0
         trained = json.loads((out / "run_0" / "metrics.json").read_text())["reports"]
@@ -322,19 +327,20 @@ class TestEval:
         assert "does not fit" in capsys.readouterr().err
 
     def test_foreign_format_header_exits_2(self, dataset_dir, trained, tmp_path, capsys):
-        """A format-2 checkpoint (it carried unique_times) is refused, not a crash."""
+        """A format-3 checkpoint (it had no k_csls) is refused, not a crash."""
         with np.load(trained / "run_0" / "checkpoint.npz") as archive:
             arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
             header = json.loads(bytes(archive["__meta__"]).decode())
-        header.update(format_version=2, unique_times=False)
-        old = tmp_path / "format2.npz"
+        del header["k_csls"]
+        header.update(format_version=3)
+        old = tmp_path / "format3.npz"
         np.savez(old, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
                  **arrays)
         out = tmp_path / "o"
         code = main(["eval", "--checkpoint", str(old), "--data", str(dataset_dir),
                      "--out", str(out)])
         assert code == 2
-        assert "format 2" in capsys.readouterr().err
+        assert "format 3" in capsys.readouterr().err
         assert read_manifest(out)["status"] == "failure"
 
     def test_single_metric_single_direction(self, dataset_dir, trained, tmp_path):

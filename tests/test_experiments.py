@@ -1,0 +1,94 @@
+"""The canned experiments report the quantities the acceptance criteria compute,
+and their scripts run end to end."""
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tkgalign.evaluate import partition_test_pairs, rank_alignment
+from tkgalign.experiments import (
+    PLANTED_AMBIGUITY,
+    SENSITIVITY_GAP,
+    planted_ambiguity_experiment,
+    sensitivity_gap_experiment,
+)
+from tkgalign.forge import synth_tkg
+from tkgalign.model import model_forward
+from tkgalign.train import train
+
+ROOT = Path(__file__).resolve().parents[1]
+MODES = (("time-aware", "tea"), ("time-unaware", "tu"))
+
+
+def short(cfg):
+    return dataclasses.replace(cfg, epochs=20, train_seeds=(0,))
+
+
+def retrained(cfg, mode):
+    """Seed 0's run of ``cfg`` again, ranked by hand: (run, reps, merged test pairs)."""
+    data = synth_tkg(cfg.forge)
+    run = train(data.g1, data.g2, data.seeds, cfg.train_config(mode, 0))
+    reps = model_forward(run.store, run.graph, run.config.model_config()).data
+    return run, reps, run.merged.merged_pairs(data.seeds.test_pairs)
+
+
+@pytest.fixture(scope="module")
+def sensitivity_report():
+    return sensitivity_gap_experiment(short(SENSITIVITY_GAP))
+
+
+@pytest.fixture(scope="module")
+def planted_report():
+    return planted_ambiguity_experiment(short(PLANTED_AMBIGUITY))
+
+
+@pytest.mark.parametrize("mode, tag", MODES)
+def test_partition_hits1_is_criterion_8s(sensitivity_report, mode, tag):
+    """Each partition is re-ranked inside its own sub-pool, as criterion 8 does."""
+    run, reps, merged_test = retrained(short(SENSITIVITY_GAP), mode)
+    high, low = partition_test_pairs(merged_test, run.index)
+    assert len(high) and len(low)
+    row = sensitivity_report["runs"][0]
+    assert (row["num_high"], row["num_low"]) == (len(high), len(low))
+    assert row[tag]["hits1_high"] == rank_alignment(reps, merged_test[high],
+                                                    metric_space="csls").hits1
+    assert row[tag]["hits1_low"] == rank_alignment(reps, merged_test[low],
+                                                   metric_space="csls").hits1
+    assert row[tag]["hits1"] == rank_alignment(reps, merged_test, metric_space="csls").hits1
+
+
+@pytest.mark.parametrize("mode, tag", MODES)
+def test_planted_hits1_is_a_subset_of_whole_pool_ranks(planted_report, mode, tag):
+    _, reps, merged_test = retrained(short(PLANTED_AMBIGUITY), mode)
+    ranks = np.asarray(rank_alignment(reps, merged_test, metric_space="csls").ranks)
+    idx = planted_report["planted_test_indices"]
+    assert idx
+    assert planted_report["runs"][0][tag]["planted_hits1"] == float((ranks[idx] == 1).mean())
+
+
+@pytest.mark.parametrize("script, keys", [
+    ("run_planted_ambiguity.py", {"num_runs", "tea_planted_perfect_runs", "tu_planted_low_runs",
+                                  "tea_ge_tu_overall_runs", "mean_tea_planted_hits1",
+                                  "mean_tu_planted_hits1"}),
+    ("run_sensitivity_partition.py", {"num_runs", "mean_gap_high", "mean_gap_low",
+                                      "pattern_holds", "runs_where_pattern_holds"}),
+])
+def test_script_runs(tmp_path, script, keys):
+    out = tmp_path / "report.json"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--epochs", "2", "--train-seeds", "0",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(out.read_text())["summary"]
+    assert set(summary) == keys
+    assert summary["num_runs"] == 1

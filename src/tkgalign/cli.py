@@ -36,7 +36,6 @@ from .forge import (
     measured_overlap,
     param_count,
     read_source_quads,
-    self_loop_param_delta,
     split_to_result,
     synth_tkg,
     write_dataset,
@@ -229,6 +228,8 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
     out = Path(args.out)
     store, meta = load_checkpoint(args.checkpoint)
     k_csls = meta.k_csls if args.k_csls is None else args.k_csls
+    if k_csls < 1:
+        raise ConfigError(f"k_csls must be >= 1, got {k_csls}")
     manifest.data["inputs"][str(Path(args.checkpoint))] = _sha256(Path(args.checkpoint))
     manifest.data["config"] = {"checkpoint": dataclasses.asdict(meta), "metric": args.metric,
                                "k_csls": k_csls, "partition": args.partition,
@@ -280,8 +281,20 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
 # forge
 
 
-def _forge_spec_from_args(args: argparse.Namespace) -> ForgeSpec:
-    return ForgeSpec(
+def _write_forged(result, args: argparse.Namespace, manifest: RunManifest, overlap: float) -> int:
+    """Write a forged dataset directory, record its files and print its size table."""
+    out = write_dataset(Path(args.out), result.g1, result.g2, result.seeds, result.manifest)
+    for f in sorted(out.iterdir()):
+        if f.name != "run_manifest.json":
+            manifest.record_artifact(f)
+    stats = dataset_stats(result.g1, result.g2, result.seeds)
+    print(format_stats(stats, args.name, overlap), end="")
+    print(f"dataset written to {out}")
+    return EXIT_OK
+
+
+def cmd_forge_synth(args: argparse.Namespace, manifest: RunManifest) -> int:
+    spec = ForgeSpec(
         entities=args.entities,
         relations=args.relations,
         time_steps=args.time_steps,
@@ -294,44 +307,21 @@ def _forge_spec_from_args(args: argparse.Namespace) -> ForgeSpec:
         seed=args.seed,
         name=args.name,
     )
-
-
-def cmd_forge_synth(args: argparse.Namespace, manifest: RunManifest) -> int:
-    spec = _forge_spec_from_args(args)
     manifest.data["config"] = dataclasses.asdict(spec)
     manifest.data["seeds"] = [spec.seed]
     result = synth_tkg(spec)
-    out = write_dataset(Path(args.out), result.g1, result.g2, result.seeds, result.manifest)
-    for f in sorted(out.iterdir()):
-        if f.name != "run_manifest.json":
-            manifest.record_artifact(f)
-    stats = dataset_stats(result.g1, result.g2, result.seeds)
-    print(format_stats(stats, spec.name, result.manifest["overlap"]), end="")
-    print(f"dataset written to {out}")
-    return EXIT_OK
+    return _write_forged(result, args, manifest, result.manifest["overlap"])
 
 
 def cmd_forge_split(args: argparse.Namespace, manifest: RunManifest) -> int:
-    rng = np.random.default_rng(args.seed)
-    if args.source:
-        quads = read_source_quads(args.source)
-        manifest.data["inputs"][args.source] = _sha256(Path(args.source))
-        result = split_to_result(quads, args.ratio, args.seeds, rng, name=args.name)
-    else:
-        spec = _forge_spec_from_args(args)
-        result = synth_tkg(spec, rng)
     manifest.data["config"] = {"ratio": args.ratio, "seeds": args.seeds,
                                "seed": args.seed, "source": args.source}
     manifest.data["seeds"] = [args.seed]
-    out = write_dataset(Path(args.out), result.g1, result.g2, result.seeds, result.manifest)
-    for f in sorted(out.iterdir()):
-        if f.name != "run_manifest.json":
-            manifest.record_artifact(f)
-    stats = dataset_stats(result.g1, result.g2, result.seeds)
+    quads = read_source_quads(args.source)
+    manifest.data["inputs"][args.source] = _sha256(Path(args.source))
+    result = split_to_result(quads, args.ratio, args.seeds, np.random.default_rng(args.seed), name=args.name)
     overlap = measured_overlap(result.g1, result.g2, result.seeds.all_pairs)
-    print(format_stats(stats, result.g1.name.removesuffix("_1"), overlap), end="")
-    print(f"dataset written to {out}")
-    return EXIT_OK
+    return _write_forged(result, args, manifest, overlap)
 
 
 def cmd_forge_stats(args: argparse.Namespace, manifest: RunManifest) -> int:
@@ -343,7 +333,7 @@ def cmd_forge_stats(args: argparse.Namespace, manifest: RunManifest) -> int:
     total = param_count(stats, args.k, args.layers)
     print(format_stats(stats, data_dir.name, overlap), end="")
     print(f"trainable parameters (k={args.k}, layers={args.layers}): {total}")
-    print(f"self-loop delta when enabled: +{self_loop_param_delta(args.k)}")
+    print(f"self-loop delta when enabled: +{args.k}")  # one more relation row of width k
     manifest.data["metrics"] = {"param_count": total, **dataclasses.asdict(stats)}
     return EXIT_OK
 
@@ -401,29 +391,27 @@ def build_parser() -> argparse.ArgumentParser:
     fg = sub.add_parser("forge", help="construct datasets")
     fsub = fg.add_subparsers(dest="forge_command", required=True)
 
-    def add_spec_args(p, for_split=False):
-        p.add_argument("--entities", type=int, default=60)
-        p.add_argument("--relations", type=int, default=4)
-        p.add_argument("--time-steps", type=int, default=40)
-        p.add_argument("--quads-per-entity", type=int, default=4)
-        p.add_argument("--planted", type=int, default=0 if for_split else 3)
-        p.add_argument("--planted-untimed", type=int, default=0)
-        p.add_argument("--nontemporal-fraction", type=float, default=0.0)
+    def add_split_args(p):
         p.add_argument("--ratio", type=float, default=0.5)
         p.add_argument("--seeds", type=int, default=20)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--name", default="synth")
+        _add_common(p)
 
     fs = fsub.add_parser("synth", help="generate a synthetic aligned pair")
-    add_spec_args(fs)
-    _add_common(fs)
+    fs.add_argument("--entities", type=int, default=60)
+    fs.add_argument("--relations", type=int, default=4)
+    fs.add_argument("--time-steps", type=int, default=40)
+    fs.add_argument("--quads-per-entity", type=int, default=4)
+    fs.add_argument("--planted", type=int, default=3)
+    fs.add_argument("--planted-untimed", type=int, default=0)
+    fs.add_argument("--nontemporal-fraction", type=float, default=0.0)
+    add_split_args(fs)
     fs.set_defaults(func=cmd_forge_synth)
 
     fp = fsub.add_parser("split", help="overlap-split a source quadruple set")
-    fp.add_argument("--source", default=None,
-                    help="five-column integer quad file; omitted: generate a synthetic source")
-    add_spec_args(fp, for_split=True)
-    _add_common(fp)
+    fp.add_argument("--source", required=True, help="five-column tab-separated integer quad file")
+    add_split_args(fp)
     fp.set_defaults(func=cmd_forge_split)
 
     ft = fsub.add_parser("stats", help="print dataset statistics and parameter count")

@@ -24,8 +24,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .evaluate import RankingReport
+from .errors import ConfigError
+from .evaluate import RankingReport, partition_test_pairs
 from .forge import ForgeResult, ForgeSpec, dataset_stats, synth_tkg
+from .model import prepare_graph
+from .tkg import merge_pair
 from .train import TrainConfig, TrainReport, score_model, train
 
 logger = logging.getLogger(__name__)
@@ -160,6 +163,11 @@ def sensitivity_gap_experiment(cfg: ExperimentConfig = SENSITIVITY_GAP) -> dict:
     highly time-sensitive partition (gap there exceeds the lowly gap)."""
     t0 = time.perf_counter()
     data = synth_tkg(cfg.forge)
+    merged = merge_pair(data.g1, data.g2)
+    parts = partition_test_pairs(merged.merged_pairs(data.seeds.test_pairs), prepare_graph(merged)[1])
+    for name, idx in zip(("highly", "lowly"), parts):
+        if len(idx) == 0:  # checked before training: the gap is undefined without it
+            raise ConfigError(f"the {name} time-sensitive partition of {cfg.forge.name!r} has no test pairs")
     runs = []
     for seed in cfg.train_seeds:
         row: dict = {"seed": seed}

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError, DatasetError, ParseError
 from .tkg import (
     UNKNOWN_TIME_ID,
     UNKNOWN_TIME_LABEL,
@@ -33,12 +33,12 @@ from .tkg import (
     SeedAlignments,
     TemporalKG,
     TimeIndex,
+    drop_repeated_rows,
     first_occurrences,
+    read_int_rows,
 )
 
 logger = logging.getLogger(__name__)
-
-SourceQuad = tuple[int, int, int, int, int]  # (subject, relation, object, begin, end)
 
 ANCHORS_PER_TWIN = 3
 RELATIONS_PER_MOTIF = 2
@@ -103,15 +103,16 @@ class DatasetStats:
 
 @dataclass
 class SplitResult:
-    """Two re-indexed quad sets plus the maps back to the source space."""
+    """Two re-indexed (n, 5) int64 quad arrays; local id i of a side is source
+    id ``ents_*[i]`` (``rels_*[i]``), so ``searchsorted`` maps source to local."""
 
-    quads_1: list[SourceQuad]  # local ids per side
-    quads_2: list[SourceQuad]
-    ent_map_1: dict[int, int]  # source entity id -> side-local id
-    ent_map_2: dict[int, int]
-    rel_map_1: dict[int, int]
-    rel_map_2: dict[int, int]
-    alignment: list[tuple[int, int]]  # (local_1, local_2), source-id order
+    quads_1: np.ndarray  # local ids per side
+    quads_2: np.ndarray
+    ents_1: np.ndarray  # sorted source entity ids of each side
+    ents_2: np.ndarray
+    rels_1: np.ndarray  # sorted source relation ids of each side
+    rels_2: np.ndarray
+    alignment: np.ndarray  # (a, 2) local_1, local_2 of both-side entities, source-id order
     shared_count: int
     total: int
 
@@ -125,12 +126,12 @@ class ForgeResult:
 
 
 def split_overlap(
-    quads: list[SourceQuad],
+    quads,
     overlap_ratio: float,
     rng: np.random.Generator,
     forced_shared: range | list[int] = (),
 ) -> SplitResult:
-    """Divide source quads into two overlapping, similarly sized subsets.
+    """Divide (n, 5) source quads into two overlapping, similarly sized subsets.
 
     ``overlap_ratio`` of the quads (rounded, with a warning when inexact) go
     to both sides with identical timestamps; the rest is halved. Indices in
@@ -139,6 +140,7 @@ def split_overlap(
     side in source-id order, and the gold entity alignment over both-side
     entities is returned.
     """
+    quads = QuadTable(quads).rows
     n = len(quads)
     if n == 0:
         raise ConfigError("cannot split an empty quadruple set")
@@ -151,8 +153,8 @@ def split_overlap(
             "overlap %g of %d quads is not integral; using %d shared",
             overlap_ratio, n, shared_n,
         )
-    forced = sorted(set(forced_shared))
-    if any(i < 0 or i >= n for i in forced):
+    forced = np.unique(np.asarray(forced_shared, dtype=np.int64))
+    if ((forced < 0) | (forced >= n)).any():
         raise ConfigError("forced_shared index out of range")
     if len(forced) > shared_n:
         raise ConfigError(
@@ -162,55 +164,51 @@ def split_overlap(
     if rest % 2:
         logger.warning("%d exclusive quads split unevenly (%d vs %d)", rest, rest // 2, rest - rest // 2)
 
-    forced_set = set(forced)
-    free = [i for i in range(n) if i not in forced_set]
-    order = rng.permutation(len(free))
+    is_forced = np.zeros(n, dtype=bool)
+    is_forced[forced] = True
+    free = np.flatnonzero(~is_forced)
+    drawn = free[rng.permutation(len(free))]
     take = shared_n - len(forced)
-    shared_idx = forced + [free[j] for j in order[:take]]
-    ex1_idx = [free[j] for j in order[take : take + rest // 2]]
-    ex2_idx = [free[j] for j in order[take + rest // 2 :]]
+    shared_idx = np.concatenate([forced, drawn[:take]])
+    side1 = np.sort(np.concatenate([shared_idx, drawn[take : take + rest // 2]]))
+    side2 = np.sort(np.concatenate([shared_idx, drawn[take + rest // 2 :]]))
 
-    side1 = sorted(shared_idx + ex1_idx)
-    side2 = sorted(shared_idx + ex2_idx)
+    def build_side(idxs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        local = quads[idxs]
+        ents, ent_local = np.unique(local[:, [0, 2]], return_inverse=True)
+        rels, rel_local = np.unique(local[:, 1], return_inverse=True)
+        local[:, [0, 2]] = ent_local.reshape(-1, 2)
+        local[:, 1] = rel_local.ravel()
+        return local, ents, rels
 
-    def build_side(idxs: list[int]) -> tuple[list[SourceQuad], dict[int, int], dict[int, int]]:
-        ents = sorted({quads[i][0] for i in idxs} | {quads[i][2] for i in idxs})
-        rels = sorted({quads[i][1] for i in idxs})
-        emap = {e: j for j, e in enumerate(ents)}
-        rmap = {r: j for j, r in enumerate(rels)}
-        local = [
-            (emap[quads[i][0]], rmap[quads[i][1]], emap[quads[i][2]], quads[i][3], quads[i][4])
-            for i in idxs
-        ]
-        return local, emap, rmap
-
-    q1, emap1, rmap1 = build_side(side1)
-    q2, emap2, rmap2 = build_side(side2)
-    both = sorted(set(emap1) & set(emap2))
-    alignment = [(emap1[e], emap2[e]) for e in both]
-    return SplitResult(q1, q2, emap1, emap2, rmap1, rmap2, alignment, shared_n, n)
+    q1, ents1, rels1 = build_side(side1)
+    q2, ents2, rels2 = build_side(side2)
+    both = np.intersect1d(ents1, ents2)
+    alignment = np.stack([np.searchsorted(ents1, both), np.searchsorted(ents2, both)], axis=1)
+    return SplitResult(q1, q2, ents1, ents2, rels1, rels2, alignment, shared_n, n)
 
 
 def _side_kg(
     name: str,
-    local_quads: list[SourceQuad],
-    emap: dict[int, int],
-    rmap: dict[int, int],
+    local_quads: np.ndarray,
+    ents: np.ndarray,
+    rels: np.ndarray,
     time_index: TimeIndex,
     entity_label: Callable[[int], str] = "e{}".format,
 ) -> TemporalKG:
     """The validated graph of one split side.
 
-    ``emap``/``rmap`` map source ids to the side's local ids; a local entity
-    is labelled ``entity_label(source id)`` and a local relation ``r<source id>``.
+    ``ents``/``rels`` are the side's sorted source ids (local id i is source
+    id ``ents[i]``); a local entity is labelled ``entity_label(source id)``
+    and a local relation ``r<source id>``.
     """
     kg = TemporalKG(
-        num_entities=len(emap),
-        num_relations=len(rmap),
+        num_entities=len(ents),
+        num_relations=len(rels),
         time_index=time_index,
         quadruples=QuadTable(local_quads),
-        entity_labels=[entity_label(e) for e in sorted(emap, key=emap.get)],
-        relation_labels=[f"r{r}" for r in sorted(rmap, key=rmap.get)],
+        entity_labels=[entity_label(e) for e in ents.tolist()],
+        relation_labels=[f"r{r}" for r in rels.tolist()],
         name=name,
     )
     kg.validate()
@@ -248,7 +246,7 @@ def measured_overlap(g1: TemporalKG, g2: TemporalKG, all_pairs) -> float:
     return (len(s1) + len(s2) - both) / union if union else 0.0
 
 
-def _generate_base_quads(spec: ForgeSpec, rng: np.random.Generator) -> tuple[list[SourceQuad], set[int]]:
+def _generate_base_quads(spec: ForgeSpec, rng: np.random.Generator) -> tuple[list[tuple], set[int]]:
     """Random quads, one batch per subject entity; bounded retry on duplicates.
 
     Entities selected as non-temporal emit only unknown-time facts and
@@ -258,7 +256,7 @@ def _generate_base_quads(spec: ForgeSpec, rng: np.random.Generator) -> tuple[lis
     n_untimed = int(round(spec.nontemporal_entity_fraction * spec.entities))
     untimed = set(rng.choice(spec.entities, size=n_untimed, replace=False).tolist()) if n_untimed else set()
     untimed_list = sorted(untimed)
-    quads: set[SourceQuad] = set()
+    quads: set[tuple[int, int, int, int, int]] = set()
     for e in range(spec.entities):
         emitted = 0
         attempts = 0
@@ -296,7 +294,7 @@ class _TwinPlan:
     member: str  # a | b
     source_id: int
     window: tuple[int, int] | None  # inclusive real-time range, None for untimed
-    quads: list[SourceQuad] = field(default_factory=list)
+    quads: list[tuple[int, int, int, int, int]] = field(default_factory=list)
 
 
 def _plan_twins(spec: ForgeSpec, rng: np.random.Generator) -> tuple[list[_TwinPlan], dict]:
@@ -375,24 +373,23 @@ def synth_tkg(spec: ForgeSpec, rng: np.random.Generator | None = None) -> ForgeR
         quads.extend(plan.quads)
     split = split_overlap(quads, spec.overlap_ratio, rng, forced_shared=range(forced_start, len(quads)))
 
-    num_source = spec.entities + spec.num_twins
     ent_labels = {e: f"e{e}" for e in range(spec.entities)}
     for plan in plans:
         ent_labels[plan.source_id] = f"twin{plan.group}{plan.member}"
     time_index = TimeIndex([UNKNOWN_TIME_LABEL] + [f"t{i}" for i in range(1, spec.time_steps + 1)])
-    g1 = _side_kg(f"{spec.name}_1", split.quads_1, split.ent_map_1, split.rel_map_1,
+    g1 = _side_kg(f"{spec.name}_1", split.quads_1, split.ents_1, split.rels_1,
                   time_index, ent_labels.__getitem__)
-    g2 = _side_kg(f"{spec.name}_2", split.quads_2, split.ent_map_2, split.rel_map_2,
+    g2 = _side_kg(f"{spec.name}_2", split.quads_2, split.ents_2, split.rels_2,
                   time_index, ent_labels.__getitem__)
 
     # every twin's quads are shared, so twins are always alignable
     twin_sources = {p.source_id for p in plans}
     anchor_sources = sorted(set(twin_meta["anchors_timed"]) | set(twin_meta["anchors_untimed"]))
+    alignable_sources = np.intersect1d(split.ents_1, split.ents_2).tolist()
     for a in anchor_sources:
-        if a not in split.ent_map_1 or a not in split.ent_map_2:
+        if a not in alignable_sources:
             raise DatasetError(f"anchor entity {a} missing from one side after split")
 
-    alignable_sources = sorted(set(split.ent_map_1) & set(split.ent_map_2))
     candidate_seeds = [e for e in alignable_sources if e not in twin_sources and e not in anchor_sources]
     fill = spec.seed_count - len(anchor_sources)
     if fill < 0:
@@ -408,8 +405,11 @@ def synth_tkg(spec: ForgeSpec, rng: np.random.Generator | None = None) -> ForgeR
     seed_sources = sorted(anchor_sources + [candidate_seeds[int(i)] for i in chosen])
     test_sources = [e for e in alignable_sources if e not in set(seed_sources)]
 
-    def to_pairs(sources):
-        return [(split.ent_map_1[e], split.ent_map_2[e]) for e in sources]
+    def to_pairs(sources) -> list[tuple[int, int]]:
+        """Source entity ids -> (local_1, local_2) pairs."""
+        sources = np.asarray(sources, dtype=np.int64)
+        local = np.stack([np.searchsorted(split.ents_1, sources), np.searchsorted(split.ents_2, sources)], 1)
+        return list(map(tuple, local.tolist()))
 
     seeds = SeedAlignments(train_pairs=to_pairs(seed_sources), test_pairs=to_pairs(test_sources))
     seeds.validate()
@@ -419,18 +419,18 @@ def synth_tkg(spec: ForgeSpec, rng: np.random.Generator | None = None) -> ForgeR
             "kind": p.kind,
             "group": p.group,
             "member": p.member,
-            "e1": split.ent_map_1[p.source_id],
-            "e2": split.ent_map_2[p.source_id],
+            "e1": e1,
+            "e2": e2,
             "window": list(p.window) if p.window else None,
         }
-        for p in plans
+        for p, (e1, e2) in zip(plans, to_pairs([p.source_id for p in plans]))
     ]
     manifest = {
         "spec": asdict(spec),
         "planted": planted,
         "anchors": {
-            "timed": [(split.ent_map_1[a], split.ent_map_2[a]) for a in twin_meta["anchors_timed"]],
-            "untimed": [(split.ent_map_1[a], split.ent_map_2[a]) for a in twin_meta["anchors_untimed"]],
+            "timed": to_pairs(twin_meta["anchors_timed"]),
+            "untimed": to_pairs(twin_meta["anchors_untimed"]),
             "relations": twin_meta["relations"],
         },
         "shared_quads": split.shared_count,
@@ -467,11 +467,6 @@ def param_count(stats: DatasetStats, k: int, num_layers: int) -> int:
         + stats.num_times
     )
     return k * table + 3 * k * num_layers + 3 * k * num_layers
-
-
-def self_loop_param_delta(k: int) -> int:
-    """Extra scalars when self-loops add one relation row."""
-    return k
 
 
 def dataset_stats(g1: TemporalKG, g2: TemporalKG, seeds: SeedAlignments) -> DatasetStats:
@@ -544,47 +539,43 @@ def write_dataset(
     return directory
 
 
-def read_source_quads(path: str | Path) -> list[SourceQuad]:
-    """Read a raw source file: five tab-separated ints per line (s r o tb te)."""
+def read_source_quads(path: str | Path) -> np.ndarray:
+    """Read a raw source file of five tab-separated ints per line (s r o tb te)
+    into (n, 5) int64 rows; time ids must be >= 0, repeated rows are dropped."""
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"source quad file not found: {path}")
-    quads: list[SourceQuad] = []
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t") if "\t" in line else line.split()
-        if len(parts) != 5:
-            raise DatasetError(f"{path}:{ln}: expected 5 columns, got {len(parts)}")
-        try:
-            quads.append(tuple(int(p) for p in parts))  # type: ignore[arg-type]
-        except ValueError as exc:
-            raise DatasetError(f"{path}:{ln}: non-integer field ({exc})") from exc
-    if not quads:
+    rows, line_no = read_int_rows(path, 5)
+    if len(rows) == 0:
         raise DatasetError(f"{path}: no quadruples")
-    return quads
+    negative = np.flatnonzero((rows[:, 3:] < 0).any(axis=1))
+    if len(negative):
+        i = int(negative[0])
+        raise ParseError(path.name, line_no[i], f"negative time id in {rows[i].tolist()}")
+    return drop_repeated_rows(rows, path.name)
 
 
 def split_to_result(
-    quads: list[SourceQuad],
+    quads,
     overlap_ratio: float,
     seed_count: int,
     rng: np.random.Generator,
     name: str = "split",
 ) -> ForgeResult:
-    """Split an externally supplied source into a dataset pair with seeds."""
+    """Split an externally supplied (n, 5) source into a dataset pair with seeds."""
     split = split_overlap(quads, overlap_ratio, rng)
-    max_time = max(max(q[3], q[4]) for q in quads)
+    max_time = int(max(split.quads_1[:, 3:].max(initial=0), split.quads_2[:, 3:].max(initial=0)))
     time_index = TimeIndex([UNKNOWN_TIME_LABEL] + [f"t{i}" for i in range(1, max_time + 1)])
-    g1 = _side_kg(f"{name}_1", split.quads_1, split.ent_map_1, split.rel_map_1, time_index)
-    g2 = _side_kg(f"{name}_2", split.quads_2, split.ent_map_2, split.rel_map_2, time_index)
+    g1 = _side_kg(f"{name}_1", split.quads_1, split.ents_1, split.rels_1, time_index)
+    g2 = _side_kg(f"{name}_2", split.quads_2, split.ents_2, split.rels_2, time_index)
     if seed_count > len(split.alignment):
         raise ConfigError(
             f"seed_count {seed_count} exceeds {len(split.alignment)} alignable pairs"
         )
     order = rng.permutation(len(split.alignment))
-    train = sorted(tuple(split.alignment[int(i)]) for i in order[:seed_count])
-    test = sorted(tuple(split.alignment[int(i)]) for i in order[seed_count:])
+    # alignment rows ascend in both columns, so sorted indices give sorted pairs
+    train, test = (list(map(tuple, split.alignment[np.sort(idx)].tolist()))
+                   for idx in (order[:seed_count], order[seed_count:]))
     seeds = SeedAlignments(train_pairs=train, test_pairs=test)
     seeds.validate()
     manifest = {

@@ -168,11 +168,6 @@ def attention_logits(
     return ad.add(ad.add(dst_term, ad.matvec(transformed, nu_via)), ad.matvec(h_edge, nu_edge))
 
 
-def normalize_attention(logits: Tensor, dst: np.ndarray, num_entities: int) -> Tensor:
-    """Softmax of the logits within each destination entity's inward links."""
-    return ad.segment_softmax(logits, dst, num_entities)
-
-
 @dataclass
 class AttentionProbe:
     """Per-layer max deviation of attention-weight sums from 1 (non-empty entities)."""
@@ -209,18 +204,14 @@ def layer_forward(
     via_rel = ad.householder_apply(rel_e, h_src)
     alpha = attention_logits(h, graph.dst, via_time, time_e, nu_time)
     beta = attention_logits(h, graph.dst, via_rel, rel_e, nu_rel)
-    omega = normalize_attention(alpha, graph.dst, graph.num_entities)
-    upsilon = normalize_attention(beta, graph.dst, graph.num_entities)
+    # softmax within each destination entity's inward links
+    omega = ad.segment_softmax(alpha, graph.dst, graph.num_entities)
+    upsilon = ad.segment_softmax(beta, graph.dst, graph.num_entities)
     if probe is not None:
         probe.record(omega.data, graph.dst, graph.num_entities)
         probe.record(upsilon.data, graph.dst, graph.num_entities)
     message = ad.add(ad.scale_rows(via_time, omega), ad.scale_rows(via_rel, upsilon))
     return ad.relu(ad.segment_sum(message, graph.dst, graph.num_entities))
-
-
-def cross_layer_concat(acts: list[Tensor]) -> Tensor:
-    """Concatenate all layer outputs (layer 0 = raw embeddings) per entity."""
-    return ad.concat_cols(acts)
 
 
 def incident_time_mean(time_table: Tensor, graph: FlatGraph, dtype: np.dtype) -> Tensor:
@@ -232,11 +223,6 @@ def incident_time_mean(time_table: Tensor, graph: FlatGraph, dtype: np.dtype) ->
     gathered = ad.gather_rows(time_table, graph.time)
     summed = ad.segment_sum(gathered, graph.dst, graph.num_entities)
     return ad.scale_rows_const(summed, inv)
-
-
-def multi_view(hcat: Tensor, time_table: Tensor, graph: FlatGraph, dtype: np.dtype) -> Tensor:
-    """Append the incident-time mean to the cross-layer representation."""
-    return ad.concat_cols([hcat, incident_time_mean(time_table, graph, dtype)])
 
 
 def model_forward(
@@ -273,5 +259,6 @@ def model_forward(
                 probe=probe,
             )
         )
-    return multi_view(cross_layer_concat(acts), time_table, graph, cfg.dtype)
+    # every layer's output (layer 0 = raw embeddings), then the incident-time mean
+    return ad.concat_cols([ad.concat_cols(acts), incident_time_mean(time_table, graph, cfg.dtype)])
 

@@ -318,17 +318,13 @@ def _first_bad_line(name: str, lines: list[str], width: int) -> ParseError:
     return ParseError(name, 0, "unreadable integer rows")
 
 
-def _read_local_ids(path: Path, columns) -> np.ndarray:
-    """Read a tab-separated integer file, shifting its ids to 0-based local ids.
+def read_int_rows(path: Path, width: int) -> tuple[np.ndarray, list[int]]:
+    """The (n, width) int64 rows of a file of ``width`` tab-separated integers
+    per line, and each row's 1-based line number.
 
-    ``columns`` covers every column with ``(column indices, first id, id
-    count, kind)`` groups; an id becomes ``id - first``. Blank lines are
-    skipped. A wrong column count, a non-integer field, or an id outside
-    ``first .. first + count - 1`` raises ParseError at the first such line
-    (1-based, blank lines counted). Ranges are checked before the shift, so
-    it cannot wrap around int64.
+    Blank lines are skipped but counted. A wrong column count or a field
+    that is not a 64-bit integer raises ParseError at the first such line.
     """
-    width = sum(len(cols) for cols, *_ in columns)
     lines = _read_lines(path)
     line_no = [i for i, line in enumerate(lines, start=1) if line.strip()]
     rows = [lines[i - 1] for i in line_no]
@@ -339,6 +335,19 @@ def _read_local_ids(path: Path, columns) -> np.ndarray:
         raw = np.array(list(map(int, fields)), dtype=np.int64).reshape(-1, width)
     except (ValueError, OverflowError):
         raise _first_bad_line(path.name, lines, width) from None
+    return raw, line_no
+
+
+def _read_local_ids(path: Path, columns) -> np.ndarray:
+    """Read a tab-separated integer file, shifting its ids to 0-based local ids.
+
+    ``columns`` covers every column with ``(column indices, first id, id
+    count, kind)`` groups; an id becomes ``id - first``. An id outside
+    ``first .. first + count - 1`` raises ParseError at the first such line.
+    Ranges are checked before the shift, so it cannot wrap around int64.
+    """
+    width = sum(len(cols) for cols, *_ in columns)
+    raw, line_no = read_int_rows(path, width)
     hit = _first_dangling(raw, columns)
     if hit is not None:
         i, kind = hit
@@ -347,6 +356,14 @@ def _read_local_ids(path: Path, columns) -> np.ndarray:
     for cols, first, _, _ in columns:
         shift[cols] = first
     return raw - shift
+
+
+def drop_repeated_rows(rows: np.ndarray, name: str) -> np.ndarray:
+    """The rows without those that repeat an earlier row, warning when any go."""
+    keep = first_occurrences(rows)
+    if not keep.all():
+        logger.warning("%s: dropped %d duplicate quadruples", name, len(keep) - keep.sum())
+    return rows[keep]
 
 
 def parse_dataset(directory: str | Path) -> tuple[TemporalKG, TemporalKG, SeedAlignments]:
@@ -379,10 +396,8 @@ def parse_dataset(directory: str | Path) -> tuple[TemporalKG, TemporalKG, SeedAl
             ([1], r_off, len(rels), "relation"),
             ([3, 4], 0, time_index.num_ids, "time"),
         ))
-        keep = first_occurrences(local)
-        if not keep.all():
-            logger.warning("triples_%s: dropped %d duplicate quadruples", tag, len(keep) - keep.sum())
-        return TemporalKG(len(ents), len(rels), time_index, QuadTable(local[keep]), ents, rels, f"g{tag}")
+        quads = QuadTable(drop_repeated_rows(local, f"triples_{tag}"))
+        return TemporalKG(len(ents), len(rels), time_index, quads, ents, rels, f"g{tag}")
 
     g1 = read_kg("1", ents1, rels1, e1, r1)
     g2 = read_kg("2", ents2, rels2, e2, r2)

@@ -66,6 +66,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.negatives_per_positive < 0:
             raise ConfigError("negatives_per_positive must be >= 0 (0 = auto)")
+        if self.k_csls < 1:
+            raise ConfigError(f"k_csls must be >= 1, got {self.k_csls}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(

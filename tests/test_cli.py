@@ -103,6 +103,49 @@ class TestForgeSplit:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--entities", "30"], ["--planted", "0"]])
+    def test_generator_options_exit_2(self, tmp_path, capsys, flags):
+        """Without ``--source`` there is nothing to split (``forge synth
+        --planted 0`` generates and splits a source); the generator's knobs
+        are not split options."""
+        src = tmp_path / "source.tsv"
+        src.write_text("0\t0\t1\t1\t2\n")
+        source = ["--source", str(src)] if flags else []
+        code = main(["forge", "split", *source, *flags, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert (flags or ["--source"])[0] in capsys.readouterr().err
+
+    def test_help_lists_only_split_options(self, capsys):
+        assert main(["forge", "split", "--help"]) == 0
+        options = {w.strip("[,") for w in capsys.readouterr().out.split() if w.startswith(("--", "[--"))}
+        assert options == {"--help", "--source", "--ratio", "--seeds", "--seed", "--name", "--out"}
+
+    @pytest.mark.parametrize("bad, where", [
+        ("0\t1\t2\t-1\t4\n", "source.tsv:3: negative time id"),
+        ("0 1 2 3 4\n", "source.tsv:3: expected 5 columns"),
+    ])
+    def test_bad_source_line_exits_2(self, tmp_path, capsys, bad, where):
+        src = tmp_path / "source.tsv"
+        src.write_text("0\t0\t1\t1\t2\n1\t0\t2\t2\t3\n" + bad)
+        code = main(["forge", "split", "--source", str(src), "--seeds", "1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert where in capsys.readouterr().err
+
+    def test_repeated_source_line_dropped(self, tmp_path, caplog):
+        rows = "".join(f"{s}\t0\t{s + 1}\t1\t2\n" for s in range(8))
+        src, twin = tmp_path / "source.tsv", tmp_path / "twin.tsv"
+        src.write_text(rows + "0\t0\t1\t1\t2\n")
+        twin.write_text(rows)
+        outs = []
+        for path in (src, twin):
+            outs.append(tmp_path / path.stem)
+            code = main(["forge", "split", "--source", str(path), "--seeds", "2", "--out", str(outs[-1])])
+            assert code == 0
+        assert "dropped 1 duplicate quadruples" in caplog.text
+        for name in ("triples_1", "triples_2", "sup_pairs", "ref_pairs", "manifest.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
 class TestForgeStats:
     def test_stats_and_param_count(self, dataset_dir, tmp_path, capsys):
@@ -216,6 +259,18 @@ class TestTrain:
         assert code == 2
         assert flags[0] in capsys.readouterr().err
 
+    def test_non_positive_k_csls_exits_2(self, dataset_dir, tmp_path, capsys):
+        code = main(TRAIN_ARGS + ["--data", str(dataset_dir), "--k-csls", "0",
+                                  "--out", str(tmp_path / "flag")])
+        assert code == 2
+        assert "k_csls must be >= 1" in capsys.readouterr().err
+        cfg = tmp_path / "k0.json"
+        cfg.write_text(json.dumps({"k_csls": 0}))
+        code = main(TRAIN_ARGS + ["--data", str(dataset_dir), "--config", str(cfg),
+                                  "--out", str(tmp_path / "file")])
+        assert code == 2
+        assert "k_csls must be >= 1" in capsys.readouterr().err
+
     def test_removed_config_key_exits_2(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "old.json"
         cfg.write_text(json.dumps({"dim": 4, "unique_times": True}))
@@ -315,6 +370,12 @@ class TestEval:
         evaluated = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
         strip = lambda r: {k: v for k, v in r.items() if k != "seconds"}
         assert [strip(r) for r in evaluated] == [strip(r) for r in trained]
+
+    def test_non_positive_k_csls_exits_2(self, dataset_dir, trained, tmp_path, capsys):
+        code = main(["eval", "--checkpoint", str(trained / "run_0" / "checkpoint.npz"),
+                     "--data", str(dataset_dir), "--k-csls", "-5", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "k_csls must be >= 1" in capsys.readouterr().err
 
     def test_checkpoint_dataset_mismatch_exits_2(self, trained, tmp_path, capsys):
         other = tmp_path / "other"

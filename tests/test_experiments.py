@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tkgalign.errors import ConfigError
 from tkgalign.evaluate import partition_test_pairs, rank_alignment
 from tkgalign.experiments import (
     PLANTED_AMBIGUITY,
@@ -60,6 +61,14 @@ def test_partition_hits1_is_criterion_8s(sensitivity_report, mode, tag):
     assert row[tag]["hits1_low"] == rank_alignment(reps, merged_test[low],
                                                    metric_space="csls").hits1
     assert row[tag]["hits1"] == rank_alignment(reps, merged_test, metric_space="csls").hits1
+
+
+def test_empty_partition_is_named():
+    """PLANTED_AMBIGUITY's forge spec has no untimed facts, so no test pair is
+    lowly time-sensitive and the lowly gap is undefined."""
+    cfg = dataclasses.replace(SENSITIVITY_GAP, forge=PLANTED_AMBIGUITY.forge, epochs=2, train_seeds=(0,))
+    with pytest.raises(ConfigError, match="lowly"):
+        sensitivity_gap_experiment(cfg)
 
 
 @pytest.mark.parametrize("mode, tag", MODES)

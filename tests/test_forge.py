@@ -1,8 +1,10 @@
 """Dataset construction: splits, planted ambiguity, io, and size reports."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tkgalign.errors import ConfigError, DatasetError
+from tkgalign.errors import ConfigError, DatasetError, ParseError
 from tkgalign.forge import (
     DatasetStats,
     ForgeSpec,
@@ -12,7 +14,6 @@ from tkgalign.forge import (
     param_count,
     planted_isomorphic,
     read_source_quads,
-    self_loop_param_delta,
     split_overlap,
     split_to_result,
     synth_tkg,
@@ -33,6 +34,54 @@ def source_quads(n, n_ent=20, n_rel=3, n_time=15, seed=7):
         lo, hi = sorted(rng.integers(1, n_time + 1, size=2).tolist())
         quads.add((s, r, o, int(lo), int(hi)))
     return sorted(quads)
+
+
+def tuple_split_overlap(quads, overlap_ratio, rng, forced_shared=()):
+    """The per-quad tuple/dict split that ``split_overlap`` replaced, kept as
+    its oracle: the same index selection and rng draws, each side re-indexed
+    through dicts in source-id order. Returns (quads_1, quads_2, ent_map_1,
+    ent_map_2, rel_map_1, rel_map_2, alignment)."""
+    n = len(quads)
+    shared_n = int(round(n * overlap_ratio))
+    forced = sorted(set(forced_shared))
+    rest = n - shared_n
+    forced_set = set(forced)
+    free = [i for i in range(n) if i not in forced_set]
+    order = rng.permutation(len(free))
+    take = shared_n - len(forced)
+    shared_idx = forced + [free[j] for j in order[:take]]
+    ex1_idx = [free[j] for j in order[take : take + rest // 2]]
+    ex2_idx = [free[j] for j in order[take + rest // 2 :]]
+
+    def build_side(idxs):
+        ents = sorted({quads[i][0] for i in idxs} | {quads[i][2] for i in idxs})
+        rels = sorted({quads[i][1] for i in idxs})
+        emap = {e: j for j, e in enumerate(ents)}
+        rmap = {r: j for j, r in enumerate(rels)}
+        local = [(emap[quads[i][0]], rmap[quads[i][1]], emap[quads[i][2]], quads[i][3], quads[i][4])
+                 for i in sorted(idxs)]
+        return local, emap, rmap
+
+    q1, emap1, rmap1 = build_side(shared_idx + ex1_idx)
+    q2, emap2, rmap2 = build_side(shared_idx + ex2_idx)
+    alignment = [(emap1[e], emap2[e]) for e in sorted(set(emap1) & set(emap2))]
+    return q1, q2, emap1, emap2, rmap1, rmap2, alignment
+
+
+@st.composite
+def split_cases(draw):
+    """Distinct source quads over sparse, possibly negative entity and
+    relation ids, a ratio of 0, 0.5 or 1, and forced-shared indices that fit
+    the overlap quota."""
+    ent_ids = draw(st.lists(st.integers(-10**12, 10**12), min_size=2, max_size=12, unique=True))
+    rel_ids = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=4, unique=True))
+    row = st.tuples(st.sampled_from(ent_ids), st.sampled_from(rel_ids), st.sampled_from(ent_ids),
+                    st.integers(0, 6), st.integers(0, 6))
+    quads = draw(st.lists(row, min_size=1, max_size=40, unique=True))
+    ratio = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    quota = int(round(len(quads) * ratio))
+    forced = draw(st.lists(st.integers(0, len(quads) - 1), max_size=quota, unique=True))
+    return quads, ratio, forced, draw(st.integers(0, 2**32 - 1))
 
 
 class TestForgeSpec:
@@ -73,7 +122,7 @@ class TestSplitOverlap:
     def test_full_overlap_duplicates_everything(self):
         quads = source_quads(8)
         split = split_overlap(quads, 1.0, np.random.default_rng(0))
-        back1 = {(s, r, o, tb, te) for s, r, o, tb, te in split.quads_1}
+        back1 = set(map(tuple, split.quads_1.tolist()))
         assert len(back1) == 8
         assert len(split.quads_2) == 8
 
@@ -84,33 +133,34 @@ class TestSplitOverlap:
         assert len(split.quads_1) == 5 and len(split.quads_2) == 5
 
     def test_reindexing_is_dense_and_ordered(self):
-        quads = source_quads(12)
+        quads = np.array(source_quads(12))
         split = split_overlap(quads, 0.5, np.random.default_rng(2))
-        for emap in (split.ent_map_1, split.ent_map_2):
-            locals_ = sorted(emap.values())
-            assert locals_ == list(range(len(emap)))
+        for local, ents, rels in ((split.quads_1, split.ents_1, split.rels_1),
+                                  (split.quads_2, split.ents_2, split.rels_2)):
             # source-id order is preserved by the dense renumbering
-            srcs = sorted(emap)
-            assert [emap[e] for e in srcs] == locals_
+            assert np.all(np.diff(ents) > 0) and np.all(np.diff(rels) > 0)
+            assert np.array_equal(np.unique(local[:, [0, 2]]), np.arange(len(ents)))
+            assert np.array_equal(np.unique(local[:, 1]), np.arange(len(rels)))
+            back = np.column_stack([ents[local[:, 0]], rels[local[:, 1]], ents[local[:, 2]], local[:, 3:]])
+            assert set(map(tuple, back.tolist())) <= set(map(tuple, quads.tolist()))
 
     def test_alignment_covers_shared_entities(self):
         quads = source_quads(10)
         split = split_overlap(quads, 0.5, np.random.default_rng(3))
-        both = set(split.ent_map_1) & set(split.ent_map_2)
-        assert len(split.alignment) == len(both)
-        for l1, l2 in split.alignment:
-            assert 0 <= l1 < len(split.ent_map_1)
-            assert 0 <= l2 < len(split.ent_map_2)
+        both = np.intersect1d(split.ents_1, split.ents_2)
+        assert split.alignment.shape == (len(both), 2)
+        assert np.array_equal(split.ents_1[split.alignment[:, 0]], both)
+        assert np.array_equal(split.ents_2[split.alignment[:, 1]], both)
 
     def test_forced_indices_land_on_both_sides(self):
         quads = source_quads(10)
         split = split_overlap(quads, 0.5, np.random.default_rng(4), forced_shared=[0, 9])
         for idx in (0, 9):
             s, r, o, tb, te = quads[idx]
-            row1 = (split.ent_map_1[s], split.rel_map_1[r], split.ent_map_1[o], tb, te)
-            row2 = (split.ent_map_2[s], split.rel_map_2[r], split.ent_map_2[o], tb, te)
-            assert row1 in split.quads_1
-            assert row2 in split.quads_2
+            for local, ents, rels in ((split.quads_1, split.ents_1, split.rels_1),
+                                      (split.quads_2, split.ents_2, split.rels_2)):
+                row = [np.searchsorted(ents, s), np.searchsorted(rels, r), np.searchsorted(ents, o), tb, te]
+                assert (local == row).all(axis=1).any()
 
     def test_forced_beyond_quota(self):
         quads = source_quads(10)
@@ -134,8 +184,25 @@ class TestSplitOverlap:
         quads = source_quads(20)
         a = split_overlap(quads, 0.5, np.random.default_rng(9))
         b = split_overlap(quads, 0.5, np.random.default_rng(9))
-        assert a.quads_1 == b.quads_1 and a.quads_2 == b.quads_2
-        assert a.alignment == b.alignment
+        assert np.array_equal(a.quads_1, b.quads_1) and np.array_equal(a.quads_2, b.quads_2)
+        assert np.array_equal(a.alignment, b.alignment)
+
+    @settings(max_examples=60, deadline=None)
+    @given(split_cases())
+    def test_matches_tuple_oracle(self, case):
+        quads, ratio, forced, seed = case
+        got = split_overlap(quads, ratio, np.random.default_rng(seed), forced_shared=forced)
+        q1, q2, emap1, emap2, rmap1, rmap2, alignment = tuple_split_overlap(
+            quads, ratio, np.random.default_rng(seed), forced_shared=forced)
+        assert got.quads_1.tolist() == [list(q) for q in q1]
+        assert got.quads_2.tolist() == [list(q) for q in q2]
+        for ents, emap in ((got.ents_1, emap1), (got.ents_2, emap2)):
+            assert dict(zip(ents.tolist(), range(len(ents)))) == emap
+        for rels, rmap in ((got.rels_1, rmap1), (got.rels_2, rmap2)):
+            assert dict(zip(rels.tolist(), range(len(rels)))) == rmap
+        assert got.alignment.reshape(-1, 2).tolist() == [list(p) for p in alignment]
+        for arr in (got.quads_1, got.quads_2, got.ents_1, got.ents_2, got.rels_1, got.rels_2, got.alignment):
+            assert arr.dtype == np.int64
 
 
 class TestMeasuredOverlap:
@@ -315,8 +382,12 @@ class TestSplitToResult:
 class TestReadSourceQuads:
     def test_reads_tabs_and_spaces(self, tmp_path):
         f = tmp_path / "q.tsv"
-        f.write_text("0\t1\t2\t3\t4\n5 0 6 1 2\n\n")
-        assert read_source_quads(f) == [(0, 1, 2, 3, 4), (5, 0, 6, 1, 2)]
+        f.write_text("0\t1\t2\t3\t4\n\n-5\t0\t6\t1\t2\n")
+        rows = read_source_quads(f)
+        assert rows.dtype == np.int64 and rows.tolist() == [[0, 1, 2, 3, 4], [-5, 0, 6, 1, 2]]
+        f.write_text("0\t1\t2\t3\t4\n5 0 6 1 2\n")
+        with pytest.raises(ParseError, match=r"q\.tsv:2: expected 5 columns"):
+            read_source_quads(f)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="not found"):
@@ -325,13 +396,13 @@ class TestReadSourceQuads:
     def test_wrong_column_count_names_line(self, tmp_path):
         f = tmp_path / "q.tsv"
         f.write_text("0\t1\t2\t3\t4\n0\t1\t2\n")
-        with pytest.raises(DatasetError, match=":2"):
+        with pytest.raises(ParseError, match=":2: expected 5 columns, got 3"):
             read_source_quads(f)
 
     def test_non_integer_field(self, tmp_path):
         f = tmp_path / "q.tsv"
         f.write_text("0\t1\ttwo\t3\t4\n")
-        with pytest.raises(DatasetError, match="non-integer"):
+        with pytest.raises(ParseError, match=":1: id 'two' is not a 64-bit integer"):
             read_source_quads(f)
 
     def test_empty_file(self, tmp_path):
@@ -339,6 +410,20 @@ class TestReadSourceQuads:
         f.write_text("\n\n")
         with pytest.raises(DatasetError, match="no quadruples"):
             read_source_quads(f)
+
+    def test_negative_time_id_names_line(self, tmp_path):
+        f = tmp_path / "q.tsv"
+        f.write_text("0\t1\t2\t3\t4\n\n0\t1\t2\t-1\t4\n")
+        with pytest.raises(ParseError, match=r"q\.tsv:3: negative time id"):
+            read_source_quads(f)
+
+    def test_repeated_row_dropped_keeping_first(self, tmp_path, caplog):
+        f = tmp_path / "q.tsv"
+        f.write_text("0\t1\t2\t3\t4\n5\t0\t6\t1\t2\n0\t1\t2\t3\t4\n")
+        with caplog.at_level("WARNING"):
+            rows = read_source_quads(f)
+        assert rows.tolist() == [[0, 1, 2, 3, 4], [5, 0, 6, 1, 2]]
+        assert any("q.tsv: dropped 1 duplicate quadruples" in r.getMessage() for r in caplog.records)
 
 
 class TestStatsAndParams:
@@ -358,10 +443,6 @@ class TestStatsAndParams:
         # tables: 3+4+2+2+2 = 13 rows of k=2, plus 2 attention vectors
         # (3k each) per layer for 1 layer
         assert param_count(stats, k=2, num_layers=1) == 26 + 12
-
-    def test_self_loop_delta(self):
-        assert self_loop_param_delta(100) == 100
-        assert self_loop_param_delta(25) == 25
 
     def test_format_stats_layout(self):
         text = format_stats(self.reference_stats(), "reference", overlap=0.5)

@@ -11,12 +11,10 @@ from tkgalign.model import (
     FlatGraph,
     ModelConfig,
     attention_logits,
-    cross_layer_concat,
     incident_time_mean,
     init_params,
     layer_forward,
     model_forward,
-    normalize_attention,
     num_relation_rows,
     prepare_graph,
 )
@@ -129,14 +127,6 @@ class TestAttentionPieces:
         assert np.max(np.abs(ttr.grad - c[:, None] * nu[k : 2 * k])) < 1e-12
         assert np.max(np.abs(tedge.grad - c[:, None] * nu[2 * k :])) < 1e-12
         assert np.max(np.abs(tnu.grad - want_nu)) < 1e-12
-
-    def test_single_link_weight_is_one(self):
-        out = normalize_attention(ad.leaf(np.array([2.3])), np.array([0]), 1)
-        assert np.allclose(out.data, [1.0])
-
-    def test_equal_logits_give_half_half(self):
-        out = normalize_attention(ad.leaf(np.zeros(2)), np.array([0, 0]), 1)
-        assert np.allclose(out.data, [0.5, 0.5])
 
     def test_attention_probe_tracks_deviation(self):
         probe = AttentionProbe()
@@ -258,12 +248,12 @@ class TestLayerForward:
 class TestConcatAndTimeMean:
     def test_depth_zero_concat_is_raw_embeddings(self, rng):
         h = rng.normal(size=(4, 3))
-        out = cross_layer_concat([ad.leaf(h)])
+        out = ad.concat_cols([ad.leaf(h)])
         assert np.array_equal(out.data, h)
 
     def test_segments_recover_layer_matrices(self, rng):
         mats = [rng.normal(size=(4, 2)) for _ in range(3)]
-        out = cross_layer_concat([ad.leaf(m) for m in mats]).data
+        out = ad.concat_cols([ad.leaf(m) for m in mats]).data
         assert out.shape == (4, 6)
         for i, m in enumerate(mats):
             assert np.array_equal(out[:, 2 * i : 2 * i + 2], m)

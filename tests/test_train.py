@@ -229,6 +229,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(margin=-0.5)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_non_positive_k_csls_rejected(self, k):
+        with pytest.raises(ConfigError, match="k_csls"):
+            TrainConfig(k_csls=k)
+
 
 class TestTrainLoop:
     def small_config(self, **kw):

@@ -4,9 +4,12 @@ The computation graph of the alignment model is small and static, so instead
 of a general autodiff framework each operation this model needs carries its
 own analytic backward rule. Tensors wrap numpy arrays; calling
 :func:`backward` on a scalar result accumulates gradients into every leaf
-reachable from it. All ops preserve the dtype of their inputs (float32 for
-training, float64 for verification) and avoid BLAS so that results are
-bit-reproducible at thread count 1.
+reachable from it and consumes the tape: each interior node gives up its
+gradient, backward closure and parents as soon as its rule has run, so a
+tape is backpropagated once and its memory is freed as it goes. All ops
+preserve the dtype of their inputs (float32 for training, float64 for
+verification) and avoid BLAS so that results are bit-reproducible at
+thread count 1.
 
 Every reduction by an index array (the segment ops and the backward of
 :func:`gather_rows`) groups the rows by index under one stable order and
@@ -68,7 +71,11 @@ def leaf(data: np.ndarray, name: str = "") -> Tensor:
 
 
 def backward(root: Tensor) -> None:
-    """Reverse-accumulate gradients from a scalar root through the tape."""
+    """Reverse-accumulate gradients from a scalar root through the tape.
+
+    Only leaves keep their gradients; every interior node reached is
+    released (``grad`` and ``backward_fn`` None, no ``parents``).
+    """
     if root.data.size != 1:
         raise ValueError("backward root must be a scalar")
     order: list[Tensor] = []
@@ -88,8 +95,11 @@ def backward(root: Tensor) -> None:
                 stack.append((p, False))
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
-        if node.backward_fn is not None and node.grad is not None:
-            node.backward_fn(node.grad)
+        if node.backward_fn is not None:
+            if node.grad is not None:
+                node.backward_fn(node.grad)
+            node.grad = node.backward_fn = None
+            node.parents = ()
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +128,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         b.accumulate(g * a.data)
 
     return Tensor(a.data * b.data, (a, b), bw)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    def bw(g):
-        a.accumulate(g * c)
-
-    return Tensor(a.data * c, (a,), bw)
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:

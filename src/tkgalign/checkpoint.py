@@ -6,12 +6,14 @@ version, architecture sizes, precision, the graph options (mode and
 self-loops), the CSLS neighbourhood its metrics were ranked with and the seed
 that produced the run. The version is checked before
 anything else in the header is read, so a checkpoint of another format is
-refused with a ConfigError whatever keys it carries.
+refused with a ConfigError whatever keys it carries; so is a missing file
+or one that is not an ``.npz`` archive.
 Arrays are stored row-major exactly as trained.
 """
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -80,7 +82,16 @@ def save_checkpoint(path: str | Path, store: ParameterStore, meta: CheckpointMet
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
-    with np.load(Path(path)) as archive:
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"checkpoint not found: {path}")
+    try:
+        archive = np.load(path)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path}: not a checkpoint archive ({exc})") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ConfigError(f"{path}: not a checkpoint archive (a bare array)")
+    with archive:
         if "__meta__" not in archive:
             raise ConfigError(f"{path}: not a checkpoint (missing header)")
         header = json.loads(bytes(archive["__meta__"]).decode())

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, meta_from_result, save_checkpoint
-from .errors import ConfigError, DatasetError, ParseError, TkgAlignError
+from .errors import ConfigError, DatasetError, TkgAlignError
 from .evaluate import average_reports
 from .forge import (
     ForgeSpec,
@@ -137,17 +137,10 @@ def _load_config_file(path: str | None) -> dict:
 def _build_train_config(args: argparse.Namespace) -> TrainConfig:
     """Defaults, then config file, then explicit command-line flags."""
     merged = _load_config_file(args.config)
-    flag_map = {
-        "dim": args.dim, "num_layers": args.layers, "lr": args.lr,
-        "margin": args.margin, "dropout": args.dropout, "epochs": args.epochs,
-        "negatives_per_positive": args.neg_per_pos, "eval_every": args.eval_every,
-        "patience": args.patience, "seed": args.seed, "mode": args.mode,
-        "precision": args.precision, "k_csls": args.k_csls,
-        "self_loops": None if args.self_loops is None else args.self_loops == "on",
-    }
-    for key, value in flag_map.items():
+    for f in dataclasses.fields(TrainConfig):
+        value = getattr(args, f.name)  # every field has a flag of its own name
         if value is not None:
-            merged[key] = value
+            merged[f.name] = value == "on" if f.name == "self_loops" else value
     try:
         return TrainConfig(**merged)
     except TypeError as exc:
@@ -162,6 +155,8 @@ def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
     data_dir = resolve_data_dir(args.data)
     manifest.record_input_dir(data_dir)
     cfg = _build_train_config(args)
+    if args.repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     g1, g2, seeds = parse_dataset(data_dir)
@@ -197,7 +192,7 @@ def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
             "worst_attention_deviation": max(result.report.attention_deviations, default=0.0),
             "stopped_early": result.report.stopped_early,
             "fingerprint": result.report.fingerprint(),
-            "reports": [json.loads(r.to_json()) for r in run_reports],
+            "reports": [dataclasses.asdict(r) for r in run_reports],
         })
         for p in (ck_path, history_path, metrics_path):
             manifest.record_artifact(p)
@@ -259,7 +254,7 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "eval_report.json"
-    _write_json(json_path, [json.loads(r.to_json()) for r in reports])
+    _write_json(json_path, [dataclasses.asdict(r) for r in reports])
     csv_path = out / "eval_report.csv"
     rows = reports[0].csv_rows()
     for r in reports[1:]:
@@ -362,12 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--seed", type=int, default=None, help="base RNG seed; run i uses seed+i")
     tr.add_argument("--config", default=None, help="JSON file with training-config keys")
     tr.add_argument("--dim", type=int, default=None)
-    tr.add_argument("--layers", type=int, default=None)
+    tr.add_argument("--layers", dest="num_layers", type=int, default=None)
     tr.add_argument("--lr", type=float, default=None)
     tr.add_argument("--margin", type=float, default=None)
     tr.add_argument("--dropout", type=float, default=None)
     tr.add_argument("--epochs", type=int, default=None)
-    tr.add_argument("--neg-per-pos", type=int, default=None)
+    tr.add_argument("--neg-per-pos", dest="negatives_per_positive", type=int, default=None)
     tr.add_argument("--eval-every", type=int, default=None)
     tr.add_argument("--patience", type=int, default=None)
     tr.add_argument("--k-csls", type=int, default=None)
@@ -442,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args, manifest)
         manifest.finish("success")
         return code
-    except (ConfigError, ParseError, DatasetError) as exc:
+    except (ConfigError, DatasetError) as exc:
         manifest.finish("failure", f"{type(exc).__name__}: {exc}")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,9 +8,8 @@ gold down — so reported numbers never benefit from degenerate embeddings.
 """
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +41,6 @@ class RankingReport:
     @property
     def num_pairs(self) -> int:
         return len(self.ranks)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     def csv_rows(self) -> list[str]:
         head = "metric,value,partition,metric_space,direction,seed,seconds"

@@ -383,14 +383,15 @@ def synth_tkg(spec: ForgeSpec, rng: np.random.Generator | None = None) -> ForgeR
                   time_index, ent_labels.__getitem__)
 
     # every twin's quads are shared, so twins are always alignable
-    twin_sources = {p.source_id for p in plans}
-    anchor_sources = sorted(set(twin_meta["anchors_timed"]) | set(twin_meta["anchors_untimed"]))
-    alignable_sources = np.intersect1d(split.ents_1, split.ents_2).tolist()
-    for a in anchor_sources:
-        if a not in alignable_sources:
-            raise DatasetError(f"anchor entity {a} missing from one side after split")
+    twin_sources = np.array([p.source_id for p in plans], dtype=np.int64)
+    anchor_sources = np.union1d(np.asarray(twin_meta["anchors_timed"], dtype=np.int64),
+                                np.asarray(twin_meta["anchors_untimed"], dtype=np.int64))
+    alignable_sources = np.intersect1d(split.ents_1, split.ents_2)
+    lost = np.setdiff1d(anchor_sources, alignable_sources)
+    if len(lost):
+        raise DatasetError(f"anchor entity {lost[0]} missing from one side after split")
 
-    candidate_seeds = [e for e in alignable_sources if e not in twin_sources and e not in anchor_sources]
+    candidate_seeds = np.setdiff1d(alignable_sources, np.union1d(twin_sources, anchor_sources))
     fill = spec.seed_count - len(anchor_sources)
     if fill < 0:
         raise ConfigError(
@@ -402,8 +403,8 @@ def synth_tkg(spec: ForgeSpec, rng: np.random.Generator | None = None) -> ForgeR
             "alignable non-twin entities"
         )
     chosen = rng.choice(len(candidate_seeds), size=fill, replace=False) if fill else []
-    seed_sources = sorted(anchor_sources + [candidate_seeds[int(i)] for i in chosen])
-    test_sources = [e for e in alignable_sources if e not in set(seed_sources)]
+    seed_sources = np.union1d(anchor_sources, candidate_seeds[chosen])
+    test_sources = np.setdiff1d(alignable_sources, seed_sources)
 
     def to_pairs(sources) -> list[tuple[int, int]]:
         """Source entity ids -> (local_1, local_2) pairs."""

@@ -47,11 +47,6 @@ class ModelConfig:
     def dtype(self) -> np.dtype:
         return np.dtype(DTYPES[self.precision])
 
-    @property
-    def output_dim(self) -> int:
-        """Width of a final representation: L+1 layer blocks plus the time mean."""
-        return (self.num_layers + 2) * self.dim
-
 
 @dataclass(frozen=True)
 class FlatGraph:

@@ -30,12 +30,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self) -> list[tuple[str, Tensor]]:
         return list(self._params.items())
 

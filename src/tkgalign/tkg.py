@@ -55,20 +55,12 @@ class TimeIndex:
         if not labels:
             raise GraphError("time index needs at least the sentinel label")
         self.labels = list(labels)
-        self._id_of = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._id_of) != len(self.labels):
+        if len(set(self.labels)) != len(self.labels):
             raise GraphError("duplicate labels in time index")
 
     @property
     def num_ids(self) -> int:
         return len(self.labels)
-
-    @property
-    def num_real(self) -> int:
-        return len(self.labels) - 1
-
-    def id_of(self, label: str) -> int:
-        return self._id_of[label]
 
     def label_of(self, time_id: int) -> str:
         return self.labels[time_id]
@@ -78,31 +70,6 @@ class TimeIndex:
 
     def __repr__(self) -> str:
         return f"TimeIndex(num_ids={self.num_ids})"
-
-
-def _time_sort_key(label: str) -> tuple[int, int, int]:
-    parts = label.split("-")
-    try:
-        if len(parts) == 1:
-            return (int(parts[0]), 0, 0)
-        if len(parts) == 3:
-            return (int(parts[0]), int(parts[1]), int(parts[2]))
-    except ValueError:
-        pass
-    raise ParseError("<labels>", 0, f"unparseable timestamp label {label!r}")
-
-
-def unify_time_sets(labels_1: list[str], labels_2: list[str]) -> TimeIndex:
-    """Build the shared time index over the union of two label sets.
-
-    Labels must already be normalized to a common textual granularity
-    (``YYYY`` or ``YYYY-MM-DD``). Real labels are sorted chronologically and
-    assigned ids starting at 1; id 0 is the unknown-time sentinel.
-    """
-    union = set(labels_1) | set(labels_2)
-    union.discard(UNKNOWN_TIME_LABEL)
-    ordered = sorted(union, key=_time_sort_key)
-    return TimeIndex([UNKNOWN_TIME_LABEL] + ordered)
 
 
 def first_occurrences(rows: np.ndarray) -> np.ndarray:
@@ -214,24 +181,14 @@ class MergedGraph:
     """Disjoint union of two KGs in one id space.
 
     Entities of the second graph are offset by the first graph's entity
-    count; relations likewise. Reverse relations for the merged relation set
-    live in a contiguous block above the originals, and the optional
-    self-loop relation sits just past the reverses.
+    count (``entity_offset``); relations likewise by the first graph's
+    relation count. Reverse relations for the merged relation set live in a
+    contiguous block above the originals, and the optional self-loop
+    relation sits just past the reverses.
     """
 
     kg: TemporalKG
-    num_entities_g1: int
-    num_entities_g2: int
-    num_relations_g1: int
-    num_relations_g2: int
-
-    @property
-    def entity_offset(self) -> int:
-        return self.num_entities_g1
-
-    @property
-    def relation_offset(self) -> int:
-        return self.num_relations_g1
+    entity_offset: int
 
     @property
     def self_relation(self) -> int:
@@ -248,8 +205,7 @@ def merge_pair(g1: TemporalKG, g2: TemporalKG) -> MergedGraph:
     if g1.time_index is not g2.time_index and g1.time_index != g2.time_index:
         raise GraphError("graphs must share one time index")
     e_off = g1.num_entities
-    r_off = g1.num_relations
-    shifted = g2.quadruples.rows + [e_off, r_off, e_off, 0, 0]
+    shifted = g2.quadruples.rows + [e_off, g1.num_relations, e_off, 0, 0]
     merged = TemporalKG(
         num_entities=g1.num_entities + g2.num_entities,
         num_relations=g1.num_relations + g2.num_relations,
@@ -257,13 +213,7 @@ def merge_pair(g1: TemporalKG, g2: TemporalKG) -> MergedGraph:
         quadruples=QuadTable(np.concatenate([g1.quadruples.rows, shifted])),
         name="merged",
     )
-    return MergedGraph(
-        kg=merged,
-        num_entities_g1=g1.num_entities,
-        num_entities_g2=g2.num_entities,
-        num_relations_g1=g1.num_relations,
-        num_relations_g2=g2.num_relations,
-    )
+    return MergedGraph(kg=merged, entity_offset=e_off)
 
 
 def _read_lines(path: Path) -> list[str]:

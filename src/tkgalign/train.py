@@ -11,7 +11,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -206,16 +206,11 @@ def score_model(
 class TrainReport:
     """Everything measured during one run; timings never enter the fingerprint."""
 
-    config: dict
     losses: list[float] = field(default_factory=list)
     eval_history: list[dict] = field(default_factory=list)
     epoch_seconds: list[float] = field(default_factory=list)
     attention_deviations: list[float] = field(default_factory=list)
     stopped_early: bool = False
-
-    @property
-    def num_epochs(self) -> int:
-        return len(self.losses)
 
     def fingerprint(self) -> str:
         """Hash of the deterministic run trace (losses, evals, attention sums)."""
@@ -283,7 +278,7 @@ def train(
     src_range = (0, g1.num_entities)
     tgt_range = (merged.entity_offset, merged.entity_offset + g2.num_entities)
 
-    report = TrainReport(config=asdict(config))
+    report = TrainReport()
     logger.info(
         "training %d epochs: %d entities, %d links, %d seeds, eta=%d, mode=%s",
         config.epochs, merged.kg.num_entities, graph.num_links, len(train_pairs),
@@ -304,6 +299,7 @@ def train(
             raise TrainingDivergedError(epoch, last_good=last_good)
         last_good = store.state_dict()
         ad.backward(loss)
+        del reps, loss  # the spent tape must not overlap the next forward
         opt.step(store, config.lr)
 
         report.losses.append(loss_value)

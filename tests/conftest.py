@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tkgalign.tkg import QuadTable, SeedAlignments, TemporalKG, unify_time_sets
+from tkgalign.tkg import UNKNOWN_TIME_LABEL, QuadTable, SeedAlignments, TemporalKG, TimeIndex
 
 
 def quad(s: int, r: int, o: int, tb: int, te: int | None = None) -> tuple[int, ...]:
@@ -31,7 +31,8 @@ def make_kg(num_entities, num_relations, time_index, quads, name="g") -> Tempora
 
 
 def build_time_index():
-    return unify_time_sets([f"200{i}" for i in range(1, 6)], ["2001", "2007"])
+    """The sentinel plus six real years: 2001-2005 and 2007."""
+    return TimeIndex([UNKNOWN_TIME_LABEL, "2001", "2002", "2003", "2004", "2005", "2007"])
 
 
 def build_six_entity_pair():

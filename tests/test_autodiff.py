@@ -333,7 +333,6 @@ class TestElementwiseOps:
         assert np.allclose(ad.add(a, b).data, [5.0, 4.0])
         assert np.allclose(ad.sub(a, b).data, [-1.0, -6.0])
         assert np.allclose(ad.mul(a, b).data, [6.0, -5.0])
-        assert np.allclose(ad.scale(a, 2.0).data, [4.0, -2.0])
         assert np.allclose(ad.add_scalar(a, 1.0).data, [3.0, 0.0])
         assert np.allclose(ad.relu(a).data, [2.0, 0.0])
         assert np.allclose(ad.absolute(a).data, [2.0, 1.0])
@@ -434,7 +433,52 @@ class TestDropout:
         assert np.allclose(x.grad, np.where(out.data != 0.0, 1 / 0.6, 0.0))
 
 
+def tape_order(root):
+    """Nodes reachable from root in the order ad.backward visits them reversed."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node.parents if id(p) not in seen)
+    return order
+
+
+def backward_keeping_tape(root):
+    """ad.backward's accumulation without releasing the tape: the reference run."""
+    root.grad = np.ones_like(root.data)
+    for node in reversed(tape_order(root)):
+        if node.backward_fn is not None and node.grad is not None:
+            node.backward_fn(node.grad)
+
+
+def shared_subterm_loss(a, b):
+    """A scalar whose tape reuses nodes and reduces by unsorted indices."""
+    h = ad.normalize_rows(ad.gather_rows(a, [0, 2, 1, 0, 2]))
+    y = ad.householder_apply(h, ad.gather_rows(b, [1, 1, 0, 2, 0]))
+    s = ad.segment_sum(ad.add(y, ad.mul(y, h)), np.array([2, 0, 2, 1, 0]), 3)
+    return ad.sum_all(ad.relu(ad.add(s, ad.gather_rows(a, [1, 0, 2]))))
+
+
 class TestTape:
+    def test_backward_releases_interior_nodes_and_keeps_leaf_grads(self, rng):
+        arrays = [rng.normal(size=(3, 4)) for _ in range(2)]
+        reference = [ad.leaf(x) for x in arrays]
+        backward_keeping_tape(shared_subterm_loss(*reference))
+
+        leaves = [ad.leaf(x) for x in arrays]
+        root = shared_subterm_loss(*leaves)
+        interior = [n for n in tape_order(root) if n.backward_fn is not None]
+        ad.backward(root)
+        assert len(interior) > 10
+        for node in interior:
+            assert node.grad is None and node.backward_fn is None and not node.parents
+        for got, want in zip(leaves, reference):
+            assert np.array_equal(got.grad, want.grad)
+
     def test_diamond_graph_accumulates_once_per_path(self):
         x = ad.leaf(np.array([2.0]))
         y = ad.add(x, x)  # dy/dx = 2

@@ -36,7 +36,7 @@ class TestRoundTrip:
         save_checkpoint(path, store, meta)
         loaded, got_meta = load_checkpoint(path)
         assert got_meta == meta
-        assert loaded.names() == store.names()
+        assert [name for name, _ in loaded.items()] == [name for name, _ in store.items()]
         for name, tensor in store.items():
             back = dict(loaded.items())[name]
             assert back.data.dtype == tensor.data.dtype

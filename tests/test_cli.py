@@ -1,11 +1,13 @@
 """End-to-end command-line runs: artifacts, exit codes, manifests, determinism."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from tkgalign.checkpoint import load_checkpoint
-from tkgalign.cli import DATA_ROOT_ENV, main
+from tkgalign.cli import DATA_ROOT_ENV, _build_train_config, build_parser, main
+from tkgalign.train import TrainConfig
 
 SYNTH_ARGS = [
     "forge", "synth",
@@ -37,6 +39,17 @@ def trained(tmp_path_factory, dataset_dir):
 
 def read_manifest(out_dir):
     return json.loads((out_dir / "run_manifest.json").read_text())
+
+
+def file_and_flag_values(default, choices):
+    """A config-file value off the default, then a flag's text and parsed value off the file's."""
+    if isinstance(default, bool):
+        return not default, "on" if default else "off", default
+    if isinstance(default, int):
+        return default + 1, str(default + 2), default + 2
+    if isinstance(default, float):
+        return default / 2, str(default / 4), default / 4
+    return next(c for c in choices if c != default), default, default
 
 
 class TestForgeSynth:
@@ -289,6 +302,32 @@ class TestTrain:
         assert code == 2
         assert "sup_pairs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_non_positive_repeats_exits_2(self, dataset_dir, tmp_path, capsys, repeats):
+        out = tmp_path / "o"
+        code = main(TRAIN_ARGS + ["--data", str(dataset_dir), "--repeats", repeats,
+                                  "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: repeats must be >= 1, got {repeats}\n"
+        assert read_manifest(out)["status"] == "failure"
+
+    def test_every_config_field_has_a_flag_that_overrides_the_file(self, tmp_path):
+        parser = build_parser()
+        train_parser = parser._subparsers._group_actions[0].choices["train"]
+        actions = {a.dest: a for a in train_parser._actions}
+        in_file, flags, from_flags = {}, [], {}
+        for f in dataclasses.fields(TrainConfig):
+            assert f.name in actions, f"TrainConfig.{f.name} has no train flag"
+            action = actions[f.name]
+            values = file_and_flag_values(f.default, action.choices)
+            in_file[f.name], text, from_flags[f.name] = values
+            flags += [action.option_strings[0], text]
+        cfg = tmp_path / "all.json"
+        cfg.write_text(json.dumps(in_file))
+        base = ["train", "--data", "unused", "--config", str(cfg)]
+        assert dataclasses.asdict(_build_train_config(parser.parse_args(base))) == in_file
+        assert dataclasses.asdict(_build_train_config(parser.parse_args(base + flags))) == from_flags
+
     def test_mode_flag_reaches_checkpoint(self, dataset_dir, tmp_path):
         out = tmp_path / "tu"
         code = main(TRAIN_ARGS + ["--data", str(dataset_dir), "--mode", "time-unaware",
@@ -402,6 +441,23 @@ class TestEval:
                      "--out", str(out)])
         assert code == 2
         assert "format 3" in capsys.readouterr().err
+        assert read_manifest(out)["status"] == "failure"
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "error: checkpoint not found: {path}\n"),
+        ("not an archive\n", "error: {path}: not a checkpoint archive ("),
+    ])
+    def test_missing_or_non_npz_checkpoint_exits_2(self, dataset_dir, tmp_path, capsys,
+                                                   content, message):
+        path = tmp_path / "checkpoint.npz"
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "o"
+        code = main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message.format(path=path)) and err.count("\n") == 1
         assert read_manifest(out)["status"] == "failure"
 
     def test_single_metric_single_direction(self, dataset_dir, trained, tmp_path):

@@ -1,5 +1,4 @@
 """Ranking metrics: oracle equivalence, hand examples, and partition logic."""
-import json
 
 import numpy as np
 import pytest
@@ -201,13 +200,6 @@ class TestComputeMetrics:
         assert len(rows) == 4
         # unset seed/seconds serialize as empty cells, not "None"
         assert rows[1].endswith(",,")
-
-    def test_json_round_trip(self):
-        rep = RankingReport(mrr=0.5, hits1=0.25, hits10=1.0, ranks=[1, 4], seed=3)
-        loaded = json.loads(rep.to_json())
-        assert loaded["ranks"] == [1, 4]
-        assert loaded["seed"] == 3
-        assert loaded["partition"] == "all"
 
 
 class TestRankAlignment:

@@ -294,8 +294,8 @@ class TestModelForward:
     def test_output_shape(self, fixture_6ent):
         store, graph, _, cfg, merged = self.build(fixture_6ent)
         out = model_forward(store, graph, cfg)
-        assert out.data.shape == (merged.kg.num_entities, cfg.output_dim)
-        assert cfg.output_dim == (cfg.num_layers + 2) * cfg.dim
+        # L+1 layer blocks plus the incident-time mean
+        assert out.data.shape == (merged.kg.num_entities, (cfg.num_layers + 2) * cfg.dim)
 
     def test_all_unknown_times_make_modes_agree(self, time_index):
         """A graph whose links already all carry the unknown time is a fixed

@@ -19,7 +19,7 @@ def store_with(**arrays) -> ParameterStore:
 class TestParameterStore:
     def test_insertion_order_is_stable(self):
         store = store_with(b=[1.0], a=[2.0], c=[3.0])
-        assert store.names() == ["b", "a", "c"]
+        assert [name for name, _ in store.items()] == ["b", "a", "c"]
 
     def test_duplicate_name_rejected(self):
         store = store_with(w=[1.0])

@@ -20,9 +20,9 @@ from tkgalign.tkg import (
     MergedGraph,
     QuadTable,
     SeedAlignments,
+    TimeIndex,
     merge_pair,
     parse_dataset,
-    unify_time_sets,
 )
 
 from conftest import build_time_index, make_kg, quad, unvalidated_kg, write_dataset_dir
@@ -53,44 +53,26 @@ class TestQuadTable:
 
 
 class TestTimeIndex:
-    def test_identical_singleton_sets(self):
-        idx = unify_time_sets(["2005-01-01"], ["2005-01-01"])
-        assert idx.num_ids == 2  # sentinel + one real label
-        assert idx.num_real == 1
-        assert idx.label_of(0) == UNKNOWN_TIME_LABEL
-        assert idx.id_of("2005-01-01") == 1
+    def test_ids_are_label_positions(self):
+        idx = TimeIndex([UNKNOWN_TIME_LABEL, "2005", "2006"])
+        assert idx.num_ids == 3  # sentinel + two real labels
+        assert [idx.label_of(i) for i in range(idx.num_ids)] == [UNKNOWN_TIME_LABEL, "2005", "2006"]
+        assert idx == TimeIndex([UNKNOWN_TIME_LABEL, "2005", "2006"])
+        assert idx != TimeIndex([UNKNOWN_TIME_LABEL, "2006", "2005"])
 
-    def test_union_of_disjoint_years(self):
-        idx = unify_time_sets(["2005"], ["2006"])
-        assert idx.id_of("2005") == 1
-        assert idx.id_of("2006") == 2
+    @pytest.mark.parametrize("labels", [[], [UNKNOWN_TIME_LABEL, "2005", "2005"]])
+    def test_empty_or_duplicate_labels_rejected(self, labels):
+        with pytest.raises(GraphError):
+            TimeIndex(labels)
 
-    def test_chronological_order_not_lexicographic(self):
-        idx = unify_time_sets(["2010-02-01", "2010-10-12"], ["2009-12-31"])
-        assert [idx.label_of(i) for i in range(1, 4)] == [
-            "2009-12-31", "2010-02-01", "2010-10-12",
-        ]
-
-    def test_sentinel_never_assigned_to_real_label(self):
-        idx = unify_time_sets(["1999"], [])
-        assert idx.label_of(0) == UNKNOWN_TIME_LABEL
-        assert idx.id_of("1999") != UNKNOWN_TIME_ID
-
-    def test_unparseable_label_rejected(self):
-        with pytest.raises(ParseError):
-            unify_time_sets(["not-a-date"], [])
-
-    @given(st.lists(st.integers(min_value=1000, max_value=2999), min_size=1, unique=True))
-    def test_ids_dense_and_sorted(self, years):
-        idx = unify_time_sets([str(y) for y in years], [])
-        assert idx.num_ids == len(years) + 1
-        labels = [idx.label_of(i) for i in range(1, idx.num_ids)]
-        assert labels == sorted(labels, key=int)
+    def test_shared_fixture_index(self):
+        idx = build_time_index()
+        assert idx.labels == [UNKNOWN_TIME_LABEL, "2001", "2002", "2003", "2004", "2005", "2007"]
 
 
 def links_of(kg, self_loops=False):
     """prepare_graph on one KG (a merged graph with an empty second side)."""
-    merged = MergedGraph(kg, kg.num_entities, 0, kg.num_relations, 0)
+    merged = MergedGraph(kg, kg.num_entities)
     graph, _ = prepare_graph(merged, self_loops)
     return graph
 
@@ -279,7 +261,7 @@ class TestMerge:
 
     def test_mismatched_time_index_rejected(self, tiny_pair):
         g1, g2, _ = tiny_pair
-        g2.time_index = unify_time_sets(["1900"], [])
+        g2.time_index = TimeIndex([UNKNOWN_TIME_LABEL, "1900"])
         with pytest.raises(GraphError):
             merge_pair(g1, g2)
 

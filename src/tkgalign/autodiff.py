@@ -17,6 +17,19 @@ reduces each contiguous run with ``ufunc.reduceat``. Indices that are already
 non-decreasing, like a graph's ``dst`` column, reduce in place; others are
 argsorted first, so rows of one group keep their original relative order.
 Groups that no row names stay zero.
+
+Gradient ownership: :meth:`Tensor.accumulate` keeps a node's first gradient
+contribution without copying it only when the backward rule passes
+``owned=True``, which a rule does for an array it has just computed and
+hands to no other node (the gather reduction, ``matvec``, both
+``scale_rows`` ops, ``householder_apply``, the segment ops, ``relu``,
+``absolute``, ``dropout``, ``normalize_rows``, ``row_sum`` and ``sub``'s
+negated second operand). Everything else is copied on first
+contribution: an upstream gradient passed on unchanged (``add``,
+``add_scalar`` and ``sub``'s first operand; ``add`` hands one array to both
+parents), a view (``concat_cols``' column slices), a read-only array
+(``sum_all``'s broadcast) and an array of another dtype or shape. Later
+contributions are added in place, so no two nodes ever share gradient memory.
 """
 from __future__ import annotations
 
@@ -55,9 +68,20 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def accumulate(self, g: np.ndarray) -> None:
+    def accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` into this node's gradient.
+
+        ``owned`` means the caller has just created ``g`` and hands it to
+        no one else: a first contribution that is no view and has this
+        node's dtype and shape is then kept as is. Any other first
+        contribution is copied.
+        """
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            keep = owned and g.base is None and g.dtype == self.data.dtype
+            if keep and g.shape == self.data.shape:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
 
@@ -117,7 +141,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         a.accumulate(g)
-        b.accumulate(-g)
+        b.accumulate(-g, owned=True)
 
     return Tensor(a.data - b.data, (a, b), bw)
 
@@ -141,7 +165,7 @@ def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
     def bw(g):
-        a.accumulate(g * mask)
+        a.accumulate(g * mask, owned=True)
 
     return Tensor(np.where(mask, a.data, 0), (a,), bw)
 
@@ -151,7 +175,7 @@ def absolute(a: Tensor) -> Tensor:
     sgn = np.sign(a.data)
 
     def bw(g):
-        a.accumulate(g * sgn)
+        a.accumulate(g * sgn, owned=True)
 
     return Tensor(np.abs(a.data), (a,), bw)
 
@@ -167,7 +191,7 @@ def row_sum(a: Tensor) -> Tensor:
     """(n, d) -> (n,) sum along axis 1."""
 
     def bw(g):
-        a.accumulate(np.repeat(g[:, None], a.data.shape[1], axis=1))
+        a.accumulate(np.repeat(g[:, None], a.data.shape[1], axis=1), owned=True)
 
     return Tensor(a.data.sum(axis=1), (a,), bw)
 
@@ -214,7 +238,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
 
     def bw(g):
-        a.accumulate(_Runs(idx).reduce(np.add, g, len(a.data)))
+        a.accumulate(_Runs(idx).reduce(np.add, g, len(a.data)), owned=True)
 
     return Tensor(np.take(a.data, idx, axis=0), (a,), bw)
 
@@ -235,8 +259,8 @@ def matvec(a: Tensor, v: Tensor) -> Tensor:
     """(n, m) @ (m,) -> (n,). einsum keeps it off BLAS for reproducibility."""
 
     def bw(g):
-        a.accumulate(g[:, None] * v.data[None, :])
-        v.accumulate(np.einsum("nm,n->m", a.data, g))
+        a.accumulate(g[:, None] * v.data[None, :], owned=True)
+        v.accumulate(np.einsum("nm,n->m", a.data, g), owned=True)
 
     return Tensor(np.einsum("nm,m->n", a.data, v.data), (a, v), bw)
 
@@ -245,8 +269,8 @@ def scale_rows(x: Tensor, w: Tensor) -> Tensor:
     """Row i of x times scalar w[i], with w trainable."""
 
     def bw(g):
-        x.accumulate(g * w.data[:, None])
-        w.accumulate(np.einsum("nk,nk->n", g, x.data))
+        x.accumulate(g * w.data[:, None], owned=True)
+        w.accumulate(np.einsum("nk,nk->n", g, x.data), owned=True)
 
     return Tensor(x.data * w.data[:, None], (x, w), bw)
 
@@ -256,7 +280,7 @@ def scale_rows_const(x: Tensor, w: np.ndarray) -> Tensor:
     w = np.asarray(w, dtype=x.data.dtype)
 
     def bw(g):
-        x.accumulate(g * w[:, None])
+        x.accumulate(g * w[:, None], owned=True)
 
     return Tensor(x.data * w[:, None], (x,), bw)
 
@@ -278,7 +302,7 @@ def normalize_rows(a: Tensor) -> Tensor:
 
     def bw(g):
         proj = np.einsum("nk,nk->n", unit, g)
-        a.accumulate((g - unit * proj[:, None]) * inv[:, None])
+        a.accumulate((g - unit * proj[:, None]) * inv[:, None], owned=True)
 
     return Tensor(unit, (a,), bw)
 
@@ -296,9 +320,9 @@ def householder_apply(h: Tensor, x: Tensor) -> Tensor:
 
     def bw(g):
         hg = np.einsum("nk,nk->n", h.data, g)
-        x.accumulate(g - 2.0 * hg[:, None] * h.data)
+        x.accumulate(g - 2.0 * hg[:, None] * h.data, owned=True)
         gh = hg  # h.g, rows
-        h.accumulate(-2.0 * (gh[:, None] * x.data + hx[:, None] * g))
+        h.accumulate(-2.0 * (gh[:, None] * x.data + hx[:, None] * g), owned=True)
 
     return Tensor(out, (h, x), bw)
 
@@ -318,7 +342,7 @@ def segment_softmax(logits: Tensor, segments: np.ndarray, num_segments: int) -> 
 
     def bw(g):
         dot = runs.reduce(np.add, g * w, num_segments)
-        logits.accumulate(w * (g - dot[seg]))
+        logits.accumulate(w * (g - dot[seg]), owned=True)
 
     return Tensor(w, (logits,), bw)
 
@@ -328,7 +352,7 @@ def segment_sum(x: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
     seg = np.asarray(segments, dtype=np.int64)
 
     def bw(g):
-        x.accumulate(np.take(g, seg, axis=0))
+        x.accumulate(np.take(g, seg, axis=0), owned=True)
 
     return Tensor(_Runs(seg).reduce(np.add, x.data, num_segments), (x,), bw)
 
@@ -346,7 +370,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     factor = 1.0 / (1.0 - rate)
 
     def bw(g):
-        x.accumulate(g * keep * factor)
+        x.accumulate(g * keep * factor, owned=True)
 
     return Tensor(x.data * keep * factor, (x,), bw)
 

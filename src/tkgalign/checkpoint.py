@@ -6,8 +6,9 @@ version, architecture sizes, precision, the graph options (mode and
 self-loops), the CSLS neighbourhood its metrics were ranked with and the seed
 that produced the run. The version is checked before
 anything else in the header is read, so a checkpoint of another format is
-refused with a ConfigError whatever keys it carries; so is a missing file
-or one that is not an ``.npz`` archive.
+refused with a ConfigError whatever keys it carries; so is a missing file,
+one that is not an ``.npz`` archive, a header that is not JSON, and arrays
+that do not match the header's parameters by name or shape.
 Arrays are stored row-major exactly as trained.
 """
 from __future__ import annotations
@@ -94,7 +95,10 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
     with archive:
         if "__meta__" not in archive:
             raise ConfigError(f"{path}: not a checkpoint (missing header)")
-        header = json.loads(bytes(archive["__meta__"]).decode())
+        try:
+            header = json.loads(bytes(archive["__meta__"]).decode())
+        except ValueError as exc:
+            raise ConfigError(f"{path}: checkpoint header is not JSON ({exc})") from None
         version = header.get("format_version") if isinstance(header, dict) else None
         if version != FORMAT_VERSION:
             raise ConfigError(
@@ -111,5 +115,16 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
             meta.num_times,
             meta.model_config(),
         )
-        store.load_state_dict({k: archive[k] for k in archive.files if k != "__meta__"})
+        names = {k for k in archive.files if k != "__meta__"}
+        expected = {name for name, _ in store.items()}
+        if names != expected:
+            missing, unknown = sorted(expected - names), sorted(names - expected)
+            raise ConfigError(
+                f"{path}: checkpoint arrays do not match the header"
+                f" (missing {missing}, unknown {unknown})"
+            )
+        try:
+            store.load_state_dict({k: archive[k] for k in names})
+        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     return store, meta

@@ -273,8 +273,9 @@ def _generate_base_quads(spec: ForgeSpec, rng: np.random.Generator) -> tuple[lis
             if e in untimed:
                 tb = te = UNKNOWN_TIME_ID
             else:
-                lo, hi = sorted(rng.integers(1, spec.time_steps + 1, size=2).tolist())
-                tb, te = int(lo), int(hi)
+                a = int(rng.integers(1, spec.time_steps + 1))
+                b = int(rng.integers(1, spec.time_steps + 1))
+                tb, te = min(a, b), max(a, b)
             q = (e, r, o, tb, te)
             if q not in quads:
                 quads.add(q)

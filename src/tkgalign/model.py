@@ -149,18 +149,20 @@ def init_params(
 
 
 def attention_logits(
-    h: Tensor, dst: np.ndarray, transformed: Tensor, h_edge: Tensor, nu: Tensor
+    h: Tensor, dst: np.ndarray, transformed: Tensor, table: Tensor, idx: np.ndarray, nu: Tensor
 ) -> Tensor:
-    """Per-link score nu . [h[dst] | reflected neighbor | edge embedding].
+    """Per-link score nu . [h[dst] | reflected neighbor | table[idx]].
 
-    ``nu`` is split into its three k-slices: the destination term
-    ``(h @ nu_1)[dst]`` is computed once per entity and gathered, the other
-    two are per-link dot products of width k.
+    ``nu`` is split into its three k-slices. The destination term
+    ``(h @ nu_1)[dst]`` and the edge term ``(table @ nu_3)[idx]`` are computed
+    once per entity and once per table row and gathered per link; only the
+    reflected-neighbor term is a per-link dot product of width k.
     """
     k = h.shape[1]
     nu_dst, nu_via, nu_edge = (ad.gather_rows(nu, np.arange(i * k, (i + 1) * k)) for i in range(3))
     dst_term = ad.gather_rows(ad.matvec(h, nu_dst), dst)
-    return ad.add(ad.add(dst_term, ad.matvec(transformed, nu_via)), ad.matvec(h_edge, nu_edge))
+    edge_term = ad.gather_rows(ad.matvec(table, nu_edge), idx)
+    return ad.add(ad.add(dst_term, ad.matvec(transformed, nu_via)), edge_term)
 
 
 @dataclass
@@ -187,18 +189,23 @@ def layer_forward(
     time_e: Tensor,
     nu_time: Tensor,
     nu_rel: Tensor,
+    rel_table: Tensor,
+    time_table: Tensor,
     probe: AttentionProbe | None = None,
 ) -> Tensor:
     """One aggregation layer over pre-gathered per-link edge embeddings.
 
-    Entities with no inward links get a zero output row (ReLU of an empty
-    sum). ``h`` must already carry dropout if training.
+    ``rel_e``/``time_e`` are ``rel_table``/``time_table`` gathered by
+    ``graph.rel``/``graph.time``; the reflections use the per-link rows, the
+    attention's edge term the tables. Entities with no inward links get a
+    zero output row (ReLU of an empty sum). ``h`` must already carry dropout
+    if training.
     """
     h_src = ad.gather_rows(h, graph.src)
     via_time = ad.householder_apply(time_e, h_src)
     via_rel = ad.householder_apply(rel_e, h_src)
-    alpha = attention_logits(h, graph.dst, via_time, time_e, nu_time)
-    beta = attention_logits(h, graph.dst, via_rel, rel_e, nu_rel)
+    alpha = attention_logits(h, graph.dst, via_time, time_table, graph.time, nu_time)
+    beta = attention_logits(h, graph.dst, via_rel, rel_table, graph.rel, nu_rel)
     # softmax within each destination entity's inward links
     omega = ad.segment_softmax(alpha, graph.dst, graph.num_entities)
     upsilon = ad.segment_softmax(beta, graph.dst, graph.num_entities)
@@ -209,14 +216,17 @@ def layer_forward(
     return ad.relu(ad.segment_sum(message, graph.dst, graph.num_entities))
 
 
-def incident_time_mean(time_table: Tensor, graph: FlatGraph, dtype: np.dtype) -> Tensor:
-    """Mean embedding of each entity's incident timestamps (zero row if none)."""
+def incident_time_mean(time_e: Tensor, graph: FlatGraph, dtype: np.dtype) -> Tensor:
+    """Mean embedding of each entity's incident timestamps (zero row if none).
+
+    ``time_e`` holds one time embedding per link, the time table gathered by
+    ``graph.time``.
+    """
     counts = np.bincount(graph.dst, minlength=graph.num_entities)
     inv = np.zeros(graph.num_entities, dtype=dtype)
     nonzero = counts > 0
     inv[nonzero] = 1.0 / counts[nonzero]
-    gathered = ad.gather_rows(time_table, graph.time)
-    summed = ad.segment_sum(gathered, graph.dst, graph.num_entities)
+    summed = ad.segment_sum(time_e, graph.dst, graph.num_entities)
     return ad.scale_rows_const(summed, inv)
 
 
@@ -251,9 +261,11 @@ def model_forward(
                 time_e,
                 store[f"attn_time_{layer}"],
                 store[f"attn_rel_{layer}"],
+                rel_table,
+                time_table,
                 probe=probe,
             )
         )
     # every layer's output (layer 0 = raw embeddings), then the incident-time mean
-    return ad.concat_cols([ad.concat_cols(acts), incident_time_mean(time_table, graph, cfg.dtype)])
+    return ad.concat_cols([ad.concat_cols(acts), incident_time_mean(time_e, graph, cfg.dtype)])
 

@@ -509,3 +509,69 @@ class TestTape:
         out = ad.sum_all(ad.sub(ad.add(t, t), t))  # == sum(x)
         ad.backward(out)
         assert np.allclose(t.grad, np.ones_like(x))
+
+
+def copying_accumulate(self, g, owned=False):
+    """The reference rule: every first contribution is copied."""
+    if self.grad is None:
+        self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+    else:
+        self.grad += g
+
+
+def aliasing_loss(x, y, z, v, c1, c2):
+    """``add`` hands one gradient to x and y, whose next contributions come
+    from ``concat_cols`` slices; z's first contribution is ``sum_all``'s
+    read-only broadcast, v's a slice view."""
+    s = ad.add(x, y)
+    first = ad.add(ad.sum_all(ad.mul(s, c1)), ad.sum_all(z))
+    cat = ad.concat_cols([v, x, y, z])
+    second = ad.sum_all(ad.mul(ad.relu(cat), c2))
+    return ad.add(first, second), s, cat
+
+
+class TestAccumulate:
+    def test_owned_first_contribution_is_kept(self):
+        t = ad.leaf(np.zeros((2, 3)))
+        g = np.ones((2, 3))
+        t.accumulate(g, owned=True)
+        assert t.grad is g
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            np.ones((2, 3), dtype=np.float32),  # another dtype
+            np.ones((1, 3)),  # another shape
+            np.ones((2, 6))[:, :3],  # a view
+            np.broadcast_to(np.ones(3), (2, 3)),  # read-only
+        ],
+        ids=["dtype", "shape", "view", "read-only"],
+    )
+    @pytest.mark.parametrize("owned", [False, True])
+    def test_first_contribution_copied_unless_kept_safely(self, g, owned):
+        t = ad.leaf(np.zeros((2, 3)))
+        t.accumulate(g, owned=owned)
+        assert t.grad.dtype == np.float64 and t.grad.flags.writeable
+        assert not np.shares_memory(t.grad, g)
+        assert np.array_equal(t.grad, g)
+
+    def test_shared_gradients_never_alias(self, rng, monkeypatch):
+        arrays = [rng.normal(size=(3, 4)) for _ in range(5)] + [rng.normal(size=(3, 16))]
+
+        leaves = [ad.leaf(a) for a in arrays]
+        root, s, cat = aliasing_loss(*leaves)
+        order = tape_order(root)[::-1]
+        # add's gradient reaches x and y before the concat's slices do
+        assert order.index(s) < order.index(cat)
+        ad.backward(root)
+
+        monkeypatch.setattr(ad.Tensor, "accumulate", copying_accumulate)
+        reference = [ad.leaf(a) for a in arrays]
+        ad.backward(aliasing_loss(*reference)[0])
+
+        for got, want in zip(leaves, reference):
+            assert got.grad.flags.writeable
+            assert np.array_equal(got.grad, want.grad)
+        for i, a in enumerate(leaves):
+            for b in leaves[i + 1 :]:
+                assert not np.shares_memory(a.grad, b.grad)

@@ -460,6 +460,35 @@ class TestEval:
         assert err.startswith(message.format(path=path)) and err.count("\n") == 1
         assert read_manifest(out)["status"] == "failure"
 
+    @pytest.mark.parametrize("defect, message", [
+        ("header-not-json", "checkpoint header is not JSON"),
+        ("missing-array", "missing ['attn_rel_0'], unknown []"),
+        ("unknown-array", "missing [], unknown ['extra']"),
+        ("shape-mismatch", "shape mismatch for 'entity'"),
+    ], ids=["header-not-json", "missing-array", "unknown-array", "shape-mismatch"])
+    def test_malformed_checkpoint_exits_2(self, dataset_dir, trained, tmp_path, capsys,
+                                          defect, message):
+        with np.load(trained / "run_0" / "checkpoint.npz") as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        if defect == "header-not-json":
+            arrays["__meta__"] = np.frombuffer(b'{"format_version": 4,', dtype=np.uint8)
+        elif defect == "missing-array":
+            del arrays["attn_rel_0"]
+        elif defect == "unknown-array":
+            arrays["extra"] = np.zeros(3, dtype=np.float32)
+        else:
+            arrays["entity"] = arrays["entity"][:-1]
+        path = tmp_path / "bad.npz"
+        np.savez(path, **arrays)
+        out = tmp_path / "o"
+        code = main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert message in err
+        assert read_manifest(out)["status"] == "failure"
+
     def test_single_metric_single_direction(self, dataset_dir, trained, tmp_path):
         out = tmp_path / "ev1"
         code = main(["eval", "--checkpoint", str(trained / "run_0" / "checkpoint.npz"),

@@ -72,9 +72,9 @@ class TestAttentionPieces:
         k = 4
         h = ad.leaf(rng.normal(size=(3, k)))
         tr = ad.leaf(rng.normal(size=(3, k)))
-        edge = ad.leaf(rng.normal(size=(3, k)))
+        table = ad.leaf(rng.normal(size=(2, k)))
         nu = ad.leaf(np.zeros(3 * k))
-        out = attention_logits(h, np.array([0, 1, 2]), tr, edge, nu)
+        out = attention_logits(h, np.array([0, 1, 2]), tr, table, np.array([1, 0, 1]), nu)
         assert np.allclose(out.data, 0.0)
 
     def test_selector_weight_vector_reads_first_component(self, rng):
@@ -82,10 +82,10 @@ class TestAttentionPieces:
         h = ad.leaf(rng.normal(size=(3, k)))
         dst = np.array([0, 0, 1, 2])
         tr = ad.leaf(rng.normal(size=(4, k)))
-        edge = ad.leaf(rng.normal(size=(4, k)))
+        table = ad.leaf(rng.normal(size=(3, k)))
         nu = np.zeros(3 * k)
         nu[0] = 1.0
-        out = attention_logits(h, dst, tr, edge, ad.leaf(nu))
+        out = attention_logits(h, dst, tr, table, np.array([2, 0, 2, 1]), ad.leaf(nu))
         assert np.allclose(out.data, h.data[dst, 0])
 
     def test_logits_match_materialized_matrix_oracle(self, rng):
@@ -93,10 +93,12 @@ class TestAttentionPieces:
         h = rng.normal(size=(3, k))
         dst = np.array([0, 0, 1, 2, 2])
         h_src = rng.normal(size=(5, k))
-        edge = np.stack([unit(rng.normal(size=k)) for _ in range(5)])
+        table = np.stack([unit(rng.normal(size=k)) for _ in range(3)])
+        idx = np.array([2, 0, 2, 1, 0])
+        edge = table[idx]
         nu = rng.normal(size=3 * k)
         tr = ad.householder_apply(ad.leaf(edge), ad.leaf(h_src))
-        got = attention_logits(ad.leaf(h), dst, tr, ad.leaf(edge), ad.leaf(nu)).data
+        got = attention_logits(ad.leaf(h), dst, tr, ad.leaf(table), idx, ad.leaf(nu)).data
         for m in range(5):
             mat = ad.materialize_householder(edge[m])
             want = nu @ np.concatenate([h[dst[m]], mat @ h_src[m], edge[m]])
@@ -109,13 +111,13 @@ class TestAttentionPieces:
         h = rng.normal(size=(4, k))
         dst = np.array([2, 0, 1, 0, 2, 2])
         tr = rng.normal(size=(6, k))
-        edge = rng.normal(size=(6, k))
+        table = rng.normal(size=(5, k))
+        idx = np.array([4, 1, 0, 2, 1, 3])
         nu = rng.normal(size=3 * k)
         c = rng.normal(size=6)
-        leaves = [ad.leaf(a) for a in (h, tr, edge, nu)]
-        th, ttr, tedge, tnu = leaves
-        out = attention_logits(th, dst, ttr, tedge, tnu)
-        concat = np.concatenate([h[dst], tr, edge], axis=1)  # the (m, 3k) oracle
+        th, ttr, ttable, tnu = (ad.leaf(a) for a in (h, tr, table, nu))
+        out = attention_logits(th, dst, ttr, ttable, idx, tnu)
+        concat = np.concatenate([h[dst], tr, table[idx]], axis=1)  # the (m, 3k) oracle
         assert np.max(np.abs(out.data - concat @ nu)) < 1e-12
         ad.backward(ad.sum_all(ad.mul(out, ad.leaf(c))))
         want_h = np.zeros_like(h)
@@ -125,8 +127,50 @@ class TestAttentionPieces:
         assert np.max(np.abs(th.grad - want_h)) < 1e-12
         assert np.array_equal(th.grad[3], np.zeros(k))
         assert np.max(np.abs(ttr.grad - c[:, None] * nu[k : 2 * k])) < 1e-12
-        assert np.max(np.abs(tedge.grad - c[:, None] * nu[2 * k :])) < 1e-12
         assert np.max(np.abs(tnu.grad - want_nu)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "idx",
+        [
+            np.array([3, 1, 3, 0, 1, 3, 0]),  # repeated rows; row 2 unused
+            np.array([1, 1, 1, 1, 1, 1, 1]),  # one row for every link
+            "unknown-time",  # the time-unaware graph's all-unknown time column
+        ],
+        ids=["repeated-unused", "single-row", "time-unaware"],
+    )
+    def test_edge_term_from_table_rows_matches_per_link_oracle(self, rng, idx):
+        """f64: the edge term reduced per table row equals the per-link
+        ``concat @ nu`` oracle in values and in the gradients of ``h``, the
+        transformed rows, the table and ``nu``; a row no link names gets an
+        exactly zero gradient."""
+        k = 4
+        dst = np.array([0, 0, 1, 2, 2, 2, 4])
+        if isinstance(idx, str):
+            graph = FlatGraph(5, np.array([1, 2, 0, 0, 1, 3, 4]), dst,
+                              np.zeros(7, dtype=np.int64), rng.integers(0, 4, 7))
+            idx = apply_time_unaware(graph).time
+            assert np.all(idx == UNKNOWN_TIME_ID)
+        h = rng.normal(size=(5, k))
+        tr = rng.normal(size=(7, k))
+        table = rng.normal(size=(4, k))
+        nu = rng.normal(size=3 * k)
+        c = rng.normal(size=7)
+        th, ttr, ttable, tnu = (ad.leaf(a) for a in (h, tr, table, nu))
+        out = attention_logits(th, dst, ttr, ttable, idx, tnu)
+        concat = np.concatenate([h[dst], tr, table[idx]], axis=1)
+        assert np.max(np.abs(out.data - concat @ nu)) < 1e-12
+        ad.backward(ad.sum_all(ad.mul(out, ad.leaf(c))))
+        want_h = np.zeros_like(h)
+        np.add.at(want_h, dst, c[:, None] * nu[:k])
+        want_table = np.zeros_like(table)
+        np.add.at(want_table, idx, c[:, None] * nu[2 * k :])
+        assert np.max(np.abs(th.grad - want_h)) < 1e-12
+        assert np.max(np.abs(ttr.grad - c[:, None] * nu[k : 2 * k])) < 1e-12
+        assert np.max(np.abs(ttable.grad - want_table)) < 1e-12
+        assert np.max(np.abs(tnu.grad - concat.T @ c)) < 1e-12
+        unused = np.setdiff1d(np.arange(len(table)), idx)
+        assert len(unused)
+        assert np.array_equal(ttable.grad[unused], np.zeros((len(unused), k)))
 
     def test_attention_probe_tracks_deviation(self):
         probe = AttentionProbe()
@@ -149,22 +193,30 @@ class TestAttentionPieces:
             assert probe.deviations[-1] == float(np.max(np.abs(sums[occupied] - 1.0)))
 
 
+def unit_table(rng, rows, k):
+    return np.stack([unit(rng.normal(size=k)) for _ in range(rows)])
+
+
+def run_layer(h, graph, rel_tab, time_tab, nu_t, nu_r):
+    """``layer_forward`` on leaf tables, gathered per link as ``model_forward`` does."""
+    rel, tim = ad.leaf(rel_tab), ad.leaf(time_tab)
+    return layer_forward(
+        ad.leaf(h), graph, ad.gather_rows(rel, graph.rel), ad.gather_rows(tim, graph.time),
+        ad.leaf(nu_t), ad.leaf(nu_r), rel, tim,
+    ).data
+
+
 class TestLayerForward:
     def test_matches_brute_force_oracle(self, rng):
         k = 5
         graph = random_flat_graph(rng)
         h = rng.normal(size=(graph.num_entities, k))
-        rel_tab = np.stack([unit(rng.normal(size=k)) for _ in range(4)])
-        time_tab = np.stack([unit(rng.normal(size=k)) for _ in range(6)])
-        rel_e = rel_tab[graph.rel]
-        time_e = time_tab[graph.time]
+        rel_tab = unit_table(rng, 4, k)
+        time_tab = unit_table(rng, 6, k)
         nu_t = rng.normal(size=3 * k)
         nu_r = rng.normal(size=3 * k)
-        got = layer_forward(
-            ad.leaf(h), graph, ad.leaf(rel_e), ad.leaf(time_e),
-            ad.leaf(nu_t), ad.leaf(nu_r),
-        ).data
-        want = brute_force_layer(h, graph, rel_e, time_e, nu_t, nu_r)
+        got = run_layer(h, graph, rel_tab, time_tab, nu_t, nu_r)
+        want = brute_force_layer(h, graph, rel_tab[graph.rel], time_tab[graph.time], nu_t, nu_r)
         assert np.max(np.abs(got - want)) < 1e-6
 
     def test_zero_nu_reduces_to_uniform_mean_aggregate(self, rng):
@@ -173,13 +225,10 @@ class TestLayerForward:
         k = 3
         graph = random_flat_graph(rng, n_entities=4, n_links=9)
         h = rng.normal(size=(4, k))
-        rel_e = np.stack([unit(rng.normal(size=k)) for _ in range(graph.num_links)])
-        time_e = np.stack([unit(rng.normal(size=k)) for _ in range(graph.num_links)])
+        rel_tab = unit_table(rng, 4, k)
+        time_tab = unit_table(rng, 6, k)
         zero = np.zeros(3 * k)
-        got = layer_forward(
-            ad.leaf(h), graph, ad.leaf(rel_e), ad.leaf(time_e),
-            ad.leaf(zero), ad.leaf(zero),
-        ).data
+        got = run_layer(h, graph, rel_tab, time_tab, zero, zero)
         for i in range(4):
             rows = np.flatnonzero(graph.dst == i)
             if len(rows) == 0:
@@ -187,8 +236,8 @@ class TestLayerForward:
                 continue
             acc = np.zeros(k)
             for m in rows:
-                mt = ad.materialize_householder(time_e[m])
-                mr = ad.materialize_householder(rel_e[m])
+                mt = ad.materialize_householder(time_tab[graph.time[m]])
+                mr = ad.materialize_householder(rel_tab[graph.rel[m]])
                 acc += (mt @ h[graph.src[m]] + mr @ h[graph.src[m]]) / len(rows)
             assert np.allclose(got[i], np.maximum(acc, 0.0), atol=1e-10)
 
@@ -196,12 +245,10 @@ class TestLayerForward:
         k = 4
         graph = random_flat_graph(rng)
         h = rng.normal(size=(graph.num_entities, k))
-        rel_e = np.stack([unit(rng.normal(size=k)) for _ in range(graph.num_links)])
-        time_e = np.stack([unit(rng.normal(size=k)) for _ in range(graph.num_links)])
-        out = layer_forward(
-            ad.leaf(h), graph, ad.leaf(rel_e), ad.leaf(time_e),
-            ad.leaf(rng.normal(size=3 * k)), ad.leaf(rng.normal(size=3 * k)),
-        ).data
+        out = run_layer(
+            h, graph, unit_table(rng, 4, k), unit_table(rng, 6, k),
+            rng.normal(size=3 * k), rng.normal(size=3 * k),
+        )
         assert np.all(out >= 0.0)
 
     def test_link_order_invariance(self, rng):
@@ -210,8 +257,8 @@ class TestLayerForward:
         k = 4
         graph = random_flat_graph(rng)
         h = rng.normal(size=(graph.num_entities, k)).astype(np.float64)
-        rel_e = np.stack([unit(rng.normal(size=k)) for _ in range(graph.num_links)])
-        time_e = np.stack([unit(rng.normal(size=k)) for _ in range(graph.num_links)])
+        rel_tab = unit_table(rng, 4, k)
+        time_tab = unit_table(rng, 6, k)
         nu_t = rng.normal(size=3 * k)
         nu_r = rng.normal(size=3 * k)
 
@@ -220,10 +267,7 @@ class TestLayerForward:
                 graph.num_entities, graph.src[order], graph.dst[order],
                 graph.rel[order], graph.time[order],
             )
-            return layer_forward(
-                ad.leaf(h), g, ad.leaf(rel_e[order]), ad.leaf(time_e[order]),
-                ad.leaf(nu_t), ad.leaf(nu_r),
-            ).data
+            return run_layer(h, g, rel_tab, time_tab, nu_t, nu_r)
 
         base = run(np.arange(graph.num_links))
         perm = rng.permutation(graph.num_links)
@@ -261,21 +305,33 @@ class TestConcatAndTimeMean:
     def test_single_incident_time(self, rng):
         table = rng.normal(size=(5, 3))
         graph = FlatGraph(2, np.array([0]), np.array([1]), np.array([0]), np.array([4]))
-        out = incident_time_mean(ad.leaf(table), graph, np.float64).data
+        out = incident_time_mean(ad.leaf(table[graph.time]), graph, np.float64).data
         assert np.allclose(out[1], table[4])
         assert np.allclose(out[0], 0.0)
 
     def test_repeated_time_is_plain_mean(self, rng):
         table = rng.normal(size=(5, 3))
         graph = FlatGraph(1, *[np.array([0, 0])] * 3, np.array([2, 2]))
-        out = incident_time_mean(ad.leaf(table), graph, np.float64).data
+        out = incident_time_mean(ad.leaf(table[graph.time]), graph, np.float64).data
         assert np.allclose(out[0], table[2])
 
     def test_multiplicity_weighted_mean(self, rng):
         table = rng.normal(size=(5, 3))
         graph = FlatGraph(1, *[np.array([0, 0, 0])] * 3, np.array([1, 2, 2]))
-        out = incident_time_mean(ad.leaf(table), graph, np.float64).data
+        out = incident_time_mean(ad.leaf(table[graph.time]), graph, np.float64).data
         assert np.allclose(out[0], (table[1] + 2 * table[2]) / 3)
+
+    def test_gradient_reaches_each_link_row(self, rng):
+        """Each link row gets its entity's 1/count share of the upstream
+        gradient; the block is linear in ``time_e``."""
+        graph = FlatGraph(3, *[np.array([0, 0, 0, 2])] * 2, np.array([0, 0, 0, 0]),
+                          np.array([1, 2, 2, 0]))
+        time_e = ad.leaf(rng.normal(size=(4, 3)))
+        c = rng.normal(size=(3, 3))
+        ad.backward(ad.sum_all(ad.mul(incident_time_mean(time_e, graph, np.float64),
+                                      ad.leaf(c))))
+        want = np.stack([c[0] / 3, c[0] / 3, c[0] / 3, c[2]])
+        assert np.max(np.abs(time_e.grad - want)) < 1e-15
 
 
 class TestModelForward:
@@ -346,6 +402,25 @@ class TestModelForward:
             block = out[:, (layer + 1) * k : (layer + 2) * k]
             assert np.max(np.abs(block - h)) < 1e-10
             assert np.array_equal(block[isolated], np.zeros((2, k)))
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("unaware", [False, True])
+    def test_time_mean_block_equals_gather_from_table(self, fixture_6ent, precision, unaware):
+        """The time-mean block, now summed from the per-link ``time_e``, is
+        bitwise the mean gathered from the normalised time table."""
+        store, graph, _, cfg, _ = self.build(fixture_6ent, precision=precision)
+        if unaware:
+            graph = apply_time_unaware(graph)
+        out = model_forward(store, graph, cfg).data
+        table = ad.normalize_rows(store["time"])
+        counts = np.bincount(graph.dst, minlength=graph.num_entities)
+        inv = np.zeros(graph.num_entities, dtype=cfg.dtype)
+        inv[counts > 0] = 1.0 / counts[counts > 0]
+        summed = ad.segment_sum(ad.gather_rows(table, graph.time), graph.dst, graph.num_entities)
+        want = ad.scale_rows_const(summed, inv).data
+        got = out[:, (cfg.num_layers + 1) * cfg.dim :]
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_unaware_mode_invariant_to_time_relabeling(self, fixture_6ent, rng):
         store, graph, _, cfg, merged = self.build(fixture_6ent)

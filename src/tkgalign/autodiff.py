@@ -12,11 +12,14 @@ verification) and avoid BLAS so that results are bit-reproducible at
 thread count 1.
 
 Every reduction by an index array (the segment ops and the backward of
-:func:`gather_rows`) groups the rows by index under one stable order and
-reduces each contiguous run with ``ufunc.reduceat``. Indices that are already
-non-decreasing, like a graph's ``dst`` column, reduce in place; others are
-argsorted first, so rows of one group keep their original relative order.
-Groups that no row names stay zero.
+:func:`gather_rows`) goes through a :class:`Grouping`: the positions of each
+index value form one run, in their original order, and runs of equal length
+are reduced together, one ``ufunc.reduce`` over a (length, runs, k) block per
+distinct length; scalar rows are reduced run by run with one
+``ufunc.reduceat``. Groups that no row names stay zero (``-inf`` for a
+maximum). A grouping depends only on the index array, so a caller that
+reduces by the same static column many times (a graph's link columns) builds
+it once and passes it in place of the array.
 
 Gradient ownership: :meth:`Tensor.accumulate` keeps a node's first gradient
 contribution without copying it only when the backward rule passes
@@ -200,47 +203,92 @@ def row_sum(a: Tensor) -> Tensor:
 # indexing, shaping
 
 
-class _Runs:
-    """Positions grouped by index value under one stable order.
+class Grouping:
+    """Positions of an index array grouped by value, runs bucketed by length.
 
-    ``order`` is None when the indices are already non-decreasing (rows are
-    reduced where they lie); otherwise it is the stable argsort. ``starts``
-    are the first sorted positions of each run of equal indices and ``ids``
-    the index value of each run.
+    The positions holding one index value form a run, in their original
+    order, and runs are laid out one after another in stable order of
+    length; ``positions`` is that layout (None when it is the identity,
+    else an array of the narrowest integer type that holds it), ``starts``
+    where each run begins in it and ``ids`` each run's index value.
+
+    Rows of width k reduce one bucket at a time: the c runs of one length L
+    are gathered position-major into an (L, c, k) block (the first row of
+    every run, then every second row, and so on) that one ``ufunc.reduce``
+    over axis 0 collapses, with long contiguous inner loops and each run
+    taken left to right. That is one Python step per distinct run length, at
+    most sqrt(2m) for m positions whatever the skew of the index, and one
+    bucket's rows copied at a time; a bucket that already lies in that order
+    (a single run, like the time column of a time-unaware graph) is read as
+    a view. Scalar rows are gathered whole, m values, and reduced run by
+    run with one ``ufunc.reduceat``, which walks each run contiguously.
     """
 
-    __slots__ = ("order", "starts", "ids")
+    __slots__ = ("index", "positions", "starts", "ids", "buckets")
 
-    def __init__(self, idx: np.ndarray):
-        idx = np.asarray(idx, dtype=np.int64)
-        self.order = None
-        if np.any(idx[1:] < idx[:-1]):
+    def __init__(self, index: np.ndarray):
+        idx = self.index = np.asarray(index, dtype=np.int64)
+        m = len(idx)
+        order = None
+        if (idx[1:] < idx[:-1]).any():
             # (index, position) keys are unique, so the fast unstable sort
             # yields exactly the stable order
-            self.order = np.argsort(idx * len(idx) + np.arange(len(idx)))
-            idx = idx[self.order]
-        first = np.ones(len(idx), dtype=bool)
-        first[1:] = idx[1:] != idx[:-1]
-        self.starts = np.flatnonzero(first)
-        self.ids = idx[self.starts]
+            order = np.argsort(idx * m + np.arange(m))
+            idx = idx[order]
+        starts = np.flatnonzero(np.diff(idx, prepend=idx[:1] - 1))
+        lengths = np.diff(starts, append=m)
+        ids = idx[starts]
+        if (lengths[1:] < lengths[:-1]).any():
+            by_length = np.argsort(lengths, kind="stable")
+            lengths, ids = lengths[by_length], ids[by_length]
+            moved = np.cumsum(lengths) - lengths
+            runs = np.repeat(starts[by_length] - moved, lengths) + np.arange(m)
+            order, starts = (runs if order is None else order[runs]), moved
+        self.positions = None if order is None else order.astype(np.min_scalar_type(m))
+        self.starts, self.ids = starts, ids
+        edges = (np.flatnonzero(np.diff(lengths)) + 1).tolist()
+        self.buckets = [(int(starts[lo]), int(lengths[lo]), ids[lo:hi])
+                        for lo, hi in zip([0] + edges, edges + [len(ids)]) if hi > lo]
 
     def reduce(self, ufunc: np.ufunc, x: np.ndarray, size: int, fill=0) -> np.ndarray:
         """``ufunc`` over the rows of ``x`` in each run; ``fill`` where no row falls."""
-        out = np.full((size,) + x.shape[1:], fill, dtype=x.dtype)
-        if len(self.starts):
-            rows = x if self.order is None else np.take(x, self.order, axis=0)
-            out[self.ids] = ufunc.reduceat(rows, self.starts, axis=0)
+        rest = x.shape[1:]
+        out = np.full((size,) + rest, fill, dtype=x.dtype)
+        pos = self.positions
+        if not rest:
+            if len(self.ids):
+                out[self.ids] = ufunc.reduceat(x if pos is None else x.take(pos), self.starts)
+            return out
+        for a, length, ids in self.buckets:
+            c = len(ids)
+            if pos is None and (length == 1 or c == 1):
+                block = x[a:a + c * length]  # already position-major
+            else:
+                span = np.arange(a, a + c * length) if pos is None else pos[a:a + c * length]
+                block = x.take(span.reshape(c, length).T, axis=0)
+            block = block.reshape((length, c) + rest)
+            out[ids] = ufunc.reduce(block, axis=0) if length > 1 else block[0]
         return out
 
 
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows (axis 0); the backward sums each source row's gradients."""
-    idx = np.asarray(idx, dtype=np.int64)
+def _grouping(index: np.ndarray | Grouping) -> Grouping:
+    return index if isinstance(index, Grouping) else Grouping(index)
+
+
+def gather_rows(a: Tensor, idx: np.ndarray | Grouping) -> Tensor:
+    """Select rows (axis 0); the backward sums each source row's gradients.
+
+    ``idx`` is an index array, grouped only if the backward runs, or a
+    prebuilt :class:`Grouping` of one.
+    """
+    runs = idx if isinstance(idx, Grouping) else None
+    index = np.asarray(idx, dtype=np.int64) if runs is None else runs.index
 
     def bw(g):
-        a.accumulate(_Runs(idx).reduce(np.add, g, len(a.data)), owned=True)
+        by_index = Grouping(index) if runs is None else runs
+        a.accumulate(by_index.reduce(np.add, g, len(a.data)), owned=True)
 
-    return Tensor(np.take(a.data, idx, axis=0), (a,), bw)
+    return Tensor(np.take(a.data, index, axis=0), (a,), bw)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -327,15 +375,17 @@ def householder_apply(h: Tensor, x: Tensor) -> Tensor:
     return Tensor(out, (h, x), bw)
 
 
-def segment_softmax(logits: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
+def segment_softmax(
+    logits: Tensor, segments: np.ndarray | Grouping, num_segments: int
+) -> Tensor:
     """Softmax within each segment (max-subtracted for stability).
 
-    ``segments[i]`` names the group of element i; groups need not be
-    contiguous. Elements of empty groups do not exist, so no division by
-    zero can occur.
+    ``segments[i]`` names the group of element i (an index array or its
+    :class:`Grouping`); groups need not be contiguous. Elements of empty
+    groups do not exist, so no division by zero can occur.
     """
-    seg = np.asarray(segments, dtype=np.int64)
-    runs = _Runs(seg)
+    runs = _grouping(segments)
+    seg = runs.index
     z = logits.data
     e = np.exp(z - runs.reduce(np.maximum, z, num_segments, -np.inf)[seg])
     w = e / runs.reduce(np.add, e, num_segments)[seg]
@@ -347,14 +397,15 @@ def segment_softmax(logits: Tensor, segments: np.ndarray, num_segments: int) -> 
     return Tensor(w, (logits,), bw)
 
 
-def segment_sum(x: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of x into their segment's output row."""
-    seg = np.asarray(segments, dtype=np.int64)
+def segment_sum(x: Tensor, segments: np.ndarray | Grouping, num_segments: int) -> Tensor:
+    """Sum rows of x into their segment's output row (``segments`` as in
+    :func:`segment_softmax`)."""
+    runs = _grouping(segments)
 
     def bw(g):
-        x.accumulate(np.take(g, seg, axis=0), owned=True)
+        x.accumulate(np.take(g, runs.index, axis=0), owned=True)
 
-    return Tensor(_Runs(seg).reduce(np.add, x.data, num_segments), (x,), bw)
+    return Tensor(runs.reduce(np.add, x.data, num_segments), (x,), bw)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:

@@ -7,8 +7,11 @@ self-loops), the CSLS neighbourhood its metrics were ranked with and the seed
 that produced the run. The version is checked before
 anything else in the header is read, so a checkpoint of another format is
 refused with a ConfigError whatever keys it carries; so is a missing file,
-one that is not an ``.npz`` archive, a header that is not JSON, and arrays
-that do not match the header's parameters by name or shape.
+one that is not an ``.npz`` archive, a header that is not JSON, a header
+value of the wrong type (the version, sizes, seed and ``k_csls`` must be
+ints, ``self_loops`` a bool) or outside its choices (``mode``,
+``precision``), and arrays that do not match the header's parameters by
+name or shape.
 Arrays are stored row-major exactly as trained.
 """
 from __future__ import annotations
@@ -17,16 +20,13 @@ import json
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError
-from .model import ModelConfig, init_params, num_relation_rows
+from .errors import ConfigError, require_field_types
+from .model import DTYPES, ModelConfig, init_params, num_relation_rows
 from .optim import ParameterStore
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .train import TrainResult
+from .train import MODES, TrainResult
 
 FORMAT_VERSION = 4
 
@@ -56,7 +56,7 @@ class CheckpointMeta:
                            self_loops=self.self_loops, precision=self.precision)
 
 
-def meta_from_result(result: "TrainResult") -> CheckpointMeta:
+def meta_from_result(result: TrainResult) -> CheckpointMeta:
     """Derive the checkpoint header from a finished training run."""
     cfg = result.config
     kg = result.merged.kg
@@ -108,6 +108,13 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
             meta = CheckpointMeta(**header)
         except TypeError as exc:
             raise ConfigError(f"{path}: malformed checkpoint header ({exc})") from exc
+        require_field_types(CheckpointMeta, header, f"{path}: checkpoint header")
+        if meta.mode not in MODES:
+            raise ConfigError(f"{path}: checkpoint header: mode must be one of {MODES},"
+                              f" got {meta.mode!r}")
+        if meta.precision not in DTYPES:
+            raise ConfigError(f"{path}: checkpoint header: precision must be one of"
+                              f" {sorted(DTYPES)}, got {meta.precision!r}")
         store = init_params(
             np.random.default_rng(0),
             meta.num_entities,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, meta_from_result, save_checkpoint
-from .errors import ConfigError, DatasetError, TkgAlignError
+from .errors import ConfigError, DatasetError, TkgAlignError, require_field_types
 from .evaluate import average_reports
 from .forge import (
     ForgeSpec,
@@ -131,6 +131,7 @@ def _load_config_file(path: str | None) -> dict:
     unknown = set(payload) - {f.name for f in dataclasses.fields(TrainConfig)}
     if unknown:
         raise ConfigError(f"{p}: unknown config keys {sorted(unknown)}")
+    require_field_types(TrainConfig, payload, str(p))
     return payload
 
 

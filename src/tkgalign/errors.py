@@ -1,5 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the type check of
+JSON-decoded settings that raises its ConfigError."""
 from __future__ import annotations
+
+import typing
 
 
 class TkgAlignError(Exception):
@@ -46,3 +49,18 @@ class TrainingDivergedError(TkgAlignError):
         self.epoch = epoch
         self.last_good = last_good
         super().__init__(f"training diverged at epoch {epoch}")
+
+
+def require_field_types(cls: type, values: dict, where: str) -> None:
+    """Raise a ConfigError naming the first key of ``values`` whose value has
+    another type than dataclass ``cls`` declares for that field.
+
+    The values come from JSON, which decodes to bool, int, float, str, list
+    and dict. bool is an int subclass in Python, so the check is by exact
+    type; a float field also takes an int.
+    """
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        want = hints[key]
+        if type(value) is not want and not (want is float and type(value) is int):
+            raise ConfigError(f"{where}: {key!r} must be {want.__name__}, got {value!r}")

@@ -10,11 +10,12 @@ the entity's incident timestamps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Grouping, Tensor
 from .errors import ConfigError, GraphError
 from .evaluate import time_sensitivity
 from .optim import ParameterStore
@@ -54,11 +55,19 @@ class FlatGraph:
 
     Row m of ``src``/``dst``/``rel``/``time`` is one directed link
     src[m] -> dst[m]; aggregation groups rows by ``dst``. Rows are stored
-    grouped by ``dst`` (see :func:`prepare_graph`), so every per-entity
-    aggregation is a reduction over contiguous runs of rows, with no sort
-    and no scatter. The ``time`` of an entity's rows is also its
+    grouped by ``dst`` (see :func:`prepare_graph`), so each entity's inward
+    links are one contiguous run of rows and grouping by ``dst`` needs no
+    sort. The ``time`` of an entity's rows is also its
     incident-timestamp multiset, which the final time-mean block averages
     (one entry per inward link).
+
+    The graph owns the :class:`~tkgalign.autodiff.Grouping` of each column
+    (``by_src``, ``by_dst``, ``by_rel``, ``by_time``), which every gather
+    and segment reduction over links takes in place of the raw column. Each
+    is built on first use and kept: building a graph (``train(epochs=0)``)
+    groups nothing, and every later forward and backward reuses the same
+    groupings. The columns must not be changed in place;
+    ``dataclasses.replace`` makes a new graph, which builds its own.
     """
 
     num_entities: int
@@ -70,6 +79,22 @@ class FlatGraph:
     @property
     def num_links(self) -> int:
         return len(self.src)
+
+    @cached_property
+    def by_src(self) -> Grouping:
+        return Grouping(self.src)
+
+    @cached_property
+    def by_dst(self) -> Grouping:
+        return Grouping(self.dst)
+
+    @cached_property
+    def by_rel(self) -> Grouping:
+        return Grouping(self.rel)
+
+    @cached_property
+    def by_time(self) -> Grouping:
+        return Grouping(self.time)
 
 
 def prepare_graph(
@@ -149,7 +174,12 @@ def init_params(
 
 
 def attention_logits(
-    h: Tensor, dst: np.ndarray, transformed: Tensor, table: Tensor, idx: np.ndarray, nu: Tensor
+    h: Tensor,
+    dst: np.ndarray | Grouping,
+    transformed: Tensor,
+    table: Tensor,
+    idx: np.ndarray | Grouping,
+    nu: Tensor,
 ) -> Tensor:
     """Per-link score nu . [h[dst] | reflected neighbor | table[idx]].
 
@@ -197,23 +227,24 @@ def layer_forward(
 
     ``rel_e``/``time_e`` are ``rel_table``/``time_table`` gathered by
     ``graph.rel``/``graph.time``; the reflections use the per-link rows, the
-    attention's edge term the tables. Entities with no inward links get a
-    zero output row (ReLU of an empty sum). ``h`` must already carry dropout
-    if training.
+    attention's edge term the tables. Every gather and reduction over links
+    uses the graph's own column groupings. Entities with no inward links get
+    a zero output row (ReLU of an empty sum). ``h`` must already carry
+    dropout if training.
     """
-    h_src = ad.gather_rows(h, graph.src)
+    h_src = ad.gather_rows(h, graph.by_src)
     via_time = ad.householder_apply(time_e, h_src)
     via_rel = ad.householder_apply(rel_e, h_src)
-    alpha = attention_logits(h, graph.dst, via_time, time_table, graph.time, nu_time)
-    beta = attention_logits(h, graph.dst, via_rel, rel_table, graph.rel, nu_rel)
+    alpha = attention_logits(h, graph.by_dst, via_time, time_table, graph.by_time, nu_time)
+    beta = attention_logits(h, graph.by_dst, via_rel, rel_table, graph.by_rel, nu_rel)
     # softmax within each destination entity's inward links
-    omega = ad.segment_softmax(alpha, graph.dst, graph.num_entities)
-    upsilon = ad.segment_softmax(beta, graph.dst, graph.num_entities)
+    omega = ad.segment_softmax(alpha, graph.by_dst, graph.num_entities)
+    upsilon = ad.segment_softmax(beta, graph.by_dst, graph.num_entities)
     if probe is not None:
         probe.record(omega.data, graph.dst, graph.num_entities)
         probe.record(upsilon.data, graph.dst, graph.num_entities)
     message = ad.add(ad.scale_rows(via_time, omega), ad.scale_rows(via_rel, upsilon))
-    return ad.relu(ad.segment_sum(message, graph.dst, graph.num_entities))
+    return ad.relu(ad.segment_sum(message, graph.by_dst, graph.num_entities))
 
 
 def incident_time_mean(time_e: Tensor, graph: FlatGraph, dtype: np.dtype) -> Tensor:
@@ -226,7 +257,7 @@ def incident_time_mean(time_e: Tensor, graph: FlatGraph, dtype: np.dtype) -> Ten
     inv = np.zeros(graph.num_entities, dtype=dtype)
     nonzero = counts > 0
     inv[nonzero] = 1.0 / counts[nonzero]
-    summed = ad.segment_sum(time_e, graph.dst, graph.num_entities)
+    summed = ad.segment_sum(time_e, graph.by_dst, graph.num_entities)
     return ad.scale_rows_const(summed, inv)
 
 
@@ -248,8 +279,8 @@ def model_forward(
         raise ConfigError("training with dropout requires an rng")
     rel_table = ad.normalize_rows(store["relation"])
     time_table = ad.normalize_rows(store["time"])
-    rel_e = ad.gather_rows(rel_table, graph.rel)
-    time_e = ad.gather_rows(time_table, graph.time)
+    rel_e = ad.gather_rows(rel_table, graph.by_rel)
+    time_e = ad.gather_rows(time_table, graph.by_time)
     acts = [store["entity"]]
     for layer in range(cfg.num_layers):
         h_in = ad.dropout(acts[-1], cfg.dropout, rng, training)

@@ -327,6 +327,96 @@ class TestSortedReductions:
         assert np.array_equal(got[untouched], np.zeros_like(a[untouched]))
 
 
+def sequential_reduce(ufunc, x, idx, size, fill):
+    """Reference: each group's rows folded left to right in a Python loop."""
+    out = np.full((size,) + x.shape[1:], fill, dtype=x.dtype)
+    for group in range(size):
+        rows = x[idx == group]
+        if len(rows):
+            acc = rows[0].copy()
+            for row in rows[1:]:
+                acc = ufunc(acc, row)
+            out[group] = acc
+    return out
+
+
+def grouping_cases():
+    """(name, index, number of groups) for the length-bucketed reduction."""
+    gen = np.random.default_rng(7)
+    skewed = np.repeat(np.arange(12), [1, 1, 2, 3, 3, 3, 5, 8, 8, 13, 40, 1])
+    return [
+        ("sorted", np.sort(gen.integers(0, 30, 200)), 30),
+        ("unsorted-ties", gen.integers(0, 30, 200), 30),
+        ("skewed-shuffled", gen.permutation(skewed), 12),
+        ("empty-groups", np.array([5, 1, 5, 5, 1, 8]), 10),
+        ("one-run", np.full(300, 3), 5),
+        ("all-distinct", gen.permutation(50), 50),
+        ("no-rows", np.zeros(0, dtype=np.int64), 4),
+    ]
+
+
+class TestBucketedReduction:
+    """``Grouping.reduce`` against a per-group sequential loop in float64.
+
+    Each bucket reduces its runs along one axis, so a sum may be taken in
+    another order than the loop's; the two agree to float64 rounding."""
+
+    @pytest.mark.parametrize("name, idx, size", grouping_cases(),
+                             ids=[c[0] for c in grouping_cases()])
+    @pytest.mark.parametrize("width", [None, 4], ids=["1-D", "2-D"])
+    def test_matches_sequential_loop(self, name, idx, size, width):
+        gen = np.random.default_rng(len(idx))
+        x = rows_of(gen, len(idx), width, np.float64)
+        runs = ad.Grouping(idx)
+        empty = np.setdiff1d(np.arange(size), idx)
+        for ufunc, fill in ((np.add, 0.0), (np.maximum, -np.inf)):
+            got = runs.reduce(ufunc, x, size, fill)
+            want = sequential_reduce(ufunc, x, idx, size, fill)
+            assert got.shape == want.shape and got.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert np.all(got[empty] == fill)
+
+    @pytest.mark.parametrize("name, idx, size", grouping_cases(),
+                             ids=[c[0] for c in grouping_cases()])
+    def test_one_bucket_per_distinct_run_length(self, name, idx, size):
+        runs = ad.Grouping(idx)
+        lengths = np.bincount(idx, minlength=size)
+        assert [length for _, length, _ in runs.buckets] == sorted(set(lengths[lengths > 0]))
+        named = [int(i) for _, _, ids in runs.buckets for i in ids]
+        assert sorted(named) == sorted(set(idx.tolist()))
+
+    def test_single_run_is_one_bucket_in_place(self):
+        runs = ad.Grouping(np.full(300, 3))
+        (start, length, ids), = runs.buckets
+        assert runs.positions is None  # rows are reduced where they lie
+        assert (start, length, ids.tolist()) == (0, 300, [3])
+
+    def test_positions_lay_runs_out_by_length(self):
+        runs = ad.Grouping(np.array([4, 1, 4, 2, 4, 1]))
+        assert runs.positions.tolist() == [3, 1, 5, 0, 2, 4]
+        assert runs.starts.tolist() == [0, 1, 3] and runs.ids.tolist() == [2, 1, 4]
+        assert [(a, length, ids.tolist()) for a, length, ids in runs.buckets] == \
+            [(0, 1, [2]), (1, 2, [1]), (3, 3, [4])]
+
+    def test_prebuilt_grouping_equals_index_array(self, rng):
+        idx = rng.integers(0, 6, 40)
+        runs = ad.Grouping(idx)
+        x = rng.normal(size=(40, 3))
+        z = rng.normal(size=40)
+        table = rng.normal(size=(6, 3))
+        pairs = [
+            (lambda t, i: ad.segment_sum(t, i, 7), x),
+            (lambda t, i: ad.segment_softmax(t, i, 7), z),
+            (lambda t, i: ad.gather_rows(t, i), table),
+        ]
+        for op, data in pairs:
+            c = rng.normal(size=op(ad.leaf(data), idx).shape)
+            assert np.array_equal(op(ad.leaf(data), runs).data, op(ad.leaf(data), idx).data)
+            assert np.array_equal(input_grad(lambda t: op(t, runs), data, c),
+                                  input_grad(lambda t: op(t, idx), data, c))
+        assert runs.index.dtype == np.int64 and np.array_equal(runs.index, idx)
+
+
 class TestElementwiseOps:
     def test_arith_values(self):
         a, b = ad.leaf(np.array([2.0, -1.0])), ad.leaf(np.array([3.0, 5.0]))

@@ -107,6 +107,24 @@ class TestHeaderChecks:
         with pytest.raises(ConfigError, match="format None"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("mode", "bogus", "mode must be one of ('time-aware', 'time-unaware'), got 'bogus'"),
+        ("precision", "f16", "precision must be one of ['f32', 'f64'], got 'f16'"),
+        ("self_loops", 1, "'self_loops' must be bool, got 1"),
+        ("dim", 8.0, "'dim' must be int, got 8.0"),
+        ("num_entities", "7", "'num_entities' must be int, got '7'"),
+        ("k_csls", True, "'k_csls' must be int, got True"),
+    ], ids=["mode", "precision", "self_loops", "dim", "num_entities", "k_csls"])
+    def test_header_value_rejected(self, tmp_path, key, value, message):
+        store, meta = small_store()
+        header = {**json.loads(meta.to_json()), key: value}
+        path = tmp_path / "bad.npz"
+        arrays = {name: t.data for name, t in store.items()}
+        np.savez(path, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: checkpoint header: {message}"
+
     def test_shape_mismatch_rejected(self, tmp_path):
         store, meta = small_store()
         path = tmp_path / "model.npz"

@@ -265,6 +265,34 @@ class TestTrain:
         assert "learning_rate" in capsys.readouterr().err
         assert read_manifest(out)["status"] == "failure"
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("self_loops", "off", "bool"),
+        ("dim", "8", "int"),
+        ("epochs", True, "int"),
+        ("lr", True, "float"),
+        ("dropout", "0.1", "float"),
+        ("precision", ["f32"], "str"),
+    ], ids=["bool-as-str", "int-as-str", "int-as-bool", "float-as-bool", "float-as-str",
+            "str-as-list"])
+    def test_config_value_of_wrong_type_exits_2(self, dataset_dir, tmp_path, capsys,
+                                                key, value, kind):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps({"dim": 4, "num_layers": 1, "epochs": 2, "dropout": 0.0,
+                                   key: value}))
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(dataset_dir), "--repeats", "1",
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {key!r} must be {kind}, got {value!r}\n"
+        assert read_manifest(out)["status"] == "failure"
+
+    def test_config_float_field_takes_an_int(self, tmp_path):
+        cfg = tmp_path / "ints.json"
+        cfg.write_text(json.dumps({"margin": 2, "lr": 1, "self_loops": False}))
+        args = build_parser().parse_args(["train", "--data", "unused", "--config", str(cfg)])
+        config = _build_train_config(args)
+        assert (config.margin, config.lr, config.self_loops) == (2, 1, False)
+
     @pytest.mark.parametrize("flags", [["--threads", "2"], ["--emit-plots"]])
     def test_removed_flags_exit_2(self, dataset_dir, tmp_path, capsys, flags):
         code = main(TRAIN_ARGS + ["--data", str(dataset_dir), "--out", str(tmp_path / "o")]
@@ -487,6 +515,26 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert message in err
+        assert read_manifest(out)["status"] == "failure"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("mode", "bogus", "mode must be one of ('time-aware', 'time-unaware'), got 'bogus'"),
+        ("dim", 4.0, "'dim' must be int, got 4.0"),
+    ], ids=["mode", "dim"])
+    def test_header_value_of_wrong_kind_exits_2(self, dataset_dir, trained, tmp_path, capsys,
+                                               key, value, message):
+        with np.load(trained / "run_0" / "checkpoint.npz") as archive:
+            arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
+            header = json.loads(bytes(archive["__meta__"]).decode())
+        header[key] = value
+        path = tmp_path / "bad.npz"
+        np.savez(path, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+                 **arrays)
+        out = tmp_path / "o"
+        code = main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: checkpoint header: {message}\n"
         assert read_manifest(out)["status"] == "failure"
 
     def test_single_metric_single_direction(self, dataset_dir, trained, tmp_path):

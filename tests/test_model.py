@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tkgalign import autodiff as ad
+from tkgalign import model as model_module
 from tkgalign.errors import ConfigError
 from tkgalign.model import (
     AttentionProbe,
@@ -443,6 +444,43 @@ class TestModelForward:
             store, graph, cfg, training=True, rng=np.random.default_rng(5)
         ).data
         assert np.array_equal(a, b)
+
+    def test_graph_groups_each_column_once(self, fixture_6ent, monkeypatch):
+        """Two training forwards, each backpropagated, group the four link
+        columns once between them, and through the graph's own groupings."""
+        grouped = []
+
+        class CountingGrouping(ad.Grouping):
+            __slots__ = ()
+
+            def __init__(self, index):
+                grouped.append(index)
+                super().__init__(index)
+
+        monkeypatch.setattr(model_module, "Grouping", CountingGrouping)
+        store, graph, _, cfg, _ = self.build(fixture_6ent)
+        assert grouped == []  # building a graph groups nothing
+        for seed in (5, 6):
+            reps = model_forward(store, graph, cfg, training=True, rng=np.random.default_rng(seed))
+            ad.backward(ad.sum_all(reps))
+        columns = (graph.src, graph.dst, graph.rel, graph.time)
+        assert len(grouped) == 4
+        assert all(any(g is c for g in grouped) for c in columns)
+        for name, column in zip(("by_src", "by_dst", "by_rel", "by_time"), columns):
+            assert getattr(graph, name) is getattr(graph, name)
+            assert getattr(graph, name).index is column
+
+    def test_time_unaware_graph_gets_fresh_groupings(self, fixture_6ent):
+        _, graph, _, _, _ = self.build(fixture_6ent)
+        before = {name: getattr(graph, name) for name in ("by_src", "by_dst", "by_rel", "by_time")}
+        unaware = apply_time_unaware(graph)
+        for name, grouping in before.items():
+            assert getattr(unaware, name) is not grouping
+        assert unaware.by_time.index is unaware.time
+        (start, length, ids), = unaware.by_time.buckets  # one run of every link
+        assert (start, length, ids.tolist()) == (0, graph.num_links, [UNKNOWN_TIME_ID])
+        assert unaware.by_time.positions is None
+        assert graph.by_time is before["by_time"]
 
     def test_training_with_dropout_requires_rng(self, fixture_6ent):
         store, graph, _, cfg, _ = self.build(fixture_6ent)

@@ -313,6 +313,8 @@ def cmd_forge_split(args: argparse.Namespace, manifest: RunManifest) -> int:
     manifest.data["config"] = {"ratio": args.ratio, "seeds": args.seeds,
                                "seed": args.seed, "source": args.source}
     manifest.data["seeds"] = [args.seed]
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     quads = read_source_quads(args.source)
     manifest.data["inputs"][args.source] = _sha256(Path(args.source))
     result = split_to_result(quads, args.ratio, args.seeds, np.random.default_rng(args.seed), name=args.name)

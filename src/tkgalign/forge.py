@@ -72,6 +72,8 @@ class ForgeSpec:
                 raise ConfigError(f"{fname} must be >= 1")
         if self.planted_pairs < 0 or self.planted_untimed_pairs < 0:
             raise ConfigError("planted pair counts must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def num_twins(self) -> int:

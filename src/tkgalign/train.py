@@ -66,6 +66,9 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.negatives_per_positive < 0:
             raise ConfigError("negatives_per_positive must be >= 0 (0 = auto)")
+        for name in ("eval_every", "patience", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.k_csls < 1:
             raise ConfigError(f"k_csls must be >= 1, got {self.k_csls}")
 
@@ -84,13 +87,6 @@ def default_negatives(num_entities_1: int, num_entities_2: int, num_seeds: int) 
     if num_seeds < 1:
         raise ConfigError("need at least one seed pair to train")
     return (num_entities_1 + num_entities_2) // num_seeds + 1
-
-
-def l1_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise L1 distance on the tape: (n, d) x (n, d) -> (n,)."""
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"dimension mismatch {a.data.shape} vs {b.data.shape}")
-    return ad.row_sum(ad.absolute(ad.sub(a, b)))
 
 
 def sample_negatives(
@@ -131,27 +127,50 @@ def margin_loss(
     neg_tgt: np.ndarray,
     margin: float,
 ) -> Tensor:
-    """Hinge loss summed over both corruption directions.
+    """Hinge loss summed over both corruption directions, as one tape node.
 
-    Every corrupted pair contributes ReLU(d(pos) + margin - d(neg)); the
-    positive distance is shared across its eta corruptions.
+    Every corrupted pair contributes ReLU(d(pos) + margin - d(neg)) with d
+    the row-wise L1 distance; the positive distance is shared across its eta
+    corruptions. Hinge j compares rows ``left[j]`` and ``right[j]``: the
+    first P*eta corrupt the target, the rest the source.
+
+    The backward keeps only the signs of the row differences and the
+    active hinges: the gradient into ``reps`` is a sum of sign rows times the
+    upstream scalar, reduced by one :class:`autodiff.Grouping`. From a
+    backward root (upstream 1) its entries are integers, so they are exact
+    in any summation order.
     """
     pairs = np.asarray(pairs)
     num_pos, eta = neg_tgt.shape
     src, tgt = pairs[:, 0], pairs[:, 1]
-    d_pos = l1_rows(ad.gather_rows(reps, src), ad.gather_rows(reps, tgt))
-    d_pos_rep = ad.gather_rows(d_pos, np.repeat(np.arange(num_pos), eta))
-    d_neg_tgt = l1_rows(
-        ad.gather_rows(reps, np.repeat(src, eta)),
-        ad.gather_rows(reps, neg_tgt.reshape(-1)),
-    )
-    d_neg_src = l1_rows(
-        ad.gather_rows(reps, neg_src.reshape(-1)),
-        ad.gather_rows(reps, np.repeat(tgt, eta)),
-    )
-    hinge_tgt = ad.relu(ad.add_scalar(ad.sub(d_pos_rep, d_neg_tgt), margin))
-    hinge_src = ad.relu(ad.add_scalar(ad.sub(d_pos_rep, d_neg_src), margin))
-    return ad.add(ad.sum_all(hinge_tgt), ad.sum_all(hinge_src))
+    left = np.concatenate([np.repeat(src, eta), neg_src.reshape(-1)])
+    right = np.concatenate([neg_tgt.reshape(-1), np.repeat(tgt, eta)])
+    x = reps.data
+    diff_pos = x[src] - x[tgt]
+    diff_neg = x[left]
+    diff_neg -= x[right]
+    d_pos = np.abs(diff_pos).sum(axis=1)
+    hinge = (np.tile(np.repeat(d_pos, eta), 2) - np.abs(diff_neg).sum(axis=1)) + margin
+    active = hinge > 0
+    hinge = np.where(active, hinge, 0)
+    # one sum per direction, then their sum: this order fixes the loss's rounding
+    loss = hinge[:num_pos * eta].sum() + hinge[num_pos * eta:].sum()
+
+    # an active hinge sends -sign(left - right) to its left row and
+    # +sign(left - right) to its right row, and +sign(src - tgt) and
+    # -sign(src - tgt) to its positive pair's rows. Integer signs take a
+    # quarter of float32's bytes and, negated, give no -0.0.
+    uses = active.reshape(2, num_pos, eta).sum(axis=(0, 2))
+    pos = np.sign(diff_pos).astype(np.int8) * uses[:, None]
+    neg = np.sign(diff_neg[active]).astype(np.int8)
+    index = np.concatenate([src, tgt, left[active], right[active]])
+
+    def bw(g):
+        rows = np.concatenate([pos, -pos, -neg, neg], dtype=x.dtype)
+        rows *= g
+        reps.accumulate(ad.Grouping(index).reduce(np.add, rows, len(x)), owned=True)
+
+    return Tensor(np.asarray(loss), (reps,), bw)
 
 
 def apply_time_unaware(graph: FlatGraph) -> FlatGraph:

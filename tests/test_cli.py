@@ -87,6 +87,13 @@ class TestForgeSynth:
         assert "error:" in capsys.readouterr().err
         assert read_manifest(tmp_path / "bad")["status"] == "failure"
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        assert main(SYNTH_ARGS + ["--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "triples_1").exists()
+
 
 class TestForgeSplit:
     def test_split_external_source(self, tmp_path, capsys):
@@ -109,6 +116,17 @@ class TestForgeSplit:
         assert "overlap 0.500000" in capsys.readouterr().out
         man = read_manifest(out)
         assert str(src) in man["inputs"]
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "source.tsv"
+        src.write_text("".join(f"{s}\t0\t{s + 1}\t1\t2\n" for s in range(8)))
+        out = tmp_path / "o"
+        code = main(["forge", "split", "--source", str(src), "--seeds", "2", "--seed", "-1",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "triples_1").exists()
 
     def test_missing_source_exits_2(self, tmp_path, capsys):
         code = main(["forge", "split", "--source", str(tmp_path / "ghost.tsv"),
@@ -338,6 +356,25 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err == f"error: repeats must be >= 1, got {repeats}\n"
         assert read_manifest(out)["status"] == "failure"
+
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--seed", "-1"], None, "seed must be >= 0, got -1"),
+        ([], {"seed": -1}, "seed must be >= 0, got -1"),
+        (["--eval-every", "-1"], None, "eval_every must be >= 0, got -1"),
+        (["--eval-every", "1", "--patience", "-2"], None, "patience must be >= 0, got -2"),
+    ], ids=["seed-flag", "seed-config", "eval-every", "patience"])
+    def test_negative_value_exits_2(self, dataset_dir, tmp_path, capsys, flags, config, message):
+        if config is not None:
+            cfg = tmp_path / "neg.json"
+            cfg.write_text(json.dumps(config))
+            flags = ["--config", str(cfg)]
+        out = tmp_path / "o"
+        argv = ["train", "--data", str(dataset_dir), "--repeats", "1", "--dim", "4",
+                "--layers", "1", "--epochs", "3", "--out", str(out)]
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert read_manifest(out)["status"] == "failure"
+        assert not [p for p in out.iterdir() if p.is_dir()]
 
     def test_every_config_field_has_a_flag_that_overrides_the_file(self, tmp_path):
         parser = build_parser()

@@ -23,6 +23,7 @@ from tkgalign.tkg import UNKNOWN_TIME_ID, merge_pair
 from tkgalign.train import apply_time_unaware
 
 from conftest import make_kg, quad
+from test_autodiff import mul, sum_all
 
 
 def unit(v):
@@ -120,7 +121,7 @@ class TestAttentionPieces:
         out = attention_logits(th, dst, ttr, ttable, idx, tnu)
         concat = np.concatenate([h[dst], tr, table[idx]], axis=1)  # the (m, 3k) oracle
         assert np.max(np.abs(out.data - concat @ nu)) < 1e-12
-        ad.backward(ad.sum_all(ad.mul(out, ad.leaf(c))))
+        ad.backward(sum_all(mul(out, ad.leaf(c))))
         want_h = np.zeros_like(h)
         for m in range(6):
             want_h[dst[m]] += c[m] * nu[:k]
@@ -160,7 +161,7 @@ class TestAttentionPieces:
         out = attention_logits(th, dst, ttr, ttable, idx, tnu)
         concat = np.concatenate([h[dst], tr, table[idx]], axis=1)
         assert np.max(np.abs(out.data - concat @ nu)) < 1e-12
-        ad.backward(ad.sum_all(ad.mul(out, ad.leaf(c))))
+        ad.backward(sum_all(mul(out, ad.leaf(c))))
         want_h = np.zeros_like(h)
         np.add.at(want_h, dst, c[:, None] * nu[:k])
         want_table = np.zeros_like(table)
@@ -329,7 +330,7 @@ class TestConcatAndTimeMean:
                           np.array([1, 2, 2, 0]))
         time_e = ad.leaf(rng.normal(size=(4, 3)))
         c = rng.normal(size=(3, 3))
-        ad.backward(ad.sum_all(ad.mul(incident_time_mean(time_e, graph, np.float64),
+        ad.backward(sum_all(mul(incident_time_mean(time_e, graph, np.float64),
                                       ad.leaf(c))))
         want = np.stack([c[0] / 3, c[0] / 3, c[0] / 3, c[2]])
         assert np.max(np.abs(time_e.grad - want)) < 1e-15
@@ -462,7 +463,7 @@ class TestModelForward:
         assert grouped == []  # building a graph groups nothing
         for seed in (5, 6):
             reps = model_forward(store, graph, cfg, training=True, rng=np.random.default_rng(seed))
-            ad.backward(ad.sum_all(reps))
+            ad.backward(sum_all(reps))
         columns = (graph.src, graph.dst, graph.rel, graph.time)
         assert len(grouped) == 4
         assert all(any(g is c for g in grouped) for c in columns)

@@ -8,6 +8,8 @@ from tkgalign import autodiff as ad
 from tkgalign.errors import NonFiniteError
 from tkgalign.optim import ParameterStore, RmsPropState, gradient_check
 
+from test_autodiff import mul, sum_all
+
 
 def store_with(**arrays) -> ParameterStore:
     store = ParameterStore()
@@ -123,7 +125,7 @@ class TestGradientCheck:
 
         def loss():
             t = store["theta"]
-            return ad.sum_all(ad.mul(t, t))
+            return sum_all(mul(t, t))
 
         worst = gradient_check(loss, store)
         assert worst["theta"] < 1e-9
@@ -133,7 +135,7 @@ class TestGradientCheck:
 
         def loss():
             t = store["theta"]
-            out = ad.sum_all(ad.mul(t, t))
+            out = sum_all(mul(t, t))
             # sabotage: double the backward contribution
             inner = out.backward_fn
 
@@ -151,7 +153,7 @@ class TestGradientCheck:
 
         def loss():
             t = store["theta"]
-            return ad.sum_all(ad.mul(t, t))
+            return sum_all(mul(t, t))
 
         worst = gradient_check(
             loss, store, coords_per_param=7, rng=np.random.default_rng(2)
@@ -166,7 +168,7 @@ class TestGradientCheck:
 
         def loss():
             t = store["theta"]
-            return ad.sum_all(ad.mul(t, t))
+            return sum_all(mul(t, t))
 
         gradient_check(loss, store)
         assert np.array_equal(store["theta"].data, data)

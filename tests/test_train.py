@@ -16,36 +16,10 @@ from tkgalign.train import (
     TrainConfig,
     apply_time_unaware,
     default_negatives,
-    l1_rows,
     margin_loss,
     sample_negatives,
     train,
 )
-
-
-class TestL1:
-    def test_identical_is_zero(self, rng):
-        x = rng.normal(size=(3, 8))
-        assert np.all(l1_rows(ad.leaf(x), ad.leaf(x.copy())).data == 0.0)
-
-    def test_simple_pair(self):
-        rows = l1_rows(ad.leaf(np.array([[1.0, 2.0]])), ad.leaf(np.zeros((1, 2)))).data
-        assert rows.tolist() == [3.0]
-
-    def test_matches_naive_loop(self, rng):
-        x, y = rng.normal(size=(1, 30)), rng.normal(size=(1, 30))
-        naive = sum(abs(a - b) for a, b in zip(x[0], y[0]))
-        assert l1_rows(ad.leaf(x), ad.leaf(y)).data[0] == pytest.approx(naive, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            l1_rows(ad.leaf(np.zeros((2, 3))), ad.leaf(np.zeros((2, 4))))
-
-    def test_tape_version_agrees(self, rng):
-        a, b = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
-        rows = l1_rows(ad.leaf(a), ad.leaf(b)).data
-        for i in range(4):
-            assert rows[i] == pytest.approx(np.abs(a[i] - b[i]).sum(), abs=1e-12)
 
 
 class TestSampleNegatives:
@@ -185,6 +159,101 @@ class TestMarginLoss:
             fd = (up - down) / (2 * step)
             a = t.grad.reshape(-1)[c]
             assert abs(a - fd) / max(abs(a), abs(fd), 1e-8) < 1e-5
+
+
+def composed_loss(x, pairs, neg_src, neg_tgt, margin):
+    """The hinge loss written out op by op in numpy: L1 rows per direction,
+    ReLU, each direction summed, then the two sums added."""
+    src, tgt = pairs[:, 0], pairs[:, 1]
+    eta = neg_tgt.shape[1]
+    d_pos = np.abs(x[src] - x[tgt]).sum(axis=1)[np.repeat(np.arange(len(pairs)), eta)]
+    d_neg_tgt = np.abs(x[np.repeat(src, eta)] - x[neg_tgt.reshape(-1)]).sum(axis=1)
+    d_neg_src = np.abs(x[neg_src.reshape(-1)] - x[np.repeat(tgt, eta)]).sum(axis=1)
+    sums = []
+    for d_neg in (d_neg_tgt, d_neg_src):
+        h = (d_pos - d_neg) + margin
+        sums.append(np.where(h > 0, h, 0).sum())
+    return sums[0] + sums[1]
+
+
+def loop_gradient(x, pairs, neg_src, neg_tgt, margin):
+    """The loss gradient hinge by hinge: every active hinge adds +-1 sign
+    terms to the four rows it reads."""
+    grad = np.zeros_like(x)
+    for p, (s, t) in enumerate(pairs):
+        corrupted = [(s, n) for n in neg_tgt[p]] + [(n, t) for n in neg_src[p]]
+        for a, b in corrupted:
+            d_pos = np.abs(x[s] - x[t]).sum()
+            d_neg = np.abs(x[a] - x[b]).sum()
+            if (d_pos - d_neg) + margin > 0:
+                grad[s] += np.sign(x[s] - x[t])
+                grad[t] -= np.sign(x[s] - x[t])
+                grad[a] -= np.sign(x[a] - x[b])
+                grad[b] += np.sign(x[a] - x[b])
+    return grad
+
+
+def oracle_cases():
+    """(reps, pairs, neg_src, neg_tgt, margin) per named case."""
+    gen = np.random.default_rng(5)
+    pairs = np.array([[0, 4], [1, 5]])
+    return {
+        # 5 is pair 1's target and a negative of pair 0; pair 1 repeats 6
+        "shared-and-repeated": (gen.normal(size=(8, 5)), pairs,
+                                np.array([[2, 1], [3, 3]]), np.array([[5, 7], [6, 6]]), 0.7),
+        # small integers: many zero-difference coordinates and exact ties
+        "zero-differences": (gen.integers(-1, 2, size=(8, 5)).astype(float), pairs,
+                             np.array([[2, 3], [0, 2]]), np.array([[6, 7], [4, 5]]), 1.0),
+        # negatives far from every positive: no hinge is active
+        "all-inactive": (np.concatenate([np.zeros((6, 3)), np.full((2, 3), 9.0)]), pairs,
+                         np.array([[6, 7], [7, 6]]), np.array([[6, 7], [7, 7]]), 1.0),
+        "eta-1-margin-0": (gen.normal(size=(6, 4)), np.array([[0, 3], [1, 4], [2, 5]]),
+                           np.array([[1], [2], [0]]), np.array([[4], [5], [3]]), 0.0),
+    }
+
+
+class TestMarginLossOracle:
+    """The fused loss against the composed formula (value) and a loop over
+    every hinge (gradient), bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", list(oracle_cases()))
+    def test_bitwise_against_composed_loss_and_hinge_loop(self, case, dtype):
+        x, *args = oracle_cases()[case]
+        x = x.astype(dtype)
+        reps = ad.leaf(x.copy())
+        loss = margin_loss(reps, *args)
+        assert loss.data.dtype == dtype
+        assert loss.data.tobytes() == composed_loss(x, *args).tobytes()
+        ad.backward(loss)
+        assert reps.grad.dtype == dtype
+        assert reps.grad.tobytes() == loop_gradient(x, *args).tobytes()
+        if case == "all-inactive":
+            assert float(loss.data) == 0.0 and not reps.grad.any()
+        if case == "zero-differences":
+            pairs = args[0]
+            assert (x[pairs[:, 0]] == x[pairs[:, 1]]).any() and reps.grad.any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_batches_bitwise(self, dtype):
+        gen = np.random.default_rng(9)
+        for _ in range(20):
+            k, num_pos, eta = (int(v) for v in gen.integers(1, [7, 5, 6]))
+            x = gen.normal(size=(12, k)).astype(dtype)
+            pairs = gen.integers(0, 12, size=(num_pos, 2))
+            neg_src, neg_tgt = gen.integers(0, 12, size=(2, num_pos, eta))
+            args = (pairs, neg_src, neg_tgt, float(gen.choice([0.0, 0.5, 2.0])))
+            reps = ad.leaf(x.copy())
+            loss = margin_loss(reps, *args)
+            assert loss.data.tobytes() == composed_loss(x, *args).tobytes()
+            ad.backward(loss)
+            assert reps.grad.tobytes() == loop_gradient(x, *args).tobytes()
+
+    def test_one_tape_node(self):
+        x, *args = oracle_cases()["shared-and-repeated"]
+        reps = ad.leaf(x)
+        loss = margin_loss(reps, *args)
+        assert loss.parents == (reps,) and loss.data.shape == ()
 
 
 class TestApplyTimeUnaware:

@@ -11,12 +11,12 @@ preserve the dtype of their inputs (float32 for training, float64 for
 verification) and avoid BLAS so that results are bit-reproducible at
 thread count 1.
 
-Every reduction by an index array (the segment ops, the backward of
-:func:`gather_rows` and that of the training loss) goes through a
-:class:`Grouping`: the positions of each index value form one run, in their
-original order, and runs of equal length are reduced together, one
-``ufunc.reduce`` over a (length, runs, k) block per distinct length; scalar
-rows are reduced run by run with one ``ufunc.reduceat``. Groups that no row names stay zero (``-inf`` for a
+Every reduction by an index array (the segment ops and the backward of
+:func:`gather_rows`) goes through a :class:`Grouping`: the positions of each
+index value form one run, in their original order, and runs of equal length
+are reduced together, one ``ufunc.reduce`` over a (length, runs, k) block per
+distinct length; scalar rows are reduced run by run with one
+``ufunc.reduceat``. Groups that no row names stay zero (``-inf`` for a
 maximum). A grouping depends only on the index array, so a caller that
 reduces by the same static column many times (a graph's link columns) builds
 it once and passes it in place of the array.
@@ -26,12 +26,13 @@ contribution without copying it only when the backward rule passes
 ``owned=True``, which a rule does for an array it has just computed and
 hands to no other node (the gather reduction, ``matvec``, both
 ``scale_rows`` ops, ``householder_apply``, the segment ops, ``relu``,
-``dropout``, ``normalize_rows`` and the training loss's sign-row
-reduction). Everything else is copied on first contribution: an upstream
-gradient passed on unchanged (``add`` hands one array to both parents), a
-view (``concat_cols``' column slices), a read-only array (a broadcast) and
-an array of another dtype or shape. Later contributions are added in place,
-so no two nodes ever share gradient memory.
+``absolute``, ``dropout``, ``normalize_rows``, ``row_sum``, ``sub``'s
+negated second operand and the training loss's hinge gradient). Everything
+else is copied on first contribution: an upstream gradient passed on
+unchanged (``add`` hands one array to both parents, ``sub`` passes it to its
+first operand), a view (``concat_cols``' column slices) and an array of
+another dtype or shape. Later contributions are added in place, so no two
+nodes ever share gradient memory.
 """
 from __future__ import annotations
 
@@ -129,7 +130,7 @@ def backward(root: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops
+# elementwise and reduction ops
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -140,6 +141,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data + b.data, (a, b), bw)
 
 
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    def bw(g):
+        a.accumulate(g)
+        b.accumulate(-g, owned=True)
+
+    return Tensor(a.data - b.data, (a, b), bw)
+
+
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
@@ -147,6 +156,25 @@ def relu(a: Tensor) -> Tensor:
         a.accumulate(g * mask, owned=True)
 
     return Tensor(np.where(mask, a.data, 0), (a,), bw)
+
+
+def absolute(a: Tensor) -> Tensor:
+    # subgradient 0 at the kink, matching the ReLU policy
+    sgn = np.sign(a.data)
+
+    def bw(g):
+        a.accumulate(g * sgn, owned=True)
+
+    return Tensor(np.abs(a.data), (a,), bw)
+
+
+def row_sum(a: Tensor) -> Tensor:
+    """(n, d) -> (n,) sum along axis 1."""
+
+    def bw(g):
+        a.accumulate(np.repeat(g[:, None], a.data.shape[1], axis=1), owned=True)
+
+    return Tensor(a.data.sum(axis=1), (a,), bw)
 
 
 # ---------------------------------------------------------------------------

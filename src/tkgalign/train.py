@@ -89,6 +89,13 @@ def default_negatives(num_entities_1: int, num_entities_2: int, num_seeds: int) 
     return (num_entities_1 + num_entities_2) // num_seeds + 1
 
 
+def l1_rows(a: Tensor, b: Tensor) -> Tensor:
+    """Row-wise L1 distance on the tape: (n, d) x (n, d) -> (n,)."""
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"dimension mismatch {a.data.shape} vs {b.data.shape}")
+    return ad.row_sum(ad.absolute(ad.sub(a, b)))
+
+
 def sample_negatives(
     pairs: np.ndarray,
     eta: int,
@@ -127,50 +134,37 @@ def margin_loss(
     neg_tgt: np.ndarray,
     margin: float,
 ) -> Tensor:
-    """Hinge loss summed over both corruption directions, as one tape node.
+    """Hinge loss summed over both corruption directions.
 
-    Every corrupted pair contributes ReLU(d(pos) + margin - d(neg)) with d
-    the row-wise L1 distance; the positive distance is shared across its eta
-    corruptions. Hinge j compares rows ``left[j]`` and ``right[j]``: the
-    first P*eta corrupt the target, the rest the source.
-
-    The backward keeps only the signs of the row differences and the
-    active hinges: the gradient into ``reps`` is a sum of sign rows times the
-    upstream scalar, reduced by one :class:`autodiff.Grouping`. From a
-    backward root (upstream 1) its entries are integers, so they are exact
-    in any summation order.
+    Every corrupted pair contributes ReLU(d(pos) + margin - d(neg)); the
+    positive distance is shared across its eta corruptions. One
+    :func:`l1_rows` gives the P positive distances, then the 2*P*eta
+    negative ones (target corruptions first).
+    The hinges, their ReLU and both sums are one tape node; from a backward
+    root its gradient is integer-valued, so it is exact in any summation order.
     """
     pairs = np.asarray(pairs)
     num_pos, eta = neg_tgt.shape
     src, tgt = pairs[:, 0], pairs[:, 1]
-    left = np.concatenate([np.repeat(src, eta), neg_src.reshape(-1)])
-    right = np.concatenate([neg_tgt.reshape(-1), np.repeat(tgt, eta)])
-    x = reps.data
-    diff_pos = x[src] - x[tgt]
-    diff_neg = x[left]
-    diff_neg -= x[right]
-    d_pos = np.abs(diff_pos).sum(axis=1)
-    hinge = (np.tile(np.repeat(d_pos, eta), 2) - np.abs(diff_neg).sum(axis=1)) + margin
+    left = np.concatenate([src, np.repeat(src, eta), neg_src.reshape(-1)])
+    right = np.concatenate([tgt, neg_tgt.reshape(-1), np.repeat(tgt, eta)])
+    dist = l1_rows(ad.gather_rows(reps, left), ad.gather_rows(reps, right))
+    d_pos, d_neg = dist.data[:num_pos], dist.data[num_pos:]
+    hinge = (np.tile(np.repeat(d_pos, eta), 2) - d_neg) + margin
     active = hinge > 0
     hinge = np.where(active, hinge, 0)
     # one sum per direction, then their sum: this order fixes the loss's rounding
     loss = hinge[:num_pos * eta].sum() + hinge[num_pos * eta:].sum()
-
-    # an active hinge sends -sign(left - right) to its left row and
-    # +sign(left - right) to its right row, and +sign(src - tgt) and
-    # -sign(src - tgt) to its positive pair's rows. Integer signs take a
-    # quarter of float32's bytes and, negated, give no -0.0.
     uses = active.reshape(2, num_pos, eta).sum(axis=(0, 2))
-    pos = np.sign(diff_pos).astype(np.int8) * uses[:, None]
-    neg = np.sign(diff_neg[active]).astype(np.int8)
-    index = np.concatenate([src, tgt, left[active], right[active]])
 
     def bw(g):
-        rows = np.concatenate([pos, -pos, -neg, neg], dtype=x.dtype)
-        rows *= g
-        reps.accumulate(ad.Grouping(index).reduce(np.add, rows, len(x)), owned=True)
+        grad = np.empty_like(dist.data)
+        grad[:num_pos] = uses
+        grad[num_pos:] = np.where(active, -1, 0)
+        grad *= g
+        dist.accumulate(grad, owned=True)
 
-    return Tensor(np.asarray(loss), (reps,), bw)
+    return Tensor(np.asarray(loss), (dist,), bw)
 
 
 def apply_time_unaware(graph: FlatGraph) -> FlatGraph:

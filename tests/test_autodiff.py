@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from tkgalign import autodiff as ad
 from tkgalign.errors import ConfigError, DegenerateEmbeddingError
@@ -439,17 +440,28 @@ class TestElementwiseOps:
     def test_arith_values(self):
         a, b = ad.leaf(np.array([2.0, -1.0])), ad.leaf(np.array([3.0, 5.0]))
         assert np.allclose(ad.add(a, b).data, [5.0, 4.0])
+        assert np.allclose(ad.sub(a, b).data, [-1.0, -6.0])
+        assert np.allclose(mul(a, b).data, [6.0, -5.0])
         assert np.allclose(ad.relu(a).data, [2.0, 0.0])
+        assert np.allclose(ad.absolute(a).data, [2.0, 1.0])
 
     def test_gradients(self, rng):
         a = rng.normal(size=(3, 2))
         b = rng.normal(size=(3, 2))
         c = rng.normal(size=(3, 2))
         check_grads(lambda ta, tb: sum_all(mul(ad.add(ta, tb), ad.leaf(c))), a, b)
+        check_grads(lambda ta, tb: sum_all(mul(ad.sub(ta, tb), ad.leaf(c))), a, b)
         check_grads(lambda ta, tb: sum_all(mul(ta, tb)), a, b)
-        # keep relu inputs away from its kink
+        # keep relu/abs inputs away from their kinks
         a_safe = a + np.sign(a) * 0.5
         check_grads(lambda t: sum_all(mul(ad.relu(t), ad.leaf(c))), a_safe)
+        check_grads(lambda t: sum_all(mul(ad.absolute(t), ad.leaf(c))), a_safe)
+
+    def test_row_sum(self, rng):
+        x = rng.normal(size=(4, 3))
+        assert np.allclose(ad.row_sum(ad.leaf(x)).data, x.sum(axis=1))
+        c = rng.normal(size=4)
+        check_grads(lambda t: sum_all(mul(ad.row_sum(t), ad.leaf(c))), x)
 
 
 class TestIndexingOps:
@@ -591,6 +603,20 @@ class TestTape:
         t = ad.leaf(theta)
         ad.backward(sum_all(mul(t, t)))
         assert np.max(np.abs(t.grad - 2 * theta)) < 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        npst.arrays(
+            np.float64,
+            npst.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4),
+            elements=st.floats(-10, 10),
+        )
+    )
+    def test_add_sub_roundtrip_gradient_cancels(self, x):
+        t = ad.leaf(x)
+        out = sum_all(ad.sub(ad.add(t, t), t))  # == sum(x)
+        ad.backward(out)
+        assert np.allclose(t.grad, np.ones_like(x))
 
 
 def copying_accumulate(self, g, owned=False):

@@ -16,10 +16,36 @@ from tkgalign.train import (
     TrainConfig,
     apply_time_unaware,
     default_negatives,
+    l1_rows,
     margin_loss,
     sample_negatives,
     train,
 )
+
+
+class TestL1:
+    def test_identical_is_zero(self, rng):
+        x = rng.normal(size=(3, 8))
+        assert np.all(l1_rows(ad.leaf(x), ad.leaf(x.copy())).data == 0.0)
+
+    def test_simple_pair(self):
+        rows = l1_rows(ad.leaf(np.array([[1.0, 2.0]])), ad.leaf(np.zeros((1, 2)))).data
+        assert rows.tolist() == [3.0]
+
+    def test_matches_naive_loop(self, rng):
+        x, y = rng.normal(size=(1, 30)), rng.normal(size=(1, 30))
+        naive = sum(abs(a - b) for a, b in zip(x[0], y[0]))
+        assert l1_rows(ad.leaf(x), ad.leaf(y)).data[0] == pytest.approx(naive, abs=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            l1_rows(ad.leaf(np.zeros((2, 3))), ad.leaf(np.zeros((2, 4))))
+
+    def test_tape_version_agrees(self, rng):
+        a, b = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+        rows = l1_rows(ad.leaf(a), ad.leaf(b)).data
+        for i in range(4):
+            assert rows[i] == pytest.approx(np.abs(a[i] - b[i]).sum(), abs=1e-12)
 
 
 class TestSampleNegatives:
@@ -212,9 +238,15 @@ def oracle_cases():
     }
 
 
+def exactly_equal(got, want):
+    """Same dtype and the same value in every entry. The sign of a zero is
+    free: the tape sums +-0.0 terms where the loop starts from +0.0."""
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestMarginLossOracle:
-    """The fused loss against the composed formula (value) and a loop over
-    every hinge (gradient), bit for bit."""
+    """The loss against the composed formula (value, bit for bit) and a loop
+    over every hinge (gradient, exact integer sums)."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", list(oracle_cases()))
@@ -226,8 +258,7 @@ class TestMarginLossOracle:
         assert loss.data.dtype == dtype
         assert loss.data.tobytes() == composed_loss(x, *args).tobytes()
         ad.backward(loss)
-        assert reps.grad.dtype == dtype
-        assert reps.grad.tobytes() == loop_gradient(x, *args).tobytes()
+        assert exactly_equal(reps.grad, loop_gradient(x, *args))
         if case == "all-inactive":
             assert float(loss.data) == 0.0 and not reps.grad.any()
         if case == "zero-differences":
@@ -247,13 +278,23 @@ class TestMarginLossOracle:
             loss = margin_loss(reps, *args)
             assert loss.data.tobytes() == composed_loss(x, *args).tobytes()
             ad.backward(loss)
-            assert reps.grad.tobytes() == loop_gradient(x, *args).tobytes()
+            assert exactly_equal(reps.grad, loop_gradient(x, *args))
 
-    def test_one_tape_node(self):
+    def test_hinges_are_one_node_over_one_l1_chain(self):
         x, *args = oracle_cases()["shared-and-repeated"]
+        pairs, neg_src, _, _ = args
         reps = ad.leaf(x)
         loss = margin_loss(reps, *args)
-        assert loss.parents == (reps,) and loss.data.shape == ()
+        (dist,) = loss.parents
+        assert loss.data.shape == () and dist.data.shape == (len(pairs) + 2 * neg_src.size,)
+        # row_sum <- absolute <- sub <- two gathers of reps
+        nodes, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes.add(id(node))
+                stack.extend(node.parents)
+        assert len(nodes) == 7
 
 
 class TestApplyTimeUnaware:

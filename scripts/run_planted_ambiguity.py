@@ -12,14 +12,15 @@ from tkgalign.experiments import PLANTED_AMBIGUITY, planted_ambiguity_experiment
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("planted_ambiguity.json"))
-    ap.add_argument("--epochs", type=int, default=PLANTED_AMBIGUITY.epochs)
+    ap.add_argument("--epochs", type=int, default=PLANTED_AMBIGUITY.train.epochs)
     ap.add_argument("--train-seeds", type=int, nargs="+",
                     default=list(PLANTED_AMBIGUITY.train_seeds))
     args = ap.parse_args()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
 
     cfg = dataclasses.replace(
-        PLANTED_AMBIGUITY, epochs=args.epochs, train_seeds=tuple(args.train_seeds)
+        PLANTED_AMBIGUITY, train=dataclasses.replace(PLANTED_AMBIGUITY.train, epochs=args.epochs),
+        train_seeds=tuple(args.train_seeds),
     )
     report = planted_ambiguity_experiment(cfg)
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

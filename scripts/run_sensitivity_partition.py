@@ -12,14 +12,15 @@ from tkgalign.experiments import SENSITIVITY_GAP, sensitivity_gap_experiment
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("sensitivity_gap.json"))
-    ap.add_argument("--epochs", type=int, default=SENSITIVITY_GAP.epochs)
+    ap.add_argument("--epochs", type=int, default=SENSITIVITY_GAP.train.epochs)
     ap.add_argument("--train-seeds", type=int, nargs="+",
                     default=list(SENSITIVITY_GAP.train_seeds))
     args = ap.parse_args()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
 
     cfg = dataclasses.replace(
-        SENSITIVITY_GAP, epochs=args.epochs, train_seeds=tuple(args.train_seeds)
+        SENSITIVITY_GAP, train=dataclasses.replace(SENSITIVITY_GAP.train, epochs=args.epochs),
+        train_seeds=tuple(args.train_seeds),
     )
     report = sensitivity_gap_experiment(cfg)
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -2,16 +2,17 @@
 
 A checkpoint is a numpy ``.npz`` archive holding every parameter array under
 its name plus a ``__meta__`` entry: a JSON header recording the format
-version, architecture sizes, precision, the graph options (mode and
-self-loops), the CSLS neighbourhood its metrics were ranked with and the seed
-that produced the run. The version is checked before
-anything else in the header is read, so a checkpoint of another format is
-refused with a ConfigError whatever keys it carries; so is a missing file,
-one that is not an ``.npz`` archive, a header that is not JSON, a header
-value of the wrong type (the version, sizes, seed and ``k_csls`` must be
-ints, ``self_loops`` a bool) or outside its choices (``mode``,
-``precision``), and arrays that do not match the header's parameters by
-name or shape.
+version, the table sizes (entities, relation rows, time ids) and the run
+settings named in :data:`RUN_SETTINGS` (architecture, precision, graph
+options, the CSLS neighbourhood its metrics were ranked with and the seed),
+copied from the run's :class:`~tkgalign.train.TrainConfig` by field name.
+The version is checked before anything else in the header is read, so a
+checkpoint of another format is refused with a ConfigError whatever keys it
+carries; so is a missing file, one that is not an ``.npz`` archive, a header
+that is not JSON, a header value of the wrong type (the version, sizes, seed
+and ``k_csls`` must be ints, ``self_loops`` a bool), run settings that
+``TrainConfig`` rejects, a negative size, and arrays that do not match the
+header's parameters by name or shape.
 Arrays are stored row-major exactly as trained.
 """
 from __future__ import annotations
@@ -24,11 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, require_field_types
-from .model import DTYPES, ModelConfig, init_params, num_relation_rows
+from .model import ModelConfig, init_params, num_relation_rows
 from .optim import ParameterStore
-from .train import MODES, TrainResult
+from .train import TrainConfig, TrainResult
 
 FORMAT_VERSION = 4
+# the TrainConfig fields a header records; CheckpointMeta carries each under its own name
+RUN_SETTINGS = ("dim", "num_layers", "precision", "self_loops", "mode", "seed", "k_csls")
+SIZES = ("num_entities", "num_relation_rows", "num_times")
 
 
 @dataclass(frozen=True)
@@ -51,27 +55,20 @@ class CheckpointMeta:
         return json.dumps(asdict(self), sort_keys=True)
 
     def model_config(self) -> ModelConfig:
-        """The architecture to rebuild (dropout stays at its default: inference skips it)."""
-        return ModelConfig(dim=self.dim, num_layers=self.num_layers,
-                           self_loops=self.self_loops, precision=self.precision)
+        """The architecture to rebuild, from run settings checked as ``train`` checks
+        them (dropout stays at its default: inference skips it)."""
+        return TrainConfig(**{name: getattr(self, name) for name in RUN_SETTINGS}).model_config()
 
 
 def meta_from_result(result: TrainResult) -> CheckpointMeta:
     """Derive the checkpoint header from a finished training run."""
-    cfg = result.config
     kg = result.merged.kg
     return CheckpointMeta(
         format_version=FORMAT_VERSION,
-        dim=cfg.dim,
-        num_layers=cfg.num_layers,
         num_entities=kg.num_entities,
-        num_relation_rows=num_relation_rows(kg.num_relations, cfg.self_loops),
+        num_relation_rows=num_relation_rows(kg.num_relations, result.config.self_loops),
         num_times=kg.time_index.num_ids,
-        precision=cfg.precision,
-        self_loops=cfg.self_loops,
-        mode=cfg.mode,
-        seed=cfg.seed,
-        k_csls=cfg.k_csls,
+        **{name: getattr(result.config, name) for name in RUN_SETTINGS},
     )
 
 
@@ -108,19 +105,21 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
             meta = CheckpointMeta(**header)
         except TypeError as exc:
             raise ConfigError(f"{path}: malformed checkpoint header ({exc})") from exc
-        require_field_types(CheckpointMeta, header, f"{path}: checkpoint header")
-        if meta.mode not in MODES:
-            raise ConfigError(f"{path}: checkpoint header: mode must be one of {MODES},"
-                              f" got {meta.mode!r}")
-        if meta.precision not in DTYPES:
-            raise ConfigError(f"{path}: checkpoint header: precision must be one of"
-                              f" {sorted(DTYPES)}, got {meta.precision!r}")
+        where = f"{path}: checkpoint header"
+        require_field_types(CheckpointMeta, header, where)
+        try:
+            mcfg = meta.model_config()
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        for name in SIZES:
+            if getattr(meta, name) < 0:
+                raise ConfigError(f"{where}: {name} must be >= 0, got {getattr(meta, name)}")
         store = init_params(
             np.random.default_rng(0),
             meta.num_entities,
             meta.num_relation_rows,
             meta.num_times,
-            meta.model_config(),
+            mcfg,
         )
         names = {k for k in archive.files if k != "__meta__"}
         expected = {name for name, _ in store.items()}

@@ -40,7 +40,7 @@ from .forge import (
     synth_tkg,
     write_dataset,
 )
-from .model import num_relation_rows
+from .model import ModelConfig, num_relation_rows
 from .tkg import DATASET_FILES, merge_pair, parse_dataset
 from .train import MODES, TrainConfig, build_graph, score_model, train
 
@@ -290,19 +290,8 @@ def _write_forged(result, args: argparse.Namespace, manifest: RunManifest, overl
 
 
 def cmd_forge_synth(args: argparse.Namespace, manifest: RunManifest) -> int:
-    spec = ForgeSpec(
-        entities=args.entities,
-        relations=args.relations,
-        time_steps=args.time_steps,
-        quads_per_entity=args.quads_per_entity,
-        planted_pairs=args.planted,
-        planted_untimed_pairs=args.planted_untimed,
-        nontemporal_entity_fraction=args.nontemporal_fraction,
-        overlap_ratio=args.ratio,
-        seed_count=args.seeds,
-        seed=args.seed,
-        name=args.name,
-    )
+    # every ForgeSpec field has a flag whose dest is the field's name
+    spec = ForgeSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ForgeSpec)})
     manifest.data["config"] = dataclasses.asdict(spec)
     manifest.data["seeds"] = [spec.seed]
     result = synth_tkg(spec)
@@ -310,19 +299,21 @@ def cmd_forge_synth(args: argparse.Namespace, manifest: RunManifest) -> int:
 
 
 def cmd_forge_split(args: argparse.Namespace, manifest: RunManifest) -> int:
-    manifest.data["config"] = {"ratio": args.ratio, "seeds": args.seeds,
+    manifest.data["config"] = {"ratio": args.overlap_ratio, "seeds": args.seed_count,
                                "seed": args.seed, "source": args.source}
     manifest.data["seeds"] = [args.seed]
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
     quads = read_source_quads(args.source)
     manifest.data["inputs"][args.source] = _sha256(Path(args.source))
-    result = split_to_result(quads, args.ratio, args.seeds, np.random.default_rng(args.seed), name=args.name)
+    result = split_to_result(quads, args.overlap_ratio, args.seed_count,
+                             np.random.default_rng(args.seed), name=args.name)
     overlap = measured_overlap(result.g1, result.g2, result.seeds.all_pairs)
     return _write_forged(result, args, manifest, overlap)
 
 
 def cmd_forge_stats(args: argparse.Namespace, manifest: RunManifest) -> int:
+    ModelConfig(dim=args.k, num_layers=args.layers)  # the model's own checks of both values
     data_dir = resolve_data_dir(args.data)
     manifest.record_input_dir(data_dir)
     g1, g2, seeds = parse_dataset(data_dir)
@@ -390,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     fsub = fg.add_subparsers(dest="forge_command", required=True)
 
     def add_split_args(p):
-        p.add_argument("--ratio", type=float, default=0.5)
-        p.add_argument("--seeds", type=int, default=20)
+        p.add_argument("--ratio", dest="overlap_ratio", type=float, default=0.5)
+        p.add_argument("--seeds", dest="seed_count", type=int, default=20)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--name", default="synth")
         _add_common(p)
@@ -401,9 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     fs.add_argument("--relations", type=int, default=4)
     fs.add_argument("--time-steps", type=int, default=40)
     fs.add_argument("--quads-per-entity", type=int, default=4)
-    fs.add_argument("--planted", type=int, default=3)
-    fs.add_argument("--planted-untimed", type=int, default=0)
-    fs.add_argument("--nontemporal-fraction", type=float, default=0.0)
+    fs.add_argument("--planted", dest="planted_pairs", type=int, default=3)
+    fs.add_argument("--planted-untimed", dest="planted_untimed_pairs", type=int, default=0)
+    fs.add_argument("--nontemporal-fraction", dest="nontemporal_entity_fraction", type=float,
+                    default=0.0)
     add_split_args(fs)
     fs.set_defaults(func=cmd_forge_synth)
 

@@ -12,15 +12,19 @@ Two experiments, each fully pinned by its default config:
   ones. Each partition is re-ranked inside its own sub-pool, as
   ``tkgalign eval --partition`` does.
 
-Every run is scored by CSLS through :func:`train.score_model`. Reports are
-plain dicts; apart from ``runtime_seconds``, reruns with the same config
-give identical reports.
+An :class:`ExperimentConfig` is a forge spec, one
+:class:`~tkgalign.train.TrainConfig` and the training seeds; each run trains
+that config with its mode and seed replaced, so the experiments declare no
+training setting of their own. Every run is scored by CSLS through
+:func:`train.score_model`. Reports are plain dicts, with the training
+settings under ``config["train"]``; apart from ``runtime_seconds``, reruns
+with the same config give identical reports.
 """
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -39,29 +43,8 @@ class ExperimentConfig:
     """One dataset recipe plus the training setup run per seed and mode."""
 
     forge: ForgeSpec
-    epochs: int
-    dim: int = 25
-    num_layers: int = 2
-    lr: float = 0.005
-    margin: float = 1.0
-    dropout: float = 0.3
-    precision: str = "f32"
-    self_loops: bool = True
+    train: TrainConfig
     train_seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-
-    def train_config(self, mode: str, seed: int) -> TrainConfig:
-        return TrainConfig(
-            dim=self.dim,
-            num_layers=self.num_layers,
-            lr=self.lr,
-            margin=self.margin,
-            dropout=self.dropout,
-            epochs=self.epochs,
-            seed=seed,
-            mode=mode,
-            precision=self.precision,
-            self_loops=self.self_loops,
-        )
 
 
 PLANTED_AMBIGUITY = ExperimentConfig(
@@ -75,7 +58,7 @@ PLANTED_AMBIGUITY = ExperimentConfig(
         seed=11,
         name="planted",
     ),
-    epochs=500,
+    train=TrainConfig(dim=25, epochs=500),
 )
 
 SENSITIVITY_GAP = ExperimentConfig(
@@ -91,7 +74,7 @@ SENSITIVITY_GAP = ExperimentConfig(
         seed=23,
         name="hybrid",
     ),
-    epochs=2000,
+    train=TrainConfig(dim=25, epochs=2000),
 )
 
 
@@ -105,7 +88,7 @@ def _run_one(
 ) -> tuple[dict[str, RankingReport], TrainReport]:
     """Train one model and rank the test pairs by CSLS: its reports keyed by
     partition (the whole pool under "all"), and its training report."""
-    result = train(data.g1, data.g2, data.seeds, cfg.train_config(mode, seed))
+    result = train(data.g1, data.g2, data.seeds, replace(cfg.train, mode=mode, seed=seed))
     reports = score_model(
         result.store, result.graph, result.config.model_config(),
         result.merged.merged_pairs(data.seeds.test_pairs),

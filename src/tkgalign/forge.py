@@ -567,6 +567,8 @@ def split_to_result(
     name: str = "split",
 ) -> ForgeResult:
     """Split an externally supplied (n, 5) source into a dataset pair with seeds."""
+    if seed_count < 1:
+        raise ConfigError(f"seed_count must be >= 1, got {seed_count}")
     split = split_overlap(quads, overlap_ratio, rng)
     max_time = int(max(split.quads_1[:, 3:].max(initial=0), split.quads_2[:, 3:].max(initial=0)))
     time_index = TimeIndex([UNKNOWN_TIME_LABEL] + [f"t{i}" for i in range(1, max_time + 1)])

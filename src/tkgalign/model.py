@@ -42,7 +42,7 @@ class ModelConfig:
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.precision not in DTYPES:
-            raise ConfigError(f"precision must be one of {sorted(DTYPES)}")
+            raise ConfigError(f"precision must be one of {sorted(DTYPES)}, got {self.precision!r}")
 
     @property
     def dtype(self) -> np.dtype:

@@ -38,7 +38,9 @@ MODES = ("time-aware", "time-unaware")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything a run needs; defaults follow the reference setup."""
+    """Everything a run needs; defaults follow the reference setup. The one place a
+    run setting is declared and checked: the CLI, the experiments and the
+    checkpoint header take their settings from these fields by name."""
 
     dim: int = 100
     num_layers: int = 2
@@ -58,10 +60,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.margin < 0:
-            raise ConfigError(f"margin must be >= 0, got {self.margin}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (np.isfinite(self.margin) and self.margin >= 0):
+            raise ConfigError(f"margin must be finite and >= 0, got {self.margin}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.negatives_per_positive < 0:
@@ -71,6 +73,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.k_csls < 1:
             raise ConfigError(f"k_csls must be >= 1, got {self.k_csls}")
+        self.model_config()  # checks dim, num_layers, dropout and precision
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(

@@ -1,4 +1,5 @@
 """Checkpoint files: roundtrip fidelity, header checks, byte determinism."""
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from tkgalign.checkpoint import (
     FORMAT_VERSION,
+    RUN_SETTINGS,
     CheckpointMeta,
     load_checkpoint,
     meta_from_result,
@@ -64,6 +66,19 @@ class TestRoundTrip:
         for name, tensor in result.store.items():
             assert np.array_equal(dict(loaded.items())[name].data, tensor.data)
 
+    def test_header_records_the_run_settings(self, fixture_6ent):
+        """Every field of the header is the format version, a table size, or a
+        TrainConfig setting copied by name from the run that wrote it."""
+        g1, g2, seeds = fixture_6ent
+        cfg = TrainConfig(dim=3, num_layers=1, epochs=1, seed=2, mode="time-unaware",
+                          precision="f64", self_loops=False, k_csls=4)
+        meta = meta_from_result(train(g1, g2, seeds, cfg))
+        assert set(RUN_SETTINGS) <= {f.name for f in dataclasses.fields(TrainConfig)}
+        assert {f.name for f in dataclasses.fields(CheckpointMeta)} == \
+            {"format_version", "num_entities", "num_relation_rows", "num_times", *RUN_SETTINGS}
+        assert {name: getattr(meta, name) for name in RUN_SETTINGS} == \
+            {name: getattr(cfg, name) for name in RUN_SETTINGS}
+
 
 class TestHeaderChecks:
     def test_missing_header_rejected(self, tmp_path):
@@ -114,7 +129,16 @@ class TestHeaderChecks:
         ("dim", 8.0, "'dim' must be int, got 8.0"),
         ("num_entities", "7", "'num_entities' must be int, got '7'"),
         ("k_csls", True, "'k_csls' must be int, got True"),
-    ], ids=["mode", "precision", "self_loops", "dim", "num_entities", "k_csls"])
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("k_csls", 0, "k_csls must be >= 1, got 0"),
+        ("dim", 0, "embedding dim must be >= 1, got 0"),
+        ("num_layers", -1, "layer count must be >= 0, got -1"),
+        ("num_entities", -1, "num_entities must be >= 0, got -1"),
+        ("num_relation_rows", -2, "num_relation_rows must be >= 0, got -2"),
+        ("num_times", -1, "num_times must be >= 0, got -1"),
+    ], ids=["mode", "precision", "self_loops", "dim", "num_entities", "k_csls", "seed-negative",
+            "k_csls-zero", "dim-zero", "num_layers-negative", "num_entities-negative",
+            "num_relation_rows-negative", "num_times-negative"])
     def test_header_value_rejected(self, tmp_path, key, value, message):
         store, meta = small_store()
         header = {**json.loads(meta.to_json()), key: value}

@@ -7,6 +7,7 @@ import pytest
 
 from tkgalign.checkpoint import load_checkpoint
 from tkgalign.cli import DATA_ROOT_ENV, _build_train_config, build_parser, main
+from tkgalign.forge import ForgeSpec
 from tkgalign.train import TrainConfig
 
 SYNTH_ARGS = [
@@ -95,6 +96,26 @@ class TestForgeSynth:
         assert not (out / "triples_1").exists()
 
 
+    def test_every_spec_field_has_a_flag_that_reaches_the_spec(self, tmp_path):
+        parser = build_parser()
+        forge_parser = parser._subparsers._group_actions[0].choices["forge"]
+        synth_parser = forge_parser._subparsers._group_actions[0].choices["synth"]
+        actions = {a.dest: a for a in synth_parser._actions}
+        spec = ForgeSpec(entities=30, relations=5, time_steps=20, quads_per_entity=3,
+                         planted_pairs=1, planted_untimed_pairs=1,
+                         nontemporal_entity_fraction=0.25, overlap_ratio=0.75, seed_count=7,
+                         seed=4, name="every")
+        flags = []
+        for f in dataclasses.fields(ForgeSpec):
+            assert f.name in actions, f"ForgeSpec.{f.name} has no forge synth flag"
+            value = getattr(spec, f.name)
+            assert value != actions[f.name].default, f.name
+            flags += [actions[f.name].option_strings[0], str(value)]
+        out = tmp_path / "every"
+        assert main(["forge", "synth", *flags, "--out", str(out)]) == 0
+        assert read_manifest(out)["config"] == dataclasses.asdict(spec)
+
+
 class TestForgeSplit:
     def test_split_external_source(self, tmp_path, capsys):
         src = tmp_path / "source.tsv"
@@ -127,6 +148,18 @@ class TestForgeSplit:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert read_manifest(out)["status"] == "failure"
         assert not (out / "triples_1").exists()
+
+    @pytest.mark.parametrize("seeds", ["-1", "0"])
+    def test_non_positive_seed_count_exits_2(self, tmp_path, capsys, seeds):
+        src = tmp_path / "source.tsv"
+        src.write_text("".join(f"{s}\t0\t{s + 1}\t1\t2\n" for s in range(8)))
+        out = tmp_path / "o"
+        code = main(["forge", "split", "--source", str(src), "--seeds", seeds,
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: seed_count must be >= 1, got {seeds}\n"
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "sup_pairs").exists()
 
     def test_missing_source_exits_2(self, tmp_path, capsys):
         code = main(["forge", "split", "--source", str(tmp_path / "ghost.tsv"),
@@ -189,6 +222,21 @@ class TestForgeStats:
         assert "self-loop delta when enabled: +10" in text
         man = read_manifest(out)
         assert man["metrics"]["param_count"] > 0
+
+    @pytest.mark.parametrize("k, layers, message", [
+        ("-3", "-1", "embedding dim must be >= 1, got -3"),
+        ("0", "2", "embedding dim must be >= 1, got 0"),
+        ("10", "-1", "layer count must be >= 0, got -1"),
+    ], ids=["both", "k-zero", "layers"])
+    def test_bad_k_or_layers_exits_2(self, dataset_dir, tmp_path, capsys, k, layers, message):
+        out = tmp_path / "o"
+        code = main(["forge", "stats", "--data", str(dataset_dir), "--k", k,
+                     "--layers", layers, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "trainable parameters" not in captured.out
+        assert read_manifest(out)["status"] == "failure"
 
     def test_data_root_env_resolution(self, dataset_dir, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(DATA_ROOT_ENV, str(dataset_dir.parent))
@@ -372,6 +420,25 @@ class TestTrain:
         argv = ["train", "--data", str(dataset_dir), "--repeats", "1", "--dim", "4",
                 "--layers", "1", "--epochs", "3", "--out", str(out)]
         assert main(argv + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert read_manifest(out)["status"] == "failure"
+        assert not [p for p in out.iterdir() if p.is_dir()]
+
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--margin", "nan"], None, "margin must be finite and >= 0, got nan"),
+        (["--margin", "inf"], None, "margin must be finite and >= 0, got inf"),
+        (["--lr", "nan"], None, "lr must be finite and positive, got nan"),
+        (["--lr", "inf"], None, "lr must be finite and positive, got inf"),
+        ([], '{"margin": NaN}', "margin must be finite and >= 0, got nan"),
+    ], ids=["margin-nan", "margin-inf", "lr-nan", "lr-inf", "margin-nan-config"])
+    def test_non_finite_value_exits_2(self, dataset_dir, tmp_path, capsys, flags, config,
+                                      message):
+        if config is not None:
+            cfg = tmp_path / "nan.json"
+            cfg.write_text(config)
+            flags = ["--config", str(cfg)]
+        out = tmp_path / "o"
+        assert main(TRAIN_ARGS + ["--data", str(dataset_dir), "--out", str(out)] + flags) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert read_manifest(out)["status"] == "failure"
         assert not [p for p in out.iterdir() if p.is_dir()]

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tkgalign import experiments
 from tkgalign.errors import ConfigError
 from tkgalign.evaluate import partition_test_pairs, rank_alignment
 from tkgalign.experiments import (
@@ -20,20 +21,21 @@ from tkgalign.experiments import (
 )
 from tkgalign.forge import synth_tkg
 from tkgalign.model import model_forward
-from tkgalign.train import train
+from tkgalign.train import TrainConfig, train
 
 ROOT = Path(__file__).resolve().parents[1]
 MODES = (("time-aware", "tea"), ("time-unaware", "tu"))
 
 
-def short(cfg):
-    return dataclasses.replace(cfg, epochs=20, train_seeds=(0,))
+def short(cfg, epochs=20):
+    return dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, epochs=epochs),
+                               train_seeds=(0,))
 
 
 def retrained(cfg, mode):
     """Seed 0's run of ``cfg`` again, ranked by hand: (run, reps, merged test pairs)."""
     data = synth_tkg(cfg.forge)
-    run = train(data.g1, data.g2, data.seeds, cfg.train_config(mode, 0))
+    run = train(data.g1, data.g2, data.seeds, dataclasses.replace(cfg.train, mode=mode, seed=0))
     reps = model_forward(run.store, run.graph, run.config.model_config()).data
     return run, reps, run.merged.merged_pairs(data.seeds.test_pairs)
 
@@ -66,9 +68,29 @@ def test_partition_hits1_is_criterion_8s(sensitivity_report, mode, tag):
 def test_empty_partition_is_named():
     """PLANTED_AMBIGUITY's forge spec has no untimed facts, so no test pair is
     lowly time-sensitive and the lowly gap is undefined."""
-    cfg = dataclasses.replace(SENSITIVITY_GAP, forge=PLANTED_AMBIGUITY.forge, epochs=2, train_seeds=(0,))
+    cfg = dataclasses.replace(short(SENSITIVITY_GAP, epochs=2), forge=PLANTED_AMBIGUITY.forge)
     with pytest.raises(ConfigError, match="lowly"):
         sensitivity_gap_experiment(cfg)
+
+
+@pytest.mark.parametrize("experiment, cfg, epochs", [
+    (planted_ambiguity_experiment, PLANTED_AMBIGUITY, 500),
+    (sensitivity_gap_experiment, SENSITIVITY_GAP, 2000),
+], ids=["planted", "sensitivity"])
+def test_runs_train_the_reference_setup(monkeypatch, experiment, cfg, epochs):
+    """Each run trains the experiment's TrainConfig with only its mode and seed
+    replaced; this pins the settings both experiments have always used."""
+    seen = []
+
+    def spy(g1, g2, seeds, config):
+        seen.append(config)
+        return train(g1, g2, seeds, dataclasses.replace(config, epochs=1))
+
+    monkeypatch.setattr(experiments, "train", spy)
+    experiment(dataclasses.replace(cfg, train_seeds=(3,)))
+    reference = TrainConfig(dim=25, num_layers=2, lr=0.005, margin=1.0, dropout=0.3,
+                            precision="f32", self_loops=True, epochs=epochs)
+    assert seen == [dataclasses.replace(reference, mode=mode, seed=3) for mode, _ in MODES]
 
 
 @pytest.mark.parametrize("mode, tag", MODES)

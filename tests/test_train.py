@@ -344,6 +344,30 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="k_csls"):
             TrainConfig(k_csls=k)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("margin", float("nan"), "margin must be finite and >= 0, got nan"),
+        ("margin", float("inf"), "margin must be finite and >= 0, got inf"),
+        ("lr", float("nan"), "lr must be finite and positive, got nan"),
+        ("lr", float("inf"), "lr must be finite and positive, got inf"),
+        ("lr", 0.0, "lr must be finite and positive, got 0.0"),
+    ], ids=["margin-nan", "margin-inf", "lr-nan", "lr-inf", "lr-zero"])
+    def test_non_finite_or_out_of_range_float_rejected(self, key, value, message):
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(**{key: value})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dim", 0, "embedding dim must be >= 1, got 0"),
+        ("num_layers", -1, "layer count must be >= 0, got -1"),
+        ("dropout", 1.0, "dropout must be in [0, 1), got 1.0"),
+        ("precision", "f16", "precision must be one of ['f32', 'f64'], got 'f16'"),
+    ], ids=["dim", "num_layers", "dropout", "precision"])
+    def test_model_settings_checked_when_built(self, key, value, message):
+        """The model's own checks run when the config is built, not when it is used."""
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(**{key: value})
+        assert str(err.value) == message
+
 
 class TestTrainLoop:
     def small_config(self, **kw):

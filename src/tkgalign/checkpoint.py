@@ -11,9 +11,10 @@ checkpoint of another format is refused with a ConfigError whatever keys it
 carries; so is a missing file, one that is not an ``.npz`` archive, a header
 that is not JSON, a header value of the wrong type (the version, sizes, seed
 and ``k_csls`` must be ints, ``self_loops`` a bool), run settings that
-``TrainConfig`` rejects, a negative size, and arrays that do not match the
-header's parameters by name or shape.
-Arrays are stored row-major exactly as trained.
+``TrainConfig`` rejects, a negative size, arrays that do not match by name or
+shape the tables ``model.param_shapes`` lays out for the header, and an array
+holding a NaN or infinity. Arrays are stored row-major exactly as trained and
+loaded as stored, with no model built and no random numbers drawn.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, require_field_types
-from .model import ModelConfig, init_params, num_relation_rows
+from .model import ModelConfig, param_shapes, table_sizes
 from .optim import ParameterStore
 from .train import TrainConfig, TrainResult
 
@@ -54,6 +55,11 @@ class CheckpointMeta:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
+    @property
+    def sizes(self) -> tuple[int, int, int]:
+        """The table sizes, in :data:`SIZES` order."""
+        return tuple(getattr(self, name) for name in SIZES)
+
     def model_config(self) -> ModelConfig:
         """The architecture to rebuild, from run settings checked as ``train`` checks
         them (dropout stays at its default: inference skips it)."""
@@ -62,12 +68,9 @@ class CheckpointMeta:
 
 def meta_from_result(result: TrainResult) -> CheckpointMeta:
     """Derive the checkpoint header from a finished training run."""
-    kg = result.merged.kg
     return CheckpointMeta(
         format_version=FORMAT_VERSION,
-        num_entities=kg.num_entities,
-        num_relation_rows=num_relation_rows(kg.num_relations, result.config.self_loops),
-        num_times=kg.time_index.num_ids,
+        **dict(zip(SIZES, table_sizes(result.merged, result.config.self_loops))),
         **{name: getattr(result.config, name) for name in RUN_SETTINGS},
     )
 
@@ -111,26 +114,27 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
             mcfg = meta.model_config()
         except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        for name in SIZES:
-            if getattr(meta, name) < 0:
-                raise ConfigError(f"{where}: {name} must be >= 0, got {getattr(meta, name)}")
-        store = init_params(
-            np.random.default_rng(0),
-            meta.num_entities,
-            meta.num_relation_rows,
-            meta.num_times,
-            mcfg,
-        )
+        for name, size in zip(SIZES, meta.sizes):
+            if size < 0:
+                raise ConfigError(f"{where}: {name} must be >= 0, got {size}")
+        shapes = param_shapes(*meta.sizes, mcfg)
         names = {k for k in archive.files if k != "__meta__"}
-        expected = {name for name, _ in store.items()}
-        if names != expected:
-            missing, unknown = sorted(expected - names), sorted(names - expected)
+        if names != shapes.keys():
+            missing, unknown = sorted(shapes.keys() - names), sorted(names - shapes.keys())
             raise ConfigError(
                 f"{path}: checkpoint arrays do not match the header"
                 f" (missing {missing}, unknown {unknown})"
             )
-        try:
-            store.load_state_dict({k: archive[k] for k in names})
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        store = ParameterStore()
+        for name, shape in shapes.items():
+            try:
+                arr = archive[name]
+                if arr.shape != shape:
+                    raise ConfigError(f"{path}: shape mismatch for {name!r}: {arr.shape} vs {shape}")
+                arr = arr.astype(mcfg.dtype, copy=False)
+            except (OSError, ValueError, zipfile.BadZipFile) as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"{path}: checkpoint array {name!r} holds non-finite values")
+            store.add(name, arr)
     return store, meta

@@ -40,7 +40,7 @@ from .forge import (
     synth_tkg,
     write_dataset,
 )
-from .model import ModelConfig, num_relation_rows
+from .model import table_sizes
 from .tkg import DATASET_FILES, merge_pair, parse_dataset
 from .train import MODES, TrainConfig, build_graph, score_model, train
 
@@ -232,15 +232,10 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
                                "direction": args.direction}
     g1, g2, seeds = parse_dataset(data_dir)
     merged = merge_pair(g1, g2)
-    expected = (
-        merged.kg.num_entities,
-        num_relation_rows(merged.kg.num_relations, meta.self_loops),
-        merged.kg.time_index.num_ids,
-    )
-    actual = (meta.num_entities, meta.num_relation_rows, meta.num_times)
-    if expected != actual:
+    expected = table_sizes(merged, meta.self_loops)
+    if expected != meta.sizes:
         raise ConfigError(
-            f"checkpoint does not fit this dataset: sizes {actual} in header, "
+            f"checkpoint does not fit this dataset: sizes {meta.sizes} in header, "
             f"{expected} required (entities, relation rows, time ids)"
         )
 
@@ -313,7 +308,6 @@ def cmd_forge_split(args: argparse.Namespace, manifest: RunManifest) -> int:
 
 
 def cmd_forge_stats(args: argparse.Namespace, manifest: RunManifest) -> int:
-    ModelConfig(dim=args.k, num_layers=args.layers)  # the model's own checks of both values
     data_dir = resolve_data_dir(args.data)
     manifest.record_input_dir(data_dir)
     g1, g2, seeds = parse_dataset(data_dir)

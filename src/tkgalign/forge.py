@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DatasetError, ParseError
+from .model import ModelConfig, num_relation_rows, param_shapes
 from .tkg import (
     UNKNOWN_TIME_ID,
     UNKNOWN_TIME_LABEL,
@@ -463,14 +465,12 @@ def planted_isomorphic(kg: TemporalKG, a: int, b: int, time_blind: bool = True) 
 
 
 def param_count(stats: DatasetStats, k: int, num_layers: int) -> int:
-    """Trainable scalars: embedding tables (reverse relations included,
-    sentinel time included) plus two 3k attention vectors per layer."""
-    table = (
-        stats.num_entities_1 + stats.num_entities_2
-        + 2 * stats.num_relations_1 + 2 * stats.num_relations_2
-        + stats.num_times
-    )
-    return k * table + 3 * k * num_layers + 3 * k * num_layers
+    """Trainable scalars of the model at width k with self-loops off, summed
+    over the tables ``model.param_shapes`` lays out for the merged pair."""
+    rows = num_relation_rows(stats.num_relations_1 + stats.num_relations_2, self_loops=False)
+    shapes = param_shapes(stats.num_entities_1 + stats.num_entities_2, rows, stats.num_times,
+                          ModelConfig(dim=k, num_layers=num_layers))
+    return sum(math.prod(shape) for shape in shapes.values())
 
 
 def dataset_stats(g1: TemporalKG, g2: TemporalKG, seeds: SeedAlignments) -> DatasetStats:

@@ -6,6 +6,9 @@ reflection applied to neighbor features; per-link attention over both the
 time view and the relation view weights the aggregation. Final entity
 representations concatenate every layer's output with the mean embedding of
 the entity's incident timestamps.
+
+The parameter layout is decided here alone: :func:`param_shapes` names every
+table and its shape, and :func:`table_sizes` counts a merged graph's rows.
 """
 from __future__ import annotations
 
@@ -127,7 +130,8 @@ def prepare_graph(
         loops = np.arange(n, dtype=np.int64)
         src = np.concatenate([src, loops])
         dst = np.concatenate([dst, loops])
-        rel = np.concatenate([rel, np.full(n, merged.self_relation, dtype=np.int64)])
+        self_relation = num_relation_rows(kg.num_relations, True) - 1  # the table's last row
+        rel = np.concatenate([rel, np.full(n, self_relation, dtype=np.int64)])
         time = np.concatenate([time, np.full(n, UNKNOWN_TIME_ID, dtype=np.int64)])
     order = np.argsort(dst, kind="stable")
     return FlatGraph(n, src[order], dst[order], rel[order], time[order]), sensitivity
@@ -136,6 +140,25 @@ def prepare_graph(
 def num_relation_rows(num_relations: int, self_loops: bool) -> int:
     """Rows in the relation table: forward + reverse ids, plus the self id."""
     return 2 * num_relations + (1 if self_loops else 0)
+
+
+def table_sizes(merged: MergedGraph, self_loops: bool) -> tuple[int, int, int]:
+    """(entities, relation rows, time ids): the embedding-table rows a merged graph needs."""
+    kg = merged.kg
+    return kg.num_entities, num_relation_rows(kg.num_relations, self_loops), kg.time_index.num_ids
+
+
+def param_shapes(
+    num_entities: int, num_rel_rows: int, num_times: int, cfg: ModelConfig
+) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable table, in draw order: the entity,
+    relation and time embeddings, then two 3k attention vectors per layer."""
+    k = cfg.dim
+    shapes = {"entity": (num_entities, k), "relation": (num_rel_rows, k), "time": (num_times, k)}
+    for layer in range(cfg.num_layers):
+        shapes[f"attn_time_{layer}"] = (3 * k,)
+        shapes[f"attn_rel_{layer}"] = (3 * k,)
+    return shapes
 
 
 def init_params(
@@ -150,26 +173,15 @@ def init_params(
     Everything starts uniform in [-1/sqrt(k), 1/sqrt(k)]; relation and time
     rows are additionally scaled to unit norm (the forward pass re-normalizes
     them anyway, this just starts them on the constraint surface). Draw order
-    is fixed so a seed pins the full initialization.
+    is :func:`param_shapes` order, so a seed pins the full initialization.
     """
-    k = cfg.dim
-    bound = 1.0 / np.sqrt(k)
-    dt = cfg.dtype
-
-    def draw(*shape):
-        return rng.uniform(-bound, bound, size=shape).astype(dt)
-
+    bound = 1.0 / np.sqrt(cfg.dim)
     store = ParameterStore()
-    store.add("entity", draw(num_entities, k))
-    rel = draw(num_rel_rows, k)
-    rel /= np.linalg.norm(rel, axis=1, keepdims=True)
-    store.add("relation", rel)
-    tim = draw(num_times, k)
-    tim /= np.linalg.norm(tim, axis=1, keepdims=True)
-    store.add("time", tim)
-    for layer in range(cfg.num_layers):
-        store.add(f"attn_time_{layer}", draw(3 * k))
-        store.add(f"attn_rel_{layer}", draw(3 * k))
+    for name, shape in param_shapes(num_entities, num_rel_rows, num_times, cfg).items():
+        table = rng.uniform(-bound, bound, size=shape).astype(cfg.dtype)
+        if name in ("relation", "time"):
+            table /= np.linalg.norm(table, axis=1, keepdims=True)
+        store.add(name, table)
     return store
 
 
@@ -298,5 +310,5 @@ def model_forward(
             )
         )
     # every layer's output (layer 0 = raw embeddings), then the incident-time mean
-    return ad.concat_cols([ad.concat_cols(acts), incident_time_mean(time_e, graph, cfg.dtype)])
+    return ad.concat_cols(acts + [incident_time_mean(time_e, graph, cfg.dtype)])
 

@@ -43,17 +43,6 @@ class ParameterStore:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for name, t in self._params.items():
-            if name not in state:
-                raise KeyError(f"missing parameter {name!r} in state")
-            arr = np.asarray(state[name])
-            if arr.shape != t.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: {arr.shape} vs {t.data.shape}"
-                )
-            t.data = arr.astype(t.data.dtype, copy=True)
-
 
 @dataclass
 class RmsPropState:

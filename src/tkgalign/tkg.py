@@ -182,18 +182,12 @@ class MergedGraph:
 
     Entities of the second graph are offset by the first graph's entity
     count (``entity_offset``); relations likewise by the first graph's
-    relation count. Reverse relations for the merged relation set live in a
-    contiguous block above the originals, and the optional self-loop
-    relation sits just past the reverses.
+    relation count. The reverse and self-loop relation ids that the model
+    adds on top are laid out by ``model.prepare_graph``.
     """
 
     kg: TemporalKG
     entity_offset: int
-
-    @property
-    def self_relation(self) -> int:
-        # one id past the reverse block
-        return 2 * self.kg.num_relations
 
     def merged_pairs(self, pairs) -> np.ndarray:
         """Per-side pairs -> (n, 2) array in the merged id space."""
@@ -222,13 +216,15 @@ def _read_lines(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
 
 
-def _read_id_labels(path: Path) -> tuple[list[str], int]:
+def _read_id_labels(path: Path, unique_labels: bool = False) -> tuple[list[str], int]:
     """Read an id<TAB>label file; return the labels in id order and the first id.
 
     Ids must be contiguous but may start anywhere: each graph's ids are
-    shifted down by their own first id to dense 0..n-1 ids.
+    shifted down by their own first id to dense 0..n-1 ids. With
+    ``unique_labels`` a label given to a second id raises ParseError at that line.
     """
     mapping: dict[int, str] = {}
+    id_of: dict[str, int] = {}
     for i, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
@@ -241,6 +237,8 @@ def _read_id_labels(path: Path) -> tuple[list[str], int]:
             raise ParseError(path.name, i, f"non-integer id {cols[0]!r}") from None
         if idx in mapping:
             raise ParseError(path.name, i, f"duplicate id {idx}")
+        if unique_labels and id_of.setdefault(cols[1], idx) != idx:
+            raise ParseError(path.name, i, f"duplicate label {cols[1]!r} (also id {id_of[cols[1]]})")
         mapping[idx] = cols[1]
     if not mapping:
         raise ParseError(path.name, 0, "file is empty")
@@ -335,7 +333,7 @@ def parse_dataset(directory: str | Path) -> tuple[TemporalKG, TemporalKG, SeedAl
     rels1, r1 = _read_id_labels(d / "rel_ids_1")
     ents2, e2 = _read_id_labels(d / "ent_ids_2")
     rels2, r2 = _read_id_labels(d / "rel_ids_2")
-    time_labels, t0 = _read_id_labels(d / "time_id")
+    time_labels, t0 = _read_id_labels(d / "time_id", unique_labels=True)
     if t0 != 0:
         raise ParseError("time_id", 0, "time ids must be dense starting at 0")
     time_index = TimeIndex(time_labels)

@@ -25,8 +25,8 @@ from .model import (
     ModelConfig,
     init_params,
     model_forward,
-    num_relation_rows,
     prepare_graph,
+    table_sizes,
 )
 from .optim import ParameterStore, RmsPropState
 from .tkg import UNKNOWN_TIME_ID, MergedGraph, SeedAlignments, TemporalKG, merge_pair
@@ -277,13 +277,7 @@ def train(
     graph, index = build_graph(merged, config.mode, config.self_loops)
 
     rng = np.random.default_rng(config.seed)
-    store = init_params(
-        rng,
-        merged.kg.num_entities,
-        num_relation_rows(merged.kg.num_relations, config.self_loops),
-        merged.kg.time_index.num_ids,
-        mcfg,
-    )
+    store = init_params(rng, *table_sizes(merged, config.self_loops), mcfg)
     opt = RmsPropState()
 
     train_pairs = merged.merged_pairs(seeds.train_pairs)

@@ -160,6 +160,34 @@ class TestHeaderChecks:
         with pytest.raises(ConfigError, match="shape mismatch"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("drop, extra, missing, unknown", [
+        ("attn_rel_1", None, ["attn_rel_1"], []),
+        (None, "extra", [], ["extra"]),
+    ], ids=["missing", "unknown"])
+    def test_array_names_must_match_header(self, tmp_path, drop, extra, missing, unknown):
+        store, meta = small_store()
+        arrays = {name: t.data for name, t in store.items() if name != drop}
+        if extra:
+            arrays[extra] = np.zeros(3, dtype=np.float32)
+        path = tmp_path / "model.npz"
+        np.savez(path, __meta__=np.frombuffer(meta.to_json().encode(), dtype=np.uint8), **arrays)
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"{path}: checkpoint arrays do not match the header"
+                                  f" (missing {missing}, unknown {unknown})")
+
+    def test_loading_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        store, meta = small_store()
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, store, meta)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded, _ = load_checkpoint(path)
+        assert [name for name, _ in loaded.items()] == [name for name, _ in store.items()]
+
 
 class TestDeterminism:
     def test_same_store_same_bytes(self, tmp_path):

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: artifacts, exit codes, manifests, determinism."""
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -621,6 +622,26 @@ class TestEval:
         assert message in err
         assert read_manifest(out)["status"] == "failure"
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_checkpoint_exits_2(self, dataset_dir, trained, tmp_path, capsys, value):
+        """A NaN table would rank every pair first and one infinite row gives a CSLS
+        MRR of inf; both are refused before anything is scored."""
+        with np.load(trained / "run_0" / "checkpoint.npz") as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        if np.isnan(value):
+            arrays["entity"] = np.full_like(arrays["entity"], value)
+        else:
+            arrays["entity"][0] = value
+        path = tmp_path / "bad.npz"
+        np.savez(path, **arrays)
+        out = tmp_path / "o"
+        code = main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir),
+                     "--metric", "both", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: checkpoint array 'entity' holds non-finite values\n"
+        assert read_manifest(out)["status"] == "failure"
+
     @pytest.mark.parametrize("key, value, message", [
         ("mode", "bogus", "mode must be one of ('time-aware', 'time-unaware'), got 'bogus'"),
         ("dim", 4.0, "'dim' must be int, got 4.0"),
@@ -670,3 +691,20 @@ class TestMainPlumbing:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "train" in out and "forge" in out
+
+
+class TestDatasetFiles:
+    @pytest.mark.parametrize("command", [["forge", "stats"], TRAIN_ARGS],
+                             ids=["forge-stats", "train"])
+    def test_duplicate_time_label_exits_2(self, dataset_dir, tmp_path, capsys, command):
+        data = tmp_path / "dup"
+        shutil.copytree(dataset_dir, data)
+        lines = (data / "time_id").read_text().splitlines()
+        label = lines[1].split("\t")[1]
+        lines[2] = f"2\t{label}"  # id 2 takes id 1's label
+        (data / "time_id").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = main(command + ["--data", str(data), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: time_id:3: duplicate label 't1' (also id 1)\n"
+        assert read_manifest(out)["status"] == "failure"

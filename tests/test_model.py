@@ -17,7 +17,9 @@ from tkgalign.model import (
     layer_forward,
     model_forward,
     num_relation_rows,
+    param_shapes,
     prepare_graph,
+    table_sizes,
 )
 from tkgalign.tkg import UNKNOWN_TIME_ID, merge_pair
 from tkgalign.train import apply_time_unaware
@@ -280,11 +282,7 @@ class TestLayerForward:
         merged = merge_pair(g1, g2)
         graph, _ = prepare_graph(merged, self_loops=True)
         cfg = ModelConfig(dim=6, num_layers=2, precision="f64")
-        store = init_params(
-            np.random.default_rng(0), merged.kg.num_entities,
-            num_relation_rows(merged.kg.num_relations, True),
-            merged.kg.time_index.num_ids, cfg,
-        )
+        store = init_params(np.random.default_rng(0), *table_sizes(merged, True), cfg)
         probe = AttentionProbe()
         model_forward(store, graph, cfg, probe=probe)
         assert len(probe.deviations) == 2 * cfg.num_layers
@@ -342,11 +340,7 @@ class TestModelForward:
         merged = merge_pair(g1, g2)
         graph, sensitivity = prepare_graph(merged, self_loops=self_loops)
         cfg = ModelConfig(dim=dim, num_layers=layers, precision=precision)
-        store = init_params(
-            np.random.default_rng(seed), merged.kg.num_entities,
-            num_relation_rows(merged.kg.num_relations, self_loops),
-            merged.kg.time_index.num_ids, cfg,
-        )
+        store = init_params(np.random.default_rng(seed), *table_sizes(merged, self_loops), cfg)
         return store, graph, sensitivity, cfg, merged
 
     def test_output_shape(self, fixture_6ent):
@@ -507,6 +501,21 @@ class TestModelForward:
         graph_with, _ = prepare_graph(merged, self_loops=True)
         graph_without, _ = prepare_graph(merged, self_loops=False)
         assert graph_with.num_links == graph_without.num_links + merged.kg.num_entities
+        # the self-loop relation is the table's last row, just past the reverse block
+        loops = graph_with.src == graph_with.dst
+        assert np.all(graph_with.rel[loops] == 2 * r)
+        assert table_sizes(merged, True)[1] == 2 * r + 1
+
+    def test_param_shapes_layout(self):
+        cfg = ModelConfig(dim=3, num_layers=2)
+        # draw order: the three embedding tables, then each layer's two attention vectors
+        assert list(param_shapes(7, 5, 4, cfg).items()) == [
+            ("entity", (7, 3)), ("relation", (5, 3)), ("time", (4, 3)),
+            ("attn_time_0", (9,)), ("attn_rel_0", (9,)), ("attn_time_1", (9,)), ("attn_rel_1", (9,)),
+        ]
+        store = init_params(np.random.default_rng(0), 7, 5, 4, cfg)
+        assert [(name, t.data.shape) for name, t in store.items()] == \
+            list(param_shapes(7, 5, 4, cfg).items())
 
     def test_param_count_formula(self, fixture_6ent):
         store, _, _, cfg, merged = self.build(fixture_6ent, self_loops=False)

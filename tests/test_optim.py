@@ -32,23 +32,13 @@ class TestParameterStore:
         store = store_with(w=np.ones((3, 4)), v=np.ones(5))
         assert store.num_scalars() == 17
 
-    def test_state_dict_roundtrip_copies(self):
+    def test_state_dict_copies(self):
         store = store_with(w=np.arange(4.0))
         state = store.state_dict()
         state["w"][0] = 99.0
         assert store["w"].data[0] == 0.0  # snapshot, not a view
-        store.load_state_dict(state)
-        assert store["w"].data[0] == 99.0
-
-    def test_load_shape_mismatch_rejected(self):
-        store = store_with(w=np.ones(3))
-        with pytest.raises(ValueError):
-            store.load_state_dict({"w": np.ones(4)})
-
-    def test_load_missing_param_rejected(self):
-        store = store_with(w=np.ones(3))
-        with pytest.raises(KeyError):
-            store.load_state_dict({})
+        store["w"].data[1] = -1.0
+        assert state["w"][1] == 1.0  # later steps leave the snapshot alone
 
 
 class TestRmsProp:

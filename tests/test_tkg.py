@@ -240,14 +240,12 @@ class TestValidation:
 
 
 class TestMerge:
-    def test_offsets_and_self_relation(self, tiny_pair):
+    def test_offsets(self, tiny_pair):
         g1, g2, _ = tiny_pair
         merged = merge_pair(g1, g2)
         assert merged.entity_offset == g1.num_entities
         assert merged.kg.num_entities == 6
         assert merged.kg.num_relations == 2
-        # reverses occupy one contiguous block; the self id sits just past it
-        assert merged.self_relation == 4
         merged.kg.validate()
 
     def test_merged_pairs_shape_and_offset(self, tiny_pair):

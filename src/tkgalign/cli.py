@@ -40,7 +40,7 @@ from .forge import (
     synth_tkg,
     write_dataset,
 )
-from .model import table_sizes
+from .model import num_relation_rows, table_sizes
 from .tkg import DATASET_FILES, merge_pair, parse_dataset
 from .train import MODES, TrainConfig, build_graph, score_model, train
 
@@ -148,6 +148,14 @@ def _build_train_config(args: argparse.Namespace) -> TrainConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _parse_ranked_pair(data_dir: Path):
+    """Parse a dataset that train and eval rank; its ``ref_pairs`` must hold pairs."""
+    g1, g2, seeds = parse_dataset(data_dir)
+    if not seeds.test_pairs:
+        raise DatasetError(f"{data_dir / 'ref_pairs'}: no test pairs to rank")
+    return g1, g2, seeds
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -160,7 +168,7 @@ def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
         raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    g1, g2, seeds = parse_dataset(data_dir)
+    g1, g2, seeds = _parse_ranked_pair(data_dir)
 
     repeats = args.repeats
     run_seeds = [cfg.seed + i for i in range(repeats)]
@@ -170,9 +178,9 @@ def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
     reports = []
     for run_seed in run_seeds:
         run_cfg = dataclasses.replace(cfg, seed=run_seed)
+        result = train(g1, g2, seeds, run_cfg)
         run_dir = out / f"run_{run_seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        result = train(g1, g2, seeds, run_cfg)
 
         ck_path = run_dir / "checkpoint.npz"
         save_checkpoint(ck_path, result.store, meta_from_result(result))
@@ -193,7 +201,7 @@ def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
             "worst_attention_deviation": max(result.report.attention_deviations, default=0.0),
             "stopped_early": result.report.stopped_early,
             "fingerprint": result.report.fingerprint(),
-            "reports": [dataclasses.asdict(r) for r in run_reports],
+            "reports": [vars(r) for r in run_reports],
         })
         for p in (ck_path, history_path, metrics_path):
             manifest.record_artifact(p)
@@ -230,7 +238,7 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
     manifest.data["config"] = {"checkpoint": dataclasses.asdict(meta), "metric": args.metric,
                                "k_csls": k_csls, "partition": args.partition,
                                "direction": args.direction}
-    g1, g2, seeds = parse_dataset(data_dir)
+    g1, g2, seeds = _parse_ranked_pair(data_dir)
     merged = merge_pair(g1, g2)
     expected = table_sizes(merged, meta.self_loops)
     if expected != meta.sizes:
@@ -250,7 +258,7 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "eval_report.json"
-    _write_json(json_path, [dataclasses.asdict(r) for r in reports])
+    _write_json(json_path, [vars(r) for r in reports])
     csv_path = out / "eval_report.csv"
     rows = reports[0].csv_rows()
     for r in reports[1:]:
@@ -272,14 +280,13 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
 # forge
 
 
-def _write_forged(result, args: argparse.Namespace, manifest: RunManifest, overlap: float) -> int:
+def _write_forged(result, args: argparse.Namespace, manifest: RunManifest) -> int:
     """Write a forged dataset directory, record its files and print its size table."""
     out = write_dataset(Path(args.out), result.g1, result.g2, result.seeds, result.manifest)
     for f in sorted(out.iterdir()):
         if f.name != "run_manifest.json":
             manifest.record_artifact(f)
-    stats = dataset_stats(result.g1, result.g2, result.seeds)
-    print(format_stats(stats, args.name, overlap), end="")
+    print((out / "stats.txt").read_text(), end="")
     print(f"dataset written to {out}")
     return EXIT_OK
 
@@ -289,8 +296,7 @@ def cmd_forge_synth(args: argparse.Namespace, manifest: RunManifest) -> int:
     spec = ForgeSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ForgeSpec)})
     manifest.data["config"] = dataclasses.asdict(spec)
     manifest.data["seeds"] = [spec.seed]
-    result = synth_tkg(spec)
-    return _write_forged(result, args, manifest, result.manifest["overlap"])
+    return _write_forged(synth_tkg(spec), args, manifest)
 
 
 def cmd_forge_split(args: argparse.Namespace, manifest: RunManifest) -> int:
@@ -303,8 +309,7 @@ def cmd_forge_split(args: argparse.Namespace, manifest: RunManifest) -> int:
     manifest.data["inputs"][args.source] = _sha256(Path(args.source))
     result = split_to_result(quads, args.overlap_ratio, args.seed_count,
                              np.random.default_rng(args.seed), name=args.name)
-    overlap = measured_overlap(result.g1, result.g2, result.seeds.all_pairs)
-    return _write_forged(result, args, manifest, overlap)
+    return _write_forged(result, args, manifest)
 
 
 def cmd_forge_stats(args: argparse.Namespace, manifest: RunManifest) -> int:
@@ -314,9 +319,11 @@ def cmd_forge_stats(args: argparse.Namespace, manifest: RunManifest) -> int:
     stats = dataset_stats(g1, g2, seeds)
     overlap = measured_overlap(g1, g2, seeds.all_pairs)
     total = param_count(stats, args.k, args.layers)
+    rels = stats.num_relations_1 + stats.num_relations_2
+    self_rows = num_relation_rows(rels, self_loops=True) - num_relation_rows(rels, self_loops=False)
     print(format_stats(stats, data_dir.name, overlap), end="")
     print(f"trainable parameters (k={args.k}, layers={args.layers}): {total}")
-    print(f"self-loop delta when enabled: +{args.k}")  # one more relation row of width k
+    print(f"self-loop delta when enabled: +{self_rows * args.k}")
     manifest.data["metrics"] = {"param_count": total, **dataclasses.asdict(stats)}
     return EXIT_OK
 

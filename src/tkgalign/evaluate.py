@@ -211,6 +211,8 @@ def rank_pool(
     any report's ``seconds``, and partition reports carry none.
     """
     pairs = _as_pairs(pairs)
+    if len(pairs) == 0:
+        raise ValueError("cannot rank an empty test pool")
     l1 = similarity_matrix(reps[pairs[:, 0]], reps[pairs[:, 1]])
     reports = []
     for space in spaces:

@@ -17,11 +17,11 @@ pairs.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
-from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +69,9 @@ class ForgeSpec:
             raise ConfigError(f"overlap_ratio must be in [0,1], got {self.overlap_ratio}")
         if not (0.0 <= self.nontemporal_entity_fraction <= 1.0):
             raise ConfigError("nontemporal_entity_fraction must be in [0,1]")
-        for fname in ("entities", "relations", "time_steps", "quads_per_entity", "seed_count"):
+        if self.entities < 2:  # every fact's object differs from its subject
+            raise ConfigError(f"entities must be >= 2, got {self.entities}")
+        for fname in ("relations", "time_steps", "quads_per_entity", "seed_count"):
             if getattr(self, fname) < 1:
                 raise ConfigError(f"{fname} must be >= 1")
         if self.planted_pairs < 0 or self.planted_untimed_pairs < 0:
@@ -97,12 +99,7 @@ class DatasetStats:
     num_seeds: int
 
     def as_row(self) -> tuple:
-        return (
-            self.num_entities_1, self.num_entities_2,
-            self.num_relations_1, self.num_relations_2,
-            self.num_times, self.num_quads_1, self.num_quads_2,
-            self.num_pairs, self.num_seeds,
-        )
+        return astuple(self)
 
 
 @dataclass
@@ -192,31 +189,47 @@ def split_overlap(
     return SplitResult(q1, q2, ents1, ents2, rels1, rels2, alignment, shared_n, n)
 
 
-def _side_kg(
+def _assemble(
     name: str,
-    local_quads: np.ndarray,
-    ents: np.ndarray,
-    rels: np.ndarray,
-    time_index: TimeIndex,
-    entity_label: Callable[[int], str] = "e{}".format,
-) -> TemporalKG:
-    """The validated graph of one split side.
+    split: SplitResult,
+    time_steps: int,
+    is_seed: np.ndarray,
+    labels: dict[int, str],
+    manifest: dict,
+) -> ForgeResult:
+    """The forged pair of one split: both validated side graphs on one time
+    index of ``time_steps`` real steps, and the alignment rows where
+    ``is_seed`` holds as training seeds, the others as test pairs.
 
-    ``ents``/``rels`` are the side's sorted source ids (local id i is source
-    id ``ents[i]``); a local entity is labelled ``entity_label(source id)``
-    and a local relation ``r<source id>``.
+    A local entity is labelled ``labels[source id]``, else ``e<source id>``,
+    and a local relation ``r<source id>``. ``manifest`` gets the split's
+    sizes. A pair whose seeds leave no test pair is refused.
     """
-    kg = TemporalKG(
-        num_entities=len(ents),
-        num_relations=len(rels),
-        time_index=time_index,
-        quadruples=QuadTable(local_quads),
-        entity_labels=[entity_label(e) for e in ents.tolist()],
-        relation_labels=[f"r{r}" for r in rels.tolist()],
-        name=name,
-    )
-    kg.validate()
-    return kg
+    if is_seed.all():
+        raise ConfigError(f"seed_count {len(is_seed)} takes every alignable pair, leaving no test pair")
+    time_index = TimeIndex([UNKNOWN_TIME_LABEL] + [f"t{i}" for i in range(1, time_steps + 1)])
+
+    def side(tag: int, local_quads: np.ndarray, ents: np.ndarray, rels: np.ndarray) -> TemporalKG:
+        kg = TemporalKG(
+            num_entities=len(ents),
+            num_relations=len(rels),
+            time_index=time_index,
+            quadruples=QuadTable(local_quads),
+            entity_labels=[labels.get(e, f"e{e}") for e in ents.tolist()],
+            relation_labels=[f"r{r}" for r in rels.tolist()],
+            name=f"{name}_{tag}",
+        )
+        kg.validate()
+        return kg
+
+    # alignment rows ascend in both columns, so a masked selection is sorted
+    train, test = (list(map(tuple, split.alignment[mask].tolist())) for mask in (is_seed, ~is_seed))
+    seeds = SeedAlignments(train_pairs=train, test_pairs=test)
+    seeds.validate()
+    manifest = {"source_quads": split.total, "shared_quads": split.shared_count,
+                "overlap": split.shared_count / split.total, **manifest}
+    return ForgeResult(side(1, split.quads_1, split.ents_1, split.rels_1),
+                       side(2, split.quads_2, split.ents_2, split.rels_2), seeds, manifest)
 
 
 def measured_overlap(g1: TemporalKG, g2: TemporalKG, all_pairs) -> float:
@@ -250,12 +263,14 @@ def measured_overlap(g1: TemporalKG, g2: TemporalKG, all_pairs) -> float:
     return (len(s1) + len(s2) - both) / union if union else 0.0
 
 
-def _generate_base_quads(spec: ForgeSpec, rng: np.random.Generator) -> tuple[list[tuple], set[int]]:
+def _generate_base_quads(spec: ForgeSpec, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Random quads, one batch per subject entity; bounded retry on duplicates.
 
     Entities selected as non-temporal emit only unknown-time facts and
     preferentially link among themselves, so the graph develops genuinely
-    low-time-sensitivity regions rather than uniform dilution.
+    low-time-sensitivity regions rather than uniform dilution. Returns the
+    distinct quads as sorted (n, 5) int64 rows, and the number of
+    non-temporal entities.
     """
     n_untimed = int(round(spec.nontemporal_entity_fraction * spec.entities))
     untimed = set(rng.choice(spec.entities, size=n_untimed, replace=False).tolist()) if n_untimed else set()
@@ -289,23 +304,22 @@ def _generate_base_quads(spec: ForgeSpec, rng: np.random.Generator) -> tuple[lis
                 f"cannot place {spec.quads_per_entity} distinct quads for entity {e}; "
                 "increase relations/time_steps/entities"
             )
-    return sorted(quads), untimed
+    flat = np.fromiter(itertools.chain.from_iterable(quads), dtype=np.int64, count=5 * len(quads))
+    rows = flat.reshape(-1, 5)
+    return rows[np.lexsort(rows.T[::-1])], n_untimed
 
 
-@dataclass
-class _TwinPlan:
-    kind: str  # timed | untimed
-    group: int  # twins of one pair share a group id
-    member: str  # a | b
-    source_id: int
-    window: tuple[int, int] | None  # inclusive real-time range, None for untimed
-    quads: list[tuple[int, int, int, int, int]] = field(default_factory=list)
+def _plan_twins(spec: ForgeSpec, rng: np.random.Generator) -> tuple[list[dict], np.ndarray, dict]:
+    """Lay out twin entities, their shared anchors, and disjoint time windows.
 
-
-def _plan_twins(spec: ForgeSpec, rng: np.random.Generator) -> tuple[list[_TwinPlan], dict]:
-    """Lay out twin entities, their shared anchors, and disjoint time windows."""
+    Twin i is source entity ``spec.entities + i``, timed twins first. Returns
+    each twin's manifest record (kind, group, member, window), the twins'
+    quad rows (``ANCHORS_PER_TWIN`` per twin, in twin order) and the motif's
+    anchors and relations.
+    """
+    rows = np.empty((spec.num_twins, ANCHORS_PER_TWIN, 5), dtype=np.int64)
     if spec.num_twins == 0:
-        return [], {"anchors_timed": [], "anchors_untimed": [], "relations": []}
+        return [], rows.reshape(0, 5), {"anchors_timed": [], "anchors_untimed": [], "relations": []}
     if spec.relations < RELATIONS_PER_MOTIF:
         raise ConfigError(
             f"planting needs >= {RELATIONS_PER_MOTIF} relations, got {spec.relations}"
@@ -322,115 +336,72 @@ def _plan_twins(spec: ForgeSpec, rng: np.random.Generator) -> tuple[list[_TwinPl
                 f"windows of width {WINDOW_WIDTH}"
             )
     anchor_pool = rng.choice(spec.entities, size=need_anchors, replace=False).tolist()
-    anchors_timed = sorted(int(a) for a in anchor_pool[:ANCHORS_PER_TWIN]) if spec.planted_pairs else []
-    anchors_untimed = (
-        sorted(int(a) for a in anchor_pool[ANCHORS_PER_TWIN:ANCHORS_PER_TWIN * 2])
-        if spec.planted_untimed_pairs and spec.planted_pairs
-        else (sorted(int(a) for a in anchor_pool[:ANCHORS_PER_TWIN]) if spec.planted_untimed_pairs else [])
-    )
-    motif_rels = sorted(int(r) for r in rng.choice(spec.relations, size=RELATIONS_PER_MOTIF, replace=False))
+    anchors_timed = sorted(anchor_pool[:ANCHORS_PER_TWIN]) if spec.planted_pairs else []
+    anchors_untimed = sorted(anchor_pool[-ANCHORS_PER_TWIN:]) if spec.planted_untimed_pairs else []
+    motif_rels = sorted(rng.choice(spec.relations, size=RELATIONS_PER_MOTIF, replace=False).tolist())
 
-    plans: list[_TwinPlan] = []
-    next_id = spec.entities
+    rows[:, :, 0] = np.arange(spec.entities, spec.entities + spec.num_twins)[:, None]
+    rows[:, :, 1] = [motif_rels[m % RELATIONS_PER_MOTIF] for m in range(ANCHORS_PER_TWIN)]
+    plans: list[dict] = []
     for pair in range(spec.planted_pairs):
-        for j, member in enumerate(("a", "b")):
-            t_idx = 2 * pair + j
-            start = 1 + t_idx * (spec.time_steps // n_timed)
-            window = (start, start + WINDOW_WIDTH - 1)
-            plan = _TwinPlan("timed", pair, member, next_id, window)
-            for m, anchor in enumerate(anchors_timed):
-                lo, hi = sorted(rng.integers(window[0], window[1] + 1, size=2).tolist())
-                plan.quads.append((next_id, motif_rels[m % RELATIONS_PER_MOTIF], anchor, int(lo), int(hi)))
-            plans.append(plan)
-            next_id += 1
-    for pair in range(spec.planted_untimed_pairs):
-        for member in ("a", "b"):
-            plan = _TwinPlan("untimed", spec.planted_pairs + pair, member, next_id, None)
-            for m, anchor in enumerate(anchors_untimed):
-                plan.quads.append(
-                    (next_id, motif_rels[m % RELATIONS_PER_MOTIF], anchor, UNKNOWN_TIME_ID, UNKNOWN_TIME_ID)
-                )
-            plans.append(plan)
-            next_id += 1
+        for member in "ab":
+            twin = len(plans)
+            start = 1 + twin * slot
+            rows[twin, :, 2] = anchors_timed
+            for m in range(ANCHORS_PER_TWIN):
+                rows[twin, m, 3:] = np.sort(rng.integers(start, start + WINDOW_WIDTH, size=2))
+            window = [start, start + WINDOW_WIDTH - 1]  # inclusive
+            plans.append({"kind": "timed", "group": pair, "member": member, "window": window})
+    for pair in range(spec.planted_pairs, spec.planted_pairs + spec.planted_untimed_pairs):
+        for member in "ab":
+            twin = len(plans)
+            rows[twin, :, 2] = anchors_untimed
+            rows[twin, :, 3:] = UNKNOWN_TIME_ID
+            plans.append({"kind": "untimed", "group": pair, "member": member, "window": None})
     meta = {
         "anchors_timed": anchors_timed,
         "anchors_untimed": anchors_untimed,
         "relations": motif_rels,
     }
-    return plans, meta
+    return plans, rows.reshape(-1, 5), meta
 
 
-def synth_tkg(spec: ForgeSpec, rng: np.random.Generator | None = None) -> ForgeResult:
+def synth_tkg(spec: ForgeSpec) -> ForgeResult:
     """Generate an aligned graph pair with optional planted ambiguity.
 
     All twin quads are forced into the shared split portion, so every twin
-    exists on both sides with identical facts; anchors are promoted into the
-    training seeds and twins always land in the test split (the manifest
-    lists them).
+    and every anchor (an object of twin quads) exists on both sides with
+    identical facts; anchors are promoted into the training seeds and twins
+    always land in the test split (the manifest lists them).
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    base, untimed_entities = _generate_base_quads(spec, rng)
-    plans, twin_meta = _plan_twins(spec, rng)
-    quads = list(base)
-    forced_start = len(quads)
-    for plan in plans:
-        quads.extend(plan.quads)
-    split = split_overlap(quads, spec.overlap_ratio, rng, forced_shared=range(forced_start, len(quads)))
+    rng = np.random.default_rng(spec.seed)
+    base, n_untimed = _generate_base_quads(spec, rng)
+    plans, twin_rows, twin_meta = _plan_twins(spec, rng)
+    quads = np.concatenate([base, twin_rows])
+    split = split_overlap(quads, spec.overlap_ratio, rng, forced_shared=range(len(base), len(quads)))
 
-    ent_labels = {e: f"e{e}" for e in range(spec.entities)}
-    for plan in plans:
-        ent_labels[plan.source_id] = f"twin{plan.group}{plan.member}"
-    time_index = TimeIndex([UNKNOWN_TIME_LABEL] + [f"t{i}" for i in range(1, spec.time_steps + 1)])
-    g1 = _side_kg(f"{spec.name}_1", split.quads_1, split.ents_1, split.rels_1,
-                  time_index, ent_labels.__getitem__)
-    g2 = _side_kg(f"{spec.name}_2", split.quads_2, split.ents_2, split.rels_2,
-                  time_index, ent_labels.__getitem__)
-
-    # every twin's quads are shared, so twins are always alignable
-    twin_sources = np.array([p.source_id for p in plans], dtype=np.int64)
-    anchor_sources = np.union1d(np.asarray(twin_meta["anchors_timed"], dtype=np.int64),
-                                np.asarray(twin_meta["anchors_untimed"], dtype=np.int64))
-    alignable_sources = np.intersect1d(split.ents_1, split.ents_2)
-    lost = np.setdiff1d(anchor_sources, alignable_sources)
-    if len(lost):
-        raise DatasetError(f"anchor entity {lost[0]} missing from one side after split")
-
-    candidate_seeds = np.setdiff1d(alignable_sources, np.union1d(twin_sources, anchor_sources))
-    fill = spec.seed_count - len(anchor_sources)
+    alignable = split.ents_1[split.alignment[:, 0]]  # source id of each alignment row, ascending
+    twins = np.arange(spec.entities, spec.entities + spec.num_twins)
+    anchors = np.unique(np.array(twin_meta["anchors_timed"] + twin_meta["anchors_untimed"], dtype=np.int64))
+    candidates = np.flatnonzero(~np.isin(alignable, np.concatenate([twins, anchors])))
+    fill = spec.seed_count - len(anchors)
     if fill < 0:
         raise ConfigError(
-            f"seed_count {spec.seed_count} below the {len(anchor_sources)} anchor seeds"
+            f"seed_count {spec.seed_count} below the {len(anchors)} anchor seeds"
         )
-    if fill > len(candidate_seeds):
+    if fill > len(candidates):
         raise ConfigError(
-            f"seed_count {spec.seed_count} exceeds the {len(candidate_seeds) + len(anchor_sources)} "
+            f"seed_count {spec.seed_count} exceeds the {len(candidates) + len(anchors)} "
             "alignable non-twin entities"
         )
-    chosen = rng.choice(len(candidate_seeds), size=fill, replace=False) if fill else []
-    seed_sources = np.union1d(anchor_sources, candidate_seeds[chosen])
-    test_sources = np.setdiff1d(alignable_sources, seed_sources)
+    is_seed = np.isin(alignable, anchors)
+    is_seed[candidates[rng.choice(len(candidates), size=fill, replace=False)]] = True
 
-    def to_pairs(sources) -> list[tuple[int, int]]:
+    def to_pairs(sources) -> list[list[int]]:
         """Source entity ids -> (local_1, local_2) pairs."""
-        sources = np.asarray(sources, dtype=np.int64)
-        local = np.stack([np.searchsorted(split.ents_1, sources), np.searchsorted(split.ents_2, sources)], 1)
-        return list(map(tuple, local.tolist()))
+        return split.alignment[np.searchsorted(alignable, sources)].tolist()
 
-    seeds = SeedAlignments(train_pairs=to_pairs(seed_sources), test_pairs=to_pairs(test_sources))
-    seeds.validate()
-
-    planted = [
-        {
-            "kind": p.kind,
-            "group": p.group,
-            "member": p.member,
-            "e1": e1,
-            "e2": e2,
-            "window": list(p.window) if p.window else None,
-        }
-        for p, (e1, e2) in zip(plans, to_pairs([p.source_id for p in plans]))
-    ]
+    planted = [{**plan, "e1": e1, "e2": e2} for plan, (e1, e2) in zip(plans, to_pairs(twins))]
     manifest = {
         "spec": asdict(spec),
         "planted": planted,
@@ -439,12 +410,10 @@ def synth_tkg(spec: ForgeSpec, rng: np.random.Generator | None = None) -> ForgeR
             "untimed": to_pairs(twin_meta["anchors_untimed"]),
             "relations": twin_meta["relations"],
         },
-        "shared_quads": split.shared_count,
-        "source_quads": split.total,
-        "overlap": split.shared_count / split.total,
-        "untimed_entities": len(untimed_entities),
+        "untimed_entities": n_untimed,
     }
-    return ForgeResult(g1, g2, seeds, manifest)
+    labels = {spec.entities + i: f"twin{plan['group']}{plan['member']}" for i, plan in enumerate(plans)}
+    return _assemble(spec.name, split, spec.time_steps, is_seed, labels, manifest)
 
 
 def planted_isomorphic(kg: TemporalKG, a: int, b: int, time_blind: bool = True) -> bool:
@@ -487,15 +456,12 @@ def dataset_stats(g1: TemporalKG, g2: TemporalKG, seeds: SeedAlignments) -> Data
     )
 
 
-def format_stats(stats: DatasetStats, name: str, overlap: float | None = None) -> str:
+def format_stats(stats: DatasetStats, name: str, overlap: float) -> str:
     head = f"{'dataset':<16}" + "".join(
         f"{c:>9}" for c in ("|E1|", "|E2|", "|R1|", "|R2|", "|T*|", "|Q1|", "|Q2|", "|P|", "|S|")
     )
     row = f"{name:<16}" + "".join(f"{v:>9}" for v in stats.as_row())
-    lines = [head, row]
-    if overlap is not None:
-        lines.append(f"overlap {overlap:.6f}")
-    return "\n".join(lines) + "\n"
+    return f"{head}\n{row}\noverlap {overlap:.6f}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +478,8 @@ def write_dataset(
     """Emit the on-disk dataset directory (ids of graph 2 continue graph 1's).
 
     Writes triples_1/2, ent_ids_1/2, rel_ids_1/2, time_id, sup_pairs,
-    ref_pairs, stats.txt, and manifest.json when given one.
+    ref_pairs, stats.txt (the size table, named after graph 1 without its
+    ``_1`` suffix), and manifest.json when given one.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -570,26 +537,12 @@ def split_to_result(
     if seed_count < 1:
         raise ConfigError(f"seed_count must be >= 1, got {seed_count}")
     split = split_overlap(quads, overlap_ratio, rng)
-    max_time = int(max(split.quads_1[:, 3:].max(initial=0), split.quads_2[:, 3:].max(initial=0)))
-    time_index = TimeIndex([UNKNOWN_TIME_LABEL] + [f"t{i}" for i in range(1, max_time + 1)])
-    g1 = _side_kg(f"{name}_1", split.quads_1, split.ents_1, split.rels_1, time_index)
-    g2 = _side_kg(f"{name}_2", split.quads_2, split.ents_2, split.rels_2, time_index)
     if seed_count > len(split.alignment):
         raise ConfigError(
             f"seed_count {seed_count} exceeds {len(split.alignment)} alignable pairs"
         )
-    order = rng.permutation(len(split.alignment))
-    # alignment rows ascend in both columns, so sorted indices give sorted pairs
-    train, test = (list(map(tuple, split.alignment[np.sort(idx)].tolist()))
-                   for idx in (order[:seed_count], order[seed_count:]))
-    seeds = SeedAlignments(train_pairs=train, test_pairs=test)
-    seeds.validate()
-    manifest = {
-        "source_quads": split.total,
-        "shared_quads": split.shared_count,
-        "overlap": split.shared_count / split.total,
-        "overlap_requested": overlap_ratio,
-        "seed_count": seed_count,
-        "planted": [],
-    }
-    return ForgeResult(g1, g2, seeds, manifest)
+    is_seed = np.zeros(len(split.alignment), dtype=bool)
+    is_seed[rng.permutation(len(split.alignment))[:seed_count]] = True
+    max_time = max(int(q[:, 3:].max(initial=0)) for q in (split.quads_1, split.quads_2))
+    manifest = {"overlap_requested": overlap_ratio, "seed_count": seed_count, "planted": []}
+    return _assemble(name, split, max_time, is_seed, {}, manifest)

@@ -87,8 +87,6 @@ class TrainConfig:
 
 def default_negatives(num_entities_1: int, num_entities_2: int, num_seeds: int) -> int:
     """Corruptions per positive when unset: (|E1|+|E2|) // |seeds| + 1."""
-    if num_seeds < 1:
-        raise ConfigError("need at least one seed pair to train")
     return (num_entities_1 + num_entities_2) // num_seeds + 1
 
 
@@ -272,6 +270,8 @@ def train(
     TrainingDivergedError (carrying the last finite-loss parameter snapshot)
     if the loss leaves the finite range.
     """
+    if not seeds.train_pairs:
+        raise ConfigError("need at least one seed pair to train")
     merged = merge_pair(g1, g2)
     mcfg = config.model_config()
     graph, index = build_graph(merged, config.mode, config.self_loops)

@@ -43,6 +43,22 @@ def read_manifest(out_dir):
     return json.loads((out_dir / "run_manifest.json").read_text())
 
 
+def copy_with_empty(dataset_dir, dest, *emptied):
+    """A copy of a dataset directory whose files named in ``emptied`` hold no lines."""
+    dest.mkdir()
+    for p in dataset_dir.iterdir():
+        if p.name != "run_manifest.json":
+            (dest / p.name).write_bytes(b"" if p.name in emptied else p.read_bytes())
+    return dest
+
+
+def printed_table(stdout, out_dir):
+    """The forge stdout without its last line, and the stats.txt it wrote."""
+    head, tail = stdout.rsplit("dataset written to ", 1)
+    assert tail == f"{out_dir}\n"
+    return head, (out_dir / "stats.txt").read_text()
+
+
 def file_and_flag_values(default, choices):
     """A config-file value off the default, then a flag's text and parsed value off the file's."""
     if isinstance(default, bool):
@@ -81,6 +97,31 @@ class TestForgeSynth:
         out = capsys.readouterr().out
         assert "dataset" in out and "|E1|" in out
         assert "dataset written to" in out
+
+    def test_printed_table_is_stats_txt(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(SYNTH_ARGS + ["--planted", "1", "--out", str(out)]) == 0
+        printed, written = printed_table(capsys.readouterr().out, out)
+        assert printed == written
+        assert written.splitlines()[1].split()[0] == "mini"
+
+    def test_single_entity_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "one"
+        assert main(SYNTH_ARGS + ["--entities", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: entities must be >= 2, got 1\n"
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "triples_1").exists()
+
+    def test_seeds_taking_every_pair_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "all-seeds"
+        code = main(["forge", "synth", "--entities", "10", "--quads-per-entity", "2",
+                     "--relations", "3", "--time-steps", "10", "--planted", "0",
+                     "--ratio", "1.0", "--seeds", "10", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: seed_count 10 takes every alignable pair, leaving no test pair\n")
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "ref_pairs").exists()
 
     def test_infeasible_spec_exits_2(self, tmp_path, capsys):
         code = main(["forge", "synth", "--relations", "1", "--planted", "1",
@@ -138,6 +179,29 @@ class TestForgeSplit:
         assert "overlap 0.500000" in capsys.readouterr().out
         man = read_manifest(out)
         assert str(src) in man["inputs"]
+
+    def test_printed_table_is_stats_txt(self, tmp_path, capsys):
+        src = tmp_path / "source.tsv"
+        src.write_text("".join(f"{s}\t{s % 3}\t{(s * 7 + 1) % 40}\t{s % 5}\t{s % 5 + 2}\n"
+                               for s in range(40)))
+        out = tmp_path / "split"
+        assert main(["forge", "split", "--source", str(src), "--ratio", "0.3", "--seeds", "3",
+                     "--name", "cut", "--out", str(out)]) == 0
+        printed, written = printed_table(capsys.readouterr().out, out)
+        assert printed == written
+        assert written.splitlines()[1].split()[0] == "cut"
+
+    def test_seeds_taking_every_pair_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "source.tsv"
+        src.write_text("".join(f"{s}\t0\t{s + 1}\t1\t2\n" for s in range(8)))
+        out = tmp_path / "o"
+        code = main(["forge", "split", "--source", str(src), "--ratio", "1.0", "--seeds", "9",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: seed_count 9 takes every alignable pair, leaving no test pair\n")
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "ref_pairs").exists()
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         src = tmp_path / "source.tsv"
@@ -397,6 +461,24 @@ class TestTrain:
         assert code == 2
         assert "sup_pairs" in capsys.readouterr().err
 
+    def test_empty_ref_pairs_exits_2_before_training(self, dataset_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        data = copy_with_empty(dataset_dir, tmp_path / "no-test", "ref_pairs")
+        monkeypatch.setattr("tkgalign.cli.train", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "o"
+        assert main(TRAIN_ARGS + ["--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {data / 'ref_pairs'}: no test pairs to rank\n"
+        assert read_manifest(out)["status"] == "failure"
+
+    def test_empty_sup_pairs_exits_2_before_training(self, dataset_dir, tmp_path, capsys):
+        data = copy_with_empty(dataset_dir, tmp_path / "no-seeds", "sup_pairs")
+        out = tmp_path / "o"
+        code = main(TRAIN_ARGS + ["--neg-per-pos", "3", "--data", str(data), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: need at least one seed pair to train\n"
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "run_0").exists()
+
     @pytest.mark.parametrize("repeats", ["0", "-2"])
     def test_non_positive_repeats_exits_2(self, dataset_dir, tmp_path, capsys, repeats):
         out = tmp_path / "o"
@@ -542,6 +624,16 @@ class TestEval:
         evaluated = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
         strip = lambda r: {k: v for k, v in r.items() if k != "seconds"}
         assert [strip(r) for r in evaluated] == [strip(r) for r in trained]
+
+    def test_empty_ref_pairs_exits_2(self, dataset_dir, trained, tmp_path, capsys):
+        data = copy_with_empty(dataset_dir, tmp_path / "no-test", "ref_pairs")
+        out = tmp_path / "o"
+        code = main(["eval", "--checkpoint", str(trained / "run_0" / "checkpoint.npz"),
+                     "--data", str(data), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {data / 'ref_pairs'}: no test pairs to rank\n"
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "eval_report.json").exists()
 
     def test_non_positive_k_csls_exits_2(self, dataset_dir, trained, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(trained / "run_0" / "checkpoint.npz"),

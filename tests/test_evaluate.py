@@ -298,6 +298,10 @@ class TestRankPool:
         with pytest.raises(ValueError, match=r"\(n, 2\)"):
             rank_pool(rng.normal(size=(4, 3)), np.array([0, 1]))
 
+    def test_empty_pool_rejected(self, rng):
+        with pytest.raises(ValueError, match="empty test pool"):
+            rank_pool(rng.normal(size=(4, 3)), np.empty((0, 2), dtype=np.int64))
+
     def test_l1_block_must_fit_the_pairs(self, rng):
         with pytest.raises(ValueError, match="does not fit"):
             rank_alignment(rng.normal(size=(4, 3)), np.array([[0, 2], [1, 3]]),

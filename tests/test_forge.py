@@ -1,10 +1,13 @@
 """Dataset construction: splits, planted ambiguity, io, and size reports."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkgalign.errors import ConfigError, DatasetError, ParseError
+from tkgalign.experiments import PLANTED_AMBIGUITY, SENSITIVITY_GAP
 from tkgalign.forge import (
     DatasetStats,
     ForgeSpec,
@@ -103,6 +106,7 @@ class TestForgeSpec:
         {"quads_per_entity": 0},
         {"seed_count": 0},
         {"planted_pairs": -1},
+        {"entities": 1},  # no object distinct from the subject
     ])
     def test_invalid_fields(self, kwargs):
         with pytest.raises(ConfigError):
@@ -344,6 +348,14 @@ class TestSynth:
         with pytest.raises(ConfigError, match="seed_count"):
             synth_tkg(self.spec(entities=10, seed_count=50))
 
+    def test_seeds_taking_every_pair_rejected(self):
+        spec = self.spec(entities=10, quads_per_entity=2, time_steps=10,
+                         overlap_ratio=1.0, seed_count=10)
+        with pytest.raises(ConfigError, match="seed_count 10 takes every alignable pair"):
+            synth_tkg(spec)
+        assert len(synth_tkg(self.spec(entities=10, quads_per_entity=2, time_steps=10,
+                                       overlap_ratio=1.0, seed_count=9)).seeds.test_pairs) == 1
+
     def test_manifest_records_spec_and_overlap(self):
         spec = self.spec(planted_pairs=1)
         res = synth_tkg(spec)
@@ -354,7 +366,56 @@ class TestSynth:
         assert got == pytest.approx(res.manifest["overlap"], abs=1e-12)
 
 
+# SHA-256 of every file ``write_dataset`` forges for the specs criteria 7 and 8
+# train on; a change to the generator's draw order or the writer shows here
+FORGED_SHA256 = {
+    "planted": {
+        "ent_ids_1": "007102b68332d2b10d3a77145a4c95231e638c2c419f7293fad9c0255a520a30",
+        "ent_ids_2": "c81a27bb0c832fb7a97333bbdd1e3d76cf1a039fd74923c8aedb07877b4c4eef",
+        "manifest.json": "52b3dee8c743cd9ce4cd39c8438bcf49e3958628fb2048dd903b2b474618151a",
+        "ref_pairs": "91cb5c33e3fdc9011cf2b53c08676544176c7931f1c91d6edb20c1202af6ab38",
+        "rel_ids_1": "cbf288a049e237b9196be2a52ef48d4e602fb52f0257285828643b2a82d9a5c2",
+        "rel_ids_2": "1c56a6f58edfa8fafb974186aec60c13d516aa18d99426b040b66a9357e38c42",
+        "stats.txt": "067506fa8fb2ee821b858fc416c330aa331ea9852a920b8f0244ef50886e031d",
+        "sup_pairs": "d218cf3f05bc4dc5b2ec40568e2f911f650360e23be7e12f44a561b23b152012",
+        "time_id": "d903cb8027efebc6e89305a880d5b1b098e6834ebf7734e41cb9091573806338",
+        "triples_1": "bf6bc6cf4054449382e9bfca8fef75e1fa2d369e096572c776b8a2dc96433a0b",
+        "triples_2": "013bc740368401be0758143c214e55d681ad40f1064ee9d4cfdf24fbaeebc536",
+    },
+    "hybrid": {
+        "ent_ids_1": "47013b81673b3e069235fa8ed26870681e821ba6f136ad055b4c372ca527d406",
+        "ent_ids_2": "105e36d7e714a8a65b2bd6bafa2fb029769004dffb0f1c0fba6303f6646c98f2",
+        "manifest.json": "fbec9f8f0783ccf79f72f3ff62ced6a7b23f439ea42df7726860987ecf0c5477",
+        "ref_pairs": "8532b4b26cd03572acc0c9b83bc2e60da9faca0dd19fec443afd33a16528d7b2",
+        "rel_ids_1": "cbf288a049e237b9196be2a52ef48d4e602fb52f0257285828643b2a82d9a5c2",
+        "rel_ids_2": "1c56a6f58edfa8fafb974186aec60c13d516aa18d99426b040b66a9357e38c42",
+        "stats.txt": "596257750571259443f3a0cd74c4af4bcfd72606d869e2b77a4fe2ebe116d3a6",
+        "sup_pairs": "f02970c60b3944ef6f81facce620c9ec817a348b5e064ecf08c1bb604183ddfa",
+        "time_id": "d903cb8027efebc6e89305a880d5b1b098e6834ebf7734e41cb9091573806338",
+        "triples_1": "7760ec3f2fc2efb1bd74c877a50a1dac0f8e303d3f74c754bdf3c25fddf52c05",
+        "triples_2": "c4816aab1fb83e323a0b031e5e3da65c91e45c78adbfd5a23581bc8ab47e731c",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", [PLANTED_AMBIGUITY.forge, SENSITIVITY_GAP.forge],
+                         ids=lambda spec: spec.name)
+def test_forged_bytes_are_pinned(tmp_path, spec):
+    res = synth_tkg(spec)
+    d = write_dataset(tmp_path / spec.name, res.g1, res.g2, res.seeds, res.manifest)
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(d.iterdir())}
+    assert got == FORGED_SHA256[spec.name]
+
+
 class TestSplitToResult:
+    def test_seeds_taking_every_pair_rejected(self):
+        quads = source_quads(30)
+        res = split_to_result(quads, 1.0, seed_count=1, rng=np.random.default_rng(0))
+        alignable = len(res.seeds.all_pairs)
+        with pytest.raises(ConfigError, match=f"seed_count {alignable} takes every alignable pair, "
+                                              "leaving no test pair"):
+            split_to_result(quads, 1.0, seed_count=alignable, rng=np.random.default_rng(0))
+
     def test_seed_count_bounds(self):
         quads = source_quads(40)
         with pytest.raises(ConfigError, match="seed_count"):

@@ -465,6 +465,15 @@ class TestTrainLoop:
         assert rows[1].split(",")[2] != ""
         assert rows[2].split(",")[2] == ""
 
+    @pytest.mark.parametrize("eta", [0, 3], ids=["derived-eta", "fixed-eta"])
+    def test_no_seed_pairs_rejected_before_any_epoch(self, fixture_6ent, eta, monkeypatch):
+        g1, g2, seeds = fixture_6ent
+        no_seeds = dataclasses.replace(seeds, train_pairs=[])
+        monkeypatch.setattr("tkgalign.train.model_forward",
+                            lambda *a, **k: pytest.fail("trained without seed pairs"))
+        with pytest.raises(ConfigError, match="need at least one seed pair to train"):
+            train(g1, g2, no_seeds, self.small_config(negatives_per_positive=eta))
+
     def test_zero_epochs_returns_initial_params(self, fixture_6ent):
         g1, g2, seeds = fixture_6ent
         result = train(g1, g2, seeds, self.small_config(epochs=0))

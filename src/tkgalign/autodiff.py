@@ -11,28 +11,24 @@ preserve the dtype of their inputs (float32 for training, float64 for
 verification) and avoid BLAS so that results are bit-reproducible at
 thread count 1.
 
-Every reduction by an index array (the segment ops and the backward of
-:func:`gather_rows`) goes through a :class:`Grouping`: the positions of each
-index value form one run, in their original order, and runs of equal length
-are reduced together, one ``ufunc.reduce`` over a (length, runs, k) block per
-distinct length; scalar rows are reduced run by run with one
-``ufunc.reduceat``. Groups that no row names stay zero (``-inf`` for a
-maximum). A grouping depends only on the index array, so a caller that
-reduces by the same static column many times (a graph's link columns) builds
-it once and passes it in place of the array.
+Every op keeps two rules.
 
-Gradient ownership: :meth:`Tensor.accumulate` keeps a node's first gradient
-contribution without copying it only when the backward rule passes
-``owned=True``, which a rule does for an array it has just computed and
-hands to no other node (the gather reduction, ``matvec``, both
-``scale_rows`` ops, ``householder_apply``, the segment ops, ``relu``,
-``absolute``, ``dropout``, ``normalize_rows``, ``row_sum``, ``sub``'s
-negated second operand and the training loss's hinge gradient). Everything
-else is copied on first contribution: an upstream gradient passed on
-unchanged (``add`` hands one array to both parents, ``sub`` passes it to its
-first operand), a view (``concat_cols``' column slices) and an array of
-another dtype or shape. Later contributions are added in place, so no two
-nodes ever share gradient memory.
+Index: an op that reduces by an index (the segment ops and the backward of
+:func:`gather_rows`) takes an index array or its prebuilt :class:`Grouping`
+and groups it once, when the op is built. A grouping puts the positions of
+each index value in one run, in their original order, and reduces runs of
+equal length together, one ``ufunc.reduce`` over a (length, runs, k) block
+per distinct length (scalar rows: one ``ufunc.reduceat``). Groups that no
+row names stay zero (``-inf`` for a maximum). A caller that reduces by the
+same static column many times (a graph's link columns) builds its grouping
+once and passes it in place of the array.
+
+Ownership: a backward rule hands each array it passes on to one parent only;
+``add``, the one op that passes its upstream gradient to two parents, gives
+the second a copy. So :meth:`Tensor.accumulate` keeps a first contribution
+that is no view, is writeable and has the node's dtype and shape, and copies
+anything else (``concat_cols``' column slices, a broadcast). Later
+contributions are added in place, so no two nodes share gradient memory.
 """
 from __future__ import annotations
 
@@ -71,17 +67,11 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add ``g`` into this node's gradient.
-
-        ``owned`` means the caller has just created ``g`` and hands it to
-        no one else: a first contribution that is no view and has this
-        node's dtype and shape is then kept as is. Any other first
-        contribution is copied.
-        """
+    def accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` into this node's gradient (see the ownership rule above)."""
         if self.grad is None:
-            keep = owned and g.base is None and g.dtype == self.data.dtype
-            if keep and g.shape == self.data.shape:
+            if (g.base is None and g.flags.writeable and g.dtype == self.data.dtype
+                    and g.shape == self.data.shape):
                 self.grad = g
             else:
                 self.grad = np.array(g, dtype=self.data.dtype, copy=True)
@@ -136,7 +126,7 @@ def backward(root: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         a.accumulate(g)
-        b.accumulate(g)
+        b.accumulate(g.copy())
 
     return Tensor(a.data + b.data, (a, b), bw)
 
@@ -144,7 +134,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         a.accumulate(g)
-        b.accumulate(-g, owned=True)
+        b.accumulate(-g)
 
     return Tensor(a.data - b.data, (a, b), bw)
 
@@ -153,7 +143,7 @@ def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
     def bw(g):
-        a.accumulate(g * mask, owned=True)
+        a.accumulate(g * mask)
 
     return Tensor(np.where(mask, a.data, 0), (a,), bw)
 
@@ -163,7 +153,7 @@ def absolute(a: Tensor) -> Tensor:
     sgn = np.sign(a.data)
 
     def bw(g):
-        a.accumulate(g * sgn, owned=True)
+        a.accumulate(g * sgn)
 
     return Tensor(np.abs(a.data), (a,), bw)
 
@@ -172,7 +162,7 @@ def row_sum(a: Tensor) -> Tensor:
     """(n, d) -> (n,) sum along axis 1."""
 
     def bw(g):
-        a.accumulate(np.repeat(g[:, None], a.data.shape[1], axis=1), owned=True)
+        a.accumulate(np.repeat(g[:, None], a.data.shape[1], axis=1))
 
     return Tensor(a.data.sum(axis=1), (a,), bw)
 
@@ -254,19 +244,13 @@ def _grouping(index: np.ndarray | Grouping) -> Grouping:
 
 
 def gather_rows(a: Tensor, idx: np.ndarray | Grouping) -> Tensor:
-    """Select rows (axis 0); the backward sums each source row's gradients.
-
-    ``idx`` is an index array, grouped only if the backward runs, or a
-    prebuilt :class:`Grouping` of one.
-    """
-    runs = idx if isinstance(idx, Grouping) else None
-    index = np.asarray(idx, dtype=np.int64) if runs is None else runs.index
+    """Select rows (axis 0); the backward sums each source row's gradients."""
+    runs = _grouping(idx)
 
     def bw(g):
-        by_index = Grouping(index) if runs is None else runs
-        a.accumulate(by_index.reduce(np.add, g, len(a.data)), owned=True)
+        a.accumulate(runs.reduce(np.add, g, len(a.data)))
 
-    return Tensor(np.take(a.data, index, axis=0), (a,), bw)
+    return Tensor(np.take(a.data, runs.index, axis=0), (a,), bw)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -285,8 +269,8 @@ def matvec(a: Tensor, v: Tensor) -> Tensor:
     """(n, m) @ (m,) -> (n,). einsum keeps it off BLAS for reproducibility."""
 
     def bw(g):
-        a.accumulate(g[:, None] * v.data[None, :], owned=True)
-        v.accumulate(np.einsum("nm,n->m", a.data, g), owned=True)
+        a.accumulate(g[:, None] * v.data[None, :])
+        v.accumulate(np.einsum("nm,n->m", a.data, g))
 
     return Tensor(np.einsum("nm,m->n", a.data, v.data), (a, v), bw)
 
@@ -295,8 +279,8 @@ def scale_rows(x: Tensor, w: Tensor) -> Tensor:
     """Row i of x times scalar w[i], with w trainable."""
 
     def bw(g):
-        x.accumulate(g * w.data[:, None], owned=True)
-        w.accumulate(np.einsum("nk,nk->n", g, x.data), owned=True)
+        x.accumulate(g * w.data[:, None])
+        w.accumulate(np.einsum("nk,nk->n", g, x.data))
 
     return Tensor(x.data * w.data[:, None], (x, w), bw)
 
@@ -306,7 +290,7 @@ def scale_rows_const(x: Tensor, w: np.ndarray) -> Tensor:
     w = np.asarray(w, dtype=x.data.dtype)
 
     def bw(g):
-        x.accumulate(g * w[:, None], owned=True)
+        x.accumulate(g * w[:, None])
 
     return Tensor(x.data * w[:, None], (x,), bw)
 
@@ -328,7 +312,7 @@ def normalize_rows(a: Tensor) -> Tensor:
 
     def bw(g):
         proj = np.einsum("nk,nk->n", unit, g)
-        a.accumulate((g - unit * proj[:, None]) * inv[:, None], owned=True)
+        a.accumulate((g - unit * proj[:, None]) * inv[:, None])
 
     return Tensor(unit, (a,), bw)
 
@@ -346,9 +330,8 @@ def householder_apply(h: Tensor, x: Tensor) -> Tensor:
 
     def bw(g):
         hg = np.einsum("nk,nk->n", h.data, g)
-        x.accumulate(g - 2.0 * hg[:, None] * h.data, owned=True)
-        gh = hg  # h.g, rows
-        h.accumulate(-2.0 * (gh[:, None] * x.data + hx[:, None] * g), owned=True)
+        x.accumulate(g - 2.0 * hg[:, None] * h.data)
+        h.accumulate(-2.0 * (hg[:, None] * x.data + hx[:, None] * g))
 
     return Tensor(out, (h, x), bw)
 
@@ -370,7 +353,7 @@ def segment_softmax(
 
     def bw(g):
         dot = runs.reduce(np.add, g * w, num_segments)
-        logits.accumulate(w * (g - dot[seg]), owned=True)
+        logits.accumulate(w * (g - dot[seg]))
 
     return Tensor(w, (logits,), bw)
 
@@ -381,7 +364,7 @@ def segment_sum(x: Tensor, segments: np.ndarray | Grouping, num_segments: int) -
     runs = _grouping(segments)
 
     def bw(g):
-        x.accumulate(np.take(g, runs.index, axis=0), owned=True)
+        x.accumulate(np.take(g, runs.index, axis=0))
 
     return Tensor(runs.reduce(np.add, x.data, num_segments), (x,), bw)
 
@@ -399,7 +382,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     factor = 1.0 / (1.0 - rate)
 
     def bw(g):
-        x.accumulate(g * keep * factor, owned=True)
+        x.accumulate(g * keep * factor)
 
     return Tensor(x.data * keep * factor, (x,), bw)
 

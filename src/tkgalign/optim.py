@@ -9,6 +9,9 @@ import numpy as np
 from .autodiff import Tensor, backward, leaf
 from .errors import NonFiniteError
 
+RMSPROP_DECAY = 0.9  # decay of the squared-gradient running average
+RMSPROP_EPSILON = 1e-8  # eps added to its square root
+
 
 class ParameterStore:
     """Named leaf tensors plus their optimizer state, updated in a fixed order.
@@ -48,8 +51,6 @@ class ParameterStore:
 class RmsPropState:
     """Squared-gradient running averages, one slot per parameter."""
 
-    decay: float = 0.9
-    epsilon: float = 1e-8
     cache: dict[str, np.ndarray] = field(default_factory=dict)
 
     def step(self, store: ParameterStore, lr: float) -> None:
@@ -64,9 +65,9 @@ class RmsPropState:
             if v is None:
                 v = np.zeros_like(t.data)
                 self.cache[name] = v
-            v *= self.decay
-            v += (1.0 - self.decay) * g * g
-            t.data -= lr * g / (np.sqrt(v) + self.epsilon)
+            v *= RMSPROP_DECAY
+            v += (1.0 - RMSPROP_DECAY) * g * g
+            t.data -= lr * g / (np.sqrt(v) + RMSPROP_EPSILON)
 
 
 def gradient_check(

@@ -71,6 +71,8 @@ class TrainConfig:
         for name in ("eval_every", "patience", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.patience and not self.eval_every:
+            raise ConfigError("patience needs eval_every > 0: early stopping counts evals")
         if self.k_csls < 1:
             raise ConfigError(f"k_csls must be >= 1, got {self.k_csls}")
         self.model_config()  # checks dim, num_layers, dropout and precision
@@ -163,7 +165,7 @@ def margin_loss(
         grad[:num_pos] = uses
         grad[num_pos:] = np.where(active, -1, 0)
         grad *= g
-        dist.accumulate(grad, owned=True)
+        dist.accumulate(grad)
 
     return Tensor(np.asarray(loss), (dist,), bw)
 
@@ -272,6 +274,8 @@ def train(
     """
     if not seeds.train_pairs:
         raise ConfigError("need at least one seed pair to train")
+    if config.eval_every and not seeds.test_pairs:
+        raise ConfigError("eval_every needs at least one test pair to score")
     merged = merge_pair(g1, g2)
     mcfg = config.model_config()
     graph, index = build_graph(merged, config.mode, config.self_loops)

@@ -619,7 +619,7 @@ class TestTape:
         assert np.allclose(t.grad, np.ones_like(x))
 
 
-def copying_accumulate(self, g, owned=False):
+def copying_accumulate(self, g):
     """The reference rule: every first contribution is copied."""
     if self.grad is None:
         self.grad = np.array(g, dtype=self.data.dtype, copy=True)
@@ -638,11 +638,17 @@ def aliasing_loss(x, y, z, v, c1, c2):
     return ad.add(first, second), s, cat
 
 
+def read_only_array():
+    g = np.ones((2, 3))
+    g.flags.writeable = False
+    return g
+
+
 class TestAccumulate:
-    def test_owned_first_contribution_is_kept(self):
+    def test_fresh_first_contribution_is_kept(self):
         t = ad.leaf(np.zeros((2, 3)))
         g = np.ones((2, 3))
-        t.accumulate(g, owned=True)
+        t.accumulate(g)
         assert t.grad is g
 
     @pytest.mark.parametrize(
@@ -651,17 +657,24 @@ class TestAccumulate:
             np.ones((2, 3), dtype=np.float32),  # another dtype
             np.ones((1, 3)),  # another shape
             np.ones((2, 6))[:, :3],  # a view
-            np.broadcast_to(np.ones(3), (2, 3)),  # read-only
+            np.broadcast_to(np.ones(3), (2, 3)),  # a read-only view
+            read_only_array(),  # read-only, though no view
         ],
-        ids=["dtype", "shape", "view", "read-only"],
+        ids=["dtype", "shape", "view", "broadcast", "read-only"],
     )
-    @pytest.mark.parametrize("owned", [False, True])
-    def test_first_contribution_copied_unless_kept_safely(self, g, owned):
+    def test_first_contribution_copied_unless_kept_safely(self, g):
         t = ad.leaf(np.zeros((2, 3)))
-        t.accumulate(g, owned=owned)
+        t.accumulate(g)
         assert t.grad.dtype == np.float64 and t.grad.flags.writeable
         assert not np.shares_memory(t.grad, g)
         assert np.array_equal(t.grad, g)
+
+    def test_later_contributions_add_in_place(self):
+        t = ad.leaf(np.zeros(3))
+        first = np.ones(3)
+        t.accumulate(first)
+        t.accumulate(np.full(3, 2.0))
+        assert t.grad is first and first.tolist() == [3.0, 3.0, 3.0]
 
     def test_shared_gradients_never_alias(self, rng, monkeypatch):
         arrays = [rng.normal(size=(3, 4)) for _ in range(5)] + [rng.normal(size=(3, 16))]

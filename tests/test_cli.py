@@ -493,8 +493,11 @@ class TestTrain:
         ([], {"seed": -1}, "seed must be >= 0, got -1"),
         (["--eval-every", "-1"], None, "eval_every must be >= 0, got -1"),
         (["--eval-every", "1", "--patience", "-2"], None, "patience must be >= 0, got -2"),
-    ], ids=["seed-flag", "seed-config", "eval-every", "patience"])
-    def test_negative_value_exits_2(self, dataset_dir, tmp_path, capsys, flags, config, message):
+        (["--patience", "3"], None, "patience needs eval_every > 0: early stopping counts evals"),
+        ([], {"patience": 3}, "patience needs eval_every > 0: early stopping counts evals"),
+    ], ids=["seed-flag", "seed-config", "eval-every", "patience", "patience-no-eval-flag",
+            "patience-no-eval-config"])
+    def test_invalid_count_exits_2(self, dataset_dir, tmp_path, capsys, flags, config, message):
         if config is not None:
             cfg = tmp_path / "neg.json"
             cfg.write_text(json.dumps(config))

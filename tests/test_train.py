@@ -11,16 +11,20 @@ from hypothesis import strategies as st
 from tkgalign import autodiff as ad
 from tkgalign.errors import ConfigError, TrainingDivergedError
 from tkgalign.tkg import UNKNOWN_TIME_ID, merge_pair
-from tkgalign.model import prepare_graph
+from tkgalign.model import init_params, model_forward, prepare_graph, table_sizes
 from tkgalign.train import (
+    MODES,
     TrainConfig,
     apply_time_unaware,
+    build_graph,
     default_negatives,
     l1_rows,
     margin_loss,
     sample_negatives,
     train,
 )
+
+from test_autodiff import copying_accumulate
 
 
 class TestL1:
@@ -356,6 +360,12 @@ class TestTrainConfig:
             TrainConfig(**{key: value})
         assert str(err.value) == message
 
+    def test_patience_without_eval_every_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(patience=1, epochs=6)
+        assert str(err.value) == "patience needs eval_every > 0: early stopping counts evals"
+        assert TrainConfig(patience=1, eval_every=2).patience == 1
+
     @pytest.mark.parametrize("key, value, message", [
         ("dim", 0, "embedding dim must be >= 1, got 0"),
         ("num_layers", -1, "layer count must be >= 0, got -1"),
@@ -474,8 +484,57 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="need at least one seed pair to train"):
             train(g1, g2, no_seeds, self.small_config(negatives_per_positive=eta))
 
+    def test_eval_without_test_pairs_rejected_before_any_epoch(self, fixture_6ent,
+                                                               monkeypatch):
+        g1, g2, seeds = fixture_6ent
+        no_tests = dataclasses.replace(seeds, test_pairs=[])
+        monkeypatch.setattr("tkgalign.train.model_forward",
+                            lambda *a, **k: pytest.fail("trained without test pairs to score"))
+        with pytest.raises(ConfigError, match="eval_every needs at least one test pair"):
+            train(g1, g2, no_tests, self.small_config(eval_every=1))
+
     def test_zero_epochs_returns_initial_params(self, fixture_6ent):
         g1, g2, seeds = fixture_6ent
         result = train(g1, g2, seeds, self.small_config(epochs=0))
         assert result.report.losses == []
         assert result.store.num_scalars() > 0
+
+
+class TestModelTapeOwnership:
+    @pytest.mark.parametrize("self_loops", [True, False], ids=["loops", "no-loops"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_gradients_match_copying_reference_without_aliasing(
+        self, fixture_6ent, mode, self_loops, monkeypatch
+    ):
+        """One model forward and loss backward keeps gradients without copies,
+        yet every parameter gradient is bitwise what copying every first
+        contribution gives, and no two gradients share memory."""
+        g1, g2, seeds = fixture_6ent
+        merged = merge_pair(g1, g2)
+        cfg = TrainConfig(dim=5, num_layers=2, precision="f64", mode=mode,
+                          self_loops=self_loops)
+        graph, _ = build_graph(merged, mode, self_loops)
+        pairs = merged.merged_pairs(seeds.train_pairs)
+        tgt_range = (merged.entity_offset, merged.entity_offset + g2.num_entities)
+
+        def parameter_grads():
+            rng = np.random.default_rng(7)
+            store = init_params(rng, *table_sizes(merged, self_loops), cfg.model_config())
+            neg_src, neg_tgt = sample_negatives(pairs, 3, (0, g1.num_entities), tgt_range, rng)
+            reps = model_forward(store, graph, cfg.model_config(), training=True, rng=rng)
+            ad.backward(margin_loss(reps, pairs, neg_src, neg_tgt, cfg.margin))
+            return store, {name: t.grad for name, t in store.items()}
+
+        store, got = parameter_grads()
+        monkeypatch.setattr(ad.Tensor, "accumulate", copying_accumulate)
+        _, want = parameter_grads()
+
+        assert got.keys() == want.keys()
+        for name, grad in got.items():
+            assert grad is not None, name
+            assert grad.dtype == want[name].dtype and grad.shape == want[name].shape
+            assert grad.tobytes() == want[name].tobytes(), name
+        arrays = list(got.values()) + [t.data for _, t in store.items()]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)

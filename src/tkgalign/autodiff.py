@@ -26,9 +26,11 @@ once and passes it in place of the array.
 Ownership: a backward rule hands each array it passes on to one parent only;
 ``add``, the one op that passes its upstream gradient to two parents, gives
 the second a copy. So :meth:`Tensor.accumulate` keeps a first contribution
-that is no view, is writeable and has the node's dtype and shape, and copies
-anything else (``concat_cols``' column slices, a broadcast). Later
-contributions are added in place, so no two nodes share gradient memory.
+that is no view, is writeable and has the node's dtype, and copies anything
+else (``concat_cols``' column slices, a broadcast). Later contributions are
+added in place, so no two nodes share gradient memory. A contribution of
+another shape than its node's is refused, first or later: it would
+otherwise be kept at its own shape or broadcast into the gradient.
 """
 from __future__ import annotations
 
@@ -69,9 +71,10 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray) -> None:
         """Add ``g`` into this node's gradient (see the ownership rule above)."""
+        if g.shape != self.data.shape:
+            raise ValueError(f"gradient of shape {g.shape} for a node of shape {self.data.shape}")
         if self.grad is None:
-            if (g.base is None and g.flags.writeable and g.dtype == self.data.dtype
-                    and g.shape == self.data.shape):
+            if g.base is None and g.flags.writeable and g.dtype == self.data.dtype:
                 self.grad = g
             else:
                 self.grad = np.array(g, dtype=self.data.dtype, copy=True)

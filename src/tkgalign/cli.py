@@ -205,15 +205,12 @@ def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
         })
         for p in (ck_path, history_path, metrics_path):
             manifest.record_artifact(p)
-        reports.append(run_reports)
-        logger.info("run %d: csls hits@1 %.4f", run_seed, run_reports[1].hits1)
+        reports.extend(run_reports)
+        logger.info("run %d: csls hits@1 %.4f", run_seed,
+                    next(r.hits1 for r in run_reports if r.metric_space == "csls"))
 
-    summary = {}
-    for i, space in enumerate(("l1", "csls")):
-        per_space = [r[i] for r in reports]
-        summary[space] = average_reports(per_space)
-        summary[space]["hits1_std"] = float(np.std([r.hits1 for r in per_space]))
-        summary[space]["mrr_std"] = float(np.std([r.mrr for r in per_space]))
+    summary = {space: average_reports([r for r in reports if r.metric_space == space])
+               for space in ("l1", "csls")}
     summary_path = out / "summary.json"
     _write_json(summary_path, summary)
     manifest.record_artifact(summary_path)
@@ -440,6 +437,11 @@ def main(argv: list[str] | None = None) -> int:
     except TkgAlignError as exc:
         manifest.finish("failure", f"{type(exc).__name__}: {exc}")
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        manifest.finish("failure", f"{type(exc).__name__}: {exc}")
+        print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - the manifest must record any crash
         manifest.finish("failure", f"{type(exc).__name__}: {exc}")

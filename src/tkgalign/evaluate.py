@@ -199,26 +199,27 @@ def rank_pool(
     """Every report of one evaluation, from one L1 matrix of the test pool.
 
     The g1->g2 matrix is computed once. g2->g1 is its exact transpose
-    (|a - b| == |b - a| in IEEE arithmetic), copied to C order so CSLS keeps
-    its contiguous reduction path, and a partition's matrix is an exact
-    sub-block; each report is thus bitwise what a standalone
+    (|a - b| == |b - a| in IEEE arithmetic), copied to C order once so CSLS
+    keeps its contiguous reduction path, and a partition's matrix is an
+    exact sub-block; each report is thus bitwise what a standalone
     :func:`rank_alignment` call on that subset and direction gives.
 
     Reports come per space, then per direction: the whole pool, then each
     ``(name, pair indices)`` partition in order, skipping empty ones. A
     whole-pool report's ``seconds`` is the wall time of its own ranking from
-    the shared matrix (transpose, CSLS, ranks); the matrix itself is not in
-    any report's ``seconds``, and partition reports carry none.
+    its direction's matrix (CSLS, ranks); neither matrix is in any report's
+    ``seconds``, and partition reports carry none.
     """
     pairs = _as_pairs(pairs)
     if len(pairs) == 0:
         raise ValueError("cannot rank an empty test pool")
     l1 = similarity_matrix(reps[pairs[:, 0]], reps[pairs[:, 1]])
+    blocks = {d: np.ascontiguousarray(l1.T) if d == "g2->g1" else l1 for d in directions}
     reports = []
     for space in spaces:
         for direction in directions:
+            block = blocks[direction]
             t0 = time.perf_counter()
-            block = np.ascontiguousarray(l1.T) if direction == "g2->g1" else l1
             rep = rank_alignment(reps, pairs, metric_space=space, k_csls=k_csls,
                                  direction=direction, l1=block)
             rep.seconds = time.perf_counter() - t0
@@ -234,12 +235,16 @@ def rank_pool(
 
 
 def average_reports(reports: list[RankingReport]) -> dict:
-    """Mean metrics across runs (the repeat-flag aggregation)."""
+    """Mean metrics across runs, and the spread of MRR and hits@1 (the
+    repeat-flag aggregation)."""
     if not reports:
         raise ValueError("no reports to average")
+    mrr, hits1 = [r.mrr for r in reports], [r.hits1 for r in reports]
     return {
-        "mrr": float(np.mean([r.mrr for r in reports])),
-        "hits1": float(np.mean([r.hits1 for r in reports])),
+        "mrr": float(np.mean(mrr)),
+        "mrr_std": float(np.std(mrr)),
+        "hits1": float(np.mean(hits1)),
+        "hits1_std": float(np.std(hits1)),
         "hits10": float(np.mean([r.hits10 for r in reports])),
         "runs": len(reports),
     }

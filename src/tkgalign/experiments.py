@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -83,18 +84,32 @@ def _planted_test_indices(data: ForgeResult) -> list[int]:
     return [test.index((rec["e1"], rec["e2"])) for rec in data.manifest["planted"]]
 
 
-def _run_one(
-    data: ForgeResult, cfg: ExperimentConfig, mode: str, seed: int
-) -> tuple[dict[str, RankingReport], TrainReport]:
-    """Train one model and rank the test pairs by CSLS: its reports keyed by
-    partition (the whole pool under "all"), and its training report."""
-    result = train(data.g1, data.g2, data.seeds, replace(cfg.train, mode=mode, seed=seed))
-    reports = score_model(
-        result.store, result.graph, result.config.model_config(),
-        result.merged.merged_pairs(data.seeds.test_pairs),
-        spaces=("csls",), k_csls=result.config.k_csls, sensitivity=result.index,
-    )
-    return {r.partition: r for r in reports}, result.report
+def _run_pairs(
+    data: ForgeResult,
+    cfg: ExperimentConfig,
+    measure: Callable[[dict[str, RankingReport], TrainReport], dict],
+) -> list[dict]:
+    """Train every (seed, mode) pair of ``cfg`` and rank its test pairs by CSLS.
+
+    ``measure(reports, trained)`` turns one run's reports, keyed by partition
+    (the whole pool under "all"), and its training report into that mode's
+    entry of the seed's row: ``{"seed": s, "tea": ..., "tu": ...}``.
+    """
+    runs = []
+    for seed in cfg.train_seeds:
+        row: dict = {"seed": seed}
+        for mode, tag in (("time-aware", "tea"), ("time-unaware", "tu")):
+            result = train(data.g1, data.g2, data.seeds, replace(cfg.train, mode=mode, seed=seed))
+            reports = score_model(
+                result.store, result.graph, result.config.model_config(),
+                result.merged.merged_pairs(data.seeds.test_pairs),
+                spaces=("csls",), k_csls=result.config.k_csls, sensitivity=result.index,
+            )
+            row[tag] = measure({r.partition: r for r in reports}, result.report)
+        runs.append(row)
+        logger.info("seed %d: %s", seed, " | ".join(
+            tag + "".join(f" {k} {v:.3f}" for k, v in row[tag].items()) for tag in ("tea", "tu")))
+    return runs
 
 
 def planted_ambiguity_experiment(cfg: ExperimentConfig = PLANTED_AMBIGUITY) -> dict:
@@ -103,24 +118,17 @@ def planted_ambiguity_experiment(cfg: ExperimentConfig = PLANTED_AMBIGUITY) -> d
     t0 = time.perf_counter()
     data = synth_tkg(cfg.forge)
     planted_idx = _planted_test_indices(data)
-    runs = []
-    for seed in cfg.train_seeds:
-        row: dict = {"seed": seed}
-        for mode, tag in (("time-aware", "tea"), ("time-unaware", "tu")):
-            reports, trained = _run_one(data, cfg, mode, seed)
-            whole = reports["all"]
-            row[tag] = {
-                "hits1": whole.hits1,
-                "mrr": whole.mrr,
-                "planted_hits1": float((np.asarray(whole.ranks)[planted_idx] == 1).mean()),
-                "worst_attention_deviation": max(trained.attention_deviations),
-            }
-        runs.append(row)
-        logger.info(
-            "seed %d: tea planted %.3f overall %.3f | tu planted %.3f overall %.3f",
-            seed, row["tea"]["planted_hits1"], row["tea"]["hits1"],
-            row["tu"]["planted_hits1"], row["tu"]["hits1"],
-        )
+
+    def measure(reports: dict[str, RankingReport], trained: TrainReport) -> dict:
+        whole = reports["all"]
+        return {
+            "hits1": whole.hits1,
+            "mrr": whole.mrr,
+            "planted_hits1": float((np.asarray(whole.ranks)[planted_idx] == 1).mean()),
+            "worst_attention_deviation": max(trained.attention_deviations, default=0.0),
+        }
+
+    runs = _run_pairs(data, cfg, measure)
     n = len(runs)
     summary = {
         "num_runs": n,
@@ -151,24 +159,15 @@ def sensitivity_gap_experiment(cfg: ExperimentConfig = SENSITIVITY_GAP) -> dict:
     for name, idx in zip(("highly", "lowly"), parts):
         if len(idx) == 0:  # checked before training: the gap is undefined without it
             raise ConfigError(f"the {name} time-sensitive partition of {cfg.forge.name!r} has no test pairs")
-    runs = []
-    for seed in cfg.train_seeds:
-        row: dict = {"seed": seed}
-        for mode, tag in (("time-aware", "tea"), ("time-unaware", "tu")):
-            reports, _ = _run_one(data, cfg, mode, seed)
-            high, low = reports["highly"], reports["lowly"]
-            row[tag] = {
-                "hits1": reports["all"].hits1,
-                "hits1_high": high.hits1,
-                "hits1_low": low.hits1,
-            }
-            row["num_high"], row["num_low"] = high.num_pairs, low.num_pairs
+    runs = _run_pairs(data, cfg, lambda reports, _: {
+        "hits1": reports["all"].hits1,
+        "hits1_high": reports["highly"].hits1,
+        "hits1_low": reports["lowly"].hits1,
+    })
+    for row in runs:
+        row["num_high"], row["num_low"] = (len(idx) for idx in parts)
         row["gap_high"] = row["tea"]["hits1_high"] - row["tu"]["hits1_high"]
         row["gap_low"] = row["tea"]["hits1_low"] - row["tu"]["hits1_low"]
-        runs.append(row)
-        logger.info(
-            "seed %d: gap high %+.3f vs low %+.3f", seed, row["gap_high"], row["gap_low"]
-        )
     mean_high = float(np.mean([r["gap_high"] for r in runs]))
     mean_low = float(np.mean([r["gap_low"] for r in runs]))
     summary = {

@@ -242,20 +242,21 @@ def layer_forward(
     attention's edge term the tables. Every gather and reduction over links
     uses the graph's own column groupings. Entities with no inward links get
     a zero output row (ReLU of an empty sum). ``h`` must already carry
-    dropout if training.
+    dropout if training. The time view, then the relation view, runs
+    through one loop body; the probe records their weights in that order.
     """
     h_src = ad.gather_rows(h, graph.by_src)
-    via_time = ad.householder_apply(time_e, h_src)
-    via_rel = ad.householder_apply(rel_e, h_src)
-    alpha = attention_logits(h, graph.by_dst, via_time, time_table, graph.by_time, nu_time)
-    beta = attention_logits(h, graph.by_dst, via_rel, rel_table, graph.by_rel, nu_rel)
-    # softmax within each destination entity's inward links
-    omega = ad.segment_softmax(alpha, graph.by_dst, graph.num_entities)
-    upsilon = ad.segment_softmax(beta, graph.by_dst, graph.num_entities)
-    if probe is not None:
-        probe.record(omega.data, graph.dst, graph.num_entities)
-        probe.record(upsilon.data, graph.dst, graph.num_entities)
-    message = ad.add(ad.scale_rows(via_time, omega), ad.scale_rows(via_rel, upsilon))
+    weighted = []
+    for edge_e, table, by_edge, nu in ((time_e, time_table, graph.by_time, nu_time),
+                                        (rel_e, rel_table, graph.by_rel, nu_rel)):
+        via = ad.householder_apply(edge_e, h_src)
+        logits = attention_logits(h, graph.by_dst, via, table, by_edge, nu)
+        # softmax within each destination entity's inward links
+        weights = ad.segment_softmax(logits, graph.by_dst, graph.num_entities)
+        if probe is not None:
+            probe.record(weights.data, graph.dst, graph.num_entities)
+        weighted.append(ad.scale_rows(via, weights))
+    message = ad.add(*weighted)
     return ad.relu(ad.segment_sum(message, graph.by_dst, graph.num_entities))
 
 

@@ -655,12 +655,11 @@ class TestAccumulate:
         "g",
         [
             np.ones((2, 3), dtype=np.float32),  # another dtype
-            np.ones((1, 3)),  # another shape
             np.ones((2, 6))[:, :3],  # a view
             np.broadcast_to(np.ones(3), (2, 3)),  # a read-only view
             read_only_array(),  # read-only, though no view
         ],
-        ids=["dtype", "shape", "view", "broadcast", "read-only"],
+        ids=["dtype", "view", "broadcast", "read-only"],
     )
     def test_first_contribution_copied_unless_kept_safely(self, g):
         t = ad.leaf(np.zeros((2, 3)))
@@ -668,6 +667,15 @@ class TestAccumulate:
         assert t.grad.dtype == np.float64 and t.grad.flags.writeable
         assert not np.shares_memory(t.grad, g)
         assert np.array_equal(t.grad, g)
+
+    @pytest.mark.parametrize("earlier", [0, 1], ids=["first", "later"])
+    def test_contribution_of_another_shape_refused(self, earlier):
+        """A (1, 3) gradient would be kept at its shape, or broadcast into both rows."""
+        t = ad.leaf(np.zeros((2, 3)))
+        for _ in range(earlier):
+            t.accumulate(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"shape \(1, 3\) for a node of shape \(2, 3\)"):
+            t.accumulate(np.ones((1, 3)))
 
     def test_later_contributions_add_in_place(self):
         t = ad.leaf(np.zeros(3))

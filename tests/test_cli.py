@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from tkgalign import cli
 from tkgalign.checkpoint import load_checkpoint
 from tkgalign.cli import DATA_ROOT_ENV, _build_train_config, build_parser, main
 from tkgalign.forge import ForgeSpec
@@ -786,6 +787,20 @@ class TestMainPlumbing:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "train" in out and "forge" in out
+
+    def test_out_of_memory_exits_1_with_one_line(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 321. MiB for an array")
+
+        monkeypatch.setattr(cli, "train", exhausted)
+        out = tmp_path / "out"
+        assert main(TRAIN_ARGS + ["--data", str(dataset_dir), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory (Unable to allocate 321. MiB for an array)\n"
+        assert "Traceback" not in err
+        manifest = read_manifest(out)
+        assert manifest["status"] == "failure"
+        assert manifest["error"] == "MemoryError: Unable to allocate 321. MiB for an array"
 
 
 class TestDatasetFiles:

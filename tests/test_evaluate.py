@@ -313,7 +313,8 @@ class TestAverageReports:
         a = RankingReport(mrr=0.5, hits1=0.4, hits10=0.8, ranks=[2])
         b = RankingReport(mrr=0.7, hits1=0.6, hits10=1.0, ranks=[1])
         avg = average_reports([a, b])
-        assert avg == {"mrr": 0.6, "hits1": 0.5, "hits10": 0.9, "runs": 2}
+        assert avg == {"mrr": 0.6, "mrr_std": pytest.approx(0.1), "hits1": 0.5,
+                       "hits1_std": pytest.approx(0.1), "hits10": 0.9, "runs": 2}
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no reports"):

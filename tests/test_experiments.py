@@ -102,24 +102,29 @@ def test_planted_hits1_is_a_subset_of_whole_pool_ranks(planted_report, mode, tag
     assert planted_report["runs"][0][tag]["planted_hits1"] == float((ranks[idx] == 1).mean())
 
 
-@pytest.mark.parametrize("script, keys", [
-    ("run_planted_ambiguity.py", {"num_runs", "tea_planted_perfect_runs", "tu_planted_low_runs",
-                                  "tea_ge_tu_overall_runs", "mean_tea_planted_hits1",
-                                  "mean_tu_planted_hits1"}),
-    ("run_sensitivity_partition.py", {"num_runs", "mean_gap_high", "mean_gap_low",
-                                      "pattern_holds", "runs_where_pattern_holds"}),
-])
-def test_script_runs(tmp_path, script, keys):
-    out = tmp_path / "report.json"
+@pytest.mark.parametrize("epochs, out", [(2, "report.json"), (0, None)],
+                         ids=["out", "default-out"])
+@pytest.mark.parametrize("name, keys", [
+    ("planted_ambiguity", {"num_runs", "tea_planted_perfect_runs", "tu_planted_low_runs",
+                           "tea_ge_tu_overall_runs", "mean_tea_planted_hits1",
+                           "mean_tu_planted_hits1"}),
+    ("sensitivity_gap", {"num_runs", "mean_gap_high", "mean_gap_low",
+                         "pattern_holds", "runs_where_pattern_holds"}),
+], ids=["planted_ambiguity", "sensitivity_gap"])
+def test_script_runs(tmp_path, name, keys, epochs, out):
+    """The one script runs either experiment; ``--epochs 0`` is kept, not
+    replaced by the default, and without ``--out`` it writes ``<name>.json``."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--epochs", "2", "--train-seeds", "0",
-         "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, str(ROOT / "scripts" / "run_experiment.py"), name,
+         "--epochs", str(epochs), "--train-seeds", "0", *(["--out", out] if out else [])],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    summary = json.loads(out.read_text())["summary"]
-    assert set(summary) == keys
-    assert summary["num_runs"] == 1
+    report = json.loads((tmp_path / (out or f"{name}.json")).read_text())
+    assert report["experiment"] == name
+    assert (report["config"]["train"]["epochs"], report["config"]["train_seeds"]) == (epochs, [0])
+    assert set(report["summary"]) == keys
+    assert report["summary"]["num_runs"] == 1

@@ -2,7 +2,8 @@
 
 Every invocation writes a ``run_manifest.json`` into its output directory —
 success or failure — recording the resolved configuration, input checksums,
-seeds, and a checksum for every artifact the run produced.
+seeds, and a checksum for every artifact the run produced. An ``--out`` that
+is, or lies under, a file exits 2 at once and writes no manifest.
 
 Reruns with the same seed produce byte-identical artifacts, with exactly two
 declared exceptions that record wall-clock time: the run manifest itself, and
@@ -420,32 +421,29 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help/--version
         return int(exc.code or 0)
+    out = Path(args.out)
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():  # nowhere for the manifest
+        print(f"error: --out {out} is a file or lies under one", file=sys.stderr)
+        return EXIT_USAGE
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     command = args.command if args.command != "forge" else f"forge {args.forge_command}"
-    manifest = RunManifest(command, Path(args.out), argv)
+    manifest = RunManifest(command, out, argv)
     try:
         code = args.func(args, manifest)
         manifest.finish("success")
         return code
-    except (ConfigError, DatasetError) as exc:
-        manifest.finish("failure", f"{type(exc).__name__}: {exc}")
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TkgAlignError as exc:
-        manifest.finish("failure", f"{type(exc).__name__}: {exc}")
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except MemoryError as exc:
-        manifest.finish("failure", f"{type(exc).__name__}: {exc}")
-        print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory",
-              file=sys.stderr)
-        return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - the manifest must record any crash
         manifest.finish("failure", f"{type(exc).__name__}: {exc}")
-        raise
+        if isinstance(exc, MemoryError):
+            print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory", file=sys.stderr)
+        elif isinstance(exc, TkgAlignError):
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            raise
+        return EXIT_USAGE if isinstance(exc, (ConfigError, DatasetError)) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

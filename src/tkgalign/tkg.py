@@ -18,6 +18,7 @@ sees relation direction and both interval endpoints.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -210,10 +211,44 @@ def merge_pair(g1: TemporalKG, g2: TemporalKG) -> MergedGraph:
     return MergedGraph(kg=merged, entity_offset=e_off)
 
 
-def _read_lines(path: Path) -> list[str]:
+def _read_table(path: Path, width: int, labelled: bool = False) -> tuple[np.ndarray, list[str], list[int]]:
+    """Read a UTF-8 file of ``width`` tab-separated fields per line.
+
+    Lines end in ``\\n`` or ``\\r\\n``; blank lines are skipped but counted.
+    Returns the integer fields as int64 rows (the ids of a ``labelled``
+    id<TAB>label file), the labels and each row's 1-based line number.
+    ParseError names the line of the first byte that is not UTF-8, else the
+    first line with another column count or a field that is not an int64.
+    """
     if not path.is_file():
         raise DatasetError(f"missing dataset file: {path}")
-    return path.read_text(encoding="utf-8").splitlines()
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path.name, line, f"byte {data[exc.start]:#04x} is not UTF-8") from None
+    # split at \n only: str.splitlines() also breaks at \v, \f, U+2028 and more
+    lines = text.split("\n")
+    line_no = [i for i, line in enumerate(lines, start=1) if line.strip()]
+    rows = [lines[i - 1].removesuffix("\r") for i in line_no]
+    tabs = [row.count("\t") for row in rows]
+    miscounted = next((k for k, n in enumerate(tabs) if n != width - 1), len(rows))
+    # convert the rows before the first miscounted one, so an earlier bad integer wins
+    fields = "\t".join(rows[:miscounted]).split("\t") if miscounted else []
+    per_row = 1 if labelled else width
+    ints = fields[::width] if labelled else fields
+    it = iter(ints)
+    try:
+        values = np.fromiter(map(int, it), np.int64, count=len(ints)).reshape(-1, per_row)
+    except (ValueError, OverflowError):
+        k = len(ints) - operator.length_hint(it) - 1  # map() has taken the failing field
+        raise ParseError(path.name, line_no[k // per_row],
+                         f"id {ints[k]!r} is not a 64-bit integer") from None
+    if miscounted < len(rows):
+        raise ParseError(path.name, line_no[miscounted],
+                         f"expected {width} columns, got {tabs[miscounted] + 1}")
+    return values, fields[1::width] if labelled else [], line_no
 
 
 def _read_id_labels(path: Path, unique_labels: bool = False) -> tuple[list[str], int]:
@@ -223,67 +258,33 @@ def _read_id_labels(path: Path, unique_labels: bool = False) -> tuple[list[str],
     shifted down by their own first id to dense 0..n-1 ids. With
     ``unique_labels`` a label given to a second id raises ParseError at that line.
     """
-    mapping: dict[int, str] = {}
-    id_of: dict[str, int] = {}
-    for i, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise ParseError(path.name, i, f"expected 2 columns, got {len(cols)}")
-        try:
-            idx = int(cols[0])
-        except ValueError:
-            raise ParseError(path.name, i, f"non-integer id {cols[0]!r}") from None
-        if idx in mapping:
-            raise ParseError(path.name, i, f"duplicate id {idx}")
-        if unique_labels and id_of.setdefault(cols[1], idx) != idx:
-            raise ParseError(path.name, i, f"duplicate label {cols[1]!r} (also id {id_of[cols[1]]})")
-        mapping[idx] = cols[1]
-    if not mapping:
+    rows, labels, line_no = _read_table(path, 2, labelled=True)
+    if not labels:
         raise ParseError(path.name, 0, "file is empty")
-    lo, hi = min(mapping), max(mapping)
-    if hi - lo + 1 != len(mapping):
-        raise ParseError(path.name, 0, f"ids are not contiguous ({lo}..{hi}, {len(mapping)} rows)")
-    if lo < np.iinfo(np.int64).min or hi > np.iinfo(np.int64).max:
-        raise ParseError(path.name, 0, f"ids {lo}..{hi} are not 64-bit integers")
-    return [mapping[i] for i in range(lo, hi + 1)], lo
-
-
-def _first_bad_line(name: str, lines: list[str], width: int) -> ParseError:
-    """The error for the first non-blank line that is not ``width`` int64 fields."""
-    for i, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != width:
-            return ParseError(name, i, f"expected {width} columns, got {len(cols)}")
-        for col in cols:
-            try:
-                np.int64(int(col))
-            except (ValueError, OverflowError):
-                return ParseError(name, i, f"id {col!r} is not a 64-bit integer")
-    return ParseError(name, 0, "unreadable integer rows")
+    ids = rows[:, 0]
+    repeat_id = ~first_occurrences(rows)
+    repeat_label = np.zeros_like(repeat_id)
+    if unique_labels:
+        _, codes = np.unique(np.array(labels, dtype=object), return_inverse=True)
+        repeat_label = ~first_occurrences(codes.reshape(-1, 1))
+    bad = np.flatnonzero(repeat_id | repeat_label)
+    if len(bad):
+        k = int(bad[0])
+        if repeat_id[k]:
+            raise ParseError(path.name, line_no[k], f"duplicate id {ids[k]}")
+        also = ids[labels.index(labels[k])]
+        raise ParseError(path.name, line_no[k], f"duplicate label {labels[k]!r} (also id {also})")
+    lo, hi = int(ids.min()), int(ids.max())
+    if hi - lo + 1 != len(ids):
+        raise ParseError(path.name, 0, f"ids are not contiguous ({lo}..{hi}, {len(ids)} rows)")
+    return [labels[k] for k in np.argsort(ids).tolist()], lo
 
 
 def read_int_rows(path: Path, width: int) -> tuple[np.ndarray, list[int]]:
     """The (n, width) int64 rows of a file of ``width`` tab-separated integers
-    per line, and each row's 1-based line number.
-
-    Blank lines are skipped but counted. A wrong column count or a field
-    that is not a 64-bit integer raises ParseError at the first such line.
-    """
-    lines = _read_lines(path)
-    line_no = [i for i, line in enumerate(lines, start=1) if line.strip()]
-    rows = [lines[i - 1] for i in line_no]
-    try:
-        if any(row.count("\t") != width - 1 for row in rows):
-            raise ValueError
-        fields = "\t".join(rows).split("\t") if rows else []
-        raw = np.array(list(map(int, fields)), dtype=np.int64).reshape(-1, width)
-    except (ValueError, OverflowError):
-        raise _first_bad_line(path.name, lines, width) from None
-    return raw, line_no
+    per line, and each row's 1-based line number (see :func:`_read_table`)."""
+    rows, _, line_no = _read_table(path, width)
+    return rows, line_no
 
 
 def _read_local_ids(path: Path, columns) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, TrainingDivergedError
-from .evaluate import RankingReport, partition_test_pairs, rank_pool
+from .evaluate import DEFAULT_CSLS_K, RankingReport, partition_test_pairs, rank_pool
 from .model import (
     AttentionProbe,
     FlatGraph,
@@ -55,7 +55,7 @@ class TrainConfig:
     mode: str = "time-aware"
     precision: str = "f32"
     self_loops: bool = True
-    k_csls: int = 10
+    k_csls: int = DEFAULT_CSLS_K
 
     def __post_init__(self):
         if self.mode not in MODES:

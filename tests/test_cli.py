@@ -802,6 +802,29 @@ class TestMainPlumbing:
         assert manifest["status"] == "failure"
         assert manifest["error"] == "MemoryError: Unable to allocate 321. MiB for an array"
 
+    @pytest.mark.parametrize("under", [False, True], ids=["is-file", "under-file"])
+    @pytest.mark.parametrize("command", ["train", "eval", "forge-synth", "forge-split",
+                                         "forge-stats"])
+    def test_out_on_a_file_exits_2_without_manifest(self, dataset_dir, trained, tmp_path, capsys,
+                                                    command, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if under else blocker
+        source = tmp_path / "source.tsv"
+        source.write_text("".join(f"{s}\t0\t{s + 1}\t1\t2\n" for s in range(8)))
+        argv = {
+            "train": TRAIN_ARGS + ["--data", str(dataset_dir)],
+            "eval": ["eval", "--checkpoint", str(trained / "run_0" / "checkpoint.npz"),
+                     "--data", str(dataset_dir)],
+            "forge-synth": SYNTH_ARGS,
+            "forge-split": ["forge", "split", "--source", str(source), "--seeds", "2"],
+            "forge-stats": ["forge", "stats", "--data", str(dataset_dir)],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out} is a file or lies under one\n"
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["source.tsv", "taken"]
+
 
 class TestDatasetFiles:
     @pytest.mark.parametrize("command", [["forge", "stats"], TRAIN_ARGS],
@@ -818,3 +841,25 @@ class TestDatasetFiles:
         assert code == 2
         assert capsys.readouterr().err == "error: time_id:3: duplicate label 't1' (also id 1)\n"
         assert read_manifest(out)["status"] == "failure"
+
+    @pytest.mark.parametrize("command", ["forge-stats", "train", "forge-split"])
+    def test_non_utf8_byte_exits_2_naming_its_line(self, dataset_dir, tmp_path, capsys, command):
+        data = tmp_path / "latin1"
+        shutil.copytree(dataset_dir, data)
+        source = tmp_path / "source.tsv"
+        source.write_text("".join(f"{s}\t0\t{s + 1}\t1\t2\n" for s in range(8)))
+        bad = source if command == "forge-split" else data / "ent_ids_1"
+        lines = len(bad.read_text().splitlines())
+        with open(bad, "ab") as f:
+            f.write(b"0\tcaf\xe9\n")
+        argv = {
+            "forge-stats": ["forge", "stats", "--data", str(data)],
+            "train": TRAIN_ARGS + ["--data", str(data)],
+            "forge-split": ["forge", "split", "--source", str(source), "--seeds", "2"],
+        }[command]
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad.name}:{lines + 1}: byte 0xe9 is not UTF-8\n"
+        manifest = read_manifest(out)
+        assert manifest["status"] == "failure" and manifest["error"].startswith("ParseError: ")

@@ -431,6 +431,50 @@ class TestParseDataset:
         assert train_exit_code(d, tmp_path) == 2
         assert "triples_2:5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("integer_first", [True, False], ids=["integer-first", "columns-first"])
+    @pytest.mark.parametrize("file", ["triples_1", "ent_ids_1"])
+    def test_first_bad_line_whichever_the_reason(self, tmp_path, tiny_pair, file, integer_first):
+        g1, g2, seeds = tiny_pair
+        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
+        valid = (d / file).read_text().splitlines()
+        not_integer = "\t".join(["x"] * len(valid[0].split("\t")))
+        first, later = (not_integer, "0") if integer_first else ("0", not_integer)
+        (d / file).write_text("\n".join([valid[0], valid[1], first, valid[2], later]) + "\n")
+        with pytest.raises(ParseError) as exc:
+            parse_dataset(d)
+        assert (exc.value.file, exc.value.line) == (file, 3)
+        assert ("columns" in str(exc.value)) is not integer_first
+
+    @pytest.mark.parametrize("bad_id", ["x", "99999999999999999999"])
+    def test_bad_id_named_at_its_line_as_in_triples(self, tmp_path, tiny_pair, bad_id):
+        g1, g2, seeds = tiny_pair
+        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
+        with open(d / "rel_ids_2", "a") as f:
+            f.write(f"\n{bad_id}\tr9\n")
+        with pytest.raises(ParseError) as exc:
+            parse_dataset(d)
+        assert str(exc.value) == f"rel_ids_2:3: id '{bad_id}' is not a 64-bit integer"
+
+    @pytest.mark.parametrize("inner", ["\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                       "\x85", "\r"])
+    def test_only_newline_ends_a_line(self, tmp_path, tiny_pair, inner):
+        g1, g2, seeds = tiny_pair
+        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
+        text = f"0\tA{inner}B\n1\te1\n2\te2\n"
+        (d / "ent_ids_1").write_bytes(text.encode())
+        assert parse_dataset(d)[0].entity_labels == [f"A{inner}B", "e1", "e2"]
+        (d / "ent_ids_1").write_bytes((text + "3\n").encode())
+        with pytest.raises(ParseError) as exc:
+            parse_dataset(d)
+        assert (exc.value.file, exc.value.line) == ("ent_ids_1", 4)
+
+    def test_crlf_lines_parse_like_lf(self, tmp_path, tiny_pair):
+        g1, g2, seeds = tiny_pair
+        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
+        for f in d.iterdir():
+            f.write_bytes(f.read_bytes().replace(b"\n", b"\r\n"))
+        assert parse_dataset(d) == (g1, g2, seeds)
+
     def test_interleaved_duplicates_keep_first_occurrence_order(self, tmp_path, tiny_pair, caplog):
         g1, g2, seeds = tiny_pair
         d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)

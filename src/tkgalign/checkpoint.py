@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, require_field_types
-from .model import ModelConfig, param_shapes, table_sizes
+from .model import param_shapes, table_sizes
 from .optim import ParameterStore
 from .train import TrainConfig, TrainResult
 
@@ -60,10 +60,12 @@ class CheckpointMeta:
         """The table sizes, in :data:`SIZES` order."""
         return tuple(getattr(self, name) for name in SIZES)
 
-    def model_config(self) -> ModelConfig:
-        """The architecture to rebuild, from run settings checked as ``train`` checks
-        them (dropout stays at its default: inference skips it)."""
-        return TrainConfig(**{name: getattr(self, name) for name in RUN_SETTINGS}).model_config()
+    def model_config(self) -> TrainConfig:
+        """The run's settings as recorded, checked as ``train`` checks them: the
+        architecture to rebuild, the graph options and the CSLS neighbourhood
+        (fields the header does not record, such as dropout, which inference
+        skips, stay at their defaults)."""
+        return TrainConfig(**{name: getattr(self, name) for name in RUN_SETTINGS})
 
 
 def meta_from_result(result: TrainResult) -> CheckpointMeta:

@@ -107,9 +107,7 @@ class RunManifest:
         self.data["status"] = status
         self.data["error"] = error
         self.data["finished_at"] = _utcnow()
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / "run_manifest.json"
-        path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
+        _write_json(self.out_dir / "run_manifest.json", self.data)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -124,8 +122,8 @@ def _load_config_file(path: str | None) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(p.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{p}: config must be a JSON object")
@@ -188,9 +186,9 @@ def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
         history_path = run_dir / "history.csv"
         history_path.write_text("\n".join(result.report.history_rows()) + "\n")
 
-        run_reports = score_model(result.store, result.graph, run_cfg.model_config(),
+        run_reports = score_model(result.store, result.graph, run_cfg,
                                   result.merged.merged_pairs(seeds.test_pairs),
-                                  spaces=("l1", "csls"), k_csls=cfg.k_csls)
+                                  spaces=("l1", "csls"))
         for rep in run_reports:
             # metrics.json is byte-deterministic, so it carries no wall-clock time
             rep.seed, rep.seconds = run_seed, None
@@ -229,12 +227,12 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
     manifest.record_input_dir(data_dir)
     out = Path(args.out)
     store, meta = load_checkpoint(args.checkpoint)
-    k_csls = meta.k_csls if args.k_csls is None else args.k_csls
-    if k_csls < 1:
-        raise ConfigError(f"k_csls must be >= 1, got {k_csls}")
+    cfg = meta.model_config()
+    if args.k_csls is not None:
+        cfg = dataclasses.replace(cfg, k_csls=args.k_csls)  # TrainConfig checks the override
     manifest.data["inputs"][str(Path(args.checkpoint))] = _sha256(Path(args.checkpoint))
     manifest.data["config"] = {"checkpoint": dataclasses.asdict(meta), "metric": args.metric,
-                               "k_csls": k_csls, "partition": args.partition,
+                               "k_csls": cfg.k_csls, "partition": args.partition,
                                "direction": args.direction}
     g1, g2, seeds = _parse_ranked_pair(data_dir)
     merged = merge_pair(g1, g2)
@@ -245,11 +243,11 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
             f"{expected} required (entities, relation rows, time ids)"
         )
 
-    graph, sensitivity = build_graph(merged, meta.mode, meta.self_loops)
+    graph, sensitivity = build_graph(merged, cfg)
     spaces = ("l1", "csls") if args.metric == "both" else (args.metric,)
     directions = ("g1->g2", "g2->g1") if args.direction == "both" else (args.direction,)
-    reports = score_model(store, graph, meta.model_config(), merged.merged_pairs(seeds.test_pairs),
-                          spaces=spaces, directions=directions, k_csls=k_csls,
+    reports = score_model(store, graph, cfg, merged.merged_pairs(seeds.test_pairs),
+                          spaces=spaces, directions=directions,
                           sensitivity=sensitivity if args.partition else None)
     for rep in reports:
         rep.seed = meta.seed

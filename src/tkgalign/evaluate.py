@@ -268,17 +268,13 @@ def time_sensitivity(dst: np.ndarray, time: np.ndarray, num_entities: int) -> np
     return sensitivity
 
 
-def partition_test_pairs(
-    pairs: np.ndarray,
-    sensitivity: np.ndarray,
-    threshold: float = DEFAULT_SENSITIVITY_THRESHOLD,
-) -> tuple[np.ndarray, np.ndarray]:
+def partition_test_pairs(pairs: np.ndarray, sensitivity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split merged-id pairs into (highly, lowly) time-sensitive index arrays.
 
     A pair is highly time-sensitive iff both its entities have sensitivity
-    >= threshold. The two returned arrays index into ``pairs`` and together
-    cover it exactly.
+    >= :data:`DEFAULT_SENSITIVITY_THRESHOLD`. The two returned arrays index
+    into ``pairs`` and together cover it exactly.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    highly = (np.asarray(sensitivity)[pairs] >= threshold).all(axis=1)
+    highly = (np.asarray(sensitivity)[pairs] >= DEFAULT_SENSITIVITY_THRESHOLD).all(axis=1)
     return np.flatnonzero(highly), np.flatnonzero(~highly)

@@ -101,9 +101,9 @@ def _run_pairs(
         for mode, tag in (("time-aware", "tea"), ("time-unaware", "tu")):
             result = train(data.g1, data.g2, data.seeds, replace(cfg.train, mode=mode, seed=seed))
             reports = score_model(
-                result.store, result.graph, result.config.model_config(),
+                result.store, result.graph, result.config,
                 result.merged.merged_pairs(data.seeds.test_pairs),
-                spaces=("csls",), k_csls=result.config.k_csls, sensitivity=result.index,
+                spaces=("csls",), sensitivity=result.index,
             )
             row[tag] = measure({r.partition: r for r in reports}, result.report)
         runs.append(row)

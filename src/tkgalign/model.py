@@ -260,14 +260,14 @@ def layer_forward(
     return ad.relu(ad.segment_sum(message, graph.by_dst, graph.num_entities))
 
 
-def incident_time_mean(time_e: Tensor, graph: FlatGraph, dtype: np.dtype) -> Tensor:
+def incident_time_mean(time_e: Tensor, graph: FlatGraph) -> Tensor:
     """Mean embedding of each entity's incident timestamps (zero row if none).
 
     ``time_e`` holds one time embedding per link, the time table gathered by
     ``graph.time``.
     """
     counts = np.bincount(graph.dst, minlength=graph.num_entities)
-    inv = np.zeros(graph.num_entities, dtype=dtype)
+    inv = np.zeros(graph.num_entities, dtype=time_e.data.dtype)
     nonzero = counts > 0
     inv[nonzero] = 1.0 / counts[nonzero]
     summed = ad.segment_sum(time_e, graph.by_dst, graph.num_entities)
@@ -311,5 +311,5 @@ def model_forward(
             )
         )
     # every layer's output (layer 0 = raw embeddings), then the incident-time mean
-    return ad.concat_cols(acts + [incident_time_mean(time_e, graph, cfg.dtype)])
+    return ad.concat_cols(acts + [incident_time_mean(time_e, graph)])
 

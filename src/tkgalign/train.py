@@ -37,24 +37,22 @@ MODES = ("time-aware", "time-unaware")
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(ModelConfig):
     """Everything a run needs; defaults follow the reference setup. The one place a
     run setting is declared and checked: the CLI, the experiments and the
-    checkpoint header take their settings from these fields by name."""
+    checkpoint header take their settings from these fields by name. The
+    architecture fields are inherited from :class:`~tkgalign.model.ModelConfig`,
+    so the model, :func:`build_graph` and :func:`score_model` all take the run's
+    config itself."""
 
-    dim: int = 100
-    num_layers: int = 2
     lr: float = 0.005
     margin: float = 1.0
-    dropout: float = 0.3
     epochs: int = 6000
     negatives_per_positive: int = 0  # 0: derived from graph size (see default_negatives)
     eval_every: int = 0  # 0: no validation during training
     patience: int = 0  # 0: no early stopping; else evals without MRR gain before stop
     seed: int = 0
     mode: str = "time-aware"
-    precision: str = "f32"
-    self_loops: bool = True
     k_csls: int = DEFAULT_CSLS_K
 
     def __post_init__(self):
@@ -75,16 +73,11 @@ class TrainConfig:
             raise ConfigError("patience needs eval_every > 0: early stopping counts evals")
         if self.k_csls < 1:
             raise ConfigError(f"k_csls must be >= 1, got {self.k_csls}")
-        self.model_config()  # checks dim, num_layers, dropout and precision
+        super().__post_init__()  # checks dim, num_layers, dropout and precision
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            dim=self.dim,
-            num_layers=self.num_layers,
-            dropout=self.dropout,
-            self_loops=self.self_loops,
-            precision=self.precision,
-        )
+    def model_config(self) -> TrainConfig:
+        """The architecture settings: this config itself."""
+        return self
 
 
 def default_negatives(num_entities_1: int, num_entities_2: int, num_seeds: int) -> int:
@@ -175,18 +168,16 @@ def apply_time_unaware(graph: FlatGraph) -> FlatGraph:
     return replace(graph, time=np.full_like(graph.time, UNKNOWN_TIME_ID))
 
 
-def build_graph(
-    merged: MergedGraph, mode: str = "time-aware", self_loops: bool = True
-) -> tuple[FlatGraph, np.ndarray]:
+def build_graph(merged: MergedGraph, cfg: TrainConfig) -> tuple[FlatGraph, np.ndarray]:
     """The graph a run trains on, and every entity's time sensitivity.
 
-    Training and evaluation both build through here, so a checkpoint is
-    evaluated on exactly the graph it was trained on. The time-unaware mode
-    blanks every link timestamp; the sensitivity always comes from the real
-    timestamps.
+    Training and evaluation both build through here, from ``cfg.mode`` and
+    ``cfg.self_loops``, so a checkpoint is evaluated on exactly the graph it
+    was trained on. The time-unaware mode blanks every link timestamp; the
+    sensitivity always comes from the real timestamps.
     """
-    graph, sensitivity = prepare_graph(merged, self_loops)
-    if mode == "time-unaware":
+    graph, sensitivity = prepare_graph(merged, cfg.self_loops)
+    if cfg.mode == "time-unaware":
         graph = apply_time_unaware(graph)
     return graph, sensitivity
 
@@ -194,27 +185,27 @@ def build_graph(
 def score_model(
     store: ParameterStore,
     graph: FlatGraph,
-    mcfg: ModelConfig,
+    cfg: TrainConfig,
     pairs: np.ndarray,
     *,
     spaces: tuple[str, ...],
     directions: tuple[str, ...] = ("g1->g2",),
-    k_csls: int,
     sensitivity: np.ndarray | None = None,
 ) -> list[RankingReport]:
     """Rank merged-id test ``pairs`` with the model's inference forward.
 
     Validation, ``tkgalign train``/``eval`` and the experiments all score
-    through here, in the report order of :func:`evaluate.rank_pool`. Given
-    the per-entity ``sensitivity`` from :func:`build_graph`, the highly and
-    lowly time-sensitive partitions are each re-ranked inside their own
-    sub-pool after every whole-pool report.
+    through here, in the report order of :func:`evaluate.rank_pool`, with
+    CSLS over ``cfg.k_csls`` neighbours. Given the per-entity
+    ``sensitivity`` from :func:`build_graph`, the highly and lowly
+    time-sensitive partitions are each re-ranked inside their own sub-pool
+    after every whole-pool report.
     """
-    reps = model_forward(store, graph, mcfg, training=False).data
+    reps = model_forward(store, graph, cfg, training=False).data
     partitions = ()
     if sensitivity is not None:
         partitions = tuple(zip(("highly", "lowly"), partition_test_pairs(pairs, sensitivity)))
-    return rank_pool(reps, pairs, spaces=spaces, directions=directions, k_csls=k_csls,
+    return rank_pool(reps, pairs, spaces=spaces, directions=directions, k_csls=cfg.k_csls,
                      partitions=partitions)
 
 
@@ -277,11 +268,10 @@ def train(
     if config.eval_every and not seeds.test_pairs:
         raise ConfigError("eval_every needs at least one test pair to score")
     merged = merge_pair(g1, g2)
-    mcfg = config.model_config()
-    graph, index = build_graph(merged, config.mode, config.self_loops)
+    graph, index = build_graph(merged, config)
 
     rng = np.random.default_rng(config.seed)
-    store = init_params(rng, *table_sizes(merged, config.self_loops), mcfg)
+    store = init_params(rng, *table_sizes(merged, config.self_loops), config)
     opt = RmsPropState()
 
     train_pairs = merged.merged_pairs(seeds.train_pairs)
@@ -306,7 +296,7 @@ def train(
         neg_src, neg_tgt = sample_negatives(train_pairs, eta, src_range, tgt_range, rng)
         probe = AttentionProbe()
         store.zero_grads()
-        reps = model_forward(store, graph, mcfg, training=True, rng=rng, probe=probe)
+        reps = model_forward(store, graph, config, training=True, rng=rng, probe=probe)
         loss = margin_loss(reps, train_pairs, neg_src, neg_tgt, config.margin)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
@@ -319,8 +309,7 @@ def train(
         report.losses.append(loss_value)
         report.attention_deviations.append(probe.worst)
         if config.eval_every and (epoch % config.eval_every == 0 or epoch == config.epochs - 1):
-            (rep,) = score_model(store, graph, mcfg, test_pairs, spaces=("csls",),
-                                 k_csls=config.k_csls)
+            (rep,) = score_model(store, graph, config, test_pairs, spaces=("csls",))
             metrics = {"mrr": rep.mrr, "hits1": rep.hits1, "hits10": rep.hits10, "epoch": epoch}
             report.eval_history.append(metrics)
             logger.info(

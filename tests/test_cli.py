@@ -418,6 +418,18 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {cfg}: {key!r} must be {kind}, got {value!r}\n"
         assert read_manifest(out)["status"] == "failure"
 
+    def test_non_utf8_config_file_exits_2(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"dim": 4, "name": "caf\xe9"}')
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(dataset_dir), "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: invalid JSON (") and err.count("\n") == 1
+        assert "can't decode byte 0xe9" in err
+        assert read_manifest(out)["status"] == "failure"
+
     def test_config_float_field_takes_an_int(self, tmp_path):
         cfg = tmp_path / "ints.json"
         cfg.write_text(json.dumps({"margin": 2, "lr": 1, "self_loops": False}))
@@ -643,7 +655,24 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(trained / "run_0" / "checkpoint.npz"),
                      "--data", str(dataset_dir), "--k-csls", "-5", "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "k_csls must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: k_csls must be >= 1, got -5\n"
+
+    def test_k_csls_flag_ranks_as_training_with_it(self, dataset_dir, trained, tmp_path):
+        """``eval --k-csls 3`` on a checkpoint trained with the default neighbourhood
+        reports what a flagless eval of one trained with ``--k-csls 3`` does."""
+        assert main(TRAIN_ARGS + ["--k-csls", "3", "--data", str(dataset_dir),
+                                  "--out", str(tmp_path / "k3")]) == 0
+        evals = []
+        for ck, flags in ((trained, ["--k-csls", "3"]), (tmp_path / "k3", [])):
+            out = tmp_path / f"ev{len(evals)}"
+            assert main(["eval", "--checkpoint", str(ck / "run_0" / "checkpoint.npz"),
+                         "--data", str(dataset_dir), "--partition", "--direction", "both",
+                         "--out", str(out)] + flags) == 0
+            reports = json.loads((out / "eval_report.json").read_text())
+            evals.append(([{k: v for k, v in r.items() if k != "seconds"} for r in reports],
+                          read_manifest(out)["config"]["k_csls"]))
+        assert evals[0] == evals[1]
+        assert evals[0][1] == 3
 
     def test_checkpoint_dataset_mismatch_exits_2(self, trained, tmp_path, capsys):
         other = tmp_path / "other"

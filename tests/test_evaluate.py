@@ -384,11 +384,6 @@ class TestPartition:
         assert highly.tolist() == [0]
         assert lowly.tolist() == [1]
 
-    def test_custom_threshold(self):
-        sens = self.build_sensitivity()
-        highly, _ = partition_test_pairs(np.array([[2, 2]]), sens, threshold=0.75)
-        assert highly.size == 0
-
     def test_partition_covers_exactly(self, rng):
         sens = self.build_sensitivity()
         pairs = rng.integers(0, 4, size=(20, 2))

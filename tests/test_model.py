@@ -305,20 +305,20 @@ class TestConcatAndTimeMean:
     def test_single_incident_time(self, rng):
         table = rng.normal(size=(5, 3))
         graph = FlatGraph(2, np.array([0]), np.array([1]), np.array([0]), np.array([4]))
-        out = incident_time_mean(ad.leaf(table[graph.time]), graph, np.float64).data
+        out = incident_time_mean(ad.leaf(table[graph.time]), graph).data
         assert np.allclose(out[1], table[4])
         assert np.allclose(out[0], 0.0)
 
     def test_repeated_time_is_plain_mean(self, rng):
         table = rng.normal(size=(5, 3))
         graph = FlatGraph(1, *[np.array([0, 0])] * 3, np.array([2, 2]))
-        out = incident_time_mean(ad.leaf(table[graph.time]), graph, np.float64).data
+        out = incident_time_mean(ad.leaf(table[graph.time]), graph).data
         assert np.allclose(out[0], table[2])
 
     def test_multiplicity_weighted_mean(self, rng):
         table = rng.normal(size=(5, 3))
         graph = FlatGraph(1, *[np.array([0, 0, 0])] * 3, np.array([1, 2, 2]))
-        out = incident_time_mean(ad.leaf(table[graph.time]), graph, np.float64).data
+        out = incident_time_mean(ad.leaf(table[graph.time]), graph).data
         assert np.allclose(out[0], (table[1] + 2 * table[2]) / 3)
 
     def test_gradient_reaches_each_link_row(self, rng):
@@ -328,8 +328,7 @@ class TestConcatAndTimeMean:
                           np.array([1, 2, 2, 0]))
         time_e = ad.leaf(rng.normal(size=(4, 3)))
         c = rng.normal(size=(3, 3))
-        ad.backward(sum_all(mul(incident_time_mean(time_e, graph, np.float64),
-                                      ad.leaf(c))))
+        ad.backward(sum_all(mul(incident_time_mean(time_e, graph), ad.leaf(c))))
         want = np.stack([c[0] / 3, c[0] / 3, c[0] / 3, c[2]])
         assert np.max(np.abs(time_e.grad - want)) < 1e-15
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from tkgalign import autodiff as ad
 from tkgalign.errors import ConfigError, TrainingDivergedError
 from tkgalign.tkg import UNKNOWN_TIME_ID, merge_pair
-from tkgalign.model import init_params, model_forward, prepare_graph, table_sizes
+from tkgalign.model import ModelConfig, init_params, model_forward, prepare_graph, table_sizes
 from tkgalign.train import (
     MODES,
     TrainConfig,
@@ -378,6 +379,15 @@ class TestTrainConfig:
             TrainConfig(**{key: value})
         assert str(err.value) == message
 
+    def test_extends_model_config_without_redeclaring_it(self):
+        """The architecture settings are declared once, in ModelConfig; a run's
+        config is itself the model config it hands to the model."""
+        cfg = TrainConfig()
+        assert isinstance(cfg, ModelConfig)
+        assert cfg.model_config() is cfg
+        inherited = {f.name for f in dataclasses.fields(ModelConfig)}
+        assert not inherited & set(inspect.get_annotations(TrainConfig))
+
 
 class TestTrainLoop:
     def small_config(self, **kw):
@@ -513,15 +523,15 @@ class TestModelTapeOwnership:
         merged = merge_pair(g1, g2)
         cfg = TrainConfig(dim=5, num_layers=2, precision="f64", mode=mode,
                           self_loops=self_loops)
-        graph, _ = build_graph(merged, mode, self_loops)
+        graph, _ = build_graph(merged, cfg)
         pairs = merged.merged_pairs(seeds.train_pairs)
         tgt_range = (merged.entity_offset, merged.entity_offset + g2.num_entities)
 
         def parameter_grads():
             rng = np.random.default_rng(7)
-            store = init_params(rng, *table_sizes(merged, self_loops), cfg.model_config())
+            store = init_params(rng, *table_sizes(merged, self_loops), cfg)
             neg_src, neg_tgt = sample_negatives(pairs, 3, (0, g1.num_entities), tgt_range, rng)
-            reps = model_forward(store, graph, cfg.model_config(), training=True, rng=rng)
+            reps = model_forward(store, graph, cfg, training=True, rng=rng)
             ad.backward(margin_loss(reps, pairs, neg_src, neg_tgt, cfg.margin))
             return store, {name: t.grad for name, t in store.items()}
 

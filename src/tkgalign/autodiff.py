@@ -31,16 +31,35 @@ else (``concat_cols``' column slices, a broadcast). Later contributions are
 added in place, so no two nodes share gradient memory. A contribution of
 another shape than its node's is refused, first or later: it would
 otherwise be kept at its own shape or broadcast into the gradient.
+
+Inference: inside :func:`no_tape` every op still computes its value, but
+the node it returns keeps no parents and no backward rule, so nothing on the
+way to a result outlives the code that made it (a no-grad mode). The
+training path never enters it.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateEmbeddingError
 
 ZERO_NORM_TOLERANCE = 1e-12
+
+_recording = True
+
+
+@contextmanager
+def no_tape() -> Iterator[None]:
+    """Build no tape inside this scope; the previous setting returns on exit."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
@@ -57,6 +76,8 @@ class Tensor:
     ):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
+        if not _recording:
+            parents, backward_fn = (), None
         self.parents = parents
         self.backward_fn = backward_fn
         self.name = name

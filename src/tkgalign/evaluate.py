@@ -3,8 +3,9 @@
 Evaluation is pure numpy over frozen representations: build a similarity
 matrix (negative L1), optionally re-score it with CSLS hubness correction,
 and rank each source entity's gold target among all test-split targets.
-Ties are broken pessimistically — an equal-similarity candidate pushes the
-gold down — so reported numbers never benefit from degenerate embeddings.
+Ties are broken pessimistically — an equal-similarity candidate, or a NaN
+score, pushes the gold down — so reported numbers never benefit from
+degenerate embeddings.
 """
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ DEFAULT_CSLS_K = 10
 DEFAULT_SENSITIVITY_THRESHOLD = 0.5
 # upper bound on one similarity tile's (rows, cols, k) difference array, so
 # a tile stays in cache; budgets from 128 KiB to 512 KiB timed alike on
-# 1500- and 6000-row pools at k = 100 and 400
+# 1500- and 6000-row pools at k = 100 and 400. CSLS and rank counting read
+# the pool matrix in row blocks of the same budget.
 TILE_BYTES = 256 * 1024
 
 
@@ -90,11 +92,31 @@ def similarity_matrix(
     return sim
 
 
+def _block_rows(sim: np.ndarray, itemsize: int) -> int:
+    """Rows of ``sim`` per block so that a block of ``itemsize``-byte cells
+    stays within ``TILE_BYTES``."""
+    return max(1, TILE_BYTES // max(1, sim.shape[1] * itemsize))
+
+
+def _top_k_means(sim: np.ndarray, k: int) -> np.ndarray:
+    """Mean of each row's ``k`` largest entries, one C-order row block at a time."""
+    rows, cols = sim.shape
+    means = np.empty(rows, dtype=sim.dtype)
+    step = _block_rows(sim, sim.itemsize)
+    for lo in range(0, rows, step):
+        block = np.partition(np.ascontiguousarray(sim[lo:lo + step]), cols - k, axis=1)
+        top = np.sort(block[:, cols - k:], axis=1)
+        means[lo:lo + step] = top.mean(axis=1)
+    return means
+
+
 def csls_adjust(sim: np.ndarray, k_csls: int = DEFAULT_CSLS_K) -> np.ndarray:
     """Cross-domain similarity local scaling: penalize hub candidates.
 
     csls[i][j] = 2*sim[i][j] - r_src(i) - r_tgt(j), where r_src(i) is the mean
     of row i's k_csls largest entries and r_tgt(j) the column counterpart.
+    ``sim`` may be a view in any memory layout (a transposed L1 matrix); the
+    result holds the same bits as for its C-order copy.
     """
     sim = np.asarray(sim)
     rows, cols = sim.shape
@@ -102,17 +124,19 @@ def csls_adjust(sim: np.ndarray, k_csls: int = DEFAULT_CSLS_K) -> np.ndarray:
         raise ConfigError(
             f"csls neighborhood {k_csls} out of range for a {rows}x{cols} matrix"
         )
-    # full sorts (not np.partition) and contiguous innermost-axis means for
-    # both directions: the top-k entries are summed in ascending order
-    # through the same reduction path, which keeps the means bit-reproducible
-    # against a straightforward per-row/per-column reimplementation
-    # (partition leaves the block order unspecified, and float means depend
-    # on summation order and memory layout)
-    top_rows = np.sort(sim, axis=1)[:, cols - k_csls:]
-    top_cols = np.sort(np.ascontiguousarray(sim.T), axis=1)[:, rows - k_csls:]
-    r_src = top_rows.mean(axis=1)
-    r_tgt = top_cols.mean(axis=1)
-    return 2.0 * sim - r_src[:, None] - r_tgt[None, :]
+    # np.partition moves each row's k largest entries to its end in no set
+    # order, but which values they are is fixed (ties are equal values), so
+    # sorting that slice gives exactly the last k entries of a full sort.
+    # Each mean then sums the same ascending values along one contiguous
+    # row, the reduction path of a per-row/per-column reimplementation;
+    # float sums depend on order and layout, hence the C-order blocks.
+    r_src = _top_k_means(sim, k_csls)
+    r_tgt = _top_k_means(sim.T, k_csls)
+    # 2.0 * sim - r_src[:, None] - r_tgt[None, :], without the temporaries
+    out = np.multiply(sim, 2.0)
+    out -= r_src[:, None]
+    out -= r_tgt[None, :]
+    return out
 
 
 def compute_metrics(
@@ -122,10 +146,12 @@ def compute_metrics(
     metric_space: str = "l1",
     direction: str = "g1->g2",
 ) -> RankingReport:
-    """Rank each row's gold column; rank = 1 + #candidates scoring >= gold.
+    """Rank each row's gold column; rank = 1 + #other candidates not
+    strictly below the gold.
 
-    The gold entry itself supplies the 1 (it trivially scores >= itself), so
-    any other candidate tied with the gold worsens the rank.
+    A candidate tied with the gold worsens its rank, and so does a NaN
+    candidate; a NaN gold ranks last. Every rank is thus in 1..cols. Rows are
+    counted one block at a time, so no full-matrix mask is built.
     """
     sim = np.asarray(sim)
     gold_cols = np.asarray(gold_cols)
@@ -133,8 +159,13 @@ def compute_metrics(
         raise ValueError(f"{len(gold_cols)} gold labels for {sim.shape[0]} rows")
     if np.any(gold_cols < 0) or np.any(gold_cols >= sim.shape[1]):
         raise ValueError("gold column out of range")
-    gold_sim = sim[np.arange(sim.shape[0]), gold_cols]
-    ranks = (sim >= gold_sim[:, None]).sum(axis=1)
+    rows, cols = sim.shape
+    gold_sim = sim[np.arange(rows), gold_cols]
+    ranks = np.empty(rows, dtype=np.int64)
+    step = _block_rows(sim, 1)  # one bool per cell
+    for lo in range(0, rows, step):
+        below = sim[lo:lo + step] < gold_sim[lo:lo + step, None]
+        ranks[lo:lo + step] = cols - np.count_nonzero(below, axis=1)
     return RankingReport(
         mrr=float((1.0 / ranks).mean()),
         hits1=float((ranks <= 1).mean()),
@@ -198,11 +229,14 @@ def rank_pool(
 ) -> list[RankingReport]:
     """Every report of one evaluation, from one L1 matrix of the test pool.
 
-    The g1->g2 matrix is computed once. g2->g1 is its exact transpose
-    (|a - b| == |b - a| in IEEE arithmetic), copied to C order once so CSLS
-    keeps its contiguous reduction path, and a partition's matrix is an
-    exact sub-block; each report is thus bitwise what a standalone
-    :func:`rank_alignment` call on that subset and direction gives.
+    The g1->g2 matrix is computed once. g2->g1 ranks its exact transpose
+    (|a - b| == |b - a| in IEEE arithmetic) as a view, and a partition's
+    matrix is an exact sub-block; :func:`csls_adjust` gives the same bits
+    in any layout and a rank (1 + #other candidates not strictly below the
+    gold) is a count, so each report is bitwise what a standalone
+    :func:`rank_alignment` call on that subset and direction gives. Besides
+    row-block temporaries, ranking holds the L1 matrix and one CSLS matrix
+    at a time.
 
     Reports come per space, then per direction: the whole pool, then each
     ``(name, pair indices)`` partition in order, skipping empty ones. A
@@ -214,7 +248,7 @@ def rank_pool(
     if len(pairs) == 0:
         raise ValueError("cannot rank an empty test pool")
     l1 = similarity_matrix(reps[pairs[:, 0]], reps[pairs[:, 1]])
-    blocks = {d: np.ascontiguousarray(l1.T) if d == "g2->g1" else l1 for d in directions}
+    blocks = {d: l1.T if d == "g2->g1" else l1 for d in directions}
     reports = []
     for space in spaces:
         for direction in directions:

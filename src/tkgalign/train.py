@@ -199,9 +199,12 @@ def score_model(
     CSLS over ``cfg.k_csls`` neighbours. Given the per-entity
     ``sensitivity`` from :func:`build_graph`, the highly and lowly
     time-sensitive partitions are each re-ranked inside their own sub-pool
-    after every whole-pool report.
+    after every whole-pool report. The forward builds no tape (see
+    :func:`autodiff.no_tape`), so each layer's per-link arrays are freed
+    when the layer returns.
     """
-    reps = model_forward(store, graph, cfg, training=False).data
+    with ad.no_tape():
+        reps = model_forward(store, graph, cfg, training=False).data
     partitions = ()
     if sensitivity is not None:
         partitions = tuple(zip(("highly", "lowly"), partition_test_pairs(pairs, sensitivity)))

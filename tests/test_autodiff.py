@@ -619,6 +619,36 @@ class TestTape:
         assert np.allclose(t.grad, np.ones_like(x))
 
 
+def recorded(node: ad.Tensor) -> bool:
+    return node.backward_fn is not None and len(node.parents) > 0
+
+
+class TestNoTape:
+    def test_ops_keep_no_parents_or_rule_inside_the_scope(self, rng):
+        x = ad.leaf(rng.normal(size=(3, 4)))
+        taped = ad.normalize_rows(ad.add(x, x))
+        with ad.no_tape():
+            bare = ad.normalize_rows(ad.add(x, x))
+        assert recorded(taped)
+        assert bare.parents == () and bare.backward_fn is None
+        assert bare.data.tobytes() == taped.data.tobytes()
+
+    def test_exception_inside_the_scope_restores_recording(self, rng):
+        x = ad.leaf(rng.normal(size=(2, 2)))
+        with pytest.raises(DegenerateEmbeddingError):
+            with ad.no_tape():
+                ad.normalize_rows(ad.sub(x, x))
+        assert recorded(ad.add(x, x))
+
+    def test_nested_scope_keeps_the_outer_one(self, rng):
+        x = ad.leaf(rng.normal(size=(2, 2)))
+        with ad.no_tape():
+            with ad.no_tape():
+                pass
+            assert not recorded(ad.add(x, x))
+        assert recorded(ad.add(x, x))
+
+
 def copying_accumulate(self, g):
     """The reference rule: every first contribution is copied."""
     if self.grad is None:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tkgalign import cli
-from tkgalign.checkpoint import load_checkpoint
+from tkgalign.checkpoint import load_checkpoint, save_checkpoint
 from tkgalign.cli import DATA_ROOT_ENV, _build_train_config, build_parser, main
 from tkgalign.forge import ForgeSpec
 from tkgalign.train import TrainConfig
@@ -766,6 +766,32 @@ class TestEval:
         assert capsys.readouterr().err == \
             f"error: {path}: checkpoint array 'entity' holds non-finite values\n"
         assert read_manifest(out)["status"] == "failure"
+
+    def test_overflowing_checkpoint_ranks_every_pair_in_range(self, dataset_dir, trained,
+                                                               tmp_path):
+        """Finite tables whose representations overflow give inf/NaN scores; no
+        pair may then rank better than 1..n, and the report stays strict JSON."""
+        store, meta = load_checkpoint(trained / "run_0" / "checkpoint.npz")
+        store["entity"].data *= np.float32(1e38)
+        path = tmp_path / "huge.npz"
+        save_checkpoint(path, store, meta)
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir),
+                         "--metric", "both", "--direction", "both", "--partition",
+                         "--out", str(out)])
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        reports = json.loads((out / "eval_report.json").read_text(), parse_constant=refuse)
+        assert any(r["metric_space"] == "csls" for r in reports)
+        for r in reports:
+            n = len(r["ranks"])
+            assert all(1 <= rank <= n for rank in r["ranks"]), (r["metric_space"], r["ranks"])
+            assert 0.0 < r["mrr"] <= 1.0
+        assert "inf" not in (out / "eval_report.csv").read_text()
 
     @pytest.mark.parametrize("key, value, message", [
         ("mode", "bogus", "mode must be one of ('time-aware', 'time-unaware'), got 'bogus'"),

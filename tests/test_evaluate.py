@@ -1,5 +1,7 @@
 """Ranking metrics: oracle equivalence, hand examples, and partition logic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,15 @@ def naive_csls(sim, k):
             r_tgt = float(np.mean(sorted(sim[:, j])[-k:]))
             out[i, j] = 2.0 * sim[i, j] - r_src - r_tgt
     return out
+
+
+def full_sort_csls(sim, k):
+    """CSLS from full sorts of a C-order copy and its C-order transpose."""
+    sim = np.ascontiguousarray(sim)
+    rows, cols = sim.shape
+    r_src = np.sort(sim, axis=1)[:, cols - k:].mean(axis=1)
+    r_tgt = np.sort(np.ascontiguousarray(sim.T), axis=1)[:, rows - k:].mean(axis=1)
+    return 2.0 * sim - r_src[:, None] - r_tgt[None, :]
 
 
 class TestSimilarityMatrix:
@@ -121,6 +132,35 @@ class TestCsls:
         with pytest.raises(ConfigError, match="out of range"):
             csls_adjust(np.zeros((5, 5)), k_csls=k)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,k", [
+        ((300, 307), 10),  # 2-3 row blocks each way
+        ((300, 307), 37),
+        ((307, 300), 300),  # k == cols
+        ((1100, 600), 8),  # 11-21 row blocks each way
+    ])
+    @pytest.mark.parametrize("kind", ["normal", "ties"])
+    def test_any_layout_gives_the_bits_of_full_sorts(self, rng, dtype, shape, k, kind):
+        if kind == "normal":
+            base = rng.normal(size=shape[::-1]).astype(dtype)
+        else:  # few distinct values: ties straddle every top-k boundary
+            base = -rng.integers(0, 4, size=shape[::-1]).astype(dtype)
+        view = base.T
+        assert not view.flags.c_contiguous
+        got = csls_adjust(view, k)
+        copy = csls_adjust(np.ascontiguousarray(view), k)
+        assert got.dtype == dtype
+        assert got.tobytes() == copy.tobytes()
+        assert copy.tobytes() == full_sort_csls(view, k).tobytes()
+
+    @pytest.mark.parametrize("row_bytes", [1, 3, 64])
+    def test_row_blocking_is_invisible(self, rng, monkeypatch, row_bytes):
+        sim = rng.normal(size=(23, 19)).astype(np.float32)
+        monkeypatch.setattr(evaluate, "TILE_BYTES", row_bytes * 19 * 4)
+        for k in (1, 8, 19):
+            assert csls_adjust(sim, k).tobytes() == full_sort_csls(sim, k).tobytes()
+            assert csls_adjust(sim.T, k).tobytes() == full_sort_csls(sim.T, k).tobytes()
+
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_row_constant_shift_cancels(self, seed):
@@ -162,6 +202,28 @@ class TestComputeMetrics:
         rep = compute_metrics(sim, np.array([0, 5, 11]))
         assert rep.ranks == [12, 12, 12]
         assert rep.hits10 == 0.0
+
+    def test_nan_never_improves_a_rank(self):
+        sim = np.array([
+            [np.nan, 1.0, 2.0],   # NaN gold ranks last
+            [1.0, np.nan, 0.5],   # NaN candidate counts against the gold
+            [0.0, 1.0, 2.0],
+            [np.nan, np.nan, np.nan],
+        ])
+        rep = compute_metrics(sim, np.array([0, 0, 1, 2]))
+        assert rep.ranks == [3, 2, 2, 3]
+        assert rep.mrr == pytest.approx((1 / 3 + 1 / 2 + 1 / 2 + 1 / 3) / 4)
+        assert rep.hits1 == 0.0
+
+    @pytest.mark.parametrize("row_bytes", [1, 2, 7])
+    def test_row_blocking_is_invisible(self, rng, monkeypatch, row_bytes):
+        sim = rng.integers(0, 5, size=(15, 8)).astype(np.float64)
+        gold = rng.integers(0, 8, size=15)
+        want = [1 + int(sum(sim[i, j] >= sim[i, gold[i]] for j in range(8) if j != gold[i]))
+                for i in range(15)]
+        monkeypatch.setattr(evaluate, "TILE_BYTES", row_bytes * 8)
+        assert compute_metrics(sim, gold).ranks == want
+        assert compute_metrics(np.asfortranarray(sim), gold).ranks == want
 
     def test_monotone_transform_preserves_ranks(self, rng):
         sim = rng.normal(size=(10, 30))
@@ -262,12 +324,11 @@ class TestRankPool:
         )
         return pairs, partitions
 
-    @pytest.mark.parametrize("kind", ["normal", "ties"])
-    def test_each_report_equals_a_standalone_ranking(self, rng, kind):
+    def check_against_standalone_rankings(self, rng, kind, n):
         if kind == "normal":
-            reps = rng.normal(size=(40, 13)).astype(np.float32)
+            reps = rng.normal(size=(2 * n, 13)).astype(np.float32)
         else:  # few distinct values: many tied scores, ranked pessimistically
-            reps = rng.integers(0, 3, size=(40, 5)).astype(np.float32)
+            reps = rng.integers(0, 3, size=(2 * n, 5)).astype(np.float32)
         pairs, partitions = self.pool(rng, reps)
         reports = rank_pool(reps, pairs, spaces=self.SPACES, directions=self.DIRECTIONS,
                             k_csls=5, partitions=partitions)
@@ -286,6 +347,34 @@ class TestRankPool:
             assert rep.ranks == alone.ranks
             assert (rep.mrr, rep.hits1, rep.hits10) == (alone.mrr, alone.hits1, alone.hits10)
             assert (rep.seconds is not None) == (name == "all")
+
+    @pytest.mark.parametrize("kind", ["normal", "ties"])
+    def test_each_report_equals_a_standalone_ranking(self, rng, kind):
+        self.check_against_standalone_rankings(rng, kind, 20)
+
+    @pytest.mark.parametrize("kind", ["normal", "ties"])
+    def test_pool_of_several_row_blocks(self, rng, kind):
+        n = 600  # CSLS and the rank counts each take several row blocks
+        assert n * 4 * 2 <= evaluate.TILE_BYTES < n * n * 4
+        self.check_against_standalone_rankings(rng, kind, n)
+
+    def test_holds_at_most_two_and_a_half_pool_matrices(self, rng):
+        # the L1 matrix, one CSLS matrix and row-block temporaries; g2->g1
+        # and the partitions add no full-size copy
+        n = 1000
+        reps = rng.normal(size=(2 * n, 16)).astype(np.float32)
+        pairs = np.stack([np.arange(n), n + rng.permutation(n)], axis=1)
+        order = rng.permutation(n)
+        partitions = (("highly", np.sort(order[:400])), ("lowly", np.sort(order[400:])))
+        tracemalloc.start()
+        try:
+            reports = rank_pool(reps, pairs, spaces=self.SPACES, directions=self.DIRECTIONS,
+                                partitions=partitions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 12
+        assert peak <= 2.5 * n * n * 4
 
     def test_single_space_and_direction(self, rng):
         reps = rng.normal(size=(10, 4))

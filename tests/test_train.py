@@ -1,7 +1,9 @@
 """Loss pieces, negative sampling, and the training loop."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
 import inspect
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkgalign import autodiff as ad
+from tkgalign.checkpoint import meta_from_result, save_checkpoint
 from tkgalign.errors import ConfigError, TrainingDivergedError
 from tkgalign.tkg import UNKNOWN_TIME_ID, merge_pair
 from tkgalign.model import ModelConfig, init_params, model_forward, prepare_graph, table_sizes
@@ -22,6 +25,7 @@ from tkgalign.train import (
     l1_rows,
     margin_loss,
     sample_negatives,
+    score_model,
     train,
 )
 
@@ -548,3 +552,55 @@ class TestModelTapeOwnership:
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+
+class TestInferenceForward:
+    def model(self, fixture, mode="time-aware"):
+        g1, g2, seeds = fixture
+        merged = merge_pair(g1, g2)
+        cfg = TrainConfig(dim=5, num_layers=2, mode=mode)
+        graph, _ = build_graph(merged, cfg)
+        store = init_params(np.random.default_rng(3), *table_sizes(merged, cfg.self_loops), cfg)
+        return store, graph, cfg, merged.merged_pairs(seeds.test_pairs)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_forward_in_the_scope_keeps_no_tape_and_the_same_bits(self, fixture_6ent, mode):
+        store, graph, cfg, _ = self.model(fixture_6ent, mode)
+        taped = model_forward(store, graph, cfg)
+        with ad.no_tape():
+            bare = model_forward(store, graph, cfg)
+        assert taped.parents and taped.backward_fn is not None
+        assert bare.parents == () and bare.backward_fn is None
+        assert bare.data.tobytes() == taped.data.tobytes()
+
+    def test_score_model_runs_its_forward_in_the_scope(self, fixture_6ent, monkeypatch):
+        store, graph, cfg, pairs = self.model(fixture_6ent)
+        seen = []
+
+        def forward(*args, **kwargs):
+            out = model_forward(*args, **kwargs)
+            seen.append(out.backward_fn)
+            return out
+
+        monkeypatch.setattr("tkgalign.train.model_forward", forward)
+        score_model(store, graph, cfg, pairs, spaces=("l1",))
+        assert seen == [None]
+        assert model_forward(store, graph, cfg).backward_fn is not None
+
+    def test_validation_mid_training_changes_no_bit(self, fixture_6ent, tmp_path, monkeypatch):
+        g1, g2, seeds = fixture_6ent
+        cfg = TrainConfig(dim=6, num_layers=2, epochs=12, dropout=0.3, lr=0.01,
+                          eval_every=1, seed=0)
+
+        def run(name):
+            result = train(g1, g2, seeds, cfg)
+            path = tmp_path / f"{name}.npz"
+            save_checkpoint(path, result.store, meta_from_result(result))
+            return result.report, hashlib.sha256(path.read_bytes()).hexdigest()
+
+        lean, lean_sha = run("lean")
+        monkeypatch.setattr(ad, "no_tape", contextlib.nullcontext)  # validation builds its tape
+        taped, taped_sha = run("taped")
+        assert len(lean.eval_history) == 12
+        assert lean.fingerprint() == taped.fingerprint()
+        assert lean_sha == taped_sha

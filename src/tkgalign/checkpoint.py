@@ -1,26 +1,26 @@
 """Parameter checkpoint files.
 
 A checkpoint is a numpy ``.npz`` archive holding every parameter array under
-its name plus a ``__meta__`` entry: a JSON header recording the format
-version, the table sizes (entities, relation rows, time ids) and the run
-settings named in :data:`RUN_SETTINGS` (architecture, precision, graph
-options, the CSLS neighbourhood its metrics were ranked with and the seed),
-copied from the run's :class:`~tkgalign.train.TrainConfig` by field name.
-The version is checked before anything else in the header is read, so a
-checkpoint of another format is refused with a ConfigError whatever keys it
-carries; so is a missing file, one that is not an ``.npz`` archive, a header
-that is not JSON, a header value of the wrong type (the version, sizes, seed
-and ``k_csls`` must be ints, ``self_loops`` a bool), run settings that
-``TrainConfig`` rejects, a negative size, arrays that do not match by name or
-shape the tables ``model.param_shapes`` lays out for the header, and an array
-holding a NaN or infinity. Arrays are stored row-major exactly as trained and
-loaded as stored, with no model built and no random numbers drawn.
+its name plus a ``__meta__`` entry: a JSON header that is the run's
+:class:`~tkgalign.train.TrainConfig`, every field under its own name, plus
+the format version and the table sizes (entities, relation rows, time ids).
+Loading checks, in this order: the version, so a checkpoint of another format
+is refused whatever keys it carries; that the header's keys are exactly the
+fields of :class:`CheckpointMeta`; the type of each value (the version,
+sizes, seed and ``k_csls`` must be ints, ``self_loops`` a bool, and so on);
+the run settings, by ``TrainConfig``'s own rules; the sizes, which must be
+>= 0; and the arrays, which must match by name and shape the tables
+``model.param_shapes`` lays out for the header and hold no NaN or infinity.
+A missing file, one that is not an ``.npz`` archive or a header that is not
+JSON is refused too, each with a ConfigError. Arrays are stored row-major
+exactly as trained and loaded as stored, with no model built and no random
+numbers drawn.
 """
 from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,27 +30,23 @@ from .model import param_shapes, table_sizes
 from .optim import ParameterStore
 from .train import TrainConfig, TrainResult
 
-FORMAT_VERSION = 4
-# the TrainConfig fields a header records; CheckpointMeta carries each under its own name
-RUN_SETTINGS = ("dim", "num_layers", "precision", "self_loops", "mode", "seed", "k_csls")
+FORMAT_VERSION = 5
 SIZES = ("num_entities", "num_relation_rows", "num_times")
 
 
-@dataclass(frozen=True)
-class CheckpointMeta:
-    """Header pinned alongside the arrays; enough to rebuild the model."""
+@dataclass(frozen=True, kw_only=True)
+class CheckpointMeta(TrainConfig):
+    """Header pinned alongside the arrays: every setting of the run's
+    ``TrainConfig``, which rebuilds the model and its graph and ranks as the
+    run did, plus the format version and the table sizes. Loading checks the
+    version, the exact key set, the value types, the settings and the sizes,
+    in that order (see the module docstring). A loaded meta is handed as it
+    is wherever a ``TrainConfig`` goes."""
 
     format_version: int
-    dim: int
-    num_layers: int
     num_entities: int
     num_relation_rows: int
     num_times: int
-    precision: str
-    self_loops: bool
-    mode: str
-    seed: int
-    k_csls: int
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -60,20 +56,13 @@ class CheckpointMeta:
         """The table sizes, in :data:`SIZES` order."""
         return tuple(getattr(self, name) for name in SIZES)
 
-    def model_config(self) -> TrainConfig:
-        """The run's settings as recorded, checked as ``train`` checks them: the
-        architecture to rebuild, the graph options and the CSLS neighbourhood
-        (fields the header does not record, such as dropout, which inference
-        skips, stay at their defaults)."""
-        return TrainConfig(**{name: getattr(self, name) for name in RUN_SETTINGS})
-
 
 def meta_from_result(result: TrainResult) -> CheckpointMeta:
     """Derive the checkpoint header from a finished training run."""
     return CheckpointMeta(
         format_version=FORMAT_VERSION,
         **dict(zip(SIZES, table_sizes(result.merged, result.config.self_loops))),
-        **{name: getattr(result.config, name) for name in RUN_SETTINGS},
+        **asdict(result.config),
     )
 
 
@@ -106,20 +95,21 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
             raise ConfigError(
                 f"{path}: checkpoint format {version}, expected {FORMAT_VERSION}"
             )
-        try:
-            meta = CheckpointMeta(**header)
-        except TypeError as exc:
-            raise ConfigError(f"{path}: malformed checkpoint header ({exc})") from exc
         where = f"{path}: checkpoint header"
+        # every key, or TrainConfig's defaults would fill a missing setting silently
+        keys = {f.name for f in fields(CheckpointMeta)}
+        if header.keys() != keys:
+            missing, unknown = sorted(keys - header.keys()), sorted(header.keys() - keys)
+            raise ConfigError(f"{where}: missing keys {missing}, unknown keys {unknown}")
         require_field_types(CheckpointMeta, header, where)
         try:
-            mcfg = meta.model_config()
+            meta = CheckpointMeta(**header)
         except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from None
         for name, size in zip(SIZES, meta.sizes):
             if size < 0:
                 raise ConfigError(f"{where}: {name} must be >= 0, got {size}")
-        shapes = param_shapes(*meta.sizes, mcfg)
+        shapes = param_shapes(*meta.sizes, meta)
         names = {k for k in archive.files if k != "__meta__"}
         if names != shapes.keys():
             missing, unknown = sorted(shapes.keys() - names), sorted(names - shapes.keys())
@@ -133,7 +123,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
                 arr = archive[name]
                 if arr.shape != shape:
                     raise ConfigError(f"{path}: shape mismatch for {name!r}: {arr.shape} vs {shape}")
-                arr = arr.astype(mcfg.dtype, copy=False)
+                arr = arr.astype(meta.dtype, copy=False)
             except (OSError, ValueError, zipfile.BadZipFile) as exc:
                 raise ConfigError(f"{path}: {exc}") from None
             if not np.isfinite(arr).all():

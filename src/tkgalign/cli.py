@@ -227,7 +227,7 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
     manifest.record_input_dir(data_dir)
     out = Path(args.out)
     store, meta = load_checkpoint(args.checkpoint)
-    cfg = meta.model_config()
+    cfg = meta.model_config()  # the meta itself: the header is the run's TrainConfig
     if args.k_csls is not None:
         cfg = dataclasses.replace(cfg, k_csls=args.k_csls)  # TrainConfig checks the override
     manifest.data["inputs"][str(Path(args.checkpoint))] = _sha256(Path(args.checkpoint))

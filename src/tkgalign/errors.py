@@ -43,11 +43,10 @@ class NonFiniteError(NumericsError):
 
 
 class TrainingDivergedError(TkgAlignError):
-    """Loss became non-finite; carries the last good parameter snapshot."""
+    """Loss became non-finite; carries the epoch it happened in."""
 
-    def __init__(self, epoch: int, last_good=None):
+    def __init__(self, epoch: int):
         self.epoch = epoch
-        self.last_good = last_good
         super().__init__(f"training diverged at epoch {epoch}")
 
 

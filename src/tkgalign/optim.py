@@ -43,9 +43,6 @@ class ParameterStore:
     def num_scalars(self) -> int:
         return sum(t.data.size for t in self._params.values())
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self._params.items()}
-
 
 @dataclass
 class RmsPropState:

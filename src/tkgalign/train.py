@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, NonFiniteError, TrainingDivergedError
 from .evaluate import DEFAULT_CSLS_K, RankingReport, partition_test_pairs, rank_pool
 from .model import (
     AttentionProbe,
@@ -201,10 +201,19 @@ def score_model(
     time-sensitive partitions are each re-ranked inside their own sub-pool
     after every whole-pool report. The forward builds no tape (see
     :func:`autodiff.no_tape`), so each layer's per-link arrays are freed
-    when the layer returns.
+    when the layer returns. Raises NonFiniteError, naming how many entities
+    it affects, if a representation holds a NaN or infinity or is so large
+    that its L1 or CSLS scores could overflow, as finite tables whose
+    forward overflows give.
     """
     with ad.no_tape():
         reps = model_forward(store, graph, cfg, training=False).data
+    # |L1| <= 2 * the largest row L1 norm and |CSLS| <= 4 * max |L1|; 16 leaves room for rounding
+    norms = np.abs(reps).sum(axis=1, dtype=np.float64)
+    bad = np.count_nonzero(~(norms <= np.finfo(reps.dtype).max / 16))  # NaN compares False
+    if bad:
+        raise NonFiniteError(f"the representations of {bad} of {len(reps)} entities are"
+                             " not finite or too large to score")
     partitions = ()
     if sensitivity is not None:
         partitions = tuple(zip(("highly", "lowly"), partition_test_pairs(pairs, sensitivity)))
@@ -263,8 +272,8 @@ def train(
 
     The time-unaware mode substitutes the unknown timestamp everywhere before
     any computation; everything else is shared between modes. Raises
-    TrainingDivergedError (carrying the last finite-loss parameter snapshot)
-    if the loss leaves the finite range.
+    TrainingDivergedError, naming the epoch, if the loss leaves the finite
+    range.
     """
     if not seeds.train_pairs:
         raise ConfigError("need at least one seed pair to train")
@@ -292,7 +301,6 @@ def train(
         eta, config.mode,
     )
 
-    last_good: dict[str, np.ndarray] | None = None
     best_mrr, evals_since_best = -1.0, 0
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -303,8 +311,7 @@ def train(
         loss = margin_loss(reps, train_pairs, neg_src, neg_tgt, config.margin)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
-            raise TrainingDivergedError(epoch, last_good=last_good)
-        last_good = store.state_dict()
+            raise TrainingDivergedError(epoch)
         ad.backward(loss)
         del reps, loss  # the spent tape must not overlap the next forward
         opt.step(store, config.lr)

@@ -1,5 +1,6 @@
 """Checkpoint files: roundtrip fidelity, header checks, byte determinism."""
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -7,28 +8,31 @@ import pytest
 
 from tkgalign.checkpoint import (
     FORMAT_VERSION,
-    RUN_SETTINGS,
     CheckpointMeta,
     load_checkpoint,
     meta_from_result,
     save_checkpoint,
 )
 from tkgalign.errors import ConfigError
-from tkgalign.model import ModelConfig, init_params, num_relation_rows
+from tkgalign.model import init_params, num_relation_rows
 from tkgalign.train import TrainConfig, train
 
+SIZES = {"num_entities", "num_relation_rows", "num_times"}
 
-def small_store(seed=0, dim=4, ents=7, rels=3, times=5, layers=2):
-    cfg = ModelConfig(dim=dim, num_layers=layers)
+
+def small_store(seed=0, dim=4, ents=7, rels=3, times=5, layers=2, **settings):
+    cfg = TrainConfig(dim=dim, num_layers=layers, seed=seed, **settings)
     rows = num_relation_rows(rels, cfg.self_loops)
     store = init_params(np.random.default_rng(seed), ents, rows, times, cfg)
-    meta = CheckpointMeta(
-        format_version=FORMAT_VERSION,
-        dim=dim, num_layers=layers, num_entities=ents,
-        num_relation_rows=rows, num_times=times,
-        precision="f32", self_loops=True, mode="time-aware", seed=seed, k_csls=10,
-    )
+    meta = CheckpointMeta(format_version=FORMAT_VERSION, num_entities=ents,
+                          num_relation_rows=rows, num_times=times, **dataclasses.asdict(cfg))
     return store, meta
+
+
+def write_header(path, store, header):
+    """A checkpoint of ``store``'s arrays under a hand-made JSON header."""
+    arrays = {name: t.data for name, t in store.items()}
+    np.savez(path, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
 
 
 class TestRoundTrip:
@@ -66,18 +70,29 @@ class TestRoundTrip:
         for name, tensor in result.store.items():
             assert np.array_equal(dict(loaded.items())[name].data, tensor.data)
 
-    def test_header_records_the_run_settings(self, fixture_6ent):
-        """Every field of the header is the format version, a table size, or a
-        TrainConfig setting copied by name from the run that wrote it."""
-        g1, g2, seeds = fixture_6ent
-        cfg = TrainConfig(dim=3, num_layers=1, epochs=1, seed=2, mode="time-unaware",
-                          precision="f64", self_loops=False, k_csls=4)
-        meta = meta_from_result(train(g1, g2, seeds, cfg))
-        assert set(RUN_SETTINGS) <= {f.name for f in dataclasses.fields(TrainConfig)}
-        assert {f.name for f in dataclasses.fields(CheckpointMeta)} == \
-            {"format_version", "num_entities", "num_relation_rows", "num_times", *RUN_SETTINGS}
-        assert {name: getattr(meta, name) for name in RUN_SETTINGS} == \
-            {name: getattr(cfg, name) for name in RUN_SETTINGS}
+    def test_extends_train_config_without_redeclaring_it(self):
+        """The header is the run's TrainConfig: it declares only the format
+        version and the table sizes, and hands itself on as the run config."""
+        _, meta = small_store()
+        assert isinstance(meta, TrainConfig)
+        assert meta.model_config() is meta
+        own = set(inspect.get_annotations(CheckpointMeta))
+        assert own == {"format_version", *SIZES}
+        assert not own & {f.name for f in dataclasses.fields(TrainConfig)}
+
+    def test_every_run_setting_survives(self, tmp_path):
+        """A setting off its default comes back as written, whichever it is."""
+        settings = dict(lr=0.02, margin=2.5, epochs=7, negatives_per_positive=3,
+                        eval_every=2, patience=4, dropout=0.1, precision="f64",
+                        self_loops=False, mode="time-unaware", k_csls=3)
+        store, meta = small_store(seed=9, layers=3, **settings)
+        off_default = {f.name for f in dataclasses.fields(TrainConfig)
+                       if getattr(meta, f.name) != getattr(TrainConfig(), f.name)}
+        assert off_default == {f.name for f in dataclasses.fields(TrainConfig)}
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, store, meta)
+        _, got = load_checkpoint(path)
+        assert got == meta
 
 
 class TestHeaderChecks:
@@ -89,11 +104,9 @@ class TestHeaderChecks:
 
     def test_version_mismatch_rejected(self, tmp_path):
         store, meta = small_store()
-        header = json.loads(meta.to_json())
-        header["format_version"] = FORMAT_VERSION + 1
         path = tmp_path / "future.npz"
-        arrays = {name: t.data for name, t in store.items()}
-        np.savez(path, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
+        write_header(path, store, {**json.loads(meta.to_json()),
+                                   "format_version": FORMAT_VERSION + 1})
         with pytest.raises(ConfigError, match="format"):
             load_checkpoint(path)
 
@@ -108,8 +121,7 @@ class TestHeaderChecks:
         header = {**json.loads(meta.to_json()), **extra}
         header.pop(dropped, None)
         path = tmp_path / "foreign.npz"
-        arrays = {name: t.data for name, t in store.items()}
-        np.savez(path, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
+        write_header(path, store, header)
         with pytest.raises(ConfigError):
             load_checkpoint(path)
 
@@ -117,8 +129,7 @@ class TestHeaderChecks:
     def test_header_without_version_rejected(self, tmp_path, header):
         store, _ = small_store()
         path = tmp_path / "unversioned.npz"
-        arrays = {name: t.data for name, t in store.items()}
-        np.savez(path, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
+        write_header(path, store, header)
         with pytest.raises(ConfigError, match="format None"):
             load_checkpoint(path)
 
@@ -143,8 +154,7 @@ class TestHeaderChecks:
         store, meta = small_store()
         header = {**json.loads(meta.to_json()), key: value}
         path = tmp_path / "bad.npz"
-        arrays = {name: t.data for name, t in store.items()}
-        np.savez(path, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
+        write_header(path, store, header)
         with pytest.raises(ConfigError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: checkpoint header: {message}"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tkgalign import cli
-from tkgalign.checkpoint import load_checkpoint, save_checkpoint
+from tkgalign.checkpoint import FORMAT_VERSION, CheckpointMeta, load_checkpoint, save_checkpoint
 from tkgalign.cli import DATA_ROOT_ENV, _build_train_config, build_parser, main
 from tkgalign.forge import ForgeSpec
 from tkgalign.train import TrainConfig
@@ -684,22 +684,56 @@ class TestEval:
         assert code == 2
         assert "does not fit" in capsys.readouterr().err
 
-    def test_foreign_format_header_exits_2(self, dataset_dir, trained, tmp_path, capsys):
-        """A format-3 checkpoint (it had no k_csls) is refused, not a crash."""
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_foreign_format_header_exits_2(self, dataset_dir, trained, tmp_path, capsys,
+                                           version):
+        """A format-3 checkpoint (it had no k_csls) or a format-4 one (it recorded
+        seven run settings by hand) is refused, not a crash."""
         with np.load(trained / "run_0" / "checkpoint.npz") as archive:
             arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
             header = json.loads(bytes(archive["__meta__"]).decode())
-        del header["k_csls"]
-        header.update(format_version=3)
-        old = tmp_path / "format3.npz"
+        kept = ["dim", "num_layers", "precision", "self_loops", "mode", "seed",
+                "num_entities", "num_relation_rows", "num_times"] + ["k_csls"] * (version == 4)
+        header = {"format_version": version, **{k: header[k] for k in kept}}
+        old = tmp_path / f"format{version}.npz"
         np.savez(old, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
                  **arrays)
         out = tmp_path / "o"
         code = main(["eval", "--checkpoint", str(old), "--data", str(dataset_dir),
                      "--out", str(out)])
         assert code == 2
-        assert "format 3" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: {old}: checkpoint format {version}, expected {FORMAT_VERSION}\n"
         assert read_manifest(out)["status"] == "failure"
+
+    @pytest.mark.parametrize("dropped, added", [
+        *((f.name, None) for f in dataclasses.fields(CheckpointMeta)),
+        (None, "threads"),
+    ], ids=[*(f"missing-{f.name}" for f in dataclasses.fields(CheckpointMeta)), "unknown"])
+    def test_header_keys_must_match_exit_2(self, dataset_dir, trained, tmp_path, capsys,
+                                           dropped, added):
+        """Every key must be there, so no setting falls back to a TrainConfig default."""
+        with np.load(trained / "run_0" / "checkpoint.npz") as archive:
+            arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
+            header = json.loads(bytes(archive["__meta__"]).decode())
+        header.pop(dropped, None)
+        if added:
+            header[added] = 1
+        path = tmp_path / "keys.npz"
+        np.savez(path, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+                 **arrays)
+        out = tmp_path / "o"
+        code = main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir),
+                     "--out", str(out)])
+        assert code == 2
+        if dropped == "format_version":
+            message = f"checkpoint format None, expected {FORMAT_VERSION}"
+        else:
+            missing, unknown = [dropped] if dropped else [], [added] if added else []
+            message = f"checkpoint header: missing keys {missing}, unknown keys {unknown}"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "eval_report.json").exists()
 
     @pytest.mark.parametrize("content, message", [
         (None, "error: checkpoint not found: {path}\n"),
@@ -767,31 +801,25 @@ class TestEval:
             f"error: {path}: checkpoint array 'entity' holds non-finite values\n"
         assert read_manifest(out)["status"] == "failure"
 
-    def test_overflowing_checkpoint_ranks_every_pair_in_range(self, dataset_dir, trained,
-                                                               tmp_path):
-        """Finite tables whose representations overflow give inf/NaN scores; no
-        pair may then rank better than 1..n, and the report stays strict JSON."""
+    def test_overflowing_checkpoint_exits_1(self, dataset_dir, trained, tmp_path, capsys):
+        """Finite tables whose representations are too large for their L1 and CSLS
+        scores to stay finite are refused after the forward, before any ranking."""
         store, meta = load_checkpoint(trained / "run_0" / "checkpoint.npz")
         store["entity"].data *= np.float32(1e38)
         path = tmp_path / "huge.npz"
         save_checkpoint(path, store, meta)
         out = tmp_path / "o"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir),
-                         "--metric", "both", "--direction", "both", "--partition",
-                         "--out", str(out)])
-        assert code == 0
-
-        def refuse(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
-        reports = json.loads((out / "eval_report.json").read_text(), parse_constant=refuse)
-        assert any(r["metric_space"] == "csls" for r in reports)
-        for r in reports:
-            n = len(r["ranks"])
-            assert all(1 <= rank <= n for rank in r["ranks"]), (r["metric_space"], r["ranks"])
-            assert 0.0 < r["mrr"] <= 1.0
-        assert "inf" not in (out / "eval_report.csv").read_text()
+        code = main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir),
+                     "--metric", "both", "--direction", "both", "--partition",
+                     "--out", str(out)])
+        assert code == 1
+        n = meta.num_entities
+        assert capsys.readouterr().err == (f"error: the representations of {n} of {n} entities"
+                                           " are not finite or too large to score\n")
+        manifest = read_manifest(out)
+        assert manifest["status"] == "failure"
+        assert manifest["error"].startswith("NonFiniteError: ")
+        assert not (out / "eval_report.json").exists()
 
     @pytest.mark.parametrize("key, value, message", [
         ("mode", "bogus", "mode must be one of ('time-aware', 'time-unaware'), got 'bogus'"),

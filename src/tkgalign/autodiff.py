@@ -5,13 +5,13 @@ of a general autodiff framework each operation this model needs carries its
 own analytic backward rule. Tensors wrap numpy arrays; calling
 :func:`backward` on a scalar result accumulates gradients into every leaf
 reachable from it and consumes the tape: each interior node gives up its
-gradient, backward closure and parents as soon as its rule has run, so a
-tape is backpropagated once and its memory is freed as it goes. All ops
-preserve the dtype of their inputs (float32 for training, float64 for
-verification) and avoid BLAS so that results are bit-reproducible at
-thread count 1.
+value when backward starts and its gradient, backward closure and parents
+as soon as its rule has run, so a tape is backpropagated once and its
+memory is freed as it goes. All ops preserve the dtype of their inputs
+(float32 for training, float64 for verification) and avoid BLAS so that
+results are bit-reproducible at thread count 1.
 
-Every op keeps two rules.
+Every op keeps three rules.
 
 Index: an op that reduces by an index (the segment ops and the backward of
 :func:`gather_rows`) takes an index array or its prebuilt :class:`Grouping`
@@ -31,6 +31,16 @@ else (``concat_cols``' column slices, a broadcast). Later contributions are
 added in place, so no two nodes share gradient memory. A contribution of
 another shape than its node's is refused, first or later: it would
 otherwise be kept at its own shape or broadcast into the gradient.
+
+Values: a backward rule reads no node's ``data``. What it needs of a value
+it captures when its op is built (an input array, a mask, its own output),
+and a node's ``shape`` and ``dtype`` are kept apart from its value. So
+:func:`backward` releases the value of every interior node other than the
+root before the first rule runs: an array that some rule captured lives
+until that rule has run, and any other (a sum that no rule reads, a
+gathered block that only feeds a difference) is freed at once, before
+gradients are allocated. A rule that still read a released value would fail
+on ``None`` rather than read stale data.
 
 Inference: inside :func:`no_tape` every op still computes its value, but
 the node it returns keeps no parents and no backward rule, so nothing on the
@@ -63,9 +73,10 @@ def no_tape() -> Iterator[None]:
 
 
 class Tensor:
-    """A node in the tape: value, gradient slot, and a backward closure."""
+    """A node in the tape: value (None once backward has released it), its
+    shape and dtype, gradient slot, and a backward closure."""
 
-    __slots__ = ("data", "grad", "parents", "backward_fn", "name")
+    __slots__ = ("data", "shape", "dtype", "grad", "parents", "backward_fn", "name")
 
     def __init__(
         self,
@@ -74,7 +85,8 @@ class Tensor:
         backward_fn: Callable[[np.ndarray], None] | None = None,
         name: str = "",
     ):
-        self.data = np.asarray(data)
+        self.data: np.ndarray | None = np.asarray(data)
+        self.shape, self.dtype = self.data.shape, self.data.dtype
         self.grad: np.ndarray | None = None
         if not _recording:
             parents, backward_fn = (), None
@@ -82,29 +94,21 @@ class Tensor:
         self.backward_fn = backward_fn
         self.name = name
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def accumulate(self, g: np.ndarray) -> None:
         """Add ``g`` into this node's gradient (see the ownership rule above)."""
-        if g.shape != self.data.shape:
-            raise ValueError(f"gradient of shape {g.shape} for a node of shape {self.data.shape}")
+        if g.shape != self.shape:
+            raise ValueError(f"gradient of shape {g.shape} for a node of shape {self.shape}")
         if self.grad is None:
-            if g.base is None and g.flags.writeable and g.dtype == self.data.dtype:
+            if g.base is None and g.flags.writeable and g.dtype == self.dtype:
                 self.grad = g
             else:
-                self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+                self.grad = np.array(g, dtype=self.dtype, copy=True)
         else:
             self.grad += g
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype}{tag})"
 
 
 def leaf(data: np.ndarray, name: str = "") -> Tensor:
@@ -114,8 +118,10 @@ def leaf(data: np.ndarray, name: str = "") -> Tensor:
 def backward(root: Tensor) -> None:
     """Reverse-accumulate gradients from a scalar root through the tape.
 
-    Only leaves keep their gradients; every interior node reached is
-    released (``grad`` and ``backward_fn`` None, no ``parents``).
+    Only leaves keep their gradients and, with the root, their values; every
+    interior node reached is released (``data``, ``grad`` and
+    ``backward_fn`` None, no ``parents``). Values go before the first rule
+    runs (see the values rule above).
     """
     if root.data.size != 1:
         raise ValueError("backward root must be a scalar")
@@ -134,6 +140,9 @@ def backward(root: Tensor) -> None:
         for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
+    for node in order:
+        if node.backward_fn is not None and node is not root:
+            node.data = None
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
         if node.backward_fn is not None:
@@ -184,9 +193,10 @@ def absolute(a: Tensor) -> Tensor:
 
 def row_sum(a: Tensor) -> Tensor:
     """(n, d) -> (n,) sum along axis 1."""
+    width = a.shape[1]
 
     def bw(g):
-        a.accumulate(np.repeat(g[:, None], a.data.shape[1], axis=1))
+        a.accumulate(np.repeat(g[:, None], width, axis=1))
 
     return Tensor(a.data.sum(axis=1), (a,), bw)
 
@@ -270,9 +280,10 @@ def _grouping(index: np.ndarray | Grouping) -> Grouping:
 def gather_rows(a: Tensor, idx: np.ndarray | Grouping) -> Tensor:
     """Select rows (axis 0); the backward sums each source row's gradients."""
     runs = _grouping(idx)
+    rows = a.shape[0]
 
     def bw(g):
-        a.accumulate(runs.reduce(np.add, g, len(a.data)))
+        a.accumulate(runs.reduce(np.add, g, rows))
 
     return Tensor(np.take(a.data, runs.index, axis=0), (a,), bw)
 
@@ -291,22 +302,24 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 
 def matvec(a: Tensor, v: Tensor) -> Tensor:
     """(n, m) @ (m,) -> (n,). einsum keeps it off BLAS for reproducibility."""
+    a_val, v_val = a.data, v.data
 
     def bw(g):
-        a.accumulate(g[:, None] * v.data[None, :])
-        v.accumulate(np.einsum("nm,n->m", a.data, g))
+        a.accumulate(g[:, None] * v_val[None, :])
+        v.accumulate(np.einsum("nm,n->m", a_val, g))
 
-    return Tensor(np.einsum("nm,m->n", a.data, v.data), (a, v), bw)
+    return Tensor(np.einsum("nm,m->n", a_val, v_val), (a, v), bw)
 
 
 def scale_rows(x: Tensor, w: Tensor) -> Tensor:
     """Row i of x times scalar w[i], with w trainable."""
+    x_val, w_val = x.data, w.data
 
     def bw(g):
-        x.accumulate(g * w.data[:, None])
-        w.accumulate(np.einsum("nk,nk->n", g, x.data))
+        x.accumulate(g * w_val[:, None])
+        w.accumulate(np.einsum("nk,nk->n", g, x_val))
 
-    return Tensor(x.data * w.data[:, None], (x, w), bw)
+    return Tensor(x_val * w_val[:, None], (x, w), bw)
 
 
 def scale_rows_const(x: Tensor, w: np.ndarray) -> Tensor:
@@ -347,15 +360,16 @@ def householder_apply(h: Tensor, x: Tensor) -> Tensor:
     Equivalent to multiplying each row of x by the orthogonal matrix
     I - 2 h h^T without materializing it (O(k) per row instead of O(k^2)).
     """
-    if h.data.shape != x.data.shape:
-        raise ValueError(f"shape mismatch {h.data.shape} vs {x.data.shape}")
-    hx = np.einsum("nk,nk->n", h.data, x.data)
-    out = x.data - 2.0 * hx[:, None] * h.data
+    if h.shape != x.shape:
+        raise ValueError(f"shape mismatch {h.shape} vs {x.shape}")
+    h_val, x_val = h.data, x.data
+    hx = np.einsum("nk,nk->n", h_val, x_val)
+    out = x_val - 2.0 * hx[:, None] * h_val
 
     def bw(g):
-        hg = np.einsum("nk,nk->n", h.data, g)
-        x.accumulate(g - 2.0 * hg[:, None] * h.data)
-        h.accumulate(-2.0 * (hg[:, None] * x.data + hx[:, None] * g))
+        hg = np.einsum("nk,nk->n", h_val, g)
+        x.accumulate(g - 2.0 * hg[:, None] * h_val)
+        h.accumulate(-2.0 * (hg[:, None] * x_val + hx[:, None] * g))
 
     return Tensor(out, (h, x), bw)
 

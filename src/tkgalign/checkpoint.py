@@ -11,14 +11,17 @@ sizes, seed and ``k_csls`` must be ints, ``self_loops`` a bool, and so on);
 the run settings, by ``TrainConfig``'s own rules; the sizes, which must be
 >= 0; and the arrays, which must match by name and shape the tables
 ``model.param_shapes`` lays out for the header and hold no NaN or infinity.
-A missing file, one that is not an ``.npz`` archive or a header that is not
+A missing file, one that is not an ``.npz`` archive, a member that cannot be
+read (a damaged archive: see :data:`UNREADABLE`) or a header that is not
 JSON is refused too, each with a ConfigError. Arrays are stored row-major
 exactly as trained and loaded as stored, with no model built and no random
 numbers drawn.
 """
 from __future__ import annotations
 
+import io
 import json
+import tokenize
 import zipfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -32,6 +35,15 @@ from .train import TrainConfig, TrainResult
 
 FORMAT_VERSION = 5
 SIZES = ("num_entities", "num_relation_rows", "num_times")
+# what opening a damaged archive or reading one of its members raises: a bad
+# CRC, name or magic number (BadZipFile), a cut or garbled stream (OSError,
+# EOFError, ValueError), a compression method, zip version or flag that zipfile
+# does not handle (RuntimeError for "encrypted", and its subclass
+# NotImplementedError) and a garbled npy header (ValueError, or
+# tokenize.TokenError for an unclosed bracket). Named, not Exception, so that
+# running out of memory still ends the run as a failure of its own.
+UNREADABLE = (zipfile.BadZipFile, OSError, EOFError, ValueError, RuntimeError,
+              tokenize.TokenError)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -79,15 +91,16 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
         raise ConfigError(f"checkpoint not found: {path}")
     try:
         archive = np.load(path)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+    except UNREADABLE as exc:
         raise ConfigError(f"{path}: not a checkpoint archive ({exc})") from None
     if not isinstance(archive, np.lib.npyio.NpzFile):
         raise ConfigError(f"{path}: not a checkpoint archive (a bare array)")
     with archive:
         if "__meta__" not in archive:
             raise ConfigError(f"{path}: not a checkpoint (missing header)")
+        header_bytes = bytes(_read_member(archive, "__meta__", path))
         try:
-            header = json.loads(bytes(archive["__meta__"]).decode())
+            header = json.loads(header_bytes.decode())
         except ValueError as exc:
             raise ConfigError(f"{path}: checkpoint header is not JSON ({exc})") from None
         version = header.get("format_version") if isinstance(header, dict) else None
@@ -119,14 +132,29 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
             )
         store = ParameterStore()
         for name, shape in shapes.items():
-            try:
-                arr = archive[name]
-                if arr.shape != shape:
-                    raise ConfigError(f"{path}: shape mismatch for {name!r}: {arr.shape} vs {shape}")
-                arr = arr.astype(meta.dtype, copy=False)
-            except (OSError, ValueError, zipfile.BadZipFile) as exc:
-                raise ConfigError(f"{path}: {exc}") from None
+            arr = _read_member(archive, name, path, meta.dtype)
+            if arr.shape != shape:
+                raise ConfigError(f"{path}: shape mismatch for {name!r}: {arr.shape} vs {shape}")
             if not np.isfinite(arr).all():
                 raise ConfigError(f"{path}: checkpoint array {name!r} holds non-finite values")
             store.add(name, arr)
     return store, meta
+
+
+def _read_member(archive, name: str, path: Path, dtype=None) -> np.ndarray:
+    """Member ``name`` of an open checkpoint archive, cast to ``dtype`` if given;
+    a ConfigError naming the file and the member if it cannot be read.
+
+    The member is read whole, so zipfile checks its CRC, and must hold
+    nothing after its array: reading only the bytes an npy header asks for
+    would skip that check, and a damaged header length would silently
+    shift every value of the table."""
+    try:
+        raw = archive.zip.read(f"{name}.npy")
+        stream = io.BytesIO(raw)
+        arr = np.lib.format.read_array(stream, allow_pickle=False)
+        if stream.tell() != len(raw):
+            raise ValueError(f"{len(raw) - stream.tell()} bytes follow the array")
+        return arr if dtype is None else arr.astype(dtype, copy=False)
+    except UNREADABLE as exc:
+        raise ConfigError(f"{path}: checkpoint member {name!r} is unreadable ({exc})") from None

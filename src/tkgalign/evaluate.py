@@ -150,8 +150,10 @@ def compute_metrics(
     strictly below the gold.
 
     A candidate tied with the gold worsens its rank, and so does a NaN
-    candidate; a NaN gold ranks last. Every rank is thus in 1..cols. Rows are
-    counted one block at a time, so no full-matrix mask is built.
+    candidate; a NaN gold ranks last. Every rank is thus in 1..cols. The
+    matrix is counted one contiguous block at a time, so no full-matrix mask
+    is built: blocks of rows, or for a transposed view (the g2->g1 matrix)
+    blocks of rows of its C-order base, each counted per column.
     """
     sim = np.asarray(sim)
     gold_cols = np.asarray(gold_cols)
@@ -161,11 +163,19 @@ def compute_metrics(
         raise ValueError("gold column out of range")
     rows, cols = sim.shape
     gold_sim = sim[np.arange(rows), gold_cols]
-    ranks = np.empty(rows, dtype=np.int64)
-    step = _block_rows(sim, 1)  # one bool per cell
-    for lo in range(0, rows, step):
-        below = sim[lo:lo + step] < gold_sim[lo:lo + step, None]
-        ranks[lo:lo + step] = cols - np.count_nonzero(below, axis=1)
+    if sim.flags.f_contiguous and not sim.flags.c_contiguous:
+        base = sim.T  # C-order: row j holds candidate j's score for every row
+        below = np.zeros(rows, dtype=np.int64)
+        step = _block_rows(base, 1)  # one bool per cell
+        for lo in range(0, cols, step):
+            below += np.count_nonzero(base[lo:lo + step] < gold_sim, axis=0)
+        ranks = cols - below
+    else:
+        ranks = np.empty(rows, dtype=np.int64)
+        step = _block_rows(sim, 1)
+        for lo in range(0, rows, step):
+            below = sim[lo:lo + step] < gold_sim[lo:lo + step, None]
+            ranks[lo:lo + step] = cols - np.count_nonzero(below, axis=1)
     return RankingReport(
         mrr=float((1.0 / ranks).mean()),
         hits1=float((ranks <= 1).mean()),

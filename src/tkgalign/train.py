@@ -154,7 +154,7 @@ def margin_loss(
     uses = active.reshape(2, num_pos, eta).sum(axis=(0, 2))
 
     def bw(g):
-        grad = np.empty_like(dist.data)
+        grad = np.empty(dist.shape, dtype=dist.dtype)
         grad[:num_pos] = uses
         grad[num_pos:] = np.where(active, -1, 0)
         grad *= g

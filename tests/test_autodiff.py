@@ -13,19 +13,21 @@ from tkgalign.errors import ConfigError, DegenerateEmbeddingError
 
 def mul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     """Elementwise product: test scaffolding that weights an op's output."""
+    a_val, b_val = a.data, b.data
 
     def bw(g):
-        a.accumulate(g * b.data)
-        b.accumulate(g * a.data)
+        a.accumulate(g * b_val)
+        b.accumulate(g * a_val)
 
-    return ad.Tensor(a.data * b.data, (a, b), bw)
+    return ad.Tensor(a_val * b_val, (a, b), bw)
 
 
 def sum_all(a: ad.Tensor) -> ad.Tensor:
     """A scalar root over every element; its backward hands on a read-only broadcast."""
+    shape = a.shape
 
     def bw(g):
-        a.accumulate(np.broadcast_to(g, a.data.shape))
+        a.accumulate(np.broadcast_to(g, shape))
 
     return ad.Tensor(np.asarray(a.data.sum()), (a,), bw)
 
@@ -537,8 +539,9 @@ class TestDropout:
         gen = np.random.default_rng(11)
         x = ad.leaf(np.ones(200))
         out = ad.dropout(x, 0.4, gen, training=True)
+        kept = out.data != 0.0  # read before backward releases it
         ad.backward(sum_all(out))
-        assert np.allclose(x.grad, np.where(out.data != 0.0, 1 / 0.6, 0.0))
+        assert np.allclose(x.grad, np.where(kept, 1 / 0.6, 0.0))
 
 
 def tape_order(root):
@@ -571,21 +574,43 @@ def shared_subterm_loss(a, b):
     return sum_all(ad.relu(ad.add(s, ad.gather_rows(a, [1, 0, 2]))))
 
 
+def stale_row_sum(a: ad.Tensor) -> ad.Tensor:
+    """``row_sum`` with a rule that reads its input's value while backward runs."""
+
+    def bw(g):
+        a.accumulate(np.repeat(g[:, None], a.data.shape[1], axis=1))
+
+    return ad.Tensor(a.data.sum(axis=1), (a,), bw)
+
+
 class TestTape:
     def test_backward_releases_interior_nodes_and_keeps_leaf_grads(self, rng):
         arrays = [rng.normal(size=(3, 4)) for _ in range(2)]
         reference = [ad.leaf(x) for x in arrays]
-        backward_keeping_tape(shared_subterm_loss(*reference))
+        reference_root = shared_subterm_loss(*reference)
+        backward_keeping_tape(reference_root)
 
         leaves = [ad.leaf(x) for x in arrays]
         root = shared_subterm_loss(*leaves)
+        value = root.data.copy()
         interior = [n for n in tape_order(root) if n.backward_fn is not None]
         ad.backward(root)
         assert len(interior) > 10
         for node in interior:
             assert node.grad is None and node.backward_fn is None and not node.parents
-        for got, want in zip(leaves, reference):
+            assert (node.data is None) == (node is not root)
+        assert root.data.tobytes() == value.tobytes() == reference_root.data.tobytes()
+        for got, want, x in zip(leaves, reference, arrays):
+            assert got.data.tobytes() == x.tobytes()
             assert np.array_equal(got.grad, want.grad)
+
+    def test_rule_reading_a_released_value_fails(self, rng):
+        x = ad.leaf(rng.normal(size=(3, 4)))
+        ad.backward(sum_all(stale_row_sum(x)))  # a leaf keeps its value
+        assert np.array_equal(x.grad, np.ones((3, 4)))
+        root = sum_all(stale_row_sum(ad.add(x, x)))  # add's output is released
+        with pytest.raises(AttributeError, match="NoneType"):
+            ad.backward(root)
 
     def test_diamond_graph_accumulates_once_per_path(self):
         x = ad.leaf(np.array([2.0]))
@@ -652,7 +677,7 @@ class TestNoTape:
 def copying_accumulate(self, g):
     """The reference rule: every first contribution is copied."""
     if self.grad is None:
-        self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+        self.grad = np.array(g, dtype=self.dtype, copy=True)
     else:
         self.grad += g
 

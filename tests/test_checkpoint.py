@@ -2,6 +2,7 @@
 import dataclasses
 import inspect
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -197,6 +198,55 @@ class TestHeaderChecks:
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         loaded, _ = load_checkpoint(path)
         assert [name for name, _ in loaded.items()] == [name for name, _ in store.items()]
+
+
+class TestDamagedArchive:
+    def test_bit_flips_and_truncations_load_intact_or_raise_config_error(self, tmp_path):
+        """Each damaged copy of a checkpoint loads exactly what was saved (the
+        damage hit bytes no reader uses) or is refused with a ConfigError; no
+        zip or npy error escapes."""
+        store, meta = small_store(seed=3, dim=8, ents=300)
+        good = tmp_path / "good.npz"
+        save_checkpoint(good, store, meta)
+        raw = good.read_bytes()
+        rng = np.random.default_rng(1)
+        path = tmp_path / "damaged.npz"
+        refused = 0
+        for _ in range(400):
+            damaged = bytearray(raw)
+            if rng.random() < 0.25:
+                del damaged[rng.integers(0, len(raw)):]
+            else:
+                for pos in rng.integers(0, len(raw), size=rng.integers(1, 4)):
+                    damaged[pos] ^= 1 << int(rng.integers(0, 8))
+            path.write_bytes(bytes(damaged))
+            try:
+                loaded, got = load_checkpoint(path)
+            except ConfigError:
+                refused += 1
+                continue
+            assert got == meta
+            for name, tensor in store.items():
+                assert loaded[name].data.tobytes() == tensor.data.tobytes(), name
+        assert refused > 350
+
+    @pytest.mark.parametrize("damage, message", [
+        # 4 bytes less of npy header: the array would start inside its padding,
+        # shifted by one value, and the read would stop short of the CRC check
+        (lambda npy: npy[:8] + bytes([npy[8] - 4]) + npy[9:], "4 bytes follow the array"),
+        (lambda npy: npy.replace(b"}", b"(", 1), "EOF in multi-line statement"),
+    ], ids=["header-length", "unclosed-header"])
+    def test_damaged_member_with_a_valid_crc_refused(self, tmp_path, damage, message):
+        store, meta = small_store()
+        good = tmp_path / "good.npz"
+        save_checkpoint(good, store, meta)
+        path = tmp_path / "damaged.npz"
+        with zipfile.ZipFile(good) as src, zipfile.ZipFile(path, "w") as dst:
+            for info in src.infolist():
+                npy = src.read(info.filename)
+                dst.writestr(info, damage(npy) if info.filename == "entity.npy" else npy)
+        with pytest.raises(ConfigError, match=f"member 'entity' is unreadable .*{message}"):
+            load_checkpoint(path)
 
 
 class TestDeterminism:

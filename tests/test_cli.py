@@ -781,6 +781,21 @@ class TestEval:
         assert message in err
         assert read_manifest(out)["status"] == "failure"
 
+    def test_damaged_checkpoint_header_exits_2(self, dataset_dir, trained, tmp_path, capsys):
+        """One flipped bit in the stored header fails that member's CRC check."""
+        raw = bytearray((trained / "run_0" / "checkpoint.npz").read_bytes())
+        raw[raw.index(b'"format_version"') + 1] ^= 0x20  # "f" -> "F"
+        path = tmp_path / "bad.npz"
+        path.write_bytes(bytes(raw))
+        out = tmp_path / "o"
+        code = main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: checkpoint member '__meta__' is unreadable (")
+        assert "Bad CRC-32" in err and err.count("\n") == 1
+        assert read_manifest(out)["status"] == "failure"
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_checkpoint_exits_2(self, dataset_dir, trained, tmp_path, capsys, value):
         """A NaN table would rank every pair first and one infinite row gives a CSLS

@@ -203,13 +203,16 @@ class TestComputeMetrics:
         assert rep.ranks == [12, 12, 12]
         assert rep.hits10 == 0.0
 
-    def test_nan_never_improves_a_rank(self):
-        sim = np.array([
+    # a Fortran-order matrix is a transposed view, counted by column blocks
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray],
+                             ids=["C", "F"])
+    def test_nan_never_improves_a_rank(self, layout):
+        sim = layout(np.array([
             [np.nan, 1.0, 2.0],   # NaN gold ranks last
             [1.0, np.nan, 0.5],   # NaN candidate counts against the gold
             [0.0, 1.0, 2.0],
             [np.nan, np.nan, np.nan],
-        ])
+        ]))
         rep = compute_metrics(sim, np.array([0, 0, 1, 2]))
         assert rep.ranks == [3, 2, 2, 3]
         assert rep.mrr == pytest.approx((1 / 3 + 1 / 2 + 1 / 2 + 1 / 3) / 4)

@@ -13,15 +13,9 @@ results are bit-reproducible at thread count 1.
 
 Every op keeps three rules.
 
-Index: an op that reduces by an index (the segment ops and the backward of
-:func:`gather_rows`) takes an index array or its prebuilt :class:`Grouping`
-and groups it once, when the op is built. A grouping puts the positions of
-each index value in one run, in their original order, and reduces runs of
-equal length together, one ``ufunc.reduce`` over a (length, runs, k) block
-per distinct length (scalar rows: one ``ufunc.reduceat``). Groups that no
-row names stay zero (``-inf`` for a maximum). A caller that reduces by the
-same static column many times (a graph's link columns) builds its grouping
-once and passes it in place of the array.
+Index: an op that gathers or reduces by an index takes it as a prebuilt
+:class:`Grouping`, so a static column (a graph's link columns) is grouped
+once and reused by every op that reads it.
 
 Ownership: a backward rule hands each array it passes on to one parent only;
 ``add``, the one op that passes its upstream gradient to two parents, gives
@@ -39,8 +33,9 @@ and a node's ``shape`` and ``dtype`` are kept apart from its value. So
 root before the first rule runs: an array that some rule captured lives
 until that rule has run, and any other (a sum that no rule reads, a
 gathered block that only feeds a difference) is freed at once, before
-gradients are allocated. A rule that still read a released value would fail
-on ``None`` rather than read stale data.
+gradients are allocated. :func:`matvec` keeps a view of its slice of ``v``,
+which keeps all of ``v`` alive until its rule has run. A rule that still
+read a released value would fail on ``None`` rather than read stale data.
 
 Inference: inside :func:`no_tape` every op still computes its value, but
 the node it returns keeps no parents and no backward rule, so nothing on the
@@ -273,13 +268,9 @@ class Grouping:
         return out
 
 
-def _grouping(index: np.ndarray | Grouping) -> Grouping:
-    return index if isinstance(index, Grouping) else Grouping(index)
-
-
-def gather_rows(a: Tensor, idx: np.ndarray | Grouping) -> Tensor:
-    """Select rows (axis 0); the backward sums each source row's gradients."""
-    runs = _grouping(idx)
+def gather_rows(a: Tensor, runs: Grouping) -> Tensor:
+    """Select the rows ``runs.index`` names (axis 0); the backward sums each
+    source row's gradients."""
     rows = a.shape[0]
 
     def bw(g):
@@ -300,13 +291,17 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return Tensor(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bw)
 
 
-def matvec(a: Tensor, v: Tensor) -> Tensor:
-    """(n, m) @ (m,) -> (n,). einsum keeps it off BLAS for reproducibility."""
-    a_val, v_val = a.data, v.data
+def matvec(a: Tensor, v: Tensor, offset: int) -> Tensor:
+    """(n, m) @ v[offset:offset + m] -> (n,), reading that slice of ``v`` in
+    place. einsum keeps it off BLAS for reproducibility."""
+    hi = offset + a.shape[1]
+    a_val, v_val = a.data, v.data[offset:hi]
 
     def bw(g):
         a.accumulate(g[:, None] * v_val[None, :])
-        v.accumulate(np.einsum("nm,n->m", a_val, g))
+        gv = np.zeros(v.shape, dtype=v.dtype)
+        gv[offset:hi] = np.einsum("nm,n->m", a_val, g)
+        v.accumulate(gv)
 
     return Tensor(np.einsum("nm,m->n", a_val, v_val), (a, v), bw)
 
@@ -374,16 +369,13 @@ def householder_apply(h: Tensor, x: Tensor) -> Tensor:
     return Tensor(out, (h, x), bw)
 
 
-def segment_softmax(
-    logits: Tensor, segments: np.ndarray | Grouping, num_segments: int
-) -> Tensor:
+def segment_softmax(logits: Tensor, runs: Grouping, num_segments: int) -> Tensor:
     """Softmax within each segment (max-subtracted for stability).
 
-    ``segments[i]`` names the group of element i (an index array or its
-    :class:`Grouping`); groups need not be contiguous. Elements of empty
-    groups do not exist, so no division by zero can occur.
+    ``runs.index[i]`` names the group of element i; groups need not be
+    contiguous. Elements of empty groups do not exist, so no division by
+    zero can occur.
     """
-    runs = _grouping(segments)
     seg = runs.index
     z = logits.data
     e = np.exp(z - runs.reduce(np.maximum, z, num_segments, -np.inf)[seg])
@@ -396,10 +388,9 @@ def segment_softmax(
     return Tensor(w, (logits,), bw)
 
 
-def segment_sum(x: Tensor, segments: np.ndarray | Grouping, num_segments: int) -> Tensor:
-    """Sum rows of x into their segment's output row (``segments`` as in
+def segment_sum(x: Tensor, runs: Grouping, num_segments: int) -> Tensor:
+    """Sum rows of x into their segment's output row (``runs`` as in
     :func:`segment_softmax`)."""
-    runs = _grouping(segments)
 
     def bw(g):
         x.accumulate(np.take(g, runs.index, axis=0))

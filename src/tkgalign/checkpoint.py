@@ -3,13 +3,15 @@
 A checkpoint is a numpy ``.npz`` archive holding every parameter array under
 its name plus a ``__meta__`` entry: a JSON header that is the run's
 :class:`~tkgalign.train.TrainConfig`, every field under its own name, plus
-the format version and the table sizes (entities, relation rows, time ids).
-Loading checks, in this order: the version, so a checkpoint of another format
-is refused whatever keys it carries; that the header's keys are exactly the
-fields of :class:`CheckpointMeta`; the type of each value (the version,
-sizes, seed and ``k_csls`` must be ints, ``self_loops`` a bool, and so on);
-the run settings, by ``TrainConfig``'s own rules; the sizes, which must be
->= 0; and the arrays, which must match by name and shape the tables
+the format version, the table sizes (entities, relation rows, time ids) and
+the digest of the graph the run trained on (``model.FlatGraph.sha256``),
+which ``tkgalign eval`` compares with the graph it builds. Loading checks,
+in this order: the version, so a checkpoint of another format is refused
+whatever keys it carries; that the header's keys are exactly the fields of
+:class:`CheckpointMeta`; the type of each value (the version, sizes, seed
+and ``k_csls`` must be ints, ``self_loops`` a bool, the digest a str, and so
+on); the run settings, by ``TrainConfig``'s own rules; the sizes, which must
+be >= 0; and the arrays, which must match by name and shape the tables
 ``model.param_shapes`` lays out for the header and hold no NaN or infinity.
 A missing file, one that is not an ``.npz`` archive, a member that cannot be
 read (a damaged archive: see :data:`UNREADABLE`) or a header that is not
@@ -33,7 +35,7 @@ from .model import param_shapes, table_sizes
 from .optim import ParameterStore
 from .train import TrainConfig, TrainResult
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 SIZES = ("num_entities", "num_relation_rows", "num_times")
 # what opening a damaged archive or reading one of its members raises: a bad
 # CRC, name or magic number (BadZipFile), a cut or garbled stream (OSError,
@@ -50,15 +52,17 @@ UNREADABLE = (zipfile.BadZipFile, OSError, EOFError, ValueError, RuntimeError,
 class CheckpointMeta(TrainConfig):
     """Header pinned alongside the arrays: every setting of the run's
     ``TrainConfig``, which rebuilds the model and its graph and ranks as the
-    run did, plus the format version and the table sizes. Loading checks the
-    version, the exact key set, the value types, the settings and the sizes,
-    in that order (see the module docstring). A loaded meta is handed as it
-    is wherever a ``TrainConfig`` goes."""
+    run did, plus the format version, the table sizes and the digest of the
+    graph the run trained on. Loading checks the version, the exact key set,
+    the value types, the settings and the sizes, in that order (see the
+    module docstring). A loaded meta is handed as it is wherever a
+    ``TrainConfig`` goes."""
 
     format_version: int
     num_entities: int
     num_relation_rows: int
     num_times: int
+    graph_sha256: str
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -74,6 +78,7 @@ def meta_from_result(result: TrainResult) -> CheckpointMeta:
     return CheckpointMeta(
         format_version=FORMAT_VERSION,
         **dict(zip(SIZES, table_sizes(result.merged, result.config.self_loops))),
+        graph_sha256=result.graph.sha256(),
         **asdict(result.config),
     )
 

@@ -244,6 +244,12 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
         )
 
     graph, sensitivity = build_graph(merged, cfg)
+    digest = graph.sha256()
+    if digest != meta.graph_sha256:
+        raise ConfigError(
+            f"checkpoint was trained on another graph: graph_sha256 {meta.graph_sha256}"
+            f" in header, {digest} built from this dataset"
+        )
     spaces = ("l1", "csls") if args.metric == "both" else (args.metric,)
     directions = ("g1->g2", "g2->g1") if args.direction == "both" else (args.direction,)
     reports = score_model(store, graph, cfg, merged.merged_pairs(seeds.test_pairs),

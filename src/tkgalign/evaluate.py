@@ -10,7 +10,7 @@ degenerate embeddings.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -250,15 +250,19 @@ def rank_pool(
 
     Reports come per space, then per direction: the whole pool, then each
     ``(name, pair indices)`` partition in order, skipping empty ones. A
-    whole-pool report's ``seconds`` is the wall time of its own ranking from
-    its direction's matrix (CSLS, ranks); neither matrix is in any report's
-    ``seconds``, and partition reports carry none.
+    partition that is the whole pool in order (every pair highly
+    time-sensitive) takes the whole-pool report under its own name, with no
+    sub-block copied or ranked again. A whole-pool report's ``seconds`` is
+    the wall time of its own ranking from its direction's matrix (CSLS,
+    ranks); neither matrix is in any report's ``seconds``, and partition
+    reports carry none.
     """
     pairs = _as_pairs(pairs)
     if len(pairs) == 0:
         raise ValueError("cannot rank an empty test pool")
     l1 = similarity_matrix(reps[pairs[:, 0]], reps[pairs[:, 1]])
     blocks = {d: l1.T if d == "g2->g1" else l1 for d in directions}
+    whole = np.arange(len(pairs))
     reports = []
     for space in spaces:
         for direction in directions:
@@ -271,10 +275,14 @@ def rank_pool(
             for name, idx in partitions:
                 if len(idx) == 0:
                     continue
-                reports.append(rank_alignment(
-                    reps, pairs[idx], metric_space=space, k_csls=k_csls,
-                    partition=name, direction=direction, l1=block[np.ix_(idx, idx)],
-                ))
+                if np.array_equal(idx, whole):
+                    part = replace(rep, partition=name, seconds=None)
+                else:
+                    part = rank_alignment(
+                        reps, pairs[idx], metric_space=space, k_csls=k_csls,
+                        partition=name, direction=direction, l1=block[np.ix_(idx, idx)],
+                    )
+                reports.append(part)
     return reports
 
 

@@ -12,6 +12,7 @@ table and its shape, and :func:`table_sizes` counts a merged graph's rows.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -66,11 +67,11 @@ class FlatGraph:
 
     The graph owns the :class:`~tkgalign.autodiff.Grouping` of each column
     (``by_src``, ``by_dst``, ``by_rel``, ``by_time``), which every gather
-    and segment reduction over links takes in place of the raw column. Each
-    is built on first use and kept: building a graph (``train(epochs=0)``)
-    groups nothing, and every later forward and backward reuses the same
-    groupings. The columns must not be changed in place;
-    ``dataclasses.replace`` makes a new graph, which builds its own.
+    and segment reduction over links takes. Each is built on first use and
+    kept: building a graph (``train(epochs=0)``) groups nothing, and every
+    later forward and backward reuses the same groupings. The columns must
+    not be changed in place; ``dataclasses.replace`` makes a new graph,
+    which builds its own.
     """
 
     num_entities: int
@@ -82,6 +83,15 @@ class FlatGraph:
     @property
     def num_links(self) -> int:
         return len(self.src)
+
+    def sha256(self) -> str:
+        """Hex digest of the entity count and the four link columns, as
+        little-endian int64 in row order: a checkpoint records it to name
+        the graph it was trained on."""
+        digest = hashlib.sha256(np.array(self.num_entities, dtype="<i8"))
+        for column in (self.src, self.dst, self.rel, self.time):
+            digest.update(np.ascontiguousarray(column, dtype="<i8"))
+        return digest.hexdigest()
 
     @cached_property
     def by_src(self) -> Grouping:
@@ -186,25 +196,19 @@ def init_params(
 
 
 def attention_logits(
-    h: Tensor,
-    dst: np.ndarray | Grouping,
-    transformed: Tensor,
-    table: Tensor,
-    idx: np.ndarray | Grouping,
-    nu: Tensor,
+    h: Tensor, dst: Grouping, transformed: Tensor, table: Tensor, idx: Grouping, nu: Tensor
 ) -> Tensor:
     """Per-link score nu . [h[dst] | reflected neighbor | table[idx]].
 
-    ``nu`` is split into its three k-slices. The destination term
+    Each term reads its k-slice of ``nu`` in place. The destination term
     ``(h @ nu_1)[dst]`` and the edge term ``(table @ nu_3)[idx]`` are computed
     once per entity and once per table row and gathered per link; only the
     reflected-neighbor term is a per-link dot product of width k.
     """
     k = h.shape[1]
-    nu_dst, nu_via, nu_edge = (ad.gather_rows(nu, np.arange(i * k, (i + 1) * k)) for i in range(3))
-    dst_term = ad.gather_rows(ad.matvec(h, nu_dst), dst)
-    edge_term = ad.gather_rows(ad.matvec(table, nu_edge), idx)
-    return ad.add(ad.add(dst_term, ad.matvec(transformed, nu_via)), edge_term)
+    dst_term = ad.gather_rows(ad.matvec(h, nu, 0), dst)
+    edge_term = ad.gather_rows(ad.matvec(table, nu, 2 * k), idx)
+    return ad.add(ad.add(dst_term, ad.matvec(transformed, nu, k)), edge_term)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Grouping, Tensor
 from .errors import ConfigError, NonFiniteError, TrainingDivergedError
 from .evaluate import DEFAULT_CSLS_K, RankingReport, partition_test_pairs, rank_pool
 from .model import (
@@ -144,7 +144,7 @@ def margin_loss(
     src, tgt = pairs[:, 0], pairs[:, 1]
     left = np.concatenate([src, np.repeat(src, eta), neg_src.reshape(-1)])
     right = np.concatenate([tgt, neg_tgt.reshape(-1), np.repeat(tgt, eta)])
-    dist = l1_rows(ad.gather_rows(reps, left), ad.gather_rows(reps, right))
+    dist = l1_rows(ad.gather_rows(reps, Grouping(left)), ad.gather_rows(reps, Grouping(right)))
     d_pos, d_neg = dist.data[:num_pos], dist.data[num_pos:]
     hinge = (np.tile(np.repeat(d_pos, eta), 2) - d_neg) + margin
     active = hinge > 0

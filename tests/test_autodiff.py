@@ -184,27 +184,27 @@ class TestNormalizeRows:
 
 class TestSegmentOps:
     def test_single_element_segment_gets_weight_one(self):
-        w = ad.segment_softmax(ad.leaf(np.array([3.7])), np.array([0]), 1)
+        w = ad.segment_softmax(ad.leaf(np.array([3.7])), ad.Grouping([0]), 1)
         assert np.allclose(w.data, [1.0])
 
     def test_equal_logits_split_evenly(self):
-        w = ad.segment_softmax(ad.leaf(np.zeros(2)), np.array([0, 0]), 1)
+        w = ad.segment_softmax(ad.leaf(np.zeros(2)), ad.Grouping([0, 0]), 1)
         assert np.allclose(w.data, [0.5, 0.5])
 
     def test_log_weighted_logits(self):
         logits = np.log(np.array([1.0, 2.0, 3.0]))
-        w = ad.segment_softmax(ad.leaf(logits), np.array([0, 0, 0]), 1)
+        w = ad.segment_softmax(ad.leaf(logits), ad.Grouping([0, 0, 0]), 1)
         assert np.allclose(w.data, [1 / 6, 2 / 6, 3 / 6])
 
     def test_segments_need_not_be_contiguous(self):
         logits = np.array([0.0, 5.0, 0.0, 5.0])
-        seg = np.array([0, 1, 0, 1])
+        seg = ad.Grouping([0, 1, 0, 1])
         w = ad.segment_softmax(ad.leaf(logits), seg, 2).data
         assert np.allclose(w, [0.5, 0.5, 0.5, 0.5])
 
     def test_extreme_logits_stable(self):
         logits = np.array([1000.0, 999.0])
-        w = ad.segment_softmax(ad.leaf(logits), np.array([0, 0]), 1).data
+        w = ad.segment_softmax(ad.leaf(logits), ad.Grouping([0, 0]), 1).data
         assert np.all(np.isfinite(w))
         assert abs(w.sum() - 1.0) < 1e-12
 
@@ -213,7 +213,7 @@ class TestSegmentOps:
     def test_sums_to_one_per_occupied_segment(self, seed, n):
         gen = np.random.default_rng(seed)
         seg = gen.integers(0, 4, size=n)
-        w = ad.segment_softmax(ad.leaf(gen.normal(size=n)), seg, 4).data
+        w = ad.segment_softmax(ad.leaf(gen.normal(size=n)), ad.Grouping(seg), 4).data
         sums = np.zeros(4)
         np.add.at(sums, seg, w)
         for s in range(4):
@@ -222,7 +222,7 @@ class TestSegmentOps:
 
     def test_softmax_gradient(self, rng):
         logits = rng.normal(size=6)
-        seg = np.array([0, 1, 0, 2, 1, 0])
+        seg = ad.Grouping([0, 1, 0, 2, 1, 0])
         c = rng.normal(size=6)
         check_grads(
             lambda t: sum_all(mul(ad.segment_softmax(t, seg, 3), ad.leaf(c))),
@@ -231,7 +231,7 @@ class TestSegmentOps:
 
     def test_segment_sum_values_and_gradient(self, rng):
         x = rng.normal(size=(5, 3))
-        seg = np.array([0, 2, 0, 1, 2])
+        seg = ad.Grouping([0, 2, 0, 1, 2])
         out = ad.segment_sum(ad.leaf(x), seg, 3).data
         assert np.allclose(out[0], x[0] + x[2])
         assert np.allclose(out[1], x[3])
@@ -297,14 +297,15 @@ class TestSortedReductions:
         x = rows_of(gen, len(seg), width or 2, dtype)  # the model sums 2-D rows
         want = np.zeros((n, x.shape[1]), dtype=dtype)
         np.add.at(want, seg, x)
-        got = ad.segment_sum(ad.leaf(x), seg, n).data
+        runs = ad.Grouping(seg)
+        got = ad.segment_sum(ad.leaf(x), runs, n).data
         assert got.dtype == dtype
         tol = rounding_tol(dtype)
         np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
         empty = np.setdiff1d(np.arange(n), seg)
         assert np.array_equal(got[empty], np.zeros_like(got[empty]))
         c = rows_of(gen, n, x.shape[1], dtype)
-        assert np.array_equal(input_grad(lambda t: ad.segment_sum(t, seg, n), x, c), c[seg])
+        assert np.array_equal(input_grad(lambda t: ad.segment_sum(t, runs, n), x, c), c[seg])
 
     @settings(max_examples=40, deadline=None)
     @given(segment_cases())
@@ -319,14 +320,15 @@ class TestSortedReductions:
         denom = np.zeros(n, dtype=dtype)
         np.add.at(denom, seg, e)
         want = e / denom[seg]
-        got = ad.segment_softmax(ad.leaf(z), seg, n).data
+        runs = ad.Grouping(seg)
+        got = ad.segment_softmax(ad.leaf(z), runs, n).data
         assert got.dtype == dtype
         tol = rounding_tol(dtype)
         np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
         c = rows_of(gen, len(seg), None, dtype)
         dot = np.zeros(n, dtype=dtype)
         np.add.at(dot, seg, c * want)
-        got_grad = input_grad(lambda t: ad.segment_softmax(t, seg, n), z, c)
+        got_grad = input_grad(lambda t: ad.segment_softmax(t, runs, n), z, c)
         np.testing.assert_allclose(got_grad, want * (c - dot[seg]), rtol=tol, atol=tol)
 
     @settings(max_examples=40, deadline=None)
@@ -336,11 +338,12 @@ class TestSortedReductions:
         idx, n, width, dtype, seed = case
         gen = np.random.default_rng(seed)
         a = rows_of(gen, n, width, dtype)
-        assert np.array_equal(ad.gather_rows(ad.leaf(a), idx).data, a[idx])
+        runs = ad.Grouping(idx)
+        assert np.array_equal(ad.gather_rows(ad.leaf(a), runs).data, a[idx])
         c = rows_of(gen, len(idx), width, dtype)
         want = np.zeros_like(a)
         np.add.at(want, idx, c)
-        got = input_grad(lambda t: ad.gather_rows(t, idx), a, c)
+        got = input_grad(lambda t: ad.gather_rows(t, runs), a, c)
         assert got.dtype == dtype and got.shape == a.shape
         tol = rounding_tol(dtype)
         np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
@@ -419,7 +422,9 @@ class TestBucketedReduction:
         assert [(a, length, ids.tolist()) for a, length, ids in runs.buckets] == \
             [(0, 1, [2]), (1, 2, [1]), (3, 3, [4])]
 
-    def test_prebuilt_grouping_equals_index_array(self, rng):
+    def test_shared_grouping_equals_fresh_ones(self, rng):
+        """One grouping read by every op, forward and backward, gives what a
+        grouping built for each op gives: no op changes the one it reads."""
         idx = rng.integers(0, 6, 40)
         runs = ad.Grouping(idx)
         x = rng.normal(size=(40, 3))
@@ -431,10 +436,11 @@ class TestBucketedReduction:
             (lambda t, i: ad.gather_rows(t, i), table),
         ]
         for op, data in pairs:
-            c = rng.normal(size=op(ad.leaf(data), idx).shape)
-            assert np.array_equal(op(ad.leaf(data), runs).data, op(ad.leaf(data), idx).data)
+            c = rng.normal(size=op(ad.leaf(data), runs).shape)
+            assert np.array_equal(op(ad.leaf(data), runs).data,
+                                  op(ad.leaf(data), ad.Grouping(idx)).data)
             assert np.array_equal(input_grad(lambda t: op(t, runs), data, c),
-                                  input_grad(lambda t: op(t, idx), data, c))
+                                  input_grad(lambda t: op(t, ad.Grouping(idx)), data, c))
         assert runs.index.dtype == np.int64 and np.array_equal(runs.index, idx)
 
 
@@ -470,10 +476,10 @@ class TestIndexingOps:
     def test_gather_rows_repeated_index_accumulates(self, rng):
         x = rng.normal(size=(4, 3))
         idx = np.array([1, 1, 3])
-        out = ad.gather_rows(ad.leaf(x), idx)
+        out = ad.gather_rows(ad.leaf(x), ad.Grouping(idx))
         assert np.allclose(out.data, x[idx])
         t = ad.leaf(x)
-        root = sum_all(ad.gather_rows(t, idx))
+        root = sum_all(ad.gather_rows(t, ad.Grouping(idx)))
         ad.backward(root)
         expected = np.zeros_like(x)
         expected[1] = 2.0
@@ -491,12 +497,21 @@ class TestIndexingOps:
         )
 
     def test_matvec(self, rng):
-        m = rng.normal(size=(4, 3))
-        v = rng.normal(size=3)
-        out = ad.matvec(ad.leaf(m), ad.leaf(v))
-        assert np.allclose(out.data, m @ v)
+        """f64: ``a`` times the k-slice of a 3k vector at offset 0, k or 2k,
+        read in place; the vector's gradient is zero outside that slice."""
+        k = 3
+        m = rng.normal(size=(4, k))
+        v = rng.normal(size=3 * k)
         c = rng.normal(size=4)
-        check_grads(lambda tm, tv: sum_all(mul(ad.matvec(tm, tv), ad.leaf(c))), m, v)
+        for lo in (0, k, 2 * k):
+            hi = lo + k
+            out = ad.matvec(ad.leaf(m), ad.leaf(v), lo)
+            assert np.allclose(out.data, m @ v[lo:hi], rtol=1e-14, atol=1e-14)
+            check_grads(lambda tm, tv: sum_all(mul(ad.matvec(tm, tv, lo), ad.leaf(c))), m, v)
+            tv = ad.leaf(v)
+            ad.backward(sum_all(mul(ad.matvec(ad.leaf(m), tv, lo), ad.leaf(c))))
+            assert np.allclose(tv.grad[lo:hi], m.T @ c, rtol=1e-14, atol=1e-14)
+            assert not np.delete(tv.grad, np.s_[lo:hi]).any()
 
     def test_scale_rows(self, rng):
         x = rng.normal(size=(3, 4))
@@ -568,10 +583,10 @@ def backward_keeping_tape(root):
 
 def shared_subterm_loss(a, b):
     """A scalar whose tape reuses nodes and reduces by unsorted indices."""
-    h = ad.normalize_rows(ad.gather_rows(a, [0, 2, 1, 0, 2]))
-    y = ad.householder_apply(h, ad.gather_rows(b, [1, 1, 0, 2, 0]))
-    s = ad.segment_sum(ad.add(y, mul(y, h)), np.array([2, 0, 2, 1, 0]), 3)
-    return sum_all(ad.relu(ad.add(s, ad.gather_rows(a, [1, 0, 2]))))
+    h = ad.normalize_rows(ad.gather_rows(a, ad.Grouping([0, 2, 1, 0, 2])))
+    y = ad.householder_apply(h, ad.gather_rows(b, ad.Grouping([1, 1, 0, 2, 0])))
+    s = ad.segment_sum(ad.add(y, mul(y, h)), ad.Grouping([2, 0, 2, 1, 0]), 3)
+    return sum_all(ad.relu(ad.add(s, ad.gather_rows(a, ad.Grouping([1, 0, 2])))))
 
 
 def stale_row_sum(a: ad.Tensor) -> ad.Tensor:

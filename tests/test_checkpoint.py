@@ -26,7 +26,8 @@ def small_store(seed=0, dim=4, ents=7, rels=3, times=5, layers=2, **settings):
     rows = num_relation_rows(rels, cfg.self_loops)
     store = init_params(np.random.default_rng(seed), ents, rows, times, cfg)
     meta = CheckpointMeta(format_version=FORMAT_VERSION, num_entities=ents,
-                          num_relation_rows=rows, num_times=times, **dataclasses.asdict(cfg))
+                          num_relation_rows=rows, num_times=times, graph_sha256="0" * 64,
+                          **dataclasses.asdict(cfg))
     return store, meta
 
 
@@ -65,6 +66,7 @@ class TestRoundTrip:
         assert meta.num_times == g1.time_index.num_ids
         assert meta.seed == 1 and meta.mode == "time-aware"
         assert meta.k_csls == cfg.k_csls
+        assert meta.graph_sha256 == result.graph.sha256()
         path = tmp_path / "run.npz"
         save_checkpoint(path, result.store, meta)
         loaded, _ = load_checkpoint(path)
@@ -73,12 +75,13 @@ class TestRoundTrip:
 
     def test_extends_train_config_without_redeclaring_it(self):
         """The header is the run's TrainConfig: it declares only the format
-        version and the table sizes, and hands itself on as the run config."""
+        version, the table sizes and the graph digest, and hands itself on as
+        the run config."""
         _, meta = small_store()
         assert isinstance(meta, TrainConfig)
         assert meta.model_config() is meta
         own = set(inspect.get_annotations(CheckpointMeta))
-        assert own == {"format_version", *SIZES}
+        assert own == {"format_version", *SIZES, "graph_sha256"}
         assert not own & {f.name for f in dataclasses.fields(TrainConfig)}
 
     def test_every_run_setting_survives(self, tmp_path):
@@ -141,6 +144,7 @@ class TestHeaderChecks:
         ("dim", 8.0, "'dim' must be int, got 8.0"),
         ("num_entities", "7", "'num_entities' must be int, got '7'"),
         ("k_csls", True, "'k_csls' must be int, got True"),
+        ("graph_sha256", 5, "'graph_sha256' must be str, got 5"),
         ("seed", -1, "seed must be >= 0, got -1"),
         ("k_csls", 0, "k_csls must be >= 1, got 0"),
         ("dim", 0, "embedding dim must be >= 1, got 0"),
@@ -148,9 +152,9 @@ class TestHeaderChecks:
         ("num_entities", -1, "num_entities must be >= 0, got -1"),
         ("num_relation_rows", -2, "num_relation_rows must be >= 0, got -2"),
         ("num_times", -1, "num_times must be >= 0, got -1"),
-    ], ids=["mode", "precision", "self_loops", "dim", "num_entities", "k_csls", "seed-negative",
-            "k_csls-zero", "dim-zero", "num_layers-negative", "num_entities-negative",
-            "num_relation_rows-negative", "num_times-negative"])
+    ], ids=["mode", "precision", "self_loops", "dim", "num_entities", "k_csls", "graph_sha256",
+            "seed-negative", "k_csls-zero", "dim-zero", "num_layers-negative",
+            "num_entities-negative", "num_relation_rows-negative", "num_times-negative"])
     def test_header_value_rejected(self, tmp_path, key, value, message):
         store, meta = small_store()
         header = {**json.loads(meta.to_json()), key: value}

@@ -684,16 +684,42 @@ class TestEval:
         assert code == 2
         assert "does not fit" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [3, 4])
+    def test_checkpoint_of_another_graph_exits_2(self, dataset_dir, trained, tmp_path,
+                                                  capsys):
+        """Same table sizes, other links: the object column of ``triples_1``
+        permuted. The graph's digest differs from the header's, so eval refuses
+        instead of scoring a graph the model never saw."""
+        other = copy_with_empty(dataset_dir, tmp_path / "permuted")
+        rows = [line.split("\t") for line in (other / "triples_1").read_text().splitlines()]
+        objects = [r[2] for r in rows]
+        for r, o in zip(rows, objects[1:] + objects[:1]):
+            r[2] = o
+        (other / "triples_1").write_text("".join("\t".join(r) + "\n" for r in rows))
+        ck = trained / "run_0" / "checkpoint.npz"
+        _, meta = load_checkpoint(ck)
+        out = tmp_path / "o"
+        code = main(["eval", "--checkpoint", str(ck), "--data", str(other), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint was trained on another graph: graph_sha256 "
+                              f"{meta.graph_sha256} in header, ")
+        assert err.endswith(" built from this dataset\n") and err.count("\n") == 1
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("version", [3, 4, 5])
     def test_foreign_format_header_exits_2(self, dataset_dir, trained, tmp_path, capsys,
                                            version):
-        """A format-3 checkpoint (it had no k_csls) or a format-4 one (it recorded
-        seven run settings by hand) is refused, not a crash."""
+        """A format-3 checkpoint (it had no k_csls), a format-4 one (it recorded
+        seven run settings by hand) or a format-5 one (no graph digest) is
+        refused, not a crash."""
         with np.load(trained / "run_0" / "checkpoint.npz") as archive:
             arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
             header = json.loads(bytes(archive["__meta__"]).decode())
         kept = ["dim", "num_layers", "precision", "self_loops", "mode", "seed",
                 "num_entities", "num_relation_rows", "num_times"] + ["k_csls"] * (version == 4)
+        if version == 5:  # every run setting and the sizes
+            kept = [k for k in header if k not in ("format_version", "graph_sha256")]
         header = {"format_version": version, **{k: header[k] for k in kept}}
         old = tmp_path / f"format{version}.npz"
         np.savez(old, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),

@@ -379,6 +379,32 @@ class TestRankPool:
         assert len(reports) == 12
         assert peak <= 2.5 * n * n * 4
 
+    def test_partition_of_the_whole_pool_reuses_its_ranking(self, rng):
+        """A pool with no lowly time-sensitive pair: the highly report is the
+        whole-pool ranking under its own name, as a standalone ranking of that
+        subset gives it, with no sub-block copied (three pool matrices before)."""
+        n = 1500
+        reps = rng.normal(size=(2 * n, 16)).astype(np.float32)
+        pairs = np.stack([np.arange(n), n + rng.permutation(n)], axis=1)
+        partitions = (("highly", np.arange(n)), ("lowly", np.array([], dtype=np.int64)))
+        tracemalloc.start()
+        try:
+            reports = rank_pool(reps, pairs, spaces=self.SPACES, directions=self.DIRECTIONS,
+                                partitions=partitions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = [(space, direction, name) for space in self.SPACES
+                    for direction in self.DIRECTIONS for name in ("all", "highly")]
+        assert [(r.metric_space, r.direction, r.partition) for r in reports] == expected
+        for rep, (space, direction, name) in zip(reports, expected):
+            alone = rank_alignment(reps, pairs, metric_space=space, partition=name,
+                                   direction=direction)
+            assert rep.ranks == alone.ranks
+            assert (rep.mrr, rep.hits1, rep.hits10) == (alone.mrr, alone.hits1, alone.hits10)
+            assert (rep.seconds is not None) == (name == "all")
+        assert peak <= 2.2 * n * n * 4
+
     def test_single_space_and_direction(self, rng):
         reps = rng.normal(size=(10, 4))
         pairs, _ = self.pool(rng, reps[:8])

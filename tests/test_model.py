@@ -1,6 +1,8 @@
 """Network forward pass against brute-force per-entity oracles."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,7 @@ class TestAttentionPieces:
         tr = ad.leaf(rng.normal(size=(3, k)))
         table = ad.leaf(rng.normal(size=(2, k)))
         nu = ad.leaf(np.zeros(3 * k))
-        out = attention_logits(h, np.array([0, 1, 2]), tr, table, np.array([1, 0, 1]), nu)
+        out = attention_logits(h, ad.Grouping([0, 1, 2]), tr, table, ad.Grouping([1, 0, 1]), nu)
         assert np.allclose(out.data, 0.0)
 
     def test_selector_weight_vector_reads_first_component(self, rng):
@@ -89,7 +91,7 @@ class TestAttentionPieces:
         table = ad.leaf(rng.normal(size=(3, k)))
         nu = np.zeros(3 * k)
         nu[0] = 1.0
-        out = attention_logits(h, dst, tr, table, np.array([2, 0, 2, 1]), ad.leaf(nu))
+        out = attention_logits(h, ad.Grouping(dst), tr, table, ad.Grouping([2, 0, 2, 1]), ad.leaf(nu))
         assert np.allclose(out.data, h.data[dst, 0])
 
     def test_logits_match_materialized_matrix_oracle(self, rng):
@@ -102,7 +104,8 @@ class TestAttentionPieces:
         edge = table[idx]
         nu = rng.normal(size=3 * k)
         tr = ad.householder_apply(ad.leaf(edge), ad.leaf(h_src))
-        got = attention_logits(ad.leaf(h), dst, tr, ad.leaf(table), idx, ad.leaf(nu)).data
+        got = attention_logits(ad.leaf(h), ad.Grouping(dst), tr, ad.leaf(table), ad.Grouping(idx),
+                               ad.leaf(nu)).data
         for m in range(5):
             mat = ad.materialize_householder(edge[m])
             want = nu @ np.concatenate([h[dst[m]], mat @ h_src[m], edge[m]])
@@ -120,7 +123,7 @@ class TestAttentionPieces:
         nu = rng.normal(size=3 * k)
         c = rng.normal(size=6)
         th, ttr, ttable, tnu = (ad.leaf(a) for a in (h, tr, table, nu))
-        out = attention_logits(th, dst, ttr, ttable, idx, tnu)
+        out = attention_logits(th, ad.Grouping(dst), ttr, ttable, ad.Grouping(idx), tnu)
         concat = np.concatenate([h[dst], tr, table[idx]], axis=1)  # the (m, 3k) oracle
         assert np.max(np.abs(out.data - concat @ nu)) < 1e-12
         ad.backward(sum_all(mul(out, ad.leaf(c))))
@@ -160,7 +163,7 @@ class TestAttentionPieces:
         nu = rng.normal(size=3 * k)
         c = rng.normal(size=7)
         th, ttr, ttable, tnu = (ad.leaf(a) for a in (h, tr, table, nu))
-        out = attention_logits(th, dst, ttr, ttable, idx, tnu)
+        out = attention_logits(th, ad.Grouping(dst), ttr, ttable, ad.Grouping(idx), tnu)
         concat = np.concatenate([h[dst], tr, table[idx]], axis=1)
         assert np.max(np.abs(out.data - concat @ nu)) < 1e-12
         ad.backward(sum_all(mul(out, ad.leaf(c))))
@@ -205,7 +208,7 @@ def run_layer(h, graph, rel_tab, time_tab, nu_t, nu_r):
     """``layer_forward`` on leaf tables, gathered per link as ``model_forward`` does."""
     rel, tim = ad.leaf(rel_tab), ad.leaf(time_tab)
     return layer_forward(
-        ad.leaf(h), graph, ad.gather_rows(rel, graph.rel), ad.gather_rows(tim, graph.time),
+        ad.leaf(h), graph, ad.gather_rows(rel, graph.by_rel), ad.gather_rows(tim, graph.by_time),
         ad.leaf(nu_t), ad.leaf(nu_r), rel, tim,
     ).data
 
@@ -411,7 +414,8 @@ class TestModelForward:
         counts = np.bincount(graph.dst, minlength=graph.num_entities)
         inv = np.zeros(graph.num_entities, dtype=cfg.dtype)
         inv[counts > 0] = 1.0 / counts[counts > 0]
-        summed = ad.segment_sum(ad.gather_rows(table, graph.time), graph.dst, graph.num_entities)
+        summed = ad.segment_sum(ad.gather_rows(table, graph.by_time), graph.by_dst,
+                                graph.num_entities)
         want = ad.scale_rows_const(summed, inv).data
         got = out[:, (cfg.num_layers + 1) * cfg.dim :]
         assert got.dtype == want.dtype
@@ -475,6 +479,26 @@ class TestModelForward:
         assert (start, length, ids.tolist()) == (0, graph.num_links, [UNKNOWN_TIME_ID])
         assert unaware.by_time.positions is None
         assert graph.by_time is before["by_time"]
+
+    def test_graph_digest_names_its_links(self, fixture_6ent):
+        """Equal graphs share a digest; another entity count, a changed entry in
+        any column, a swap of two links or the time-unaware blanking changes it."""
+        _, graph, _, _, _ = self.build(fixture_6ent)
+        digest = graph.sha256()
+        copy = FlatGraph(graph.num_entities, *(c.astype(np.int32) for c in
+                                               (graph.src, graph.dst, graph.rel, graph.time)))
+        assert copy.sha256() == digest and len(digest) == 64
+        others = [dataclasses.replace(graph, num_entities=graph.num_entities + 1),
+                  apply_time_unaware(graph)]
+        for name in ("src", "dst", "rel", "time"):
+            column = getattr(graph, name).copy()
+            column[0] += 1
+            others.append(dataclasses.replace(graph, **{name: column}))
+        swapped = np.r_[1, 0, 2:graph.num_links]
+        others.append(FlatGraph(graph.num_entities, graph.src[swapped], graph.dst[swapped],
+                                graph.rel[swapped], graph.time[swapped]))
+        assert graph.rel[0] != graph.rel[1]  # the swap moves a relation
+        assert len({digest} | {g.sha256() for g in others}) == len(others) + 1
 
     def test_training_with_dropout_requires_rng(self, fixture_6ent):
         store, graph, _, cfg, _ = self.build(fixture_6ent)

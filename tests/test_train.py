@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from tkgalign import autodiff as ad
 from tkgalign.checkpoint import meta_from_result, save_checkpoint
 from tkgalign.errors import ConfigError, NonFiniteError, TrainingDivergedError
+from tkgalign.experiments import SENSITIVITY_GAP
 from tkgalign.forge import ForgeSpec, synth_tkg
 from tkgalign.tkg import UNKNOWN_TIME_ID, merge_pair
 from tkgalign.model import ModelConfig, init_params, model_forward, prepare_graph, table_sizes
@@ -598,6 +599,48 @@ class TestMemoryRatchet:
             reps, peak = traced_peak(lambda: model_forward(result.store, result.graph, cfg))
         assert reps.shape == (result.graph.num_entities, 4 * cfg.dim)
         assert peak <= self.INFERENCE_FORWARD * result.graph.num_links * cfg.dim * 4
+
+
+class TestTapeRatchet:
+    """One training epoch on the sensitivity-gap experiment's forged pair at
+    dim 25 with 2 layers (acceptance criterion 8's shape, where per-node
+    Python overhead sets the epoch time), once the graph's column groupings
+    exist: the tape nodes reachable from the loss, leaves included, and the
+    groupings built. A change that removes nodes lowers the bound with it."""
+
+    TAPE_NODES = 70  # 82 while each attention vector was cut into slices by index gathers
+    GROUPINGS = 2  # the loss's two pair columns; 14 with those gathers
+
+    def test_one_training_epoch(self, monkeypatch):
+        data = synth_tkg(SENSITIVITY_GAP.forge)
+        cfg = SENSITIVITY_GAP.train
+        assert (cfg.dim, cfg.num_layers) == (25, 2)
+        merged = merge_pair(data.g1, data.g2)
+        graph, _ = build_graph(merged, cfg)
+        for name in ("by_src", "by_dst", "by_rel", "by_time"):
+            getattr(graph, name)  # built once per graph, not per epoch
+        rng = np.random.default_rng(0)
+        store = init_params(rng, *table_sizes(merged, cfg.self_loops), cfg)
+        pairs = merged.merged_pairs(data.seeds.train_pairs)
+        eta = default_negatives(data.g1.num_entities, data.g2.num_entities, len(pairs))
+        tgt_range = (merged.entity_offset, merged.entity_offset + data.g2.num_entities)
+        neg_src, neg_tgt = sample_negatives(pairs, eta, (0, data.g1.num_entities), tgt_range, rng)
+
+        built = []
+        grouping_init = ad.Grouping.__init__
+
+        def counting_init(grouping, index):
+            built.append(index)
+            grouping_init(grouping, index)
+
+        monkeypatch.setattr(ad.Grouping, "__init__", counting_init)
+        reps = model_forward(store, graph, cfg, training=True, rng=rng)
+        loss = margin_loss(reps, pairs, neg_src, neg_tgt, cfg.margin)
+        nodes = len(tape_order(loss))
+        ad.backward(loss)
+        assert nodes <= self.TAPE_NODES
+        assert len(built) == self.GROUPINGS
+        assert all(store[name].grad is not None for name, _ in store.items())
 
 
 class TestInferenceForward:

@@ -24,7 +24,9 @@ that is no view, is writeable and has the node's dtype, and copies anything
 else (``concat_cols``' column slices, a broadcast). Later contributions are
 added in place, so no two nodes share gradient memory. A contribution of
 another shape than its node's is refused, first or later: it would
-otherwise be kept at its own shape or broadcast into the gradient.
+otherwise be kept at its own shape or broadcast into the gradient. So the
+gradient a rule is handed belongs to its node alone, and the rule may write
+into it and hand it on rather than allocate a result of the same shape.
 
 Values: a backward rule reads no node's ``data``. What it needs of a value
 it captures when its op is built (an input array, a mask, its own output),
@@ -171,7 +173,8 @@ def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
     def bw(g):
-        a.accumulate(g * mask)
+        g *= mask
+        a.accumulate(g)
 
     return Tensor(np.where(mask, a.data, 0), (a,), bw)
 
@@ -181,7 +184,7 @@ def absolute(a: Tensor) -> Tensor:
     sgn = np.sign(a.data)
 
     def bw(g):
-        a.accumulate(g * sgn)
+        a.accumulate(np.multiply(g, sgn, out=sgn))
 
     return Tensor(np.abs(a.data), (a,), bw)
 
@@ -217,11 +220,14 @@ class Grouping:
     most sqrt(2m) for m positions whatever the skew of the index, and one
     bucket's rows copied at a time; a bucket that already lies in that order
     (a single run, like the time column of a time-unaware graph) is read as
-    a view. Scalar rows are gathered whole, m values, and reduced run by
-    run with one ``ufunc.reduceat``, which walks each run contiguously.
+    a view. Scalar rows are reduced run by run with one ``ufunc.reduceat``,
+    which walks each run contiguously: where the index is non-decreasing (a
+    graph's ``dst`` column) its runs already lie in id order, ``sorted_runs``
+    holds their starts and ids, and ``x`` is read in place; otherwise its m
+    values are gathered into the bucketed layout first.
     """
 
-    __slots__ = ("index", "positions", "starts", "ids", "buckets")
+    __slots__ = ("index", "positions", "starts", "ids", "buckets", "sorted_runs")
 
     def __init__(self, index: np.ndarray):
         idx = self.index = np.asarray(index, dtype=np.int64)
@@ -235,6 +241,7 @@ class Grouping:
         starts = np.flatnonzero(np.diff(idx, prepend=idx[:1] - 1))
         lengths = np.diff(starts, append=m)
         ids = idx[starts]
+        self.sorted_runs = (starts, ids) if order is None else None
         if (lengths[1:] < lengths[:-1]).any():
             by_length = np.argsort(lengths, kind="stable")
             lengths, ids = lengths[by_length], ids[by_length]
@@ -253,8 +260,12 @@ class Grouping:
         out = np.full((size,) + rest, fill, dtype=x.dtype)
         pos = self.positions
         if not rest:
-            if len(self.ids):
-                out[self.ids] = ufunc.reduceat(x if pos is None else x.take(pos), self.starts)
+            if self.sorted_runs is not None:
+                starts, ids = self.sorted_runs
+            else:
+                starts, ids, x = self.starts, self.ids, x.take(pos)
+            if len(ids):
+                out[ids] = ufunc.reduceat(x, starts)
             return out
         for a, length, ids in self.buckets:
             c = len(ids)
@@ -311,8 +322,9 @@ def scale_rows(x: Tensor, w: Tensor) -> Tensor:
     x_val, w_val = x.data, w.data
 
     def bw(g):
-        x.accumulate(g * w_val[:, None])
         w.accumulate(np.einsum("nk,nk->n", g, x_val))
+        g *= w_val[:, None]
+        x.accumulate(g)
 
     return Tensor(x_val * w_val[:, None], (x, w), bw)
 
@@ -359,12 +371,21 @@ def householder_apply(h: Tensor, x: Tensor) -> Tensor:
         raise ValueError(f"shape mismatch {h.shape} vs {x.shape}")
     h_val, x_val = h.data, x.data
     hx = np.einsum("nk,nk->n", h_val, x_val)
-    out = x_val - 2.0 * hx[:, None] * h_val
+    # each result is built in one array, in the order and so with the bits
+    # of x - 2.0 * hx[:, None] * h
+    out = (2.0 * hx)[:, None] * h_val
+    np.subtract(x_val, out, out=out)
 
     def bw(g):
         hg = np.einsum("nk,nk->n", h_val, g)
-        x.accumulate(g - 2.0 * hg[:, None] * h_val)
-        h.accumulate(-2.0 * (hg[:, None] * x_val + hx[:, None] * g))
+        gx = (2.0 * hg)[:, None] * h_val
+        x.accumulate(np.subtract(g, gx, out=gx))
+        # -2.0 * (hg[:, None] * x + hx[:, None] * g)
+        gh = hg[:, None] * x_val
+        g *= hx[:, None]
+        gh += g
+        gh *= -2.0
+        h.accumulate(gh)
 
     return Tensor(out, (h, x), bw)
 
@@ -383,7 +404,9 @@ def segment_softmax(logits: Tensor, runs: Grouping, num_segments: int) -> Tensor
 
     def bw(g):
         dot = runs.reduce(np.add, g * w, num_segments)
-        logits.accumulate(w * (g - dot[seg]))
+        g -= dot[seg]
+        g *= w
+        logits.accumulate(g)
 
     return Tensor(w, (logits,), bw)
 
@@ -411,7 +434,9 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     factor = 1.0 / (1.0 - rate)
 
     def bw(g):
-        x.accumulate(g * keep * factor)
+        g *= keep
+        g *= factor
+        x.accumulate(g)
 
     return Tensor(x.data * keep * factor, (x,), bw)
 

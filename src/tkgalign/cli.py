@@ -15,11 +15,13 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
 import logging
 import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -52,6 +54,28 @@ DATA_ROOT_ENV = "TKGALIGN_DATA_ROOT"
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+
+# glibc's mallopt(3) parameters, and the block size up to which the heap
+# serves and keeps memory
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+HEAP_THRESHOLD = 1 << 30
+
+
+def _keep_freed_memory_in_heap() -> None:
+    """Serve blocks under 1 GiB from the heap and keep up to 1 GiB freed there.
+
+    Training allocates and frees per-link arrays every epoch. glibc maps
+    each block above its mmap threshold (adaptive, at most 32 MiB) afresh,
+    faults it in page by page and unmaps it on free; from the heap the next
+    epoch reuses the same pages. Values are unaffected. A no-op on any
+    other C library, and a refused setting is ignored.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, HEAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, HEAP_THRESHOLD)
 
 
 def _sha256(path: Path) -> str:
@@ -418,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory_in_heap()
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:

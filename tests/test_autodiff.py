@@ -1,6 +1,8 @@
 """Tape ops: values checked against hand math, gradients against finite differences."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -442,6 +444,121 @@ class TestBucketedReduction:
             assert np.array_equal(input_grad(lambda t: op(t, runs), data, c),
                                   input_grad(lambda t: op(t, ad.Grouping(idx)), data, c))
         assert runs.index.dtype == np.int64 and np.array_equal(runs.index, idx)
+
+
+def gathered_reduce(runs, ufunc, x, size, fill=0):
+    """Scalar rows reduced through the bucketed layout, x's m values gathered
+    first: the reference the in-place path of a sorted index must match."""
+    out = np.full(size, fill, dtype=x.dtype)
+    if len(runs.ids):
+        laid_out = x if runs.positions is None else x.take(runs.positions)
+        out[runs.ids] = ufunc.reduceat(laid_out, runs.starts)
+    return out
+
+
+def traced_peak(fn):
+    """(result, peak bytes tracemalloc saw allocated while ``fn`` ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSortedScalarReduce:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reads_x_in_place_with_the_gather_paths_bits(self, dtype):
+        gen = np.random.default_rng(3)
+        m, size = 200_000, 5000
+        # runs of uneven length, so the bucketed layout is a permutation
+        runs = ad.Grouping(np.sort(gen.integers(0, size - 10, m)))
+        assert runs.positions is not None and runs.sorted_runs is not None
+        x = gen.normal(size=m).astype(dtype)
+        m_long = m * x.itemsize
+        for ufunc, fill in ((np.add, 0), (np.maximum, -np.inf)):
+            want, gather_peak = traced_peak(lambda: gathered_reduce(runs, ufunc, x, size, fill))
+            got, peak = traced_peak(lambda: runs.reduce(ufunc, x, size, fill))
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+            assert gather_peak >= m_long > 8 * peak
+
+
+def in_place_cases(dtype):
+    """name -> (build(*leaves) -> Tensor, inputs, upstream gradient, parent):
+    ``parent(*inputs, c)`` gives the value and input gradients through the
+    expressions each rule wrote out before it built its result in place."""
+    gen = np.random.default_rng(17)
+
+    def rows(*shape):
+        x = gen.normal(size=shape).astype(dtype)
+        x.reshape(-1)[:2] = (0.0, -0.0)  # relu's and absolute's kink
+        return x
+
+    h, x, c = rows(6, 4), rows(6, 4), rows(6, 4)
+    h /= np.sqrt(np.einsum("nk,nk->n", h, h))[:, None]
+    w, z, cz = rows(6), rows(6), rows(6)
+    rate, seed = 0.4, 5
+
+    def reflect(h, x, c):
+        hx, hg = np.einsum("nk,nk->n", h, x), np.einsum("nk,nk->n", h, c)
+        return x - 2.0 * hx[:, None] * h, [-2.0 * (hg[:, None] * x + hx[:, None] * c),
+                                           c - 2.0 * hg[:, None] * h]
+
+    def dropped(x, c):
+        keep = (np.random.default_rng(seed).random(x.shape) >= rate).astype(dtype)
+        factor = 1.0 / (1.0 - rate)
+        return x * keep * factor, [c * keep * factor]
+
+    def softmax(index):
+        runs = ad.Grouping(index)
+
+        def parent(z, c):
+            e = np.exp(z - gathered_reduce(runs, np.maximum, z, 4, -np.inf)[index])
+            w = e / gathered_reduce(runs, np.add, e, 4)[index]
+            dot = gathered_reduce(runs, np.add, c * w, 4)
+            return w, [w * (c - dot[index])]
+
+        return (lambda t: ad.segment_softmax(t, runs, 4)), [z], cz, parent
+
+    return {
+        "householder_apply": (ad.householder_apply, [h, x], c, reflect),
+        "scale_rows": (ad.scale_rows, [x, w], c, lambda x, w, c: (
+            x * w[:, None], [c * w[:, None], np.einsum("nk,nk->n", c, x)])),
+        "relu": (ad.relu, [x], c, lambda a, c: (np.where(a > 0, a, 0), [c * (a > 0)])),
+        "absolute": (ad.absolute, [x], c, lambda a, c: (np.abs(a), [c * np.sign(a)])),
+        "dropout": (lambda t: ad.dropout(t, rate, np.random.default_rng(seed), True),
+                    [x], c, dropped),
+        "segment_softmax-sorted": softmax(np.array([0, 0, 1, 3, 3, 3])),
+        "segment_softmax-unsorted": softmax(np.array([3, 0, 3, 1, 0, 3])),
+    }
+
+
+IN_PLACE_OPS = list(in_place_cases(np.float64))
+
+
+class TestInPlaceRules:
+    """Rules that build each result in one array, or in the gradient they
+    are handed, keep the bits of the expressions they replaced."""
+
+    @pytest.mark.parametrize("beside", [False, True], ids=["alone", "add-first"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", IN_PLACE_OPS)
+    def test_values_and_gradients_bitwise(self, name, dtype, beside):
+        """With ``beside``, the op is ``add``'s first parent and so is handed
+        ``add``'s own gradient; the sibling's copy must stay the upstream's."""
+        build, inputs, c, parent = in_place_cases(dtype)[name]
+        want_value, want_grads = parent(*inputs, c)
+        leaves = [ad.leaf(a) for a in inputs]
+        out = build(*leaves)
+        value = out.data
+        sibling = ad.leaf(np.zeros_like(c))
+        top = ad.add(out, sibling) if beside else out
+        ad.backward(sum_all(mul(top, ad.leaf(c))))
+        assert value.dtype == dtype and value.tobytes() == want_value.tobytes()
+        for leaf, want in zip(leaves, want_grads):
+            assert leaf.grad.dtype == dtype and leaf.grad.tobytes() == want.tobytes()
+        if beside:
+            assert sibling.grad.tobytes() == c.tobytes()
 
 
 class TestElementwiseOps:

@@ -1,7 +1,12 @@
 """End-to-end command-line runs: artifacts, exit codes, manifests, determinism."""
+import ctypes
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +43,39 @@ def trained(tmp_path_factory, dataset_dir):
     code = main(TRAIN_ARGS + ["--data", str(dataset_dir), "--out", str(out)])
     assert code == 0
     return out
+
+
+# Run in a child process, so the heap setting stays out of this one: the
+# mapped-block bytes a 64 MiB array adds before and after ``main``.
+HEAP_PROBE = """
+import ctypes, json, sys
+import numpy as np
+from tkgalign.cli import main
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = MallInfo2
+
+def mapped_by_64_mib():
+    before = mallinfo2().hblkhd
+    block = np.ones(64 << 17)
+    return mallinfo2().hblkhd - before
+
+default = mapped_by_64_mib()
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([default, code, mapped_by_64_mib()]))
+"""
+
+
+def has_mallinfo2() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallinfo2")
+    except OSError:
+        return False
 
 
 def read_manifest(out_dir):
@@ -948,6 +986,29 @@ class TestMainPlumbing:
         assert capsys.readouterr().err == f"error: --out {out} is a file or lies under one\n"
         assert blocker.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["source.tsv", "taken"]
+
+
+class TestHeapSetting:
+    @pytest.mark.skipif(not has_mallinfo2(), reason="needs glibc's mallinfo2")
+    def test_main_serves_large_blocks_from_the_heap(self, tmp_path):
+        argv = SYNTH_ARGS + ["--out", str(tmp_path / "mini")]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", HEAP_PROBE, json.dumps(argv)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        default, code, after_main = json.loads(proc.stdout.splitlines()[-1])
+        assert default >= 64 << 20  # glibc maps a block this large by default
+        assert code == 0 and after_main == 0
+
+    def test_no_op_on_another_c_library(self, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the C library was loaded")
+
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda *args, **kwargs: ("", ""))
+        monkeypatch.setattr(cli.ctypes, "CDLL", unreachable)
+        assert cli._keep_freed_memory_in_heap() is None
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestDatasetFiles:

@@ -207,11 +207,17 @@ class Grouping:
     """Positions of an index array grouped by value, runs bucketed by length.
 
     The positions holding one index value form a run, in their original
-    order, and runs are laid out one after another in stable order of
-    length; ``positions`` is that layout (None when it is the identity,
-    else an array of the narrowest integer type that holds it), ``starts``
-    where each run begins in it and ``ids`` each run's index value.
+    order. ``by_id`` lays the runs out in id order: ``(positions, starts,
+    ids)``, with positions None when that layout is the identity (a
+    non-decreasing index, like a graph's ``dst`` column), else an array of
+    the narrowest integer type that holds it, ``starts`` where each run
+    begins in it and ``ids`` each run's index value. ``positions`` lays the
+    same runs out one after another in stable order of length (None when
+    that is the identity), and ``buckets`` lists the runs of each length.
 
+    Scalar rows are reduced with one ``ufunc.reduceat`` over the id-order
+    layout, which walks each run contiguously: ``x`` is read in place where
+    the index is non-decreasing, else its m values are gathered first.
     Rows of width k reduce one bucket at a time: the c runs of one length L
     are gathered position-major into an (L, c, k) block (the first row of
     every run, then every second row, and so on) that one ``ufunc.reduce``
@@ -220,18 +226,15 @@ class Grouping:
     most sqrt(2m) for m positions whatever the skew of the index, and one
     bucket's rows copied at a time; a bucket that already lies in that order
     (a single run, like the time column of a time-unaware graph) is read as
-    a view. Scalar rows are reduced run by run with one ``ufunc.reduceat``,
-    which walks each run contiguously: where the index is non-decreasing (a
-    graph's ``dst`` column) its runs already lie in id order, ``sorted_runs``
-    holds their starts and ids, and ``x`` is read in place; otherwise its m
-    values are gathered into the bucketed layout first.
+    a view.
     """
 
-    __slots__ = ("index", "positions", "starts", "ids", "buckets", "sorted_runs")
+    __slots__ = ("index", "by_id", "positions", "buckets")
 
     def __init__(self, index: np.ndarray):
         idx = self.index = np.asarray(index, dtype=np.int64)
         m = len(idx)
+        narrow = np.min_scalar_type(m)
         order = None
         if (idx[1:] < idx[:-1]).any():
             # (index, position) keys are unique, so the fast unstable sort
@@ -241,15 +244,15 @@ class Grouping:
         starts = np.flatnonzero(np.diff(idx, prepend=idx[:1] - 1))
         lengths = np.diff(starts, append=m)
         ids = idx[starts]
-        self.sorted_runs = (starts, ids) if order is None else None
+        self.by_id = (None if order is None else order.astype(narrow), starts, ids)
+        self.positions = self.by_id[0]
         if (lengths[1:] < lengths[:-1]).any():
             by_length = np.argsort(lengths, kind="stable")
             lengths, ids = lengths[by_length], ids[by_length]
             moved = np.cumsum(lengths) - lengths
             runs = np.repeat(starts[by_length] - moved, lengths) + np.arange(m)
-            order, starts = (runs if order is None else order[runs]), moved
-        self.positions = None if order is None else order.astype(np.min_scalar_type(m))
-        self.starts, self.ids = starts, ids
+            starts = moved
+            self.positions = (runs if order is None else order[runs]).astype(narrow)
         edges = (np.flatnonzero(np.diff(lengths)) + 1).tolist()
         self.buckets = [(int(starts[lo]), int(lengths[lo]), ids[lo:hi])
                         for lo, hi in zip([0] + edges, edges + [len(ids)]) if hi > lo]
@@ -258,15 +261,12 @@ class Grouping:
         """``ufunc`` over the rows of ``x`` in each run; ``fill`` where no row falls."""
         rest = x.shape[1:]
         out = np.full((size,) + rest, fill, dtype=x.dtype)
-        pos = self.positions
         if not rest:
-            if self.sorted_runs is not None:
-                starts, ids = self.sorted_runs
-            else:
-                starts, ids, x = self.starts, self.ids, x.take(pos)
+            pos, starts, ids = self.by_id
             if len(ids):
-                out[ids] = ufunc.reduceat(x, starts)
+                out[ids] = ufunc.reduceat(x if pos is None else x.take(pos), starts)
             return out
+        pos = self.positions
         for a, length, ids in self.buckets:
             c = len(ids)
             if pos is None and (length == 1 or c == 1):

@@ -1,7 +1,7 @@
 """Parameter checkpoint files.
 
-A checkpoint is a numpy ``.npz`` archive holding every parameter array under
-its name plus a ``__meta__`` entry: a JSON header that is the run's
+A checkpoint is a numpy ``.npz`` archive, a zip of one ``<name>.npy`` member
+per parameter array plus ``__meta__.npy``: a JSON header that is the run's
 :class:`~tkgalign.train.TrainConfig`, every field under its own name, plus
 the format version, the table sizes (entities, relation rows, time ids) and
 the digest of the graph the run trained on (``model.FlatGraph.sha256``),
@@ -13,11 +13,11 @@ and ``k_csls`` must be ints, ``self_loops`` a bool, the digest a str, and so
 on); the run settings, by ``TrainConfig``'s own rules; the sizes, which must
 be >= 0; and the arrays, which must match by name and shape the tables
 ``model.param_shapes`` lays out for the header and hold no NaN or infinity.
-A missing file, one that is not an ``.npz`` archive, a member that cannot be
-read (a damaged archive: see :data:`UNREADABLE`) or a header that is not
-JSON is refused too, each with a ConfigError. Arrays are stored row-major
-exactly as trained and loaded as stored, with no model built and no random
-numbers drawn.
+A missing file, one that is not a zip archive or has no ``__meta__.npy``
+member, a member that cannot be read (a damaged archive: see
+:data:`UNREADABLE`) or a header that is not JSON is refused too, each with a
+ConfigError. Arrays are stored row-major exactly as trained and loaded as
+stored, with no model built and no random numbers drawn.
 """
 from __future__ import annotations
 
@@ -95,13 +95,12 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
     if not path.is_file():
         raise ConfigError(f"checkpoint not found: {path}")
     try:
-        archive = np.load(path)
+        archive = zipfile.ZipFile(path)
     except UNREADABLE as exc:
         raise ConfigError(f"{path}: not a checkpoint archive ({exc})") from None
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ConfigError(f"{path}: not a checkpoint archive (a bare array)")
     with archive:
-        if "__meta__" not in archive:
+        members = set(archive.namelist())
+        if "__meta__.npy" not in members:
             raise ConfigError(f"{path}: not a checkpoint (missing header)")
         header_bytes = bytes(_read_member(archive, "__meta__", path))
         try:
@@ -128,9 +127,10 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
             if size < 0:
                 raise ConfigError(f"{where}: {name} must be >= 0, got {size}")
         shapes = param_shapes(*meta.sizes, meta)
-        names = {k for k in archive.files if k != "__meta__"}
-        if names != shapes.keys():
-            missing, unknown = sorted(shapes.keys() - names), sorted(names - shapes.keys())
+        stored, expected = members - {"__meta__.npy"}, {f"{name}.npy" for name in shapes}
+        if stored != expected:
+            missing = sorted(m.removesuffix(".npy") for m in expected - stored)
+            unknown = sorted(m.removesuffix(".npy") for m in stored - expected)
             raise ConfigError(
                 f"{path}: checkpoint arrays do not match the header"
                 f" (missing {missing}, unknown {unknown})"
@@ -155,7 +155,7 @@ def _read_member(archive, name: str, path: Path, dtype=None) -> np.ndarray:
     would skip that check, and a damaged header length would silently
     shift every value of the table."""
     try:
-        raw = archive.zip.read(f"{name}.npy")
+        raw = archive.read(f"{name}.npy")
         stream = io.BytesIO(raw)
         arr = np.lib.format.read_array(stream, allow_pickle=False)
         if stream.tell() != len(raw):

@@ -43,7 +43,7 @@ from .forge import (
     synth_tkg,
     write_dataset,
 )
-from .model import num_relation_rows, table_sizes
+from .model import DTYPES, num_relation_rows, table_sizes
 from .tkg import DATASET_FILES, merge_pair, parse_dataset
 from .train import MODES, TrainConfig, build_graph, score_model, train
 
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--eval-every", type=int, default=None)
     tr.add_argument("--patience", type=int, default=None)
     tr.add_argument("--k-csls", type=int, default=None)
-    tr.add_argument("--precision", choices=("f32", "f64"), default=None)
+    tr.add_argument("--precision", choices=tuple(DTYPES), default=None)
     tr.add_argument("--self-loops", choices=("on", "off"), default=None)
     _add_common(tr)
     tr.set_defaults(func=cmd_train)

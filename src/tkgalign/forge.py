@@ -37,7 +37,7 @@ from .tkg import (
     TimeIndex,
     drop_repeated_rows,
     first_occurrences,
-    read_int_rows,
+    read_table,
 )
 
 logger = logging.getLogger(__name__)
@@ -473,13 +473,13 @@ def write_dataset(
     g1: TemporalKG,
     g2: TemporalKG,
     seeds: SeedAlignments,
-    manifest: dict | None = None,
+    manifest: dict,
 ) -> Path:
     """Emit the on-disk dataset directory (ids of graph 2 continue graph 1's).
 
     Writes triples_1/2, ent_ids_1/2, rel_ids_1/2, time_id, sup_pairs,
     ref_pairs, stats.txt (the size table, named after graph 1 without its
-    ``_1`` suffix), and manifest.json when given one.
+    ``_1`` suffix) and manifest.json.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -498,15 +498,14 @@ def write_dataset(
     lines_to("ent_ids_2", (f"{i + e_off}\t{lab}" for i, lab in enumerate(g2.entity_labels)))
     lines_to("rel_ids_1", (f"{i}\t{lab}" for i, lab in enumerate(g1.relation_labels)))
     lines_to("rel_ids_2", (f"{i + r_off}\t{lab}" for i, lab in enumerate(g2.relation_labels)))
-    lines_to("time_id", (f"{i}\t{g1.time_index.label_of(i)}" for i in range(g1.time_index.num_ids)))
+    lines_to("time_id", (f"{i}\t{lab}" for i, lab in enumerate(g1.time_index.labels)))
     lines_to("sup_pairs", (f"{a}\t{b + e_off}" for a, b in seeds.train_pairs))
     lines_to("ref_pairs", (f"{a}\t{b + e_off}" for a, b in seeds.test_pairs))
 
     stats = dataset_stats(g1, g2, seeds)
     overlap = measured_overlap(g1, g2, seeds.all_pairs)
     (directory / "stats.txt").write_text(format_stats(stats, g1.name.removesuffix("_1"), overlap))
-    if manifest is not None:
-        (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return directory
 
 
@@ -516,7 +515,7 @@ def read_source_quads(path: str | Path) -> np.ndarray:
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"source quad file not found: {path}")
-    rows, line_no = read_int_rows(path, 5)
+    rows, _, line_no = read_table(path, 5)
     if len(rows) == 0:
         raise DatasetError(f"{path}: no quadruples")
     negative = np.flatnonzero((rows[:, 3:] < 0).any(axis=1))

@@ -18,7 +18,7 @@ sees relation direction and both interval endpoints.
 from __future__ import annotations
 
 import logging
-import operator
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,9 +62,6 @@ class TimeIndex:
     @property
     def num_ids(self) -> int:
         return len(self.labels)
-
-    def label_of(self, time_id: int) -> str:
-        return self.labels[time_id]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TimeIndex) and self.labels == other.labels
@@ -124,8 +121,6 @@ class QuadTable:
         if not isinstance(other, QuadTable):
             return NotImplemented
         return bool(np.array_equal(self.rows, other.rows))
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"QuadTable(n={len(self)})"
@@ -211,14 +206,16 @@ def merge_pair(g1: TemporalKG, g2: TemporalKG) -> MergedGraph:
     return MergedGraph(kg=merged, entity_offset=e_off)
 
 
-def _read_table(path: Path, width: int, labelled: bool = False) -> tuple[np.ndarray, list[str], list[int]]:
+def read_table(path: Path, width: int, labelled: bool = False) -> tuple[np.ndarray, list[str], list[int]]:
     """Read a UTF-8 file of ``width`` tab-separated fields per line.
 
     Lines end in ``\\n`` or ``\\r\\n``; blank lines are skipped but counted.
     Returns the integer fields as int64 rows (the ids of a ``labelled``
     id<TAB>label file), the labels and each row's 1-based line number.
-    ParseError names the line of the first byte that is not UTF-8, else the
-    first line with another column count or a field that is not an int64.
+    An integer field is ASCII decimal with an optional leading ``-``
+    (``-?[0-9]+``) that fits int64. ParseError names the line of the first
+    byte that is not UTF-8, else the first line with another column count
+    or an integer field that breaks that rule.
     """
     if not path.is_file():
         raise DatasetError(f"missing dataset file: {path}")
@@ -234,15 +231,21 @@ def _read_table(path: Path, width: int, labelled: bool = False) -> tuple[np.ndar
     rows = [lines[i - 1].removesuffix("\r") for i in line_no]
     tabs = [row.count("\t") for row in rows]
     miscounted = next((k for k, n in enumerate(tabs) if n != width - 1), len(rows))
-    # convert the rows before the first miscounted one, so an earlier bad integer wins
-    fields = "\t".join(rows[:miscounted]).split("\t") if miscounted else []
+    # check the rows before the first miscounted one, so an earlier bad integer wins
+    joined = "\t".join(rows[:miscounted])
+    fields = joined.split("\t") if miscounted else []
     per_row = 1 if labelled else width
     ints = fields[::width] if labelled else fields
-    it = iter(ints)
+    # one C-level pass over the integer fields keeps out what int() also takes:
+    # a sign +, _ separators, spaces and non-ASCII digits
+    digits = ("\t".join(ints) if labelled else joined).encode()
     try:
-        values = np.fromiter(map(int, it), np.int64, count=len(ints)).reshape(-1, per_row)
+        if not digits.isascii() or digits.translate(None, b"0123456789-\t"):
+            raise ValueError
+        values = np.fromiter(map(int, ints), np.int64, count=len(ints)).reshape(-1, per_row)
     except (ValueError, OverflowError):
-        k = len(ints) - operator.length_hint(it) - 1  # map() has taken the failing field
+        k = next(k for k, f in enumerate(ints)
+                 if not re.fullmatch(r"-?[0-9]+", f) or not -2 ** 63 <= int(f) < 2 ** 63)
         raise ParseError(path.name, line_no[k // per_row],
                          f"id {ints[k]!r} is not a 64-bit integer") from None
     if miscounted < len(rows):
@@ -258,7 +261,7 @@ def _read_id_labels(path: Path, unique_labels: bool = False) -> tuple[list[str],
     shifted down by their own first id to dense 0..n-1 ids. With
     ``unique_labels`` a label given to a second id raises ParseError at that line.
     """
-    rows, labels, line_no = _read_table(path, 2, labelled=True)
+    rows, labels, line_no = read_table(path, 2, labelled=True)
     if not labels:
         raise ParseError(path.name, 0, "file is empty")
     ids = rows[:, 0]
@@ -280,13 +283,6 @@ def _read_id_labels(path: Path, unique_labels: bool = False) -> tuple[list[str],
     return [labels[k] for k in np.argsort(ids).tolist()], lo
 
 
-def read_int_rows(path: Path, width: int) -> tuple[np.ndarray, list[int]]:
-    """The (n, width) int64 rows of a file of ``width`` tab-separated integers
-    per line, and each row's 1-based line number (see :func:`_read_table`)."""
-    rows, _, line_no = _read_table(path, width)
-    return rows, line_no
-
-
 def _read_local_ids(path: Path, columns) -> np.ndarray:
     """Read a tab-separated integer file, shifting its ids to 0-based local ids.
 
@@ -296,7 +292,7 @@ def _read_local_ids(path: Path, columns) -> np.ndarray:
     Ranges are checked before the shift, so it cannot wrap around int64.
     """
     width = sum(len(cols) for cols, *_ in columns)
-    raw, line_no = read_int_rows(path, width)
+    raw, _, line_no = read_table(path, width)
     hit = _first_dangling(raw, columns)
     if hit is not None:
         i, kind = hit

@@ -313,7 +313,6 @@ def train(
         if not np.isfinite(loss_value):
             raise TrainingDivergedError(epoch)
         ad.backward(loss)
-        del reps, loss  # the spent tape must not overlap the next forward
         opt.step(store, config.lr)
 
         report.losses.append(loss_value)

@@ -420,7 +420,6 @@ class TestBucketedReduction:
     def test_positions_lay_runs_out_by_length(self):
         runs = ad.Grouping(np.array([4, 1, 4, 2, 4, 1]))
         assert runs.positions.tolist() == [3, 1, 5, 0, 2, 4]
-        assert runs.starts.tolist() == [0, 1, 3] and runs.ids.tolist() == [2, 1, 4]
         assert [(a, length, ids.tolist()) for a, length, ids in runs.buckets] == \
             [(0, 1, [2]), (1, 2, [1]), (3, 3, [4])]
 
@@ -446,13 +445,14 @@ class TestBucketedReduction:
         assert runs.index.dtype == np.int64 and np.array_equal(runs.index, idx)
 
 
-def gathered_reduce(runs, ufunc, x, size, fill=0):
-    """Scalar rows reduced through the bucketed layout, x's m values gathered
-    first: the reference the in-place path of a sorted index must match."""
+def per_run_reduce(ufunc, x, idx, size, fill=0):
+    """Reference for scalar rows: each run's values, copied out in their
+    original order, folded by a ``reduceat`` of their own."""
     out = np.full(size, fill, dtype=x.dtype)
-    if len(runs.ids):
-        laid_out = x if runs.positions is None else x.take(runs.positions)
-        out[runs.ids] = ufunc.reduceat(laid_out, runs.starts)
+    order = np.argsort(idx, kind="stable")
+    ids, starts = np.unique(idx[order], return_index=True)
+    for i, run in zip(ids, np.split(order, starts[1:])):
+        out[i] = ufunc.reduceat(x[run], [0])[0]
     return out
 
 
@@ -466,21 +466,36 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-class TestSortedScalarReduce:
+class TestScalarReduce:
+    """1-D rows reduce with one ``reduceat`` over the runs in id order, so
+    each run is folded exactly as it would be on its own."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_reads_x_in_place_with_the_gather_paths_bits(self, dtype):
+    @pytest.mark.parametrize("ordered", [True, False], ids=["sorted", "unsorted"])
+    def test_bitwise_equal_to_each_run_reduced_alone(self, dtype, ordered):
         gen = np.random.default_rng(3)
-        m, size = 200_000, 5000
+        m, size = 200_000, 2000
         # runs of uneven length, so the bucketed layout is a permutation
-        runs = ad.Grouping(np.sort(gen.integers(0, size - 10, m)))
-        assert runs.positions is not None and runs.sorted_runs is not None
+        idx = gen.integers(0, size - 10, m)
+        idx = np.sort(idx) if ordered else idx
+        runs = ad.Grouping(idx)
+        assert runs.positions is not None and (runs.by_id[0] is None) is ordered
         x = gen.normal(size=m).astype(dtype)
         m_long = m * x.itemsize
         for ufunc, fill in ((np.add, 0), (np.maximum, -np.inf)):
-            want, gather_peak = traced_peak(lambda: gathered_reduce(runs, ufunc, x, size, fill))
+            want = per_run_reduce(ufunc, x, idx, size, fill)
             got, peak = traced_peak(lambda: runs.reduce(ufunc, x, size, fill))
             assert got.dtype == dtype and got.tobytes() == want.tobytes()
-            assert gather_peak >= m_long > 8 * peak
+            # a sorted index is read in place, any other gathered once
+            assert m_long > 8 * peak if ordered else peak >= m_long
+
+    def test_runs_in_id_order(self):
+        runs = ad.Grouping(np.array([4, 1, 4, 2, 4, 1]))
+        pos, starts, ids = runs.by_id
+        assert pos.tolist() == [1, 5, 3, 0, 2, 4] and pos.dtype == np.uint8
+        assert starts.tolist() == [0, 2, 3] and ids.tolist() == [1, 2, 4]
+        pos, starts, ids = ad.Grouping(np.array([1, 1, 2, 4, 4, 4])).by_id
+        assert pos is None and starts.tolist() == [0, 2, 3] and ids.tolist() == [1, 2, 4]
 
 
 def in_place_cases(dtype):
@@ -513,9 +528,9 @@ def in_place_cases(dtype):
         runs = ad.Grouping(index)
 
         def parent(z, c):
-            e = np.exp(z - gathered_reduce(runs, np.maximum, z, 4, -np.inf)[index])
-            w = e / gathered_reduce(runs, np.add, e, 4)[index]
-            dot = gathered_reduce(runs, np.add, c * w, 4)
+            e = np.exp(z - per_run_reduce(np.maximum, z, index, 4, -np.inf)[index])
+            w = e / per_run_reduce(np.add, e, index, 4)[index]
+            dot = per_run_reduce(np.add, c * w, index, 4)
             return w, [w * (c - dot[index])]
 
         return (lambda t: ad.segment_softmax(t, runs, 4)), [z], cz, parent

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -475,6 +476,15 @@ class TestTrain:
         config = _build_train_config(args)
         assert (config.margin, config.lr, config.self_loops) == (2, 1, False)
 
+    def test_every_shipped_config_loads(self):
+        """The paper's reference settings in configs/ load as they are, so a
+        renamed or removed setting fails here rather than for a user."""
+        paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+        assert paths
+        for path in paths:
+            config = TrainConfig(**cli._load_config_file(str(path)))
+            assert path.stem.endswith(config.mode), path
+
     @pytest.mark.parametrize("flags", [["--threads", "2"], ["--emit-plots"]])
     def test_removed_flags_exit_2(self, dataset_dir, tmp_path, capsys, flags):
         code = main(TRAIN_ARGS + ["--data", str(dataset_dir), "--out", str(tmp_path / "o")]
@@ -801,13 +811,25 @@ class TestEval:
 
     @pytest.mark.parametrize("content, message", [
         (None, "error: checkpoint not found: {path}\n"),
-        ("not an archive\n", "error: {path}: not a checkpoint archive ("),
-    ])
+        (b"", "error: {path}: not a checkpoint archive ("),
+        (b"not an archive\n", "error: {path}: not a checkpoint archive ("),
+        ("bare-npy", "error: {path}: not a checkpoint archive ("),
+        ("no-header", "error: {path}: not a checkpoint (missing header)\n"),
+        ("header-without-suffix", "error: {path}: not a checkpoint (missing header)\n"),
+    ], ids=["missing", "empty", "not-zip", "bare-npy", "no-header", "header-without-suffix"])
     def test_missing_or_non_npz_checkpoint_exits_2(self, dataset_dir, tmp_path, capsys,
                                                    content, message):
         path = tmp_path / "checkpoint.npz"
-        if content is not None:
-            path.write_text(content)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content == "bare-npy":
+            with open(path, "wb") as f:
+                np.save(f, np.zeros(3, dtype=np.float32))
+        elif content == "no-header":
+            np.savez(path, entity=np.zeros((2, 2), dtype=np.float32))
+        elif content == "header-without-suffix":
+            with zipfile.ZipFile(path, "w") as archive:
+                archive.writestr("__meta__", b"{}")
         out = tmp_path / "o"
         code = main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir),
                      "--out", str(out)])

@@ -56,7 +56,7 @@ class TestTimeIndex:
     def test_ids_are_label_positions(self):
         idx = TimeIndex([UNKNOWN_TIME_LABEL, "2005", "2006"])
         assert idx.num_ids == 3  # sentinel + two real labels
-        assert [idx.label_of(i) for i in range(idx.num_ids)] == [UNKNOWN_TIME_LABEL, "2005", "2006"]
+        assert idx.labels == [UNKNOWN_TIME_LABEL, "2005", "2006"]
         assert idx == TimeIndex([UNKNOWN_TIME_LABEL, "2005", "2006"])
         assert idx != TimeIndex([UNKNOWN_TIME_LABEL, "2006", "2005"])
 
@@ -493,10 +493,67 @@ class TestParseDataset:
         g1, g2, seeds = data
         with tempfile.TemporaryDirectory() as tmp:
             if forge_writer:
-                d = write_dataset(Path(tmp), g1, g2, seeds)
+                d = write_dataset(Path(tmp), g1, g2, seeds, {})
             else:
                 d = write_dataset_dir(Path(tmp), g1, g2, seeds, continue_ids=True)
             p1, p2, ps = parse_dataset(d)
         assert p1.quadruples == g1.quadruples
         assert p2.quadruples == g2.quadruples
         assert (p1, p2, ps) == (g1, g2, seeds)
+
+
+# fields Python's int() takes but the dataset contract does not: a separator,
+# a + sign, a leading space or \v, a non-ASCII digit, and misplaced minus signs
+NOT_ASCII_DECIMAL = ["1_0", "+5", " 5", "\v5", "\u0663", "--1", "5-3", "-"]
+
+
+class TestIntegerFieldRule:
+    """An integer field is ``-?[0-9]+`` in ASCII and fits int64; any other
+    exits 2 at its file:line, in every file and in ``forge split``'s source."""
+
+    @pytest.mark.parametrize("field", NOT_ASCII_DECIMAL)
+    @pytest.mark.parametrize("file, column", [("triples_1", 2), ("ent_ids_2", 0)])
+    def test_dataset_field_exits_2_at_its_line(self, tmp_path, tiny_pair, capsys, file, column,
+                                               field):
+        g1, g2, seeds = tiny_pair
+        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
+        lines = (d / file).read_text().splitlines()
+        cols = lines[1].split("\t")
+        cols[column] = field
+        (d / file).write_text("\n".join([lines[0], "", "\t".join(cols)] + lines[2:]) + "\n")
+        message = f"{file}:3: id {field!r} is not a 64-bit integer"
+        with pytest.raises(ParseError) as exc:
+            parse_dataset(d)
+        assert str(exc.value) == message
+        assert train_exit_code(d, tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("field", NOT_ASCII_DECIMAL)
+    def test_forge_split_source_field_exits_2_at_its_line(self, tmp_path, capsys, field):
+        src = tmp_path / "source.tsv"
+        src.write_text("0\t0\t1\t1\t2\n" f"1\t0\t{field}\t1\t2\n" "2\t0\t3\t1\t2\n")
+        out = tmp_path / "o"
+        assert main(["forge", "split", "--source", str(src), "--seeds", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: source.tsv:2: id {field!r} is not a 64-bit integer\n"
+        assert not (out / "triples_1").exists()
+
+    def test_first_offending_field_is_named(self, tmp_path, tiny_pair):
+        """Every field of this line reads as an integer to int(); the first is named."""
+        g1, g2, seeds = tiny_pair
+        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
+        with open(d / "triples_1", "a") as f:
+            f.write("1_0\t+2\t \uff13\t\u0663\t0\n")
+        with pytest.raises(ParseError) as exc:
+            parse_dataset(d)
+        assert str(exc.value) == "triples_1:4: id '1_0' is not a 64-bit integer"
+
+    def test_negative_and_zero_padded_fields_are_integers(self, tmp_path, tiny_pair):
+        g1, g2, seeds = tiny_pair
+        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
+        shift_graph1_ids(d, -7)
+        triples = (d / "triples_1").read_text()
+        assert "\t1\t" in triples
+        (d / "triples_1").write_text(triples.replace("\t1\t", "\t0001\t"))
+        assert parse_dataset(d) == (g1, g2, seeds)

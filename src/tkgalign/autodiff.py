@@ -211,25 +211,23 @@ class Grouping:
     ids)``, with positions None when that layout is the identity (a
     non-decreasing index, like a graph's ``dst`` column), else an array of
     the narrowest integer type that holds it, ``starts`` where each run
-    begins in it and ``ids`` each run's index value. ``positions`` lays the
-    same runs out one after another in stable order of length (None when
-    that is the identity), and ``buckets`` lists the runs of each length.
+    begins in it and ``ids`` each run's index value. ``buckets`` holds, per
+    distinct run length L, its c runs' ``(span, ids)``: ``span`` is their
+    (L, c) positions, position-major (every run's first row, then its second
+    and so on) and as narrow as ``positions``, or a slice for one run in place.
 
     Scalar rows are reduced with one ``ufunc.reduceat`` over the id-order
     layout, which walks each run contiguously: ``x`` is read in place where
-    the index is non-decreasing, else its m values are gathered first.
-    Rows of width k reduce one bucket at a time: the c runs of one length L
-    are gathered position-major into an (L, c, k) block (the first row of
-    every run, then every second row, and so on) that one ``ufunc.reduce``
-    over axis 0 collapses, with long contiguous inner loops and each run
-    taken left to right. That is one Python step per distinct run length, at
-    most sqrt(2m) for m positions whatever the skew of the index, and one
-    bucket's rows copied at a time; a bucket that already lies in that order
-    (a single run, like the time column of a time-unaware graph) is read as
-    a view.
+    the index is non-decreasing, else its m values are gathered first. Rows
+    of width k reduce one bucket at a time: its span gathers an (L, c, k)
+    block that one ``ufunc.reduce`` over axis 0 collapses, with long
+    contiguous inner loops and each run taken left to right. That is one
+    Python step per distinct run length, at most sqrt(2m) for m positions
+    whatever the skew of the index, and one bucket's rows copied at a time,
+    none for a slice (the time column of a time-unaware graph).
     """
 
-    __slots__ = ("index", "by_id", "positions", "buckets")
+    __slots__ = ("index", "by_id", "buckets")
 
     def __init__(self, index: np.ndarray):
         idx = self.index = np.asarray(index, dtype=np.int64)
@@ -239,23 +237,24 @@ class Grouping:
         if (idx[1:] < idx[:-1]).any():
             # (index, position) keys are unique, so the fast unstable sort
             # yields exactly the stable order
-            order = np.argsort(idx * m + np.arange(m))
+            order = np.argsort(idx * m + np.arange(m)).astype(narrow)
             idx = idx[order]
         starts = np.flatnonzero(np.diff(idx, prepend=idx[:1] - 1))
         lengths = np.diff(starts, append=m)
         ids = idx[starts]
-        self.by_id = (None if order is None else order.astype(narrow), starts, ids)
-        self.positions = self.by_id[0]
-        if (lengths[1:] < lengths[:-1]).any():
-            by_length = np.argsort(lengths, kind="stable")
-            lengths, ids = lengths[by_length], ids[by_length]
-            moved = np.cumsum(lengths) - lengths
-            runs = np.repeat(starts[by_length] - moved, lengths) + np.arange(m)
-            starts = moved
-            self.positions = (runs if order is None else order[runs]).astype(narrow)
-        edges = (np.flatnonzero(np.diff(lengths)) + 1).tolist()
-        self.buckets = [(int(starts[lo]), int(lengths[lo]), ids[lo:hi])
-                        for lo, hi in zip([0] + edges, edges + [len(ids)]) if hi > lo]
+        self.by_id = (order, starts, ids)
+        by_length = np.argsort(lengths, kind="stable")
+        lengths, starts, ids = lengths[by_length], starts[by_length], ids[by_length]
+        bounds = np.flatnonzero(np.diff(lengths, prepend=0, append=m + 1)).tolist()
+        self.buckets = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            a, length = int(starts[lo]), int(lengths[lo])
+            if order is None and hi - lo == 1:
+                span = slice(a, a + length)
+            else:
+                span = starts[lo:hi] + np.arange(length)[:, None]
+                span = span.astype(narrow) if order is None else order[span]
+            self.buckets.append((span, ids[lo:hi]))
 
     def reduce(self, ufunc: np.ufunc, x: np.ndarray, size: int, fill=0) -> np.ndarray:
         """``ufunc`` over the rows of ``x`` in each run; ``fill`` where no row falls."""
@@ -266,16 +265,9 @@ class Grouping:
             if len(ids):
                 out[ids] = ufunc.reduceat(x if pos is None else x.take(pos), starts)
             return out
-        pos = self.positions
-        for a, length, ids in self.buckets:
-            c = len(ids)
-            if pos is None and (length == 1 or c == 1):
-                block = x[a:a + c * length]  # already position-major
-            else:
-                span = np.arange(a, a + c * length) if pos is None else pos[a:a + c * length]
-                block = x.take(span.reshape(c, length).T, axis=0)
-            block = block.reshape((length, c) + rest)
-            out[ids] = ufunc.reduce(block, axis=0) if length > 1 else block[0]
+        for span, ids in self.buckets:
+            block = x[span] if isinstance(span, slice) else x.take(span, axis=0)
+            out[ids] = ufunc.reduce(block, axis=0) if len(block) > 1 else block[0]
         return out
 
 

@@ -12,7 +12,8 @@ whatever keys it carries; that the header's keys are exactly the fields of
 and ``k_csls`` must be ints, ``self_loops`` a bool, the digest a str, and so
 on); the run settings, by ``TrainConfig``'s own rules; the sizes, which must
 be >= 0; and the arrays, which must match by name and shape the tables
-``model.param_shapes`` lays out for the header and hold no NaN or infinity.
+``model.param_shapes`` lays out for the header, be of the header
+precision's float type (in either byte order) and hold no NaN or infinity.
 A missing file, one that is not a zip archive or has no ``__meta__.npy``
 member, a member that cannot be read (a damaged archive: see
 :data:`UNREADABLE`) or a header that is not JSON is refused too, each with a
@@ -137,7 +138,11 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
             )
         store = ParameterStore()
         for name, shape in shapes.items():
-            arr = _read_member(archive, name, path, meta.dtype)
+            arr = _read_member(archive, name, path)
+            if arr.dtype.newbyteorder("=") != meta.dtype:
+                raise ConfigError(f"{path}: checkpoint array {name!r} is {arr.dtype},"
+                                  f" expected {meta.dtype}")
+            arr = arr.astype(meta.dtype, copy=False)
             if arr.shape != shape:
                 raise ConfigError(f"{path}: shape mismatch for {name!r}: {arr.shape} vs {shape}")
             if not np.isfinite(arr).all():
@@ -146,9 +151,9 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:
     return store, meta
 
 
-def _read_member(archive, name: str, path: Path, dtype=None) -> np.ndarray:
-    """Member ``name`` of an open checkpoint archive, cast to ``dtype`` if given;
-    a ConfigError naming the file and the member if it cannot be read.
+def _read_member(archive, name: str, path: Path) -> np.ndarray:
+    """Member ``name`` of an open checkpoint archive as stored; a ConfigError
+    naming the file and the member if it cannot be read.
 
     The member is read whole, so zipfile checks its CRC, and must hold
     nothing after its array: reading only the bytes an npy header asks for
@@ -160,6 +165,6 @@ def _read_member(archive, name: str, path: Path, dtype=None) -> np.ndarray:
         arr = np.lib.format.read_array(stream, allow_pickle=False)
         if stream.tell() != len(raw):
             raise ValueError(f"{len(raw) - stream.tell()} bytes follow the array")
-        return arr if dtype is None else arr.astype(dtype, copy=False)
+        return arr
     except UNREADABLE as exc:
         raise ConfigError(f"{path}: checkpoint member {name!r} is unreadable ({exc})") from None

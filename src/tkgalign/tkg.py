@@ -209,7 +209,8 @@ def merge_pair(g1: TemporalKG, g2: TemporalKG) -> MergedGraph:
 def read_table(path: Path, width: int, labelled: bool = False) -> tuple[np.ndarray, list[str], list[int]]:
     """Read a UTF-8 file of ``width`` tab-separated fields per line.
 
-    Lines end in ``\\n`` or ``\\r\\n``; blank lines are skipped but counted.
+    Lines end in ``\\n`` or ``\\r\\n``; a blank line (empty or ASCII spaces
+    only) is skipped but counted, and any other line is data.
     Returns the integer fields as int64 rows (the ids of a ``labelled``
     id<TAB>label file), the labels and each row's 1-based line number.
     An integer field is ASCII decimal with an optional leading ``-``
@@ -227,7 +228,8 @@ def read_table(path: Path, width: int, labelled: bool = False) -> tuple[np.ndarr
         raise ParseError(path.name, line, f"byte {data[exc.start]:#04x} is not UTF-8") from None
     # split at \n only: str.splitlines() also breaks at \v, \f, U+2028 and more
     lines = text.split("\n")
-    line_no = [i for i, line in enumerate(lines, start=1) if line.strip()]
+    # blank: ASCII spaces only, before the one \r that is dropped
+    line_no = [i for i, line in enumerate(lines, start=1) if line.lstrip(" ") not in ("", "\r")]
     rows = [lines[i - 1].removesuffix("\r") for i in line_no]
     tabs = [row.count("\t") for row in rows]
     miscounted = next((k for k, n in enumerate(tabs) if n != width - 1), len(rows))

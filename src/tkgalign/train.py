@@ -330,11 +330,10 @@ def train(
                     best_mrr, evals_since_best = metrics["mrr"], 0
                 else:
                     evals_since_best += 1
-                    if evals_since_best >= config.patience:
-                        report.stopped_early = True
-                        report.epoch_seconds.append(time.perf_counter() - t0)
-                        logger.info("stopping early at epoch %d (mrr plateau)", epoch)
-                        break
+                    report.stopped_early = evals_since_best >= config.patience
         report.epoch_seconds.append(time.perf_counter() - t0)
+        if report.stopped_early:
+            logger.info("stopping early at epoch %d (mrr plateau)", epoch)
+            break
 
     return TrainResult(store, report, merged, graph, index, config)

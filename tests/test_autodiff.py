@@ -381,25 +381,36 @@ def grouping_cases():
     ]
 
 
-class TestBucketedReduction:
-    """``Grouping.reduce`` against a per-group sequential loop in float64.
+def bucket_positions(span):
+    """A bucket's (L, c) positions, whether stored as an array or a slice."""
+    return np.arange(span.start, span.stop)[:, None] if isinstance(span, slice) else span
 
-    Each bucket reduces its runs along one axis, so a sum may be taken in
-    another order than the loop's; the two agree to float64 rounding."""
+
+class TestBucketedReduction:
+    """``Grouping.reduce`` against a per-group sequential loop.
+
+    Width-k rows fold each run left to right, so they equal the loop's
+    bits; 1-D rows go through ``reduceat``, which sums a run pairwise, and
+    agree to rounding."""
 
     @pytest.mark.parametrize("name, idx, size", grouping_cases(),
                              ids=[c[0] for c in grouping_cases()])
     @pytest.mark.parametrize("width", [None, 4], ids=["1-D", "2-D"])
-    def test_matches_sequential_loop(self, name, idx, size, width):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_sequential_loop(self, name, idx, size, width, dtype):
         gen = np.random.default_rng(len(idx))
-        x = rows_of(gen, len(idx), width, np.float64)
+        x = rows_of(gen, len(idx), width, dtype)
         runs = ad.Grouping(idx)
         empty = np.setdiff1d(np.arange(size), idx)
+        tol = rounding_tol(dtype)
         for ufunc, fill in ((np.add, 0.0), (np.maximum, -np.inf)):
             got = runs.reduce(ufunc, x, size, fill)
             want = sequential_reduce(ufunc, x, idx, size, fill)
-            assert got.shape == want.shape and got.dtype == np.float64
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert got.shape == want.shape and got.dtype == dtype
+            if width is None:
+                np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+            else:
+                assert got.tobytes() == want.tobytes()
             assert np.all(got[empty] == fill)
 
     @pytest.mark.parametrize("name, idx, size", grouping_cases(),
@@ -407,21 +418,50 @@ class TestBucketedReduction:
     def test_one_bucket_per_distinct_run_length(self, name, idx, size):
         runs = ad.Grouping(idx)
         lengths = np.bincount(idx, minlength=size)
-        assert [length for _, length, _ in runs.buckets] == sorted(set(lengths[lengths > 0]))
-        named = [int(i) for _, _, ids in runs.buckets for i in ids]
+        spans = [bucket_positions(span) for span, _ in runs.buckets]
+        assert [len(span) for span in spans] == sorted(set(lengths[lengths > 0]))
+        named = [int(i) for _, ids in runs.buckets for i in ids]
         assert sorted(named) == sorted(set(idx.tolist()))
+        for span, (_, ids) in zip(spans, runs.buckets):
+            # column j holds run ids[j]'s positions, in their original order
+            assert span.shape == (span.shape[0], len(ids))
+            for column, i in zip(span.T, ids):
+                assert column.tolist() == np.flatnonzero(idx == i).tolist()
+
+    @pytest.mark.parametrize("name, idx, size", grouping_cases(),
+                             ids=[c[0] for c in grouping_cases()])
+    def test_stores_at_most_one_narrow_copy_of_each_layout(self, name, idx, size):
+        """An unsorted index stores two m-long position arrays (id order and
+        the buckets' spans), a sorted one only the spans, a single run none;
+        each of the narrowest integer type that holds m."""
+        runs = ad.Grouping(idx)
+        m = len(idx)
+        stored = [runs.by_id[0]] + [span for span, _ in runs.buckets]
+        arrays = [a for a in stored if a is not None and not isinstance(a, slice)]
+        assert all(a.dtype == np.min_scalar_type(m) for a in arrays)
+        if len(set(idx.tolist())) == 1:
+            allowed = 0
+        else:
+            allowed = 1 if np.all(idx[1:] >= idx[:-1]) else 2
+        assert sum(a.size for a in arrays) <= allowed * m
 
     def test_single_run_is_one_bucket_in_place(self):
         runs = ad.Grouping(np.full(300, 3))
-        (start, length, ids), = runs.buckets
-        assert runs.positions is None  # rows are reduced where they lie
-        assert (start, length, ids.tolist()) == (0, 300, [3])
+        (span, ids), = runs.buckets
+        assert runs.by_id[0] is None  # rows are reduced where they lie
+        assert span == slice(0, 300) and ids.tolist() == [3]
 
     def test_positions_lay_runs_out_by_length(self):
         runs = ad.Grouping(np.array([4, 1, 4, 2, 4, 1]))
-        assert runs.positions.tolist() == [3, 1, 5, 0, 2, 4]
-        assert [(a, length, ids.tolist()) for a, length, ids in runs.buckets] == \
-            [(0, 1, [2]), (1, 2, [1]), (3, 3, [4])]
+        assert [(span.tolist(), ids.tolist()) for span, ids in runs.buckets] == \
+            [([[3]], [2]), ([[1], [5]], [1]), ([[0], [2], [4]], [4])]
+        assert all(span.dtype == np.uint8 for span, _ in runs.buckets)
+        # runs of one length are laid out position-major: every first row,
+        # then every second row
+        (span, ids), = ad.Grouping(np.array([4, 1, 4, 2, 1, 2])).buckets
+        assert span.tolist() == [[1, 3, 0], [4, 5, 2]] and ids.tolist() == [1, 2, 4]
+        (span, ids), = ad.Grouping(np.array([1, 1, 2, 2, 4, 4])).buckets
+        assert span.tolist() == [[0, 2, 4], [1, 3, 5]] and span.dtype == np.uint8
 
     def test_shared_grouping_equals_fresh_ones(self, rng):
         """One grouping read by every op, forward and backward, gives what a
@@ -475,11 +515,15 @@ class TestScalarReduce:
     def test_bitwise_equal_to_each_run_reduced_alone(self, dtype, ordered):
         gen = np.random.default_rng(3)
         m, size = 200_000, 2000
-        # runs of uneven length, so the bucketed layout is a permutation
+        # runs of uneven length, so the buckets lay them out in another order
         idx = gen.integers(0, size - 10, m)
         idx = np.sort(idx) if ordered else idx
         runs = ad.Grouping(idx)
-        assert runs.positions is not None and (runs.by_id[0] is None) is ordered
+        assert (runs.by_id[0] is None) is ordered
+        by_id = np.arange(m) if ordered else runs.by_id[0]
+        by_length = np.concatenate([bucket_positions(s).ravel() for s, _ in runs.buckets])
+        assert np.array_equal(np.sort(by_length), np.arange(m))
+        assert not np.array_equal(by_length, by_id)
         x = gen.normal(size=m).astype(dtype)
         m_long = m * x.itemsize
         for ufunc, fill in ((np.add, 0), (np.maximum, -np.inf)):

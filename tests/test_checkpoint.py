@@ -2,6 +2,7 @@
 import dataclasses
 import inspect
 import json
+import warnings
 import zipfile
 
 import numpy as np
@@ -190,6 +191,46 @@ class TestHeaderChecks:
             load_checkpoint(path)
         assert str(err.value) == (f"{path}: checkpoint arrays do not match the header"
                                   f" (missing {missing}, unknown {unknown})")
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("stored", [
+        lambda a: a.astype([("value", a.dtype)]).reshape(a.shape),
+        lambda a: a.astype("datetime64[s]"),
+        lambda a: a.astype("timedelta64[s]"),
+        lambda a: a != 0,
+        lambda a: a.astype(np.int64),
+        lambda a: a.astype(np.float16),
+        lambda a: a.astype("U32"),
+        lambda a: a.astype(np.complex128),
+        lambda a: a.astype(np.float64 if a.dtype == np.float32 else np.float32),
+    ], ids=["structured", "datetime64", "timedelta64", "bool", "int64", "float16",
+            "numeric-string", "complex", "other-precision"])
+    def test_array_of_another_dtype_rejected(self, tmp_path, precision, stored):
+        """Every member must hold the header precision's floats: one that
+        would cast to them is refused, not converted."""
+        store, meta = small_store(precision=precision)
+        arrays = {name: t.data for name, t in store.items()}
+        arrays["attn_time_0"] = bad = stored(arrays["attn_time_0"])
+        path = tmp_path / "model.npz"
+        np.savez(path, __meta__=np.frombuffer(meta.to_json().encode(), dtype=np.uint8), **arrays)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # complex values cast with a ComplexWarning
+            with pytest.raises(ConfigError) as err:
+                load_checkpoint(path)
+        assert str(err.value) == (f"{path}: checkpoint array 'attn_time_0' is {bad.dtype},"
+                                  f" expected {meta.dtype}")
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_array_in_either_byte_order_loads(self, tmp_path, precision):
+        store, meta = small_store(precision=precision)
+        arrays = {name: t.data for name, t in store.items()}
+        swapped = arrays["entity"].astype(arrays["entity"].dtype.newbyteorder())
+        path = tmp_path / "model.npz"
+        np.savez(path, __meta__=np.frombuffer(meta.to_json().encode(), dtype=np.uint8),
+                 **{**arrays, "entity": swapped})
+        loaded, _ = load_checkpoint(path)
+        assert loaded["entity"].data.dtype == meta.dtype
+        assert loaded["entity"].data.tobytes() == arrays["entity"].tobytes()
 
     def test_loading_draws_no_random_numbers(self, tmp_path, monkeypatch):
         store, meta = small_store()

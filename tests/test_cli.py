@@ -843,7 +843,9 @@ class TestEval:
         ("missing-array", "missing ['attn_rel_0'], unknown []"),
         ("unknown-array", "missing [], unknown ['extra']"),
         ("shape-mismatch", "shape mismatch for 'entity'"),
-    ], ids=["header-not-json", "missing-array", "unknown-array", "shape-mismatch"])
+        ("integer-array", "checkpoint array 'attn_time_0' is int64, expected float32\n"),
+    ], ids=["header-not-json", "missing-array", "unknown-array", "shape-mismatch",
+            "integer-array"])
     def test_malformed_checkpoint_exits_2(self, dataset_dir, trained, tmp_path, capsys,
                                           defect, message):
         with np.load(trained / "run_0" / "checkpoint.npz") as archive:
@@ -854,6 +856,8 @@ class TestEval:
             del arrays["attn_rel_0"]
         elif defect == "unknown-array":
             arrays["extra"] = np.zeros(3, dtype=np.float32)
+        elif defect == "integer-array":
+            arrays["attn_time_0"] = arrays["attn_time_0"].astype(np.int64)
         else:
             arrays["entity"] = arrays["entity"][:-1]
         path = tmp_path / "bad.npz"

@@ -475,9 +475,9 @@ class TestModelForward:
         for name, grouping in before.items():
             assert getattr(unaware, name) is not grouping
         assert unaware.by_time.index is unaware.time
-        (start, length, ids), = unaware.by_time.buckets  # one run of every link
-        assert (start, length, ids.tolist()) == (0, graph.num_links, [UNKNOWN_TIME_ID])
-        assert unaware.by_time.positions is None
+        (span, ids), = unaware.by_time.buckets  # one run of every link, read in place
+        assert span == slice(0, graph.num_links) and ids.tolist() == [UNKNOWN_TIME_ID]
+        assert unaware.by_time.by_id[0] is None
         assert graph.by_time is before["by_time"]
 
     def test_graph_digest_names_its_links(self, fixture_6ent):

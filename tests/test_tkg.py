@@ -410,6 +410,28 @@ class TestParseDataset:
             parse_dataset(d)
         assert (exc.value.file, exc.value.line) == (file, 5)
 
+    @pytest.mark.parametrize("file, line, message", [
+        ("triples_1", "\t\t\t\t", "id '' is not a 64-bit integer"),
+        ("triples_1", "\f", "expected 5 columns, got 1"),
+        ("triples_1", "\v", "expected 5 columns, got 1"),
+        ("triples_1", "\u3000", "expected 5 columns, got 1"),
+        ("triples_1", " \r ", "expected 5 columns, got 1"),
+        ("ent_ids_1", "\t", "id '' is not a 64-bit integer"),
+    ], ids=["four-tabs", "form-feed", "vertical-tab", "ideographic-space", "inner-cr", "tab"])
+    def test_line_of_other_whitespace_is_data(self, tmp_path, tiny_pair, capsys, file, line,
+                                               message):
+        """Only a line that is empty or ASCII spaces (before its \\r) is blank."""
+        g1, g2, seeds = tiny_pair
+        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
+        lines = (d / file).read_text().splitlines()
+        text = "\n".join([lines[0], "\r", "  \r", line] + lines[1:]) + "\n"
+        (d / file).write_bytes(text.encode())
+        with pytest.raises(ParseError) as exc:
+            parse_dataset(d)
+        assert str(exc.value) == f"{file}:4: {message}"
+        assert train_exit_code(d, tmp_path) == 2
+        assert f"{file}:4: {message}" in capsys.readouterr().err
+
     def test_id_beyond_int64_exits_2(self, tmp_path, tiny_pair):
         g1, g2, seeds = tiny_pair
         d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)

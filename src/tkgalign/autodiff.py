@@ -225,6 +225,13 @@ class Grouping:
     Python step per distinct run length, at most sqrt(2m) for m positions
     whatever the skew of the index, and one bucket's rows copied at a time,
     none for a slice (the time column of a time-unaware graph).
+
+    So a grouping fixes the summation order of every reduction by an index
+    (the segment sum and softmax of the aggregation, the gradient of a row
+    gather), and that order is part of the determinism contract: a kernel
+    that sums a run in another order changes a seed's results by rounding.
+    A graph groups each link column once (``model.FlatGraph``) and every
+    epoch reuses it.
     """
 
     __slots__ = ("index", "by_id", "buckets")

@@ -6,8 +6,9 @@ per parameter array plus ``__meta__.npy``: a JSON header that is the run's
 the format version, the table sizes (entities, relation rows, time ids) and
 the digest of the graph the run trained on (``model.FlatGraph.sha256``),
 which ``tkgalign eval`` compares with the graph it builds. Loading checks,
-in this order: the version, so a checkpoint of another format is refused
-whatever keys it carries; that the header's keys are exactly the fields of
+in this order: the version, so a checkpoint of another format (format 5 had
+no graph digest, format 4 recorded seven settings) is refused whatever keys
+it carries; that the header's keys are exactly the fields of
 :class:`CheckpointMeta`; the type of each value (the version, sizes, seed
 and ``k_csls`` must be ints, ``self_loops`` a bool, the digest a str, and so
 on); the run settings, by ``TrainConfig``'s own rules; the sizes, which must

@@ -2,8 +2,9 @@
 
 Every invocation writes a ``run_manifest.json`` into its output directory —
 success or failure — recording the resolved configuration, input checksums,
-seeds, and a checksum for every artifact the run produced. An ``--out`` that
-is, or lies under, a file exits 2 at once and writes no manifest.
+seeds, and a checksum for every artifact the run produced. Two refusals come
+before it and write none: arguments that do not parse (argparse's usage
+message, exit 2) and an ``--out`` that is, or lies under, a file (exit 2).
 
 Reruns with the same seed produce byte-identical artifacts, with exactly two
 declared exceptions that record wall-clock time: the run manifest itself, and
@@ -64,11 +65,14 @@ HEAP_THRESHOLD = 1 << 30
 def _keep_freed_memory_in_heap() -> None:
     """Serve blocks under 1 GiB from the heap and keep up to 1 GiB freed there.
 
-    Training allocates and frees per-link arrays every epoch. glibc maps
-    each block above its mmap threshold (adaptive, at most 32 MiB) afresh,
-    faults it in page by page and unmaps it on free; from the heap the next
-    epoch reuses the same pages. Values are unaffected. A no-op on any
-    other C library, and a refused setting is ignored.
+    Sets glibc's ``M_MMAP_THRESHOLD`` and ``M_TRIM_THRESHOLD`` (mallopt(3))
+    for this process. Training allocates and frees per-link arrays every
+    epoch. glibc maps each block above its mmap threshold (adaptive, at most
+    32 MiB) afresh, faults it in page by page and unmaps it on free; from
+    the heap the next epoch reuses the same pages. Values are unaffected.
+    :func:`main` calls it first, so library callers that never enter
+    ``cli.main`` keep the allocator's defaults. A no-op on any other C
+    library, and a refused setting is ignored.
     """
     if platform.libc_ver()[0] != "glibc":
         return

@@ -243,10 +243,11 @@ def rank_pool(
     (|a - b| == |b - a| in IEEE arithmetic) as a view, and a partition's
     matrix is an exact sub-block; :func:`csls_adjust` gives the same bits
     in any layout and a rank (1 + #other candidates not strictly below the
-    gold) is a count, so each report is bitwise what a standalone
+    gold, so ties and NaN scores count against the gold and every rank lies
+    in 1..n) is a count, so each report is bitwise what a standalone
     :func:`rank_alignment` call on that subset and direction gives. Besides
-    row-block temporaries, ranking holds the L1 matrix and one CSLS matrix
-    at a time.
+    row-block temporaries of at most ``TILE_BYTES``, ranking holds the L1
+    matrix and one CSLS matrix at a time.
 
     Reports come per space, then per direction: the whole pool, then each
     ``(name, pair indices)`` partition in order, skipping empty ones. A

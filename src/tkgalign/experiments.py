@@ -5,7 +5,8 @@ Two experiments, each fully pinned by its default config:
 * ``planted_ambiguity_experiment`` — a synthetic pair with twin entities that
   only timestamps can tell apart. The time-aware model should align every
   twin; the time-blind ablation faces a symmetric tie across the twin group
-  and cannot do better than chance there.
+  and cannot do better than chance there. The twins' hits@1 is read off the
+  whole-pool ranks.
 * ``sensitivity_gap_experiment`` — a hybrid dataset (about a third of the
   facts untimed) where the time-aware advantage should concentrate on the
   highly time-sensitive test pairs and mostly vanish on the lowly sensitive

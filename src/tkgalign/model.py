@@ -86,8 +86,9 @@ class FlatGraph:
 
     def sha256(self) -> str:
         """Hex digest of the entity count and the four link columns, as
-        little-endian int64 in row order: a checkpoint records it to name
-        the graph it was trained on."""
+        little-endian int64 in row order (a time-unaware graph's time column
+        after blanking): a checkpoint records it to name the graph it was
+        trained on."""
         digest = hashlib.sha256(np.array(self.num_entities, dtype="<i8"))
         for column in (self.src, self.dst, self.rel, self.time):
             digest.update(np.ascontiguousarray(column, dtype="<i8"))

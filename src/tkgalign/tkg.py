@@ -209,14 +209,18 @@ def merge_pair(g1: TemporalKG, g2: TemporalKG) -> MergedGraph:
 def read_table(path: Path, width: int, labelled: bool = False) -> tuple[np.ndarray, list[str], list[int]]:
     """Read a UTF-8 file of ``width`` tab-separated fields per line.
 
-    Lines end in ``\\n`` or ``\\r\\n``; a blank line (empty or ASCII spaces
-    only) is skipped but counted, and any other line is data.
+    Every dataset file and ``forge split``'s source is read here. Lines end
+    in ``\\n`` or ``\\r\\n``; any other character (a lone ``\\r``, ``\\v``,
+    ``\\f``, U+2028 and the like) belongs to its line, so a label may hold
+    it. A blank line (empty or ASCII spaces only, before the dropped
+    ``\\r``) is skipped but counted, and any other line is data.
     Returns the integer fields as int64 rows (the ids of a ``labelled``
     id<TAB>label file), the labels and each row's 1-based line number.
     An integer field is ASCII decimal with an optional leading ``-``
-    (``-?[0-9]+``) that fits int64. ParseError names the line of the first
+    (``-?[0-9]+``) that fits int64: a ``+`` sign, a ``_`` separator, a space
+    or a non-ASCII digit is refused. ParseError names the line of the first
     byte that is not UTF-8, else the first line with another column count
-    or an integer field that breaks that rule.
+    or an integer field that breaks that rule, whichever comes first.
     """
     if not path.is_file():
         raise DatasetError(f"missing dataset file: {path}")
@@ -262,6 +266,8 @@ def _read_id_labels(path: Path, unique_labels: bool = False) -> tuple[list[str],
     Ids must be contiguous but may start anywhere: each graph's ids are
     shifted down by their own first id to dense 0..n-1 ids. With
     ``unique_labels`` a label given to a second id raises ParseError at that line.
+    After :func:`read_table`'s checks, an empty file, then the first repeated
+    id or label, then ids that are not contiguous raise ParseError.
     """
     rows, labels, line_no = read_table(path, 2, labelled=True)
     if not labels:

@@ -40,7 +40,9 @@ MODES = ("time-aware", "time-unaware")
 class TrainConfig(ModelConfig):
     """Everything a run needs; defaults follow the reference setup. The one place a
     run setting is declared and checked: the CLI, the experiments and the
-    checkpoint header take their settings from these fields by name. The
+    checkpoint header take their settings from these fields by name. Every
+    setting is checked when the config is built, so ``tkgalign train``
+    refuses a bad one before it parses the dataset. The
     architecture fields are inherited from :class:`~tkgalign.model.ModelConfig`,
     so the model, :func:`build_graph` and :func:`score_model` all take the run's
     config itself."""
@@ -203,8 +205,9 @@ def score_model(
     :func:`autodiff.no_tape`), so each layer's per-link arrays are freed
     when the layer returns. Raises NonFiniteError, naming how many entities
     it affects, if a representation holds a NaN or infinity or is so large
-    that its L1 or CSLS scores could overflow, as finite tables whose
-    forward overflows give.
+    that its L1 or CSLS scores could overflow (a row L1 norm above 1/16 of
+    the dtype's largest value), as finite tables whose forward overflows
+    give.
     """
     with ad.no_tape():
         reps = model_forward(store, graph, cfg, training=False).data

@@ -426,14 +426,22 @@ class TestTrain:
         _, meta = load_checkpoint(out_flag / "run_0" / "checkpoint.npz")
         assert meta.dim == 6
 
-    def test_unknown_config_key_exits_2(self, dataset_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("content, message", [
+        ('{"dim": 4, "learning_rate": 0.1}', "{cfg}: unknown config keys ['learning_rate']\n"),
+        (None, "config file not found: {cfg}\n"),
+        ("[4]", "{cfg}: config must be a JSON object\n"),
+        ('{"dim": 4', "{cfg}: invalid JSON ("),
+    ], ids=["unknown-key", "missing", "not-an-object", "not-json"])
+    def test_unknown_config_key_exits_2(self, dataset_dir, tmp_path, capsys, content, message):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"dim": 4, "learning_rate": 0.1}))
+        if content is not None:
+            cfg.write_text(content)
         out = tmp_path / "badrun"
         code = main(["train", "--data", str(dataset_dir), "--config", str(cfg),
                      "--out", str(out)])
         assert code == 2
-        assert "learning_rate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(cfg=cfg)) and err.count("\n") == 1
         assert read_manifest(out)["status"] == "failure"
 
     @pytest.mark.parametrize("key, value, kind", [
@@ -589,6 +597,24 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert read_manifest(out)["status"] == "failure"
         assert not [p for p in out.iterdir() if p.is_dir()]
+
+    @pytest.mark.parametrize("lr, message", [
+        ("1e37", "error: training diverged at epoch "),
+        ("1e30", "error: non-finite gradient for parameter 'entity'\n"),
+    ], ids=["loss", "gradient"])
+    def test_non_finite_training_exits_1(self, dataset_dir, tmp_path, capsys, lr, message):
+        """A learning rate near the float32 ceiling overflows the forward (a
+        non-finite loss) or, a little lower, the gradient: a runtime failure."""
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(TRAIN_ARGS + ["--epochs", "50", "--lr", lr, "--data", str(dataset_dir),
+                                      "--out", str(out)])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines(keepends=True)
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(message)
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "summary.json").exists()
 
     def test_every_config_field_has_a_flag_that_overrides_the_file(self, tmp_path):
         parser = build_parser()

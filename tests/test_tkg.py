@@ -332,26 +332,11 @@ class TestParseDataset:
         assert exc.value.file == "triples_1"
         assert exc.value.line == 2
 
-    def test_non_integer_id(self, tmp_path, tiny_pair):
-        g1, g2, seeds = tiny_pair
-        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
-        (d / "sup_pairs").write_text("0\tzero\n")
-        with pytest.raises(ParseError):
-            parse_dataset(d)
-
     def test_dangling_id_in_quad(self, tmp_path, tiny_pair):
         g1, g2, seeds = tiny_pair
         d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
         with open(d / "triples_1", "a") as f:
             f.write("0\t0\t99\t1\t1\n")
-        with pytest.raises(ParseError):
-            parse_dataset(d)
-
-    def test_duplicate_seed_entity(self, tmp_path, tiny_pair):
-        g1, g2, seeds = tiny_pair
-        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
-        with open(d / "ref_pairs", "a") as f:
-            f.write("0\t2\n")  # entity 0 already aligned in sup_pairs
         with pytest.raises(ParseError):
             parse_dataset(d)
 
@@ -452,6 +437,34 @@ class TestParseDataset:
         assert (exc.value.file, exc.value.line) == ("triples_2", 5)
         assert train_exit_code(d, tmp_path) == 2
         assert "triples_2:5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file, content, message", [
+        ("sup_pairs", None, "missing dataset file: {d}/sup_pairs"),
+        ("ent_ids_1", b"0\te0\n1\tcaf\xe9\n", "ent_ids_1:2: byte 0xe9 is not UTF-8"),
+        ("triples_1", "0\t0\t1\t1\n", "triples_1:1: expected 5 columns, got 4"),
+        ("sup_pairs", "0\tzero\n", "sup_pairs:1: id 'zero' is not a 64-bit integer"),
+        ("ent_ids_1", "", "ent_ids_1:0: file is empty"),
+        ("rel_ids_2", "0\tr0\n\n0\tr1\n", "rel_ids_2:3: duplicate id 0"),
+        ("ent_ids_2", "0\te0\n1\te1\n3\te3\n", "ent_ids_2:0: ids are not contiguous (0..3, 3 rows)"),
+        ("time_id", "1\tunknown\n2\t2001\n", "time_id:0: time ids must be dense starting at 0"),
+        ("time_id", "0\tunknown\n1\tt1\n2\tt1\n", "time_id:3: duplicate label 't1' (also id 1)"),
+        ("ref_pairs", "2\t9\n", "ref_pairs:1: dangling entity id in [2, 9]"),
+        ("ref_pairs", "2\t2\n0\t2\n", "sup_pairs/ref_pairs:0: g1 entity 0 is in more than one pair"),
+    ], ids=["missing-file", "not-utf8", "column-count", "not-integer", "empty-id-file",
+            "duplicate-id", "non-contiguous-ids", "time-ids-not-from-0", "duplicate-time-label",
+            "dangling-id", "entity-in-two-pairs"])
+    def test_malformed_file_exits_2(self, tmp_path, tiny_pair, capsys, file, content, message):
+        """Each refusal of the dataset reader exits 2 with one error line."""
+        g1, g2, seeds = tiny_pair
+        d = write_dataset_dir(tmp_path / "ds", g1, g2, seeds)
+        if content is None:
+            (d / file).unlink()
+        elif isinstance(content, bytes):
+            (d / file).write_bytes(content)
+        else:
+            (d / file).write_text(content)
+        assert train_exit_code(d, tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {message.format(d=d)}\n"
 
     @pytest.mark.parametrize("integer_first", [True, False], ids=["integer-first", "columns-first"])
     @pytest.mark.parametrize("file", ["triples_1", "ent_ids_1"])

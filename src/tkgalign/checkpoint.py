@@ -89,7 +89,8 @@ def save_checkpoint(path: str | Path, store: ParameterStore, meta: CheckpointMet
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     arrays = {name: t.data for name, t in store.items()}
-    np.savez(path, __meta__=np.frombuffer(meta.to_json().encode(), dtype=np.uint8), **arrays)
+    with open(path, "wb") as f:  # np.savez appends ".npz" to a path, not to an open file
+        np.savez(f, __meta__=np.frombuffer(meta.to_json().encode(), dtype=np.uint8), **arrays)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:

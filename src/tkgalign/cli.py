@@ -465,7 +465,10 @@ def main(argv: list[str] | None = None) -> int:
     command = args.command if args.command != "forge" else f"forge {args.forge_command}"
     manifest = RunManifest(command, out, argv)
     try:
-        code = args.func(args, manifest)
+        # a non-finite value is refused by the explicit checks on the loss,
+        # gradients, representations and checkpoint arrays, as one error line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            code = args.func(args, manifest)
         manifest.finish("success")
         return code
     except Exception as exc:  # noqa: BLE001 - the manifest must record any crash

@@ -3,7 +3,8 @@
 Entities, relations, and timestamps share one embedding space of width k.
 Each relation/time embedding, kept unit-norm, parameterizes an orthogonal
 reflection applied to neighbor features; per-link attention over both the
-time view and the relation view weights the aggregation. Final entity
+time view and the relation view, scored without the paper's destination
+term (constant per softmax group), weights the aggregation. Final entity
 representations concatenate every layer's output with the mean embedding of
 the entity's incident timestamps.
 
@@ -163,7 +164,10 @@ def param_shapes(
     num_entities: int, num_rel_rows: int, num_times: int, cfg: ModelConfig
 ) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every trainable table, in draw order: the entity,
-    relation and time embeddings, then two 3k attention vectors per layer."""
+    relation and time embeddings, then two 3k attention vectors per layer.
+    Their first k entries get a zero gradient and keep their initial values
+    (:func:`attention_logits`); they stay so that a seed draws the same
+    initialization and checkpoints keep their format."""
     k = cfg.dim
     shapes = {"entity": (num_entities, k), "relation": (num_rel_rows, k), "time": (num_times, k)}
     for layer in range(cfg.num_layers):
@@ -196,20 +200,18 @@ def init_params(
     return store
 
 
-def attention_logits(
-    h: Tensor, dst: Grouping, transformed: Tensor, table: Tensor, idx: Grouping, nu: Tensor
-) -> Tensor:
-    """Per-link score nu . [h[dst] | reflected neighbor | table[idx]].
+def attention_logits(transformed: Tensor, table: Tensor, idx: Grouping, nu: Tensor) -> Tensor:
+    """Per-link score nu_2 . reflected neighbor + nu_3 . table[idx].
 
-    Each term reads its k-slice of ``nu`` in place. The destination term
-    ``(h @ nu_1)[dst]`` and the edge term ``(table @ nu_3)[idx]`` are computed
-    once per entity and once per table row and gathered per link; only the
-    reflected-neighbor term is a per-link dot product of width k.
+    The paper's destination term, nu_1 . h[dst], is one constant within each
+    destination's softmax group, so it cancels: it is left out, and nu_1 (the
+    first k entries) gets a zero gradient. Each term reads its k-slice of
+    ``nu`` in place; the edge term is computed once per table row, then
+    gathered per link.
     """
-    k = h.shape[1]
-    dst_term = ad.gather_rows(ad.matvec(h, nu, 0), dst)
+    k = transformed.shape[1]
     edge_term = ad.gather_rows(ad.matvec(table, nu, 2 * k), idx)
-    return ad.add(ad.add(dst_term, ad.matvec(transformed, nu, k)), edge_term)
+    return ad.add(ad.matvec(transformed, nu, k), edge_term)
 
 
 @dataclass
@@ -255,7 +257,7 @@ def layer_forward(
     for edge_e, table, by_edge, nu in ((time_e, time_table, graph.by_time, nu_time),
                                         (rel_e, rel_table, graph.by_rel, nu_rel)):
         via = ad.householder_apply(edge_e, h_src)
-        logits = attention_logits(h, graph.by_dst, via, table, by_edge, nu)
+        logits = attention_logits(via, table, by_edge, nu)
         # softmax within each destination entity's inward links
         weights = ad.segment_softmax(logits, graph.by_dst, graph.num_entities)
         if probe is not None:

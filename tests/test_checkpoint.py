@@ -51,6 +51,21 @@ class TestRoundTrip:
             assert back.data.dtype == tensor.data.dtype
             assert np.array_equal(back.data, tensor.data)
 
+    @pytest.mark.parametrize("name", ["model.ckpt", "model"])
+    def test_path_without_npz_suffix_is_written_as_named(self, tmp_path, name):
+        """A path is written as it is, with no ``.npz`` appended, and loads
+        back; the bytes equal a save under an ``.npz`` name."""
+        store, meta = small_store()
+        path = tmp_path / name
+        save_checkpoint(path, store, meta)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+        loaded, got_meta = load_checkpoint(path)
+        assert got_meta == meta
+        for (got, back), (want, tensor) in zip(loaded.items(), store.items()):
+            assert got == want and back.data.tobytes() == tensor.data.tobytes()
+        save_checkpoint(tmp_path / "same.npz", store, meta)
+        assert (tmp_path / "same.npz").read_bytes() == path.read_bytes()
+
     def test_meta_json_round_trip(self):
         _, meta = small_store()
         assert CheckpointMeta(**json.loads(meta.to_json())) == meta

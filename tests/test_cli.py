@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -604,14 +605,16 @@ class TestTrain:
     ], ids=["loss", "gradient"])
     def test_non_finite_training_exits_1(self, dataset_dir, tmp_path, capsys, lr, message):
         """A learning rate near the float32 ceiling overflows the forward (a
-        non-finite loss) or, a little lower, the gradient: a runtime failure."""
+        non-finite loss) or, a little lower, the gradient: a runtime failure,
+        reported as one ``error:`` line with no numpy warning before it."""
         out = tmp_path / "o"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(TRAIN_ARGS + ["--epochs", "50", "--lr", lr, "--data", str(dataset_dir),
                                       "--out", str(out)])
         assert code == 1
-        errors = [line for line in capsys.readouterr().err.splitlines(keepends=True)
-                  if line.startswith("error:")]
+        assert [str(w.message) for w in caught] == []
+        errors = capsys.readouterr().err.splitlines(keepends=True)
         assert len(errors) == 1 and errors[0].startswith(message)
         assert read_manifest(out)["status"] == "failure"
         assert not (out / "summary.json").exists()

@@ -65,6 +65,24 @@ def brute_force_layer(h, graph: FlatGraph, rel_e, time_e, nu_time, nu_rel):
     return out
 
 
+def three_term_layer(h, graph, rel_e, time_e, nu_time, nu_rel, rel_table, time_table,
+                     probe=None):
+    """``layer_forward`` with the paper's full logit: the destination term
+    ``(h @ nu_1)[dst]`` added before the reflected-neighbor and edge terms."""
+    k = h.shape[1]
+    h_src = ad.gather_rows(h, graph.by_src)
+    weighted = []
+    for edge_e, table, by_edge, nu in ((time_e, time_table, graph.by_time, nu_time),
+                                        (rel_e, rel_table, graph.by_rel, nu_rel)):
+        via = ad.householder_apply(edge_e, h_src)
+        own = ad.gather_rows(ad.matvec(h, nu, 0), graph.by_dst)
+        edge = ad.gather_rows(ad.matvec(table, nu, 2 * k), by_edge)
+        logits = ad.add(ad.add(own, ad.matvec(via, nu, k)), edge)
+        weights = ad.segment_softmax(logits, graph.by_dst, graph.num_entities)
+        weighted.append(ad.scale_rows(via, weights))
+    return ad.relu(ad.segment_sum(ad.add(*weighted), graph.by_dst, graph.num_entities))
+
+
 def random_flat_graph(rng, n_entities=5, n_links=12, n_rel=4, n_time=6):
     src = rng.integers(0, n_entities, n_links)
     dst = rng.integers(0, n_entities, n_links)
@@ -76,65 +94,25 @@ def random_flat_graph(rng, n_entities=5, n_links=12, n_rel=4, n_time=6):
 class TestAttentionPieces:
     def test_zero_weight_vector_gives_zero_logit(self, rng):
         k = 4
-        h = ad.leaf(rng.normal(size=(3, k)))
         tr = ad.leaf(rng.normal(size=(3, k)))
         table = ad.leaf(rng.normal(size=(2, k)))
         nu = ad.leaf(np.zeros(3 * k))
-        out = attention_logits(h, ad.Grouping([0, 1, 2]), tr, table, ad.Grouping([1, 0, 1]), nu)
+        out = attention_logits(tr, table, ad.Grouping([1, 0, 1]), nu)
         assert np.allclose(out.data, 0.0)
-
-    def test_selector_weight_vector_reads_first_component(self, rng):
-        k = 4
-        h = ad.leaf(rng.normal(size=(3, k)))
-        dst = np.array([0, 0, 1, 2])
-        tr = ad.leaf(rng.normal(size=(4, k)))
-        table = ad.leaf(rng.normal(size=(3, k)))
-        nu = np.zeros(3 * k)
-        nu[0] = 1.0
-        out = attention_logits(h, ad.Grouping(dst), tr, table, ad.Grouping([2, 0, 2, 1]), ad.leaf(nu))
-        assert np.allclose(out.data, h.data[dst, 0])
 
     def test_logits_match_materialized_matrix_oracle(self, rng):
         k = 4
-        h = rng.normal(size=(3, k))
-        dst = np.array([0, 0, 1, 2, 2])
         h_src = rng.normal(size=(5, k))
         table = np.stack([unit(rng.normal(size=k)) for _ in range(3)])
         idx = np.array([2, 0, 2, 1, 0])
         edge = table[idx]
         nu = rng.normal(size=3 * k)
         tr = ad.householder_apply(ad.leaf(edge), ad.leaf(h_src))
-        got = attention_logits(ad.leaf(h), ad.Grouping(dst), tr, ad.leaf(table), ad.Grouping(idx),
-                               ad.leaf(nu)).data
+        got = attention_logits(tr, ad.leaf(table), ad.Grouping(idx), ad.leaf(nu)).data
         for m in range(5):
             mat = ad.materialize_householder(edge[m])
-            want = nu @ np.concatenate([h[dst[m]], mat @ h_src[m], edge[m]])
+            want = nu[k:] @ np.concatenate([mat @ h_src[m], edge[m]])
             assert abs(got[m] - want) < 1e-10
-
-    def test_unsorted_dst_matches_concat_oracle_with_gradients(self, rng):
-        """The per-entity term gathered through an unsorted ``dst`` (entity 3
-        receives no link): values and gradients equal the concat formula's."""
-        k = 3
-        h = rng.normal(size=(4, k))
-        dst = np.array([2, 0, 1, 0, 2, 2])
-        tr = rng.normal(size=(6, k))
-        table = rng.normal(size=(5, k))
-        idx = np.array([4, 1, 0, 2, 1, 3])
-        nu = rng.normal(size=3 * k)
-        c = rng.normal(size=6)
-        th, ttr, ttable, tnu = (ad.leaf(a) for a in (h, tr, table, nu))
-        out = attention_logits(th, ad.Grouping(dst), ttr, ttable, ad.Grouping(idx), tnu)
-        concat = np.concatenate([h[dst], tr, table[idx]], axis=1)  # the (m, 3k) oracle
-        assert np.max(np.abs(out.data - concat @ nu)) < 1e-12
-        ad.backward(sum_all(mul(out, ad.leaf(c))))
-        want_h = np.zeros_like(h)
-        for m in range(6):
-            want_h[dst[m]] += c[m] * nu[:k]
-        want_nu = concat.T @ c
-        assert np.max(np.abs(th.grad - want_h)) < 1e-12
-        assert np.array_equal(th.grad[3], np.zeros(k))
-        assert np.max(np.abs(ttr.grad - c[:, None] * nu[k : 2 * k])) < 1e-12
-        assert np.max(np.abs(tnu.grad - want_nu)) < 1e-12
 
     @pytest.mark.parametrize(
         "idx",
@@ -147,34 +125,30 @@ class TestAttentionPieces:
     )
     def test_edge_term_from_table_rows_matches_per_link_oracle(self, rng, idx):
         """f64: the edge term reduced per table row equals the per-link
-        ``concat @ nu`` oracle in values and in the gradients of ``h``, the
-        transformed rows, the table and ``nu``; a row no link names gets an
-        exactly zero gradient."""
+        ``concat @ nu[k:]`` oracle in values and in the gradients of the
+        transformed rows, the table and ``nu``, whose first k entries get an
+        exactly zero gradient; a row no link names gets one too."""
         k = 4
-        dst = np.array([0, 0, 1, 2, 2, 2, 4])
         if isinstance(idx, str):
-            graph = FlatGraph(5, np.array([1, 2, 0, 0, 1, 3, 4]), dst,
+            graph = FlatGraph(5, np.array([1, 2, 0, 0, 1, 3, 4]), np.array([0, 0, 1, 2, 2, 2, 4]),
                               np.zeros(7, dtype=np.int64), rng.integers(0, 4, 7))
             idx = apply_time_unaware(graph).time
             assert np.all(idx == UNKNOWN_TIME_ID)
-        h = rng.normal(size=(5, k))
         tr = rng.normal(size=(7, k))
         table = rng.normal(size=(4, k))
         nu = rng.normal(size=3 * k)
         c = rng.normal(size=7)
-        th, ttr, ttable, tnu = (ad.leaf(a) for a in (h, tr, table, nu))
-        out = attention_logits(th, ad.Grouping(dst), ttr, ttable, ad.Grouping(idx), tnu)
-        concat = np.concatenate([h[dst], tr, table[idx]], axis=1)
-        assert np.max(np.abs(out.data - concat @ nu)) < 1e-12
+        ttr, ttable, tnu = (ad.leaf(a) for a in (tr, table, nu))
+        out = attention_logits(ttr, ttable, ad.Grouping(idx), tnu)
+        concat = np.concatenate([tr, table[idx]], axis=1)
+        assert np.max(np.abs(out.data - concat @ nu[k:])) < 1e-12
         ad.backward(sum_all(mul(out, ad.leaf(c))))
-        want_h = np.zeros_like(h)
-        np.add.at(want_h, dst, c[:, None] * nu[:k])
         want_table = np.zeros_like(table)
         np.add.at(want_table, idx, c[:, None] * nu[2 * k :])
-        assert np.max(np.abs(th.grad - want_h)) < 1e-12
         assert np.max(np.abs(ttr.grad - c[:, None] * nu[k : 2 * k])) < 1e-12
         assert np.max(np.abs(ttable.grad - want_table)) < 1e-12
-        assert np.max(np.abs(tnu.grad - concat.T @ c)) < 1e-12
+        assert np.array_equal(tnu.grad[:k], np.zeros(k))
+        assert np.max(np.abs(tnu.grad[k:] - concat.T @ c)) < 1e-12
         unused = np.setdiff1d(np.arange(len(table)), idx)
         assert len(unused)
         assert np.array_equal(ttable.grad[unused], np.zeros((len(unused), k)))
@@ -499,6 +473,52 @@ class TestModelForward:
                                 graph.rel[swapped], graph.time[swapped]))
         assert graph.rel[0] != graph.rel[1]  # the swap moves a relation
         assert len({digest} | {g.sha256() for g in others}) == len(others) + 1
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("self_loops", [True, False], ids=["loops", "no-loops"])
+    @pytest.mark.parametrize("unaware", [False, True], ids=["time-aware", "time-unaware"])
+    def test_destination_term_cancels_in_the_softmax(self, fixture_6ent, monkeypatch,
+                                                     layers, self_loops, unaware):
+        """f64: the two-term logit gives the paper's three-term logit's
+        attention weights, training-mode output and parameter gradients to
+        1e-12. The reference's gradient into each nu_1 is rounding noise; the
+        model's is exactly zero."""
+        _, graph, _, cfg, merged = self.build(fixture_6ent, self_loops=self_loops, layers=layers)
+        if unaware:
+            graph = apply_time_unaware(graph)
+        c = np.random.default_rng(1).normal(size=(graph.num_entities, (layers + 2) * cfg.dim))
+
+        def run():
+            weights = []
+            softmax = ad.segment_softmax
+
+            def recording(*args):
+                out = softmax(*args)
+                weights.append(out.data.copy())
+                return out
+
+            store = init_params(np.random.default_rng(0), *table_sizes(merged, self_loops), cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(ad, "segment_softmax", recording)
+                reps = model_forward(store, graph, cfg, training=True, rng=np.random.default_rng(2))
+            out = reps.data.copy()
+            ad.backward(sum_all(mul(reps, ad.leaf(c))))
+            return weights, out, {name: t.grad for name, t in store.items()}
+
+        weights, out, grads = run()
+        monkeypatch.setattr(model_module, "layer_forward", three_term_layer)
+        want_weights, want_out, want_grads = run()
+        assert len(weights) == len(want_weights) == 2 * layers
+        for got, want in zip(weights, want_weights):
+            assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(out - want_out)) < 1e-12
+        assert grads.keys() == want_grads.keys()
+        k = cfg.dim
+        for name, grad in grads.items():
+            assert np.max(np.abs(grad - want_grads[name])) < 1e-12, name
+            if name.startswith("attn_"):
+                assert np.array_equal(grad[:k], np.zeros(k)), name
+                assert np.max(np.abs(want_grads[name][:k])) <= 1e-12, name
 
     def test_training_with_dropout_requires_rng(self, fixture_6ent):
         store, graph, _, cfg, _ = self.build(fixture_6ent)

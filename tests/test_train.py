@@ -513,6 +513,25 @@ class TestTrainLoop:
         assert result.report.losses == []
         assert result.store.num_scalars() > 0
 
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_inert_attention_entries_keep_their_initial_bits(self, fixture_6ent, mode,
+                                                             precision):
+        """The first k entries of every attention vector weight the destination
+        term that the logit leaves out: their gradient is exactly zero, so
+        RMSprop never moves them, while the other 2k train."""
+        g1, g2, seeds = fixture_6ent
+        cfg = self.small_config(epochs=30, mode=mode, precision=precision)
+        initial = train(g1, g2, seeds, dataclasses.replace(cfg, epochs=0)).store
+        trained = train(g1, g2, seeds, cfg).store
+        k = cfg.dim
+        names = [name for name, _ in trained.items() if name.startswith("attn_")]
+        assert len(names) == 2 * cfg.num_layers
+        for name in names:
+            before, after = initial[name].data, trained[name].data
+            assert after[:k].tobytes() == before[:k].tobytes(), name
+            assert not np.array_equal(after[k:], before[k:]), name
+
 
 class TestModelTapeOwnership:
     @pytest.mark.parametrize("self_loops", [True, False], ids=["loops", "no-loops"])
@@ -546,7 +565,7 @@ class TestModelTapeOwnership:
         monkeypatch.setattr(ad.Tensor, "accumulate", copying_accumulate)
         _, want, kept = parameter_grads(backward_keeping_tape)
 
-        assert len(released) == len(kept) > 50
+        assert len(released) == len(kept) >= 50
         assert all(n.data is None for n in released)
         assert all(n.data is not None for n in kept)
 
@@ -577,7 +596,8 @@ class TestMemoryRatchet:
     weigh more per link). A change that lowers a peak lowers its bound with
     it; one that has to raise a bound says why."""
 
-    TRAINING_EPOCH = 24.6  # measured 23.02; 29.02 while the tape kept every value
+    TRAINING_EPOCH = 24.5  # measured 22.92; 23.06 with the destination term, 29.02 while
+    # the tape kept every value
     INFERENCE_FORWARD = 8.3  # measured 7.75
 
     @pytest.fixture(scope="class")
@@ -608,7 +628,7 @@ class TestTapeRatchet:
     exist: the tape nodes reachable from the loss, leaves included, and the
     groupings built. A change that removes nodes lowers the bound with it."""
 
-    TAPE_NODES = 70  # 82 while each attention vector was cut into slices by index gathers
+    TAPE_NODES = 58  # 70 with the destination term; 82 while nu was cut into slices by gathers
     GROUPINGS = 2  # the loss's two pair columns; 14 with those gathers
 
     def test_one_training_epoch(self, monkeypatch):

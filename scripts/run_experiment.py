@@ -8,6 +8,7 @@ import logging
 from pathlib import Path
 
 from tkgalign import experiments as ex
+from tkgalign.errors import ConfigError
 
 # name -> (default config, experiment, summary lines filled from the report's summary)
 EXPERIMENTS = {
@@ -35,10 +36,13 @@ def main() -> None:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
 
     cfg, experiment, lines = EXPERIMENTS[args.experiment]
-    if args.epochs is not None:
-        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, epochs=args.epochs))
-    if args.train_seeds is not None:
-        cfg = dataclasses.replace(cfg, train_seeds=tuple(args.train_seeds))
+    try:
+        if args.epochs is not None:
+            cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, epochs=args.epochs))
+        if args.train_seeds is not None:
+            cfg = dataclasses.replace(cfg, train_seeds=tuple(args.train_seeds))
+    except ConfigError as exc:
+        ap.exit(2, f"error: {exc}\n")
     out = Path(f"{args.experiment}.json") if args.out is None else args.out
     report = experiment(cfg)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

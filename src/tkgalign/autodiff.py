@@ -38,6 +38,9 @@ gathered block that only feeds a difference) is freed at once, before
 gradients are allocated. :func:`matvec` keeps a view of its slice of ``v``,
 which keeps all of ``v`` alive until its rule has run. A rule that still
 read a released value would fail on ``None`` rather than read stale data.
+:func:`seal` applies the same rule as soon as a composition is built: it
+releases the values of the nodes inside it then, not when backward starts,
+so they are gone before the rest of the forward allocates.
 
 Inference: inside :func:`no_tape` every op still computes its value, but
 the node it returns keeps no parents and no backward rule, so nothing on the
@@ -122,6 +125,11 @@ def backward(root: Tensor) -> None:
     """
     if root.data.size != 1:
         raise ValueError("backward root must be a scalar")
+    _propagate(root, np.ones_like(root.data))
+
+
+def _tape_order(root: Tensor) -> list[Tensor]:
+    """Every node reachable from ``root``, each after all of its parents."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -137,16 +145,56 @@ def backward(root: Tensor) -> None:
         for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
+    return order
+
+
+def _propagate(root: Tensor, seed: np.ndarray) -> None:
+    """:func:`backward` from ``root`` with ``seed`` as its gradient, which
+    ``root`` takes over; ``root`` may have any shape."""
+    order = _tape_order(root)
     for node in order:
         if node.backward_fn is not None and node is not root:
             node.data = None
-    root.grad = np.ones_like(root.data)
+    root.grad = seed
     for node in reversed(order):
         if node.backward_fn is not None:
             if node.grad is not None:
                 node.backward_fn(node.grad)
             node.grad = node.backward_fn = None
             node.parents = ()
+
+
+def seal(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
+    """``fn(*inputs)`` as one node whose inner values are released at once.
+
+    ``fn`` runs on leaf stand-ins of ``inputs`` (the same arrays and names)
+    and must reach the tape through its arguments only. Once it returns,
+    every node it built gives up its value, as :func:`backward` would: what
+    the rules captured lives on, the rest is freed before the forward goes
+    on. The returned node's parents are ``inputs``. Its rule backpropagates
+    its gradient through the inner tape, which that consumes, and hands each
+    stand-in's gradient to its input. Every op inside still runs its own
+    rule; what an input gets from inside ``fn`` reaches it as one term, so an
+    input whose gradient sums at most two terms keeps its bits. Under
+    :func:`no_tape` it returns ``fn(*inputs)``.
+    """
+    if not _recording:
+        return fn(*inputs)
+    stand_ins = tuple(leaf(x.data, x.name) for x in inputs)
+    inner = fn(*stand_ins)
+    out = inner.data
+    for node in _tape_order(inner):
+        if node.backward_fn is not None:
+            node.data = None
+
+    def bw(g):
+        _propagate(inner, g)
+        for x, s in zip(inputs, stand_ins):
+            if s.grad is not None:
+                x.accumulate(s.grad)
+                s.grad = None
+
+    return Tensor(out, inputs, bw)
 
 
 # ---------------------------------------------------------------------------

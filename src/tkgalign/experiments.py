@@ -48,6 +48,10 @@ class ExperimentConfig:
     train: TrainConfig
     train_seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
+    def __post_init__(self):
+        for seed in self.train_seeds:  # refused here, before a dataset is forged
+            replace(self.train, seed=seed)
+
 
 PLANTED_AMBIGUITY = ExperimentConfig(
     forge=ForgeSpec(

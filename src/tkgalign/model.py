@@ -4,9 +4,11 @@ Entities, relations, and timestamps share one embedding space of width k.
 Each relation/time embedding, kept unit-norm, parameterizes an orthogonal
 reflection applied to neighbor features; per-link attention over both the
 time view and the relation view, scored without the paper's destination
-term (constant per softmax group), weights the aggregation. Final entity
-representations concatenate every layer's output with the mean embedding of
-the entity's incident timestamps.
+term (constant per softmax group), weights the aggregation. Each layer's
+weighted sum is one sealed node, whose inner values are freed as soon as it
+is built (:func:`layer_forward`). Final entity representations concatenate
+every layer's output with the mean embedding of the entity's incident
+timestamps.
 
 The parameter layout is decided here alone: :func:`param_shapes` names every
 table and its shape, and :func:`table_sizes` counts a merged graph's rows.
@@ -251,9 +253,14 @@ def layer_forward(
     a zero output row (ReLU of an empty sum). ``h`` must already carry
     dropout if training. The time view, then the relation view, runs
     through one loop body; the probe records their weights in that order.
+
+    The weighted sum is sealed (:func:`~tkgalign.autodiff.seal`): its two
+    scaled views and their sum, three (links, k) values that no backward
+    rule reads, are freed as soon as the sum is reduced. Each of the four
+    inputs has one other reader at most, so every gradient keeps its bits.
     """
     h_src = ad.gather_rows(h, graph.by_src)
-    weighted = []
+    views = []
     for edge_e, table, by_edge, nu in ((time_e, time_table, graph.by_time, nu_time),
                                         (rel_e, rel_table, graph.by_rel, nu_rel)):
         via = ad.householder_apply(edge_e, h_src)
@@ -262,9 +269,14 @@ def layer_forward(
         weights = ad.segment_softmax(logits, graph.by_dst, graph.num_entities)
         if probe is not None:
             probe.record(weights.data, graph.dst, graph.num_entities)
-        weighted.append(ad.scale_rows(via, weights))
-    message = ad.add(*weighted)
-    return ad.relu(ad.segment_sum(message, graph.by_dst, graph.num_entities))
+        views += (via, weights)
+    del h_src  # outside a tape nothing else holds it: freed before the sum allocates
+
+    def aggregate(via_t, omega, via_r, upsilon):
+        message = ad.add(ad.scale_rows(via_t, omega), ad.scale_rows(via_r, upsilon))
+        return ad.segment_sum(message, graph.by_dst, graph.num_entities)
+
+    return ad.relu(ad.seal(aggregate, *views))
 
 
 def incident_time_mean(time_e: Tensor, graph: FlatGraph) -> Tensor:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -863,6 +864,92 @@ class TestNoTape:
                 pass
             assert not recorded(ad.add(x, x))
         assert recorded(ad.add(x, x))
+
+
+def weighted_tail(built):
+    """A composition for ``ad.seal`` that reads ``a`` twice and records the
+    nodes it builds in ``built``; each entry pairs a node with a weak
+    reference to its value."""
+
+    def fn(a, w, b):
+        nodes = [ad.scale_rows(a, w)]
+        nodes.append(ad.normalize_rows(a))  # its rule captures its own value
+        nodes.append(ad.householder_apply(nodes[-1], b))
+        nodes.append(ad.add(nodes[0], nodes[-1]))
+        nodes.append(ad.segment_sum(nodes[-1], ad.Grouping([1, 0, 1, 2]), 3))
+        built.extend((n, weakref.ref(n.data)) for n in nodes)
+        return nodes[-1]
+
+    return fn
+
+
+def sealed_loss(fn, seal, a, w, b, c):
+    """A scalar over ``seal(fn, a, w, b)`` in which ``b`` and ``w`` have a
+    second reader outside ``fn``, and ``a`` none."""
+    out = seal(fn, a, w, b)
+    outside = ad.add(sum_all(mul(ad.relu(out), c)), sum_all(ad.relu(b)))
+    return ad.add(outside, sum_all(ad.scale_rows(ad.leaf(np.ones((4, 1))), w))), out
+
+
+class TestSeal:
+    def arrays(self, rng):
+        return (rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=(4, 3)),
+                rng.normal(size=(3, 3)))
+
+    def test_inner_values_released_once_built_and_captured_values_kept(self, rng):
+        built = []
+        a, w, b, c = (ad.leaf(x) for x in self.arrays(rng))
+        out = ad.seal(weighted_tail(built), a, w, b)
+        assert out.parents == (a, w, b) and out.backward_fn is not None
+        assert out.data is not None and out.shape == (3, 3)
+        assert len(built) == 5 and all(node.data is None for node, _ in built)
+        assert built[-1][1]() is out.data  # the sum, now the sealed node's value
+        captured = {1}  # normalize_rows' output, which its own rule reads
+        for i, (_, value) in enumerate(built[:-1]):
+            assert (value() is not None) == (i in captured), i
+        assert all(x.data is not None for x in (a, w, b))
+
+    def test_values_and_gradients_equal_the_unsealed_composition(self, rng):
+        arrays = self.arrays(rng)
+
+        def run(seal):
+            leaves = [ad.leaf(x.copy()) for x in arrays]
+            root, out = sealed_loss(weighted_tail([]), seal, *leaves)
+            value = out.data.copy()
+            ad.backward(root)
+            return value, root.data, [t.grad for t in leaves]
+
+        got_value, got_root, got = run(ad.seal)
+        want_value, want_root, want = run(lambda fn, *inputs: fn(*inputs))
+        assert got_value.tobytes() == want_value.tobytes()
+        assert got_root.tobytes() == want_root.tobytes()
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and g.tobytes() == w.tobytes()
+
+    def test_passes_fn_through_outside_a_tape(self, rng):
+        x = ad.leaf(rng.normal(size=(2, 3)))
+        seen = []
+
+        def fn(a):
+            seen.append(a)
+            return ad.relu(a)
+
+        with ad.no_tape():
+            out = ad.seal(fn, x)
+        assert seen == [x] and seen[0] is x
+        assert out.parents == () and out.backward_fn is None
+        assert out.data.tobytes() == np.maximum(x.data, 0).tobytes()
+
+    def test_backward_consumes_the_inner_tape(self, rng):
+        built = []
+        leaves = [ad.leaf(x) for x in self.arrays(rng)]
+        root, out = sealed_loss(weighted_tail(built), ad.seal, *leaves)
+        ad.backward(root)
+        assert out.data is None and out.backward_fn is None and not out.parents
+        for node, value in built:
+            assert node.grad is None and node.backward_fn is None and not node.parents
+            assert value() is None
+        assert all(t.grad is not None for t in leaves)
 
 
 def copying_accumulate(self, g):

@@ -3,6 +3,7 @@ and their scripts run end to end."""
 import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -128,3 +129,19 @@ def test_script_runs(tmp_path, name, keys, epochs, out):
     assert (report["config"]["train"]["epochs"], report["config"]["train_seeds"]) == (epochs, [0])
     assert set(report["summary"]) == keys
     assert report["summary"]["num_runs"] == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "-1"], "error: epochs must be >= 0, got -1\n"),
+    (["--train-seeds", "0", "-2"], "error: seed must be >= 0, got -2\n"),
+], ids=["epochs", "train-seeds"])
+def test_script_refuses_negative_counts_before_forging(tmp_path, monkeypatch, capsys,
+                                                        flags, message):
+    monkeypatch.setattr(experiments, "synth_tkg", lambda spec: pytest.fail("forged a dataset"))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["run_experiment.py", "sensitivity_gap", *flags])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(ROOT / "scripts" / "run_experiment.py"), run_name="__main__")
+    assert exit_.value.code == 2
+    assert capsys.readouterr() == ("", message)
+    assert list(tmp_path.iterdir()) == []

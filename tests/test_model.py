@@ -520,6 +520,42 @@ class TestModelForward:
                 assert np.array_equal(grad[:k], np.zeros(k)), name
                 assert np.max(np.abs(want_grads[name][:k])) <= 1e-12, name
 
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("self_loops", [True, False], ids=["loops", "no-loops"])
+    @pytest.mark.parametrize("unaware", [False, True], ids=["time-aware", "time-unaware"])
+    def test_sealed_sum_equals_the_unsealed_tail_bitwise(self, fixture_6ent, monkeypatch,
+                                                         layers, self_loops, unaware):
+        """f64: sealing each layer's weighted sum changes no bit of the
+        training-mode output or of any parameter gradient."""
+        _, graph, _, cfg, merged = self.build(fixture_6ent, self_loops=self_loops, layers=layers)
+        if unaware:
+            graph = apply_time_unaware(graph)
+        c = np.random.default_rng(1).normal(size=(graph.num_entities, (layers + 2) * cfg.dim))
+
+        def run(seal):
+            sealed = []
+
+            def counting(fn, *inputs):
+                out = seal(fn, *inputs)
+                sealed.append(out.parents == inputs)
+                return out
+
+            store = init_params(np.random.default_rng(0), *table_sizes(merged, self_loops), cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(ad, "seal", counting)
+                reps = model_forward(store, graph, cfg, training=True, rng=np.random.default_rng(2))
+            out = reps.data.copy()
+            ad.backward(sum_all(mul(reps, ad.leaf(c))))
+            return sealed, out, {name: t.grad for name, t in store.items()}
+
+        sealed, out, grads = run(ad.seal)
+        unsealed, want_out, want_grads = run(lambda fn, *inputs: fn(*inputs))
+        assert sealed == [True] * layers and unsealed == [False] * layers
+        assert out.tobytes() == want_out.tobytes()
+        assert grads.keys() == want_grads.keys()
+        for name, grad in grads.items():
+            assert grad.tobytes() == want_grads[name].tobytes(), name
+
     def test_training_with_dropout_requires_rng(self, fixture_6ent):
         store, graph, _, cfg, _ = self.build(fixture_6ent)
         with pytest.raises(ConfigError):

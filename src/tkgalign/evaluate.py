@@ -92,51 +92,95 @@ def similarity_matrix(
     return sim
 
 
-def _block_rows(sim: np.ndarray, itemsize: int) -> int:
-    """Rows of ``sim`` per block so that a block of ``itemsize``-byte cells
-    stays within ``TILE_BYTES``."""
-    return max(1, TILE_BYTES // max(1, sim.shape[1] * itemsize))
+def _block_rows(cols: int, itemsize: int) -> int:
+    """Rows per block so that a block of ``cols`` columns of ``itemsize``-byte
+    cells stays within ``TILE_BYTES``."""
+    return max(1, TILE_BYTES // max(1, cols * itemsize))
 
 
-def _top_k_means(sim: np.ndarray, k: int) -> np.ndarray:
-    """Mean of each row's ``k`` largest entries, one C-order row block at a time."""
-    rows, cols = sim.shape
-    means = np.empty(rows, dtype=sim.dtype)
-    step = _block_rows(sim, sim.itemsize)
+def _pool_blocks(sim: np.ndarray, subset: np.ndarray | None = None):
+    """Yield (first row, block) for the C-order row blocks of ``sim``, or of
+    its square sub-pool ``sim[subset][:, subset]``, each of at most
+    ``TILE_BYTES``. A sub-pool block is gathered from whole rows of ``sim``
+    (``take`` keeps it C-order, in a third of the time of ``np.ix_``), so
+    its rows per block follow ``sim``'s width, as those rows fit the budget
+    too."""
+    rows = len(sim) if subset is None else len(subset)
+    step = _block_rows(sim.shape[1], sim.itemsize)
     for lo in range(0, rows, step):
-        block = np.partition(np.ascontiguousarray(sim[lo:lo + step]), cols - k, axis=1)
-        top = np.sort(block[:, cols - k:], axis=1)
-        means[lo:lo + step] = top.mean(axis=1)
-    return means
+        if subset is None:
+            yield lo, np.ascontiguousarray(sim[lo:lo + step])
+        else:
+            yield lo, sim[subset[lo:lo + step]].take(subset, axis=1)
 
 
-def csls_adjust(sim: np.ndarray, k_csls: int = DEFAULT_CSLS_K) -> np.ndarray:
-    """Cross-domain similarity local scaling: penalize hub candidates.
-
-    csls[i][j] = 2*sim[i][j] - r_src(i) - r_tgt(j), where r_src(i) is the mean
-    of row i's k_csls largest entries and r_tgt(j) the column counterpart.
-    ``sim`` may be a view in any memory layout (a transposed L1 matrix); the
-    result holds the same bits as for its C-order copy.
-    """
-    sim = np.asarray(sim)
-    rows, cols = sim.shape
-    if not (1 <= k_csls <= min(rows, cols)):
-        raise ConfigError(
-            f"csls neighborhood {k_csls} out of range for a {rows}x{cols} matrix"
-        )
+def _top_k_means(sim: np.ndarray, k: int, subset: np.ndarray | None = None) -> np.ndarray:
+    """Mean of each row's ``k`` largest entries in ``sim``, or in its sub-pool
+    ``sim[subset][:, subset]``, one C-order row block at a time."""
     # np.partition moves each row's k largest entries to its end in no set
     # order, but which values they are is fixed (ties are equal values), so
     # sorting that slice gives exactly the last k entries of a full sort.
     # Each mean then sums the same ascending values along one contiguous
     # row, the reduction path of a per-row/per-column reimplementation;
     # float sums depend on order and layout, hence the C-order blocks.
-    r_src = _top_k_means(sim, k_csls)
-    r_tgt = _top_k_means(sim.T, k_csls)
+    means = np.empty(len(sim) if subset is None else len(subset), dtype=sim.dtype)
+    for lo, block in _pool_blocks(sim, subset):
+        cols = block.shape[1]
+        top = np.sort(np.partition(block, cols - k, axis=1)[:, cols - k:], axis=1)
+        means[lo:lo + len(block)] = top.mean(axis=1)
+    return means
+
+
+def csls_adjust(
+    sim: np.ndarray,
+    k_csls: int = DEFAULT_CSLS_K,
+    means: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Cross-domain similarity local scaling: penalize hub candidates.
+
+    csls[i][j] = 2*sim[i][j] - r_src(i) - r_tgt(j), where r_src(i) is the mean
+    of row i's k_csls largest entries and r_tgt(j) the column counterpart.
+    ``sim`` may be a view in any memory layout (a transposed L1 matrix); the
+    result holds the same bits as for its C-order copy.
+
+    ``means``, when given, is the pair (r_src of ``sim``'s rows, r_tgt of its
+    columns) taken from a larger matrix that ``sim`` is a block of, and
+    ``k_csls`` is not read: :func:`rank_alignment` takes both vectors once
+    per report and adjusts one row block at a time, each holding the bits
+    of the same rows of the whole matrix's result.
+    """
+    sim = np.asarray(sim)
+    if means is None:
+        rows, cols = sim.shape
+        if not (1 <= k_csls <= min(rows, cols)):
+            raise ConfigError(
+                f"csls neighborhood {k_csls} out of range for a {rows}x{cols} matrix"
+            )
+        means = _top_k_means(sim, k_csls), _top_k_means(sim.T, k_csls)
+    r_src, r_tgt = means
     # 2.0 * sim - r_src[:, None] - r_tgt[None, :], without the temporaries
     out = np.multiply(sim, 2.0)
     out -= r_src[:, None]
     out -= r_tgt[None, :]
     return out
+
+
+def _csls_means(l1: np.ndarray, k_csls: int, subset: np.ndarray | None = None):
+    """CSLS's (row, column) mean vectors of the g1->g2 matrix ``l1``, or of
+    its sub-pool, with ``k_csls`` clamped to the pool; g2->g1 reads them
+    swapped."""
+    k = max(1, min(k_csls, len(l1) if subset is None else len(subset)))
+    return _top_k_means(l1, k, subset), _top_k_means(l1.T, k, subset)
+
+
+def _report(ranks: np.ndarray, **labels) -> RankingReport:
+    return RankingReport(
+        mrr=float((1.0 / ranks).mean()),
+        hits1=float((ranks <= 1).mean()),
+        hits10=float((ranks <= 10).mean()),
+        ranks=ranks.tolist(),
+        **labels,
+    )
 
 
 def compute_metrics(
@@ -151,9 +195,8 @@ def compute_metrics(
 
     A candidate tied with the gold worsens its rank, and so does a NaN
     candidate; a NaN gold ranks last. Every rank is thus in 1..cols. The
-    matrix is counted one contiguous block at a time, so no full-matrix mask
-    is built: blocks of rows, or for a transposed view (the g2->g1 matrix)
-    blocks of rows of its C-order base, each counted per column.
+    matrix is counted one block of rows at a time, so no full-matrix mask
+    is built.
     """
     sim = np.asarray(sim)
     gold_cols = np.asarray(gold_cols)
@@ -163,28 +206,12 @@ def compute_metrics(
         raise ValueError("gold column out of range")
     rows, cols = sim.shape
     gold_sim = sim[np.arange(rows), gold_cols]
-    if sim.flags.f_contiguous and not sim.flags.c_contiguous:
-        base = sim.T  # C-order: row j holds candidate j's score for every row
-        below = np.zeros(rows, dtype=np.int64)
-        step = _block_rows(base, 1)  # one bool per cell
-        for lo in range(0, cols, step):
-            below += np.count_nonzero(base[lo:lo + step] < gold_sim, axis=0)
-        ranks = cols - below
-    else:
-        ranks = np.empty(rows, dtype=np.int64)
-        step = _block_rows(sim, 1)
-        for lo in range(0, rows, step):
-            below = sim[lo:lo + step] < gold_sim[lo:lo + step, None]
-            ranks[lo:lo + step] = cols - np.count_nonzero(below, axis=1)
-    return RankingReport(
-        mrr=float((1.0 / ranks).mean()),
-        hits1=float((ranks <= 1).mean()),
-        hits10=float((ranks <= 10).mean()),
-        ranks=[int(r) for r in ranks],
-        partition=partition,
-        metric_space=metric_space,
-        direction=direction,
-    )
+    ranks = np.empty(rows, dtype=np.int64)
+    step = _block_rows(cols, 1)  # one bool per cell
+    for lo in range(0, rows, step):
+        below = sim[lo:lo + step] < gold_sim[lo:lo + step, None]
+        ranks[lo:lo + step] = cols - np.count_nonzero(below, axis=1)
+    return _report(ranks, partition=partition, metric_space=metric_space, direction=direction)
 
 
 def _as_pairs(pairs) -> np.ndarray:
@@ -202,31 +229,51 @@ def rank_alignment(
     partition: str = "all",
     direction: str = "g1->g2",
     l1: np.ndarray | None = None,
+    subset: np.ndarray | None = None,
+    means: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RankingReport:
     """Rank gold targets for merged-id test pairs against the test-target pool.
 
-    ``l1`` is this pool's L1 similarity matrix in ``direction`` (row i: the
+    ``l1`` is the g1->g2 L1 similarity matrix of ``pairs`` (row i: the
     source of pair i), when the caller already has it; otherwise it is
-    computed here from ``reps``.
+    computed here from ``reps``. g2->g1 ranks its exact transpose
+    (|a - b| == |b - a| in IEEE arithmetic). ``subset``, indices into
+    ``pairs``, ranks only those pairs among their own targets, which gives
+    the bits of ``rank_alignment(reps, pairs[subset], ...)``.
+
+    Ranking reads the matrix in C-order row blocks of at most
+    ``TILE_BYTES``, a sub-pool's gathered one block at a time, and holds
+    no second pool-sized matrix. CSLS takes its two mean vectors once per
+    report, with ``_top_k_means``, unless the caller passes them as
+    ``means`` (the row and column vectors of the g1->g2 matrix or its
+    sub-pool, in either direction); :func:`csls_adjust` is handed them for each row block, and
+    :func:`compute_metrics` counts that block's ranks.
     """
     pairs = _as_pairs(pairs)
-    if direction == "g2->g1":
-        pairs = pairs[:, ::-1]
     if l1 is None:
-        sim = similarity_matrix(reps[pairs[:, 0]], reps[pairs[:, 1]])
+        if subset is not None:
+            pairs, subset = pairs[subset], None
+        l1 = similarity_matrix(reps[pairs[:, 0]], reps[pairs[:, 1]])
     elif l1.shape != (len(pairs), len(pairs)):
         raise ValueError(f"l1 matrix {l1.shape} does not fit {len(pairs)} pairs")
+    if metric_space == "l1":
+        means = None
+    elif metric_space == "csls":
+        means = _csls_means(l1, k_csls, subset) if means is None else means
     else:
-        sim = l1
-    if metric_space == "csls":
-        k_eff = max(1, min(k_csls, sim.shape[0], sim.shape[1]))
-        sim = csls_adjust(sim, k_eff)
-    elif metric_space != "l1":
         raise ConfigError(f"unknown metric space {metric_space!r}")
-    return compute_metrics(
-        sim, np.arange(len(pairs)), partition=partition,
-        metric_space=metric_space, direction=direction,
-    )
+    sim = l1
+    if direction == "g2->g1":
+        sim = l1.T
+        means = None if means is None else means[::-1]
+    n = len(sim) if subset is None else len(subset)
+    ranks = np.empty(n, dtype=np.int64)
+    for lo, block in _pool_blocks(sim, subset):
+        hi = lo + len(block)
+        if means is not None:
+            block = csls_adjust(block, means=(means[0][lo:hi], means[1]))
+        ranks[lo:hi] = compute_metrics(block, np.arange(lo, hi)).ranks
+    return _report(ranks, partition=partition, metric_space=metric_space, direction=direction)
 
 
 def rank_pool(
@@ -239,51 +286,57 @@ def rank_pool(
 ) -> list[RankingReport]:
     """Every report of one evaluation, from one L1 matrix of the test pool.
 
-    The g1->g2 matrix is computed once. g2->g1 ranks its exact transpose
-    (|a - b| == |b - a| in IEEE arithmetic) as a view, and a partition's
-    matrix is an exact sub-block; :func:`csls_adjust` gives the same bits
-    in any layout and a rank (1 + #other candidates not strictly below the
-    gold, so ties and NaN scores count against the gold and every rank lies
-    in 1..n) is a count, so each report is bitwise what a standalone
-    :func:`rank_alignment` call on that subset and direction gives. Besides
-    row-block temporaries of at most ``TILE_BYTES``, ranking holds the L1
-    matrix and one CSLS matrix at a time.
+    The g1->g2 matrix is computed once, and every report is a
+    :func:`rank_alignment` call on it: g2->g1 ranks its transpose and a
+    partition its sub-pool, both read in row blocks, so ranking holds the
+    L1 matrix and nothing else of pool size. :func:`csls_adjust` gives the
+    same bits in any layout and a rank (1 + #other candidates not strictly
+    below the gold, so ties and NaN scores count against the gold and every
+    rank lies in 1..n) is a count, so each report is bitwise what a
+    standalone :func:`rank_alignment` call on that subset and direction
+    gives.
 
     Reports come per space, then per direction: the whole pool, then each
     ``(name, pair indices)`` partition in order, skipping empty ones. A
     partition that is the whole pool in order (every pair highly
     time-sensitive) takes the whole-pool report under its own name, with no
-    sub-block copied or ranked again. A whole-pool report's ``seconds`` is
-    the wall time of its own ranking from its direction's matrix (CSLS,
-    ranks); neither matrix is in any report's ``seconds``, and partition
-    reports carry none.
+    sub-pool ranked again. Each pool's and partition's CSLS means are taken
+    once, in the first direction, and passed to :func:`rank_alignment` in
+    the other. A whole-pool report's ``seconds`` is the wall time of its
+    own ranking from the L1 matrix (CSLS means where taken, ranks); the
+    matrix is in no report's ``seconds``, and partition reports carry none.
     """
     pairs = _as_pairs(pairs)
     if len(pairs) == 0:
         raise ValueError("cannot rank an empty test pool")
     l1 = similarity_matrix(reps[pairs[:, 0]], reps[pairs[:, 1]])
-    blocks = {d: l1.T if d == "g2->g1" else l1 for d in directions}
     whole = np.arange(len(pairs))
+    csls_means = {}  # pool (None) or partition number -> its CSLS means, for both directions
+
+    def rank(space, direction, part=None):
+        name, subset = ("all", None) if part is None else partitions[part]
+        means = None
+        if space == "csls":
+            if part not in csls_means:
+                csls_means[part] = _csls_means(l1, k_csls, subset)
+            means = csls_means[part]
+        return rank_alignment(reps, pairs, metric_space=space, k_csls=k_csls, partition=name,
+                              direction=direction, l1=l1, subset=subset, means=means)
+
     reports = []
     for space in spaces:
         for direction in directions:
-            block = blocks[direction]
             t0 = time.perf_counter()
-            rep = rank_alignment(reps, pairs, metric_space=space, k_csls=k_csls,
-                                 direction=direction, l1=block)
+            rep = rank(space, direction)
             rep.seconds = time.perf_counter() - t0
             reports.append(rep)
-            for name, idx in partitions:
+            for i, (name, idx) in enumerate(partitions):
                 if len(idx) == 0:
                     continue
                 if np.array_equal(idx, whole):
-                    part = replace(rep, partition=name, seconds=None)
+                    reports.append(replace(rep, partition=name, seconds=None))
                 else:
-                    part = rank_alignment(
-                        reps, pairs[idx], metric_space=space, k_csls=k_csls,
-                        partition=name, direction=direction, l1=block[np.ix_(idx, idx)],
-                    )
-                reports.append(part)
+                    reports.append(rank(space, direction, i))
     return reports
 
 

@@ -49,8 +49,10 @@ class ExperimentConfig:
     train_seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
-        for seed in self.train_seeds:  # refused here, before a dataset is forged
+        for i, seed in enumerate(self.train_seeds):  # refused here, before a dataset is forged
             replace(self.train, seed=seed)
+            if seed in self.train_seeds[:i]:
+                raise ConfigError(f"training seed {seed} is repeated; each seed is one run")
 
 
 PLANTED_AMBIGUITY = ExperimentConfig(

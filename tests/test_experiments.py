@@ -134,9 +134,11 @@ def test_script_runs(tmp_path, name, keys, epochs, out):
 @pytest.mark.parametrize("flags, message", [
     (["--epochs", "-1"], "error: epochs must be >= 0, got -1\n"),
     (["--train-seeds", "0", "-2"], "error: seed must be >= 0, got -2\n"),
-], ids=["epochs", "train-seeds"])
-def test_script_refuses_negative_counts_before_forging(tmp_path, monkeypatch, capsys,
-                                                        flags, message):
+    (["--train-seeds", "0", "1", "0"],
+     "error: training seed 0 is repeated; each seed is one run\n"),
+], ids=["epochs", "train-seeds", "repeated-seed"])
+def test_script_refuses_bad_settings_before_forging(tmp_path, monkeypatch, capsys,
+                                                    flags, message):
     monkeypatch.setattr(experiments, "synth_tkg", lambda spec: pytest.fail("forged a dataset"))
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", ["run_experiment.py", "sensitivity_gap", *flags])

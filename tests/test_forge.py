@@ -263,6 +263,17 @@ class TestSynth:
         for name in files1:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
+    def test_quad_lines_match_a_line_per_row(self, tmp_path):
+        res = synth_tkg(self.spec(planted_pairs=1, planted_untimed_pairs=1,
+                                  nontemporal_entity_fraction=0.3))
+        d = write_dataset(tmp_path / "ds", res.g1, res.g2, res.seeds, res.manifest)
+        offsets = {"triples_1": (res.g1, 0, 0),
+                   "triples_2": (res.g2, res.g1.num_entities, res.g1.num_relations)}
+        for name, (kg, eo, ro) in offsets.items():
+            rows = (kg.quadruples.rows + [eo, ro, eo, 0, 0]).tolist()
+            want = "".join(f"{s}\t{r}\t{o}\t{tb}\t{te}\n" for s, r, o, tb, te in rows)
+            assert (d / name).read_bytes() == want.encode()
+
     def test_seed_changes_output(self):
         a = synth_tkg(self.spec(seed=0))
         b = synth_tkg(self.spec(seed=1))

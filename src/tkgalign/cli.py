@@ -1,4 +1,4 @@
-"""Command-line entry point: train, eval, and forge subcommands.
+"""Command-line entry point: train, eval, forge and experiment subcommands.
 
 Every invocation writes a ``run_manifest.json`` into its output directory —
 success or failure — recording the resolved configuration, input checksums,
@@ -9,7 +9,8 @@ message, exit 2) and an ``--out`` that is, or lies under, a file (exit 2).
 Reruns with the same seed produce byte-identical artifacts, with exactly two
 declared exceptions that record wall-clock time: the run manifest itself, and
 the ``seconds`` column/field in training histories and evaluation reports.
-Checkpoints, datasets, metrics, and summaries are strictly byte-identical.
+Checkpoints, datasets, metrics, summaries and experiment reports are strictly
+byte-identical.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
@@ -33,6 +34,7 @@ from . import __version__
 from .checkpoint import load_checkpoint, meta_from_result, save_checkpoint
 from .errors import ConfigError, DatasetError, TkgAlignError, require_field_types
 from .evaluate import average_reports
+from .experiments import EXPERIMENTS
 from .forge import (
     ForgeSpec,
     dataset_stats,
@@ -359,6 +361,29 @@ def cmd_forge_stats(args: argparse.Namespace, manifest: RunManifest) -> int:
 
 
 # ---------------------------------------------------------------------------
+# experiment
+
+
+def cmd_experiment(args: argparse.Namespace, manifest: RunManifest) -> int:
+    cfg, experiment, lines = EXPERIMENTS[args.experiment]
+    if args.epochs is not None:
+        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, epochs=args.epochs))
+    if args.train_seeds is not None:
+        cfg = dataclasses.replace(cfg, train_seeds=tuple(args.train_seeds))
+    manifest.data["config"] = dataclasses.asdict(cfg)
+    manifest.data["seeds"] = list(cfg.train_seeds)
+    report = experiment(cfg)
+    path = Path(args.out) / f"{args.experiment}.json"
+    _write_json(path, report)
+    manifest.record_artifact(path)
+    manifest.data["metrics"] = report["summary"]
+    print(f"report written to {path}")
+    for line in lines:
+        print(line.format(**report["summary"]))
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
 # argument wiring
 
 
@@ -441,6 +466,15 @@ def build_parser() -> argparse.ArgumentParser:
     ft.add_argument("--layers", type=int, default=2)
     _add_common(ft)
     ft.set_defaults(func=cmd_forge_stats)
+
+    xp = sub.add_parser("experiment", help="run a canned experiment in both modes")
+    xp.add_argument("experiment", choices=EXPERIMENTS)
+    xp.add_argument("--epochs", type=int, default=None,
+                    help="training epochs (default: the experiment's)")
+    xp.add_argument("--train-seeds", type=int, nargs="+", default=None,
+                    help="one run per seed and mode (default: the experiment's)")
+    _add_common(xp)
+    xp.set_defaults(func=cmd_experiment)
 
     return ap
 

@@ -156,7 +156,7 @@ def csls_adjust(
             raise ConfigError(
                 f"csls neighborhood {k_csls} out of range for a {rows}x{cols} matrix"
             )
-        means = _top_k_means(sim, k_csls), _top_k_means(sim.T, k_csls)
+        means = _csls_means(sim, k_csls)
     r_src, r_tgt = means
     # 2.0 * sim - r_src[:, None] - r_tgt[None, :], without the temporaries
     out = np.multiply(sim, 2.0)
@@ -168,7 +168,8 @@ def csls_adjust(
 def _csls_means(l1: np.ndarray, k_csls: int, subset: np.ndarray | None = None):
     """CSLS's (row, column) mean vectors of the g1->g2 matrix ``l1``, or of
     its sub-pool, with ``k_csls`` clamped to the pool; g2->g1 reads them
-    swapped."""
+    swapped. :func:`csls_adjust` passes any matrix, with ``k_csls``
+    already checked against both its sides."""
     k = max(1, min(k_csls, len(l1) if subset is None else len(subset)))
     return _top_k_means(l1, k, subset), _top_k_means(l1.T, k, subset)
 
@@ -183,13 +184,7 @@ def _report(ranks: np.ndarray, **labels) -> RankingReport:
     )
 
 
-def compute_metrics(
-    sim: np.ndarray,
-    gold_cols: np.ndarray,
-    partition: str = "all",
-    metric_space: str = "l1",
-    direction: str = "g1->g2",
-) -> RankingReport:
+def compute_metrics(sim: np.ndarray, gold_cols: np.ndarray) -> RankingReport:
     """Rank each row's gold column; rank = 1 + #other candidates not
     strictly below the gold.
 
@@ -211,7 +206,7 @@ def compute_metrics(
     for lo in range(0, rows, step):
         below = sim[lo:lo + step] < gold_sim[lo:lo + step, None]
         ranks[lo:lo + step] = cols - np.count_nonzero(below, axis=1)
-    return _report(ranks, partition=partition, metric_space=metric_space, direction=direction)
+    return _report(ranks)
 
 
 def _as_pairs(pairs) -> np.ndarray:
@@ -251,8 +246,6 @@ def rank_alignment(
     """
     pairs = _as_pairs(pairs)
     if l1 is None:
-        if subset is not None:
-            pairs, subset = pairs[subset], None
         l1 = similarity_matrix(reps[pairs[:, 0]], reps[pairs[:, 1]])
     elif l1.shape != (len(pairs), len(pairs)):
         raise ValueError(f"l1 matrix {l1.shape} does not fit {len(pairs)} pairs")

@@ -18,13 +18,13 @@ An :class:`ExperimentConfig` is a forge spec, one
 that config with its mode and seed replaced, so the experiments declare no
 training setting of their own. Every run is scored by CSLS through
 :func:`train.score_model`. Reports are plain dicts, with the training
-settings under ``config["train"]``; apart from ``runtime_seconds``, reruns
-with the same config give identical reports.
+settings under ``config["train"]``; reruns with the same config give
+identical reports. ``tkgalign experiment NAME`` runs one through
+:data:`EXPERIMENTS`.
 """
 from __future__ import annotations
 
 import logging
-import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
@@ -122,7 +122,6 @@ def _run_pairs(
 def planted_ambiguity_experiment(cfg: ExperimentConfig = PLANTED_AMBIGUITY) -> dict:
     """Twins separable only by time: the ablation should fail them, the full
     model should align every one of them, in (nearly) every seed."""
-    t0 = time.perf_counter()
     data = synth_tkg(cfg.forge)
     planted_idx = _planted_test_indices(data)
 
@@ -152,14 +151,12 @@ def planted_ambiguity_experiment(cfg: ExperimentConfig = PLANTED_AMBIGUITY) -> d
         "planted_test_indices": planted_idx,
         "runs": runs,
         "summary": summary,
-        "runtime_seconds": time.perf_counter() - t0,
     }
 
 
 def sensitivity_gap_experiment(cfg: ExperimentConfig = SENSITIVITY_GAP) -> dict:
     """Hybrid dataset: the time-aware advantage should concentrate on the
     highly time-sensitive partition (gap there exceeds the lowly gap)."""
-    t0 = time.perf_counter()
     data = synth_tkg(cfg.forge)
     merged = merge_pair(data.g1, data.g2)
     parts = partition_test_pairs(merged.merged_pairs(data.seeds.test_pairs), prepare_graph(merged)[1])
@@ -190,5 +187,20 @@ def sensitivity_gap_experiment(cfg: ExperimentConfig = SENSITIVITY_GAP) -> dict:
         "dataset": asdict(dataset_stats(data.g1, data.g2, data.seeds)),
         "runs": runs,
         "summary": summary,
-        "runtime_seconds": time.perf_counter() - t0,
     }
+
+
+# name -> (default config, experiment, summary lines filled from the report's summary)
+EXPERIMENTS = {
+    "planted_ambiguity": (PLANTED_AMBIGUITY, planted_ambiguity_experiment, (
+        "time-aware perfect on planted pairs: {tea_planted_perfect_runs}/{num_runs} runs",
+        "ablation at or below 0.5 on planted pairs: {tu_planted_low_runs}/{num_runs} runs",
+        "time-aware >= ablation overall: {tea_ge_tu_overall_runs}/{num_runs} runs",
+    )),
+    "sensitivity_gap": (SENSITIVITY_GAP, sensitivity_gap_experiment, (
+        "mean hits@1 gap, highly time-sensitive: {mean_gap_high:+.3f}",
+        "mean hits@1 gap, lowly time-sensitive:  {mean_gap_low:+.3f}",
+        "pattern (high > low) holds: {pattern_holds} "
+        "({runs_where_pattern_holds}/{num_runs} individual runs)",
+    )),
+}

@@ -206,6 +206,54 @@ def merge_pair(g1: TemporalKG, g2: TemporalKG) -> MergedGraph:
     return MergedGraph(kg=merged, entity_offset=e_off)
 
 
+def _field_spans(buf: np.ndarray, row_start: np.ndarray, row_end: np.ndarray,
+                 width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's tab count, and the byte spans of the fields of the rows
+    before the first row without ``width - 1`` tabs, in row-major order."""
+    tabs = np.flatnonzero(buf == ord("\t"))
+    tab_count = np.searchsorted(tabs, row_end) - np.searchsorted(tabs, row_start)
+    wrong = np.flatnonzero(tab_count != width - 1)
+    rows = int(wrong[0]) if len(wrong) else len(row_start)
+    # those rows hold all the tabs before the first miscounted one, width - 1 each
+    inner = tabs[:(width - 1) * rows].reshape(rows, width - 1)
+    field_end = np.concatenate([inner, row_end[:rows, None]], axis=1).ravel()
+    field_start = np.empty_like(field_end)
+    np.add(field_end[:-1], 1, out=field_start[1:])
+    field_start[::width] = row_start[:rows]
+    return field_start, field_end, tab_count
+
+
+def _integer_fields(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and validity of the byte spans ``buf[starts[i]:ends[i]]`` as int64.
+
+    A span is valid if it matches ``-?[0-9]+`` and fits int64. Spans of up
+    to 18 digits are built together, one digit column at a time by Horner's
+    rule, which cannot overflow; longer ones (zero-padded or out of range)
+    are few and are checked and converted exactly with Python's ``int``.
+    """
+    # clipped reads: an empty field may start, and a short one's cursor may run, past buf's end
+    signed = (ends > starts) & (np.take(buf, starts, mode="clip") == ord("-"))
+    cursor = starts + signed
+    digits = ends - cursor
+    valid = digits > 0
+    long = np.flatnonzero(digits > 18)
+    digits[long] = 0
+    values = np.zeros(len(starts), dtype=np.int64)
+    for j in range(int(digits.max(initial=0))):
+        live = digits > j
+        digit = np.take(buf, cursor, mode="clip") - np.uint8(ord("0"))  # past 9 for a non-digit
+        valid &= (digit < 10) | ~live
+        np.multiply(values, 10, out=values, where=live)
+        np.add(values, digit, out=values, where=live)
+        cursor += 1
+    np.negative(values, out=values, where=signed)
+    for k in long.tolist():
+        span = buf[starts[k]:ends[k]].tobytes()
+        valid[k] = re.fullmatch(rb"-?[0-9]+", span) is not None and -2 ** 63 <= int(span) < 2 ** 63
+        values[k] = int(span) if valid[k] else 0
+    return values, valid
+
+
 def read_table(path: Path, width: int, labelled: bool = False) -> tuple[np.ndarray, list[str], list[int]]:
     """Read a UTF-8 file of ``width`` tab-separated fields per line.
 
@@ -221,43 +269,60 @@ def read_table(path: Path, width: int, labelled: bool = False) -> tuple[np.ndarr
     or a non-ASCII digit is refused. ParseError names the line of the first
     byte that is not UTF-8, else the first line with another column count
     or an integer field that breaks that rule, whichever comes first.
+
+    The rules above are the whole contract; the file is read in array
+    passes over its bytes, not line by line. Newline positions give the
+    lines, tab positions each line's column count and the field spans
+    (:func:`_field_spans`), and every integer field's value is built at
+    once (:func:`_integer_fields`). Only labels are decoded one by one.
+    The temporaries hold one entry per line or per field; no per-byte int64
+    array is built.
     """
     if not path.is_file():
         raise DatasetError(f"missing dataset file: {path}")
     data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(path.name, line, f"byte {data[exc.start]:#04x} is not UTF-8") from None
-    # split at \n only: str.splitlines() also breaks at \v, \f, U+2028 and more
-    lines = text.split("\n")
-    # blank: ASCII spaces only, before the one \r that is dropped
-    line_no = [i for i, line in enumerate(lines, start=1) if line.lstrip(" ") not in ("", "\r")]
-    rows = [lines[i - 1].removesuffix("\r") for i in line_no]
-    tabs = [row.count("\t") for row in rows]
-    miscounted = next((k for k, n in enumerate(tabs) if n != width - 1), len(rows))
-    # check the rows before the first miscounted one, so an earlier bad integer wins
-    joined = "\t".join(rows[:miscounted])
-    fields = joined.split("\t") if miscounted else []
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(path.name, line, f"byte {data[exc.start]:#04x} is not UTF-8") from None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # split at \n only: \v, \f, U+2028 and the like belong to their line
+    newlines = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], newlines + 1))
+    ends = np.append(newlines, len(buf))
+    ended = np.flatnonzero(ends > starts)
+    ends[ended] -= buf[ends[ended] - 1] == ord("\r")
+    # blank: empty or ASCII spaces only, so only a line that starts with a space needs a look
+    blank = ends == starts
+    spaced = np.flatnonzero(~blank)
+    spaced = spaced[buf[starts[spaced]] == ord(" ")]
+    if len(spaced):
+        bounds = np.stack([starts[spaced], ends[spaced]], axis=1).ravel()
+        # segments [start, end) at the even positions; the last may run to the end of buf
+        other = np.logical_or.reduceat(buf != ord(" "), bounds[:-1] if bounds[-1] == len(buf) else bounds)
+        blank[spaced] = ~other[::2]
+    lines = np.flatnonzero(~blank)
+    field_start, field_end, tab_count = _field_spans(buf, starts[lines], ends[lines], width)
     per_row = 1 if labelled else width
-    ints = fields[::width] if labelled else fields
-    # one C-level pass over the integer fields keeps out what int() also takes:
-    # a sign +, _ separators, spaces and non-ASCII digits
-    digits = ("\t".join(ints) if labelled else joined).encode()
-    try:
-        if not digits.isascii() or digits.translate(None, b"0123456789-\t"):
-            raise ValueError
-        values = np.fromiter(map(int, ints), np.int64, count=len(ints)).reshape(-1, per_row)
-    except (ValueError, OverflowError):
-        k = next(k for k, f in enumerate(ints)
-                 if not re.fullmatch(r"-?[0-9]+", f) or not -2 ** 63 <= int(f) < 2 ** 63)
-        raise ParseError(path.name, line_no[k // per_row],
-                         f"id {ints[k]!r} is not a 64-bit integer") from None
-    if miscounted < len(rows):
-        raise ParseError(path.name, line_no[miscounted],
-                         f"expected {width} columns, got {tabs[miscounted] + 1}")
-    return values, fields[1::width] if labelled else [], line_no
+    int_start, int_end = (field_start[::width], field_end[::width]) if labelled else (field_start, field_end)
+    values, valid = _integer_fields(buf, int_start, int_end)
+    # only the rows before the first miscounted one have fields, so an earlier bad integer wins
+    bad = np.flatnonzero(~valid)
+    if len(bad):
+        k = int(bad[0])
+        field = data[int_start[k]:int_end[k]].decode("utf-8")
+        raise ParseError(path.name, int(lines[k // per_row]) + 1, f"id {field!r} is not a 64-bit integer")
+    miscounted = len(field_start) // width
+    if miscounted < len(lines):
+        raise ParseError(path.name, int(lines[miscounted]) + 1,
+                         f"expected {width} columns, got {tab_count[miscounted] + 1}")
+    labels = []
+    if labelled:
+        labels = [data[s:e].decode("utf-8")
+                  for s, e in zip(field_start[1::width].tolist(), field_end[1::width].tolist())]
+    return values.reshape(-1, per_row), labels, (lines + 1).tolist()
 
 
 def _read_id_labels(path: Path, unique_labels: bool = False) -> tuple[list[str], int]:

@@ -178,6 +178,51 @@ class TestForgeSynth:
         assert read_manifest(out)["status"] == "failure"
         assert not (out / "triples_1").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "split"])
+    def test_ratio_outside_unit_interval_exits_2(self, tmp_path, capsys, command):
+        """Each subcommand checks the ratio: synth in ``ForgeSpec``, split in ``split_overlap``."""
+        argv = SYNTH_ARGS
+        if command == "split":
+            src = tmp_path / "source.tsv"
+            src.write_text("".join(f"{s}\t0\t{s + 1}\t1\t2\n" for s in range(8)))
+            argv = ["forge", "split", "--source", str(src), "--seeds", "2"]
+        out = tmp_path / "ratio"
+        assert main(argv + ["--ratio", "1.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: overlap_ratio must be in [0,1], got 1.5\n"
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "triples_1").exists()
+
+    def test_entity_without_room_for_its_quads_exits_2(self, tmp_path, capsys):
+        """Three entities, one relation and one time step hold two quads per subject."""
+        out = tmp_path / "crowded"
+        code = main(["forge", "synth", "--entities", "3", "--relations", "1", "--time-steps", "1",
+                     "--quads-per-entity", "3", "--planted", "0", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: cannot place 3 distinct quads for entity 0; "
+                                           "increase relations/time_steps/entities\n")
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "triples_1").exists()
+
+    def test_too_few_entities_for_the_anchors_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "no-anchors"
+        code = main(["forge", "synth", "--entities", "4", "--planted", "1", "--seeds", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: too few entities to host the planted motif anchors\n"
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "triples_1").exists()
+
+    def test_seeds_below_the_anchor_seeds_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "few-seeds"
+        code = main(["forge", "synth", "--entities", "21", "--relations", "3", "--time-steps",
+                     "24", "--quads-per-entity", "2", "--planted", "1", "--seeds", "2",
+                     "--seed", "5", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed_count 2 below the 3 anchor seeds\n"
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "sup_pairs").exists()
+
 
     def test_every_spec_field_has_a_flag_that_reaches_the_spec(self, tmp_path):
         parser = build_parser()
@@ -466,6 +511,22 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {cfg}: {key!r} must be {kind}, got {value!r}\n"
         assert read_manifest(out)["status"] == "failure"
 
+    @pytest.mark.parametrize("key", ["lr", "margin"])
+    def test_config_float_beyond_64_bit_integers_exits_2(self, dataset_dir, tmp_path, capsys,
+                                                          key):
+        """A float field takes a JSON integer, but numpy cannot check one past 64 bits:
+        the TypeError that ``TrainConfig`` raises is the one refusal it turns into a
+        ConfigError."""
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({key: 10 ** 20}))
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(dataset_dir), "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ufunc 'isfinite' not supported") and err.count("\n") == 1
+        assert read_manifest(out)["status"] == "failure"
+
     def test_non_utf8_config_file_exits_2(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "latin1.json"
         cfg.write_bytes(b'{"dim": 4, "name": "caf\xe9"}')
@@ -546,6 +607,16 @@ class TestTrain:
         code = main(TRAIN_ARGS + ["--neg-per-pos", "3", "--data", str(data), "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == "error: need at least one seed pair to train\n"
+        assert read_manifest(out)["status"] == "failure"
+        assert not (out / "run_0").exists()
+
+    def test_negative_neg_per_pos_exits_2(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(TRAIN_ARGS + ["--data", str(dataset_dir), "--neg-per-pos", "-1",
+                                  "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: negatives_per_positive must be >= 0 (0 = auto)\n"
         assert read_manifest(out)["status"] == "failure"
         assert not (out / "run_0").exists()
 

@@ -1,6 +1,7 @@
 """Data model, ingestion, reverse decomposition, and link grouping."""
 from __future__ import annotations
 
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -23,6 +24,7 @@ from tkgalign.tkg import (
     TimeIndex,
     merge_pair,
     parse_dataset,
+    read_table,
 )
 
 from conftest import build_time_index, make_kg, quad, unvalidated_kg, write_dataset_dir
@@ -592,3 +594,88 @@ class TestIntegerFieldRule:
         assert "\t1\t" in triples
         (d / "triples_1").write_text(triples.replace("\t1\t", "\t0001\t"))
         assert parse_dataset(d) == (g1, g2, seeds)
+
+
+def line_reader(data: bytes, name: str, width: int, labelled: bool):
+    """The reader's rules stated one line at a time: the reference that
+    :func:`read_table`'s array passes must match."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(name, line, f"byte {data[exc.start]:#04x} is not UTF-8") from None
+    fields, line_no = [], []
+    for number, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
+        if line.strip(" ") == "":
+            continue
+        row = line.split("\t")
+        if len(row) != width:
+            raise ParseError(name, number, f"expected {width} columns, got {len(row)}")
+        for field in row[:1] if labelled else row:
+            if not re.fullmatch("-?[0-9]+", field) or not -2 ** 63 <= int(field) < 2 ** 63:
+                raise ParseError(name, number, f"id {field!r} is not a 64-bit integer")
+        fields += row
+        line_no.append(number)
+    ints = fields[::width] if labelled else fields
+    values = np.array([int(f) for f in ints], dtype=np.int64).reshape(-1, 1 if labelled else width)
+    return values, fields[1::width] if labelled else [], line_no
+
+
+def outcome(read, *args):
+    """What a reader gives: its three results, or the ParseError's text."""
+    try:
+        values, labels, line_no = read(*args)
+    except ParseError as exc:
+        return exc.file, exc.line, str(exc)
+    return values.dtype, values.shape, values.tolist(), labels, line_no
+
+
+# the characters a line or field rule turns on (with the digits' neighbours / and :),
+# and fields at the int64 edges, some behind a prefix that int() would take
+HOSTILE = ["0", "1", "9", "-", "\t", "\n", "\r", " ", "\v", "\x85", "\u00e9", "+", "_", "/", ":"]
+INT64_EDGES = ["0000000000000000000042", "-00000000000000000000", "9223372036854775807",
+               "-9223372036854775808", "999999999999999999", "-1000000000000000000"]
+INTEGERS = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1).map(str), st.sampled_from(INT64_EDGES))
+FIELDS = st.one_of(
+    INTEGERS,
+    st.lists(st.sampled_from(HOSTILE), max_size=4).map("".join),
+    st.tuples(st.sampled_from(["", "+", " ", "_", "\v", "-"]),
+              st.sampled_from(INT64_EDGES + ["9223372036854775808", "-9223372036854775809"]))
+    .map("".join),
+)
+
+
+@st.composite
+def hostile_files(draw, width: int) -> bytes:
+    """Rows of ``width`` integers and blank lines, with up to two lines of
+    stray characters or another field count put in, an optional \\r per
+    line, and now and then one byte that is not UTF-8."""
+    good = st.one_of(st.lists(INTEGERS, min_size=width, max_size=width).map("\t".join),
+                     st.sampled_from(["", " ", "  ", "\r", " \r"]))
+    bad = st.one_of(st.lists(FIELDS, min_size=width, max_size=width).map("\t".join),
+                    st.lists(FIELDS, min_size=max(width - 1, 1), max_size=width + 1).map("\t".join),
+                    st.lists(st.sampled_from(HOSTILE), max_size=6).map("".join))
+    lines = draw(st.lists(good, max_size=8))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad))
+    data = "\n".join(line + "\r" * draw(st.booleans()) for line in lines).encode()
+    data += b"\n" * draw(st.booleans())
+    if draw(st.sampled_from(range(10))) == 9:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xe9" + data[at:]
+    return data
+
+
+class TestReadTableMatchesLineReader:
+    @pytest.mark.parametrize("labelled", [False, True], ids=["integers", "labelled"])
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_same_rows_labels_lines_or_error(self, width, labelled, data):
+        body = data.draw(hostile_files(width))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table"
+            path.write_bytes(body)
+            got = outcome(read_table, path, width, labelled)
+        assert got == outcome(line_reader, body, "table", width, labelled)

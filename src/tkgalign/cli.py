@@ -171,10 +171,7 @@ def _build_train_config(args: argparse.Namespace) -> TrainConfig:
         value = getattr(args, f.name)  # every field has a flag of its own name
         if value is not None:
             merged[f.name] = value == "on" if f.name == "self_loops" else value
-    try:
-        return TrainConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return TrainConfig(**merged)
 
 
 def _parse_ranked_pair(data_dir: Path):

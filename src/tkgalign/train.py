@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -60,9 +61,9 @@ class TrainConfig(ModelConfig):
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (np.isfinite(self.margin) and self.margin >= 0):
+        if not (_finite(self.margin) and self.margin >= 0):
             raise ConfigError(f"margin must be finite and >= 0, got {self.margin}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
+        if not (_finite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
@@ -80,6 +81,15 @@ class TrainConfig(ModelConfig):
     def model_config(self) -> TrainConfig:
         """The architecture settings: this config itself."""
         return self
+
+
+def _finite(value: float) -> bool:
+    """Whether ``value`` is finite as the float it converts to: an integer too
+    large for a float (a JSON config may give one) is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def default_negatives(num_entities_1: int, num_entities_2: int, num_seeds: int) -> int:
@@ -125,29 +135,56 @@ def sample_negatives(
     return out[0], out[1]
 
 
+def fixed_pair_columns(pairs: np.ndarray, eta: int) -> tuple[Grouping, Grouping]:
+    """The two columns of :func:`margin_loss` that no negative draw changes,
+    grouped: the target corruptions' left column (every source, then every
+    source ``eta`` times) and the source corruptions' right column (every
+    target ``eta`` times). :func:`train` builds them once per run."""
+    pairs = np.asarray(pairs)
+    src, tgt = pairs[:, 0], pairs[:, 1]
+    return Grouping(np.concatenate([src, np.repeat(src, eta)])), Grouping(np.repeat(tgt, eta))
+
+
+def _sealed_l1(reps: Tensor, left: Grouping, right: Grouping) -> Tensor:
+    """:func:`l1_rows` between the rows of ``reps`` that ``left`` and ``right``
+    name, as one sealed node (see :func:`autodiff.seal`)."""
+    return ad.seal(lambda r: l1_rows(ad.gather_rows(r, left), ad.gather_rows(r, right)), reps)
+
+
 def margin_loss(
     reps: Tensor,
     pairs: np.ndarray,
     neg_src: np.ndarray,
     neg_tgt: np.ndarray,
     margin: float,
+    fixed: tuple[Grouping, Grouping] | None = None,
 ) -> Tensor:
     """Hinge loss summed over both corruption directions.
 
     Every corrupted pair contributes ReLU(d(pos) + margin - d(neg)); the
-    positive distance is shared across its eta corruptions. One
-    :func:`l1_rows` gives the P positive distances, then the 2*P*eta
-    negative ones (target corruptions first).
-    The hinges, their ReLU and both sums are one tape node; from a backward
-    root its gradient is integer-valued, so it is exact in any summation order.
+    positive distance is shared across its eta corruptions. The L1 distances
+    come in two sealed blocks, one per corruption direction: the P positive
+    distances then the P*eta target corruptions (left ``[src, src*eta]``,
+    right ``[tgt, neg_tgt]``), and the P*eta source corruptions (left
+    ``neg_src``, right ``tgt*eta``). A block's gathers, difference and
+    absolute value are freed as soon as it is built, and only its sign rows
+    wait for the backward, so the two directions' temporaries are never
+    alive together. ``fixed`` is :func:`fixed_pair_columns` of ``pairs`` and
+    eta, built here when not given.
+
+    The hinges, their ReLU and both sums are one tape node over both
+    blocks, which hands each block its slice of the gradient. The split
+    moves no bit: each row's L1 is still one contiguous row sum, and from a
+    backward root the gradient that reaches ``reps`` is integer-valued, so
+    summing it per block and then across blocks is exact in any order.
     """
     pairs = np.asarray(pairs)
     num_pos, eta = neg_tgt.shape
-    src, tgt = pairs[:, 0], pairs[:, 1]
-    left = np.concatenate([src, np.repeat(src, eta), neg_src.reshape(-1)])
-    right = np.concatenate([tgt, neg_tgt.reshape(-1), np.repeat(tgt, eta)])
-    dist = l1_rows(ad.gather_rows(reps, Grouping(left)), ad.gather_rows(reps, Grouping(right)))
-    d_pos, d_neg = dist.data[:num_pos], dist.data[num_pos:]
+    left_t, right_s = fixed or fixed_pair_columns(pairs, eta)
+    d_t = _sealed_l1(reps, left_t, Grouping(np.concatenate([pairs[:, 1], neg_tgt.reshape(-1)])))
+    d_s = _sealed_l1(reps, Grouping(neg_src.reshape(-1)), right_s)
+    d_pos = d_t.data[:num_pos]
+    d_neg = np.concatenate([d_t.data[num_pos:], d_s.data])
     hinge = (np.tile(np.repeat(d_pos, eta), 2) - d_neg) + margin
     active = hinge > 0
     hinge = np.where(active, hinge, 0)
@@ -156,13 +193,15 @@ def margin_loss(
     uses = active.reshape(2, num_pos, eta).sum(axis=(0, 2))
 
     def bw(g):
-        grad = np.empty(dist.shape, dtype=dist.dtype)
+        grad = np.empty(num_pos + len(active), dtype=d_t.dtype)
         grad[:num_pos] = uses
         grad[num_pos:] = np.where(active, -1, 0)
         grad *= g
-        dist.accumulate(grad)
+        split = num_pos * (1 + eta)
+        d_t.accumulate(grad[:split])
+        d_s.accumulate(grad[split:])
 
-    return Tensor(np.asarray(loss), (dist,), bw)
+    return Tensor(np.asarray(loss), (d_t, d_s), bw)
 
 
 def apply_time_unaware(graph: FlatGraph) -> FlatGraph:
@@ -305,13 +344,15 @@ def train(
     )
 
     best_mrr, evals_since_best = -1.0, 0
+    fixed = None  # the loss's pair columns that no draw changes, grouped when epoch 0 starts
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
+        fixed = fixed or fixed_pair_columns(train_pairs, eta)
         neg_src, neg_tgt = sample_negatives(train_pairs, eta, src_range, tgt_range, rng)
         probe = AttentionProbe()
         store.zero_grads()
         reps = model_forward(store, graph, config, training=True, rng=rng, probe=probe)
-        loss = margin_loss(reps, train_pairs, neg_src, neg_tgt, config.margin)
+        loss = margin_loss(reps, train_pairs, neg_src, neg_tgt, config.margin, fixed)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise TrainingDivergedError(epoch)

@@ -1,6 +1,10 @@
 """Ranking metrics: oracle equivalence, hand examples, and partition logic."""
 
+import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -544,3 +548,19 @@ class TestPartition:
             np.empty((0, 2), dtype=np.int64), self.build_sensitivity())
         assert highly.size == 0 and lowly.size == 0
         assert highly.dtype == lowly.dtype == np.int64
+
+
+def test_rank_probe_peak_mode_on_a_tiny_pool():
+    """``scripts/rank_probe.py peak`` ranks a tiny pool with this tree's package
+    and prints one JSON record."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "rank_probe.py"), "peak",
+                           "--pairs", "40", "--width", "4"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    record = json.loads(line)
+    assert (record["mode"], record["pairs"], record["width"]) == ("peak", 40, 4)
+    assert record["src"] == str(root / "src")
+    assert record["reports"] == 12  # 2 spaces x 2 directions x (the pool and 2 partitions)
+    assert record["peak_pool_matrices"] > 0

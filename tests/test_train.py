@@ -25,6 +25,7 @@ from tkgalign.train import (
     apply_time_unaware,
     build_graph,
     default_negatives,
+    fixed_pair_columns,
     l1_rows,
     margin_loss,
     sample_negatives,
@@ -292,21 +293,38 @@ class TestMarginLossOracle:
             ad.backward(loss)
             assert exactly_equal(reps.grad, loop_gradient(x, *args))
 
-    def test_hinges_are_one_node_over_one_l1_chain(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_per_run_groupings_bitwise_over_draws(self, dtype):
+        """The fixed pair columns grouped once and reused over several negative
+        draws give the value and gradient of the loss that groups them itself."""
+        gen = np.random.default_rng(13)
+        x = gen.normal(size=(16, 6)).astype(dtype)
+        pairs = np.array([[0, 8], [1, 9], [2, 10], [3, 8], [1, 11]])  # repeated ids
+        eta = 3
+        fixed = fixed_pair_columns(pairs, eta)
+        for margin in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
+            neg_src, neg_tgt = sample_negatives(pairs, eta, (0, 8), (8, 16), gen)
+            args = (pairs, neg_src, neg_tgt, margin)
+            reps = ad.leaf(x.copy())
+            loss = margin_loss(reps, *args, fixed)
+            assert loss.data.tobytes() == composed_loss(x, *args).tobytes()
+            ad.backward(loss)
+            assert exactly_equal(reps.grad, loop_gradient(x, *args))
+
+    def test_hinges_are_one_node_over_two_sealed_l1_chains(self):
         x, *args = oracle_cases()["shared-and-repeated"]
         pairs, neg_src, _, _ = args
         reps = ad.leaf(x)
         loss = margin_loss(reps, *args)
-        (dist,) = loss.parents
-        assert loss.data.shape == () and dist.data.shape == (len(pairs) + 2 * neg_src.size,)
-        # row_sum <- absolute <- sub <- two gathers of reps
-        nodes, stack = set(), [loss]
-        while stack:
-            node = stack.pop()
-            if id(node) not in nodes:
-                nodes.add(id(node))
-                stack.extend(node.parents)
-        assert len(nodes) == 7
+        d_t, d_s = loss.parents
+        assert loss.data.shape == ()
+        assert d_t.data.shape == (len(pairs) + neg_src.size,)
+        assert d_s.data.shape == (neg_src.size,)
+        # each direction's gathers, difference, |.| and row sum sit inside its
+        # seal, so each block reads reps alone: loss, two blocks and reps
+        for block in (d_t, d_s):
+            assert len(block.parents) == 1 and block.parents[0] is reps
+        assert len(tape_order(loss)) == 4
 
 
 class TestApplyTimeUnaware:
@@ -362,11 +380,20 @@ class TestTrainConfig:
         ("lr", float("nan"), "lr must be finite and positive, got nan"),
         ("lr", float("inf"), "lr must be finite and positive, got inf"),
         ("lr", 0.0, "lr must be finite and positive, got 0.0"),
-    ], ids=["margin-nan", "margin-inf", "lr-nan", "lr-inf", "lr-zero"])
+        ("lr", 2 ** 1024, f"lr must be finite and positive, got {2 ** 1024}"),
+        ("margin", -2 ** 1024, f"margin must be finite and >= 0, got {-2 ** 1024}"),
+    ], ids=["margin-nan", "margin-inf", "lr-nan", "lr-inf", "lr-zero", "lr-huge-int",
+            "margin-huge-int"])
     def test_non_finite_or_out_of_range_float_rejected(self, key, value, message):
         with pytest.raises(ConfigError) as err:
             TrainConfig(**{key: value})
         assert str(err.value) == message
+
+    def test_integer_floats_checked_as_the_float_they_convert_to(self):
+        """An integer past 64 bits is a float setting like any other as long as
+        it converts to a float: up to the largest float, 2**1024 - 2**971."""
+        cfg = TrainConfig(lr=10 ** 20, margin=2 ** 1024 - 2 ** 971)
+        assert (float(cfg.lr), float(cfg.margin)) == (1e20, np.finfo(np.float64).max)
 
     def test_patience_without_eval_every_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -436,6 +463,21 @@ class TestTrainLoop:
         a = train(g1, g2, seeds, self.small_config(epochs=10, seed=0))
         b = train(g1, g2, seeds, self.small_config(epochs=10, seed=1))
         assert a.report.fingerprint() != b.report.fingerprint()
+
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_fixed_pair_columns_grouped_once_per_run(self, fixture_6ent, monkeypatch, epochs):
+        """The loss's fixed columns are grouped when the first epoch starts, so a
+        run of no epochs groups none and every epoch after the first reuses them."""
+        g1, g2, seeds = fixture_6ent
+        built = []
+
+        def counting(pairs, eta):
+            built.append(fixed_pair_columns(pairs, eta))
+            return built[-1]
+
+        monkeypatch.setattr("tkgalign.train.fixed_pair_columns", counting)
+        train(g1, g2, seeds, self.small_config(epochs=epochs))
+        assert len(built) == min(epochs, 1)
 
     def test_attention_sums_hold_every_epoch(self, fixture_6ent):
         g1, g2, seeds = fixture_6ent
@@ -565,7 +607,8 @@ class TestModelTapeOwnership:
         monkeypatch.setattr(ad.Tensor, "accumulate", copying_accumulate)
         _, want, kept = parameter_grads(backward_keeping_tape)
 
-        assert len(released) == len(kept) >= 44
+        # 44 before the loss sealed each direction's L1 chain
+        assert len(released) == len(kept) >= 41
         assert all(n.data is None for n in released)
         assert all(n.data is not None for n in kept)
 
@@ -593,13 +636,16 @@ def traced_peak(fn):
 class TestMemoryRatchet:
     """Peak traced memory in units of one f32 (links x dim) array, on a forged
     pair of 20,999 links at dim 64 (below dim ~64 the tables and index arrays
-    weigh more per link). A change that lowers a peak lowers its bound with
-    it; one that has to raise a bound says why."""
+    weigh more per link); the loss alone in its own unit, at its own shape.
+    A change that lowers a peak lowers its bound with it; one that has to
+    raise a bound says why."""
 
-    TRAINING_EPOCH = 18.0  # measured 16.92; 22.92 before each layer's weighted sum was
-    # sealed, 23.06 with the destination term, 29.02 while the tape kept every value
+    TRAINING_EPOCH = 15.3  # measured 14.39; 16.92 before the loss sealed each direction's
+    # L1 chain, 22.92 before each layer's weighted sum was sealed, 23.06 with the
+    # destination term, 29.02 while the tape kept every value
     INFERENCE_FORWARD = 8.3  # measured 7.29; 7.84 before the layer dropped its gathered
     # rows ahead of the weighted sum
+    LOSS = 6.5  # measured 6.06; 10.11 while one unsealed L1 chain held both directions
 
     @pytest.fixture(scope="class")
     def pair(self):
@@ -621,6 +667,27 @@ class TestMemoryRatchet:
         assert reps.shape == (result.graph.num_entities, 4 * cfg.dim)
         assert peak <= self.INFERENCE_FORWARD * result.graph.num_links * cfg.dim * 4
 
+    def test_margin_loss_at_the_wide_shape(self):
+        """The loss's forward and backward at perfbench train-wide-tu's shape
+        (3000 entities, 30 seed pairs, eta 101, f32 rows 400 wide), in units
+        of one corruption direction's (P*eta x width) array. The 3000 x 400
+        gradient of ``reps`` is one such unit."""
+        gen = np.random.default_rng(0)
+        num_pos, eta, width = 30, 101, 400
+        reps = ad.leaf(gen.normal(size=(3000, width)).astype(np.float32))
+        pairs = np.stack([np.arange(num_pos), 1500 + np.arange(num_pos)], axis=1)
+        neg_src, neg_tgt = sample_negatives(pairs, eta, (0, 1500), (1500, 3000), gen)
+        fixed = fixed_pair_columns(pairs, eta)
+
+        def loss_and_backward():
+            loss = margin_loss(reps, pairs, neg_src, neg_tgt, 3.0, fixed)
+            ad.backward(loss)
+            return loss
+
+        loss, peak = traced_peak(loss_and_backward)
+        assert loss.data > 0 and reps.grad.any()
+        assert peak <= self.LOSS * num_pos * eta * width * 4
+
 
 class TestTapeRatchet:
     """One training epoch on the sensitivity-gap experiment's forged pair at
@@ -629,9 +696,10 @@ class TestTapeRatchet:
     exist: the tape nodes reachable from the loss, leaves included, and the
     groupings built. A change that removes nodes lowers the bound with it."""
 
-    TAPE_NODES = 52  # 58 before each layer's weighted sum was sealed, 70 with the
-    # destination term; 82 while nu was cut into slices by gathers
-    GROUPINGS = 2  # the loss's two pair columns; 14 with those gathers
+    TAPE_NODES = 49  # 52 before the loss sealed each direction's L1 chain, 58 before
+    # each layer's weighted sum was sealed, 70 with the destination term; 82 while
+    # nu was cut into slices by gathers
+    GROUPINGS = 2  # the loss's two negative columns; 14 with those gathers
 
     def test_one_training_epoch(self, monkeypatch):
         data = synth_tkg(SENSITIVITY_GAP.forge)
@@ -647,6 +715,7 @@ class TestTapeRatchet:
         eta = default_negatives(data.g1.num_entities, data.g2.num_entities, len(pairs))
         tgt_range = (merged.entity_offset, merged.entity_offset + data.g2.num_entities)
         neg_src, neg_tgt = sample_negatives(pairs, eta, (0, data.g1.num_entities), tgt_range, rng)
+        fixed = fixed_pair_columns(pairs, eta)  # built once per run, not per epoch
 
         built = []
         grouping_init = ad.Grouping.__init__
@@ -657,7 +726,7 @@ class TestTapeRatchet:
 
         monkeypatch.setattr(ad.Grouping, "__init__", counting_init)
         reps = model_forward(store, graph, cfg, training=True, rng=rng)
-        loss = margin_loss(reps, pairs, neg_src, neg_tgt, cfg.margin)
+        loss = margin_loss(reps, pairs, neg_src, neg_tgt, cfg.margin, fixed)
         nodes = len(tape_order(loss))
         ad.backward(loss)
         assert nodes <= self.TAPE_NODES

@@ -44,8 +44,9 @@ so they are gone before the rest of the forward allocates.
 
 Inference: inside :func:`no_tape` every op still computes its value, but
 the node it returns keeps no parents and no backward rule, so nothing on the
-way to a result outlives the code that made it (a no-grad mode). The
-training path never enters it.
+way to a result outlives the code that made it (a no-grad mode), and
+:func:`recording` tells code that can then work in pieces. The training
+path never enters it.
 """
 from __future__ import annotations
 
@@ -70,6 +71,11 @@ def no_tape() -> Iterator[None]:
         yield
     finally:
         _recording = previous
+
+
+def recording() -> bool:
+    """Whether ops build a tape here: False inside :func:`no_tape`."""
+    return _recording
 
 
 class Tensor:

@@ -10,6 +10,13 @@ is built (:func:`layer_forward`). Final entity representations concatenate
 every layer's output with the mean embedding of the entity's incident
 timestamps.
 
+A layer's output row depends only on the destination entity's own inward
+links, so an inference forward (no tape) computes each layer, and the time
+mean, one block of destination entities at a time
+(:meth:`FlatGraph.blocks`): its per-link arrays span one block's links, not
+the graph's. Training runs the whole graph as one block, because its
+backward needs every link's values.
+
 The parameter layout is decided here alone: :func:`param_shapes` names every
 table and its shape, and :func:`table_sizes` counts a merged graph's rows.
 """
@@ -29,6 +36,11 @@ from .optim import ParameterStore
 from .tkg import UNKNOWN_TIME_ID, MergedGraph
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
+# a count that sizes arrays or loops must fit numpy's int64
+INT64_LIMIT = 2 ** 63
+# Bytes of one (links, k) array of a block in an inference forward. Fixed,
+# never taken from the host, so a graph is cut the same way on every machine.
+INFERENCE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -44,8 +56,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigError(f"embedding dim must be >= 1, got {self.dim}")
+        if self.dim >= INT64_LIMIT:
+            raise ConfigError(f"embedding dim must be below 2**63, got {self.dim}")
         if self.num_layers < 0:
             raise ConfigError(f"layer count must be >= 0, got {self.num_layers}")
+        if self.num_layers >= INT64_LIMIT:
+            raise ConfigError(f"layer count must be below 2**63, got {self.num_layers}")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.precision not in DTYPES:
@@ -75,6 +91,12 @@ class FlatGraph:
     later forward and backward reuses the same groupings. The columns must
     not be changed in place; ``dataclasses.replace`` makes a new graph,
     which builds its own.
+
+    :meth:`blocks` cuts the rows into consecutive blocks of whole ``dst``
+    runs for an inference forward. A block is a graph of its own entity
+    range: its ``dst`` counts from the range's first entity, while ``src``,
+    ``rel`` and ``time`` keep naming rows of the whole entity, relation and
+    time tables.
     """
 
     num_entities: int
@@ -112,6 +134,34 @@ class FlatGraph:
     @cached_property
     def by_time(self) -> Grouping:
         return Grouping(self.time)
+
+    def blocks(self, max_links: int) -> list[tuple[int, FlatGraph]]:
+        """``(first entity, block)`` for consecutive blocks of whole ``dst``
+        runs, each of at most ``max_links`` rows unless one run alone is
+        longer; the graph itself when it fits in one.
+
+        A block's entities run from its first to the next block's first
+        (the last block's to ``num_entities``), so the ranges tile 0..n, and
+        an entity with no inward link belongs to the block before it (the
+        first block, for those before every link) and gets the zero row of
+        an empty run there.
+        """
+        m = self.num_links
+        if m <= max_links:
+            return [(0, self)]
+        # each dst run's first row, then m
+        starts = np.append(np.flatnonzero(np.diff(self.dst, prepend=-1)), m)
+        cuts = [0]
+        while m - cuts[-1] > max_links:
+            # the last run start within reach; the next one if a run overruns the budget
+            i = np.searchsorted(starts, cuts[-1] + max_links, side="right") - 1
+            cuts.append(int(starts[i] if starts[i] > cuts[-1] else starts[i + 1]))
+        if cuts[-1] < m:
+            cuts.append(m)
+        firsts = [0] + [int(self.dst[c]) for c in cuts[1:-1]] + [self.num_entities]
+        return [(lo, FlatGraph(hi - lo, self.src[a:b], self.dst[a:b] - lo, self.rel[a:b],
+                               self.time[a:b]))
+                for a, b, lo, hi in zip(cuts, cuts[1:], firsts, firsts[1:])]
 
 
 def prepare_graph(
@@ -228,6 +278,11 @@ class AttentionProbe:
         dev = float(np.max(np.abs(sums[occupied] - 1.0))) if occupied.any() else 0.0
         self.deviations.append(dev)
 
+    def merge(self, parts: list[AttentionProbe]) -> None:
+        """Record each view's worst deviation over ``parts``, the probes of one
+        layer's blocks: what one probe of the whole layer records."""
+        self.deviations += [max(view) for view in zip(*(p.deviations for p in parts))]
+
     @property
     def worst(self) -> float:
         return max(self.deviations) if self.deviations else 0.0
@@ -306,29 +361,62 @@ def model_forward(
     Relation/time tables are row-normalized inside the pass so the unit-norm
     constraint is part of the differentiated graph; the stored tables may
     drift off-norm between steps without affecting model output.
+
+    On a tape the whole graph is one block: the per-link edge rows are
+    gathered once for every layer, and the backward reads them all. Inside
+    :func:`autodiff.no_tape` each layer, and then the incident-time mean,
+    runs over :meth:`FlatGraph.blocks` of at most
+    ``INFERENCE_BLOCK_BYTES`` per (links, k) array: each block gathers its
+    own edge rows and writes its entity range of the layer's (n, k) output.
+    A run's sums and softmax read only its own rows, so every bit, and the
+    probe's one deviation per layer and view, are the whole graph's at any
+    k > 1. (At k = 1 numpy sums a run pairwise when its length bucket in
+    :class:`~tkgalign.autodiff.Grouping` holds no other run, so a block can
+    round differently.)
     """
     if training and cfg.dropout > 0.0 and rng is None:
         raise ConfigError("training with dropout requires an rng")
     rel_table = ad.normalize_rows(store["relation"])
     time_table = ad.normalize_rows(store["time"])
-    rel_e = ad.gather_rows(rel_table, graph.by_rel)
-    time_e = ad.gather_rows(time_table, graph.by_time)
-    acts = [store["entity"]]
+    entity = store["entity"]
+    blocks = [(0, graph)]
+    if not ad.recording():
+        blocks = graph.blocks(max(1, INFERENCE_BLOCK_BYTES // (entity.shape[1]
+                                                               * entity.dtype.itemsize)))
+    whole = len(blocks) == 1
+    if whole:
+        rel_e = ad.gather_rows(rel_table, graph.by_rel)
+        time_e = ad.gather_rows(time_table, graph.by_time)
+
+    def rel_rows(block):
+        return rel_e if whole else ad.gather_rows(rel_table, block.by_rel)
+
+    def time_rows(block):
+        return time_e if whole else ad.gather_rows(time_table, block.by_time)
+
+    def by_blocks(fn, into: AttentionProbe | None) -> Tensor:
+        """``fn(block, block probe)`` for every block, its rows stacked in
+        entity order; the block probes merged ``into`` a layer's probe."""
+        if whole:
+            return fn(graph, into)
+        out = np.empty(entity.shape, entity.dtype)
+        parts = [None if into is None else AttentionProbe() for _ in blocks]
+        for (first, block), part in zip(blocks, parts):
+            out[first:first + block.num_entities] = fn(block, part).data
+        if into is not None:
+            into.merge(parts)
+        return Tensor(out)
+
+    acts = [entity]
     for layer in range(cfg.num_layers):
         h_in = ad.dropout(acts[-1], cfg.dropout, rng, training)
-        acts.append(
-            layer_forward(
-                h_in,
-                graph,
-                rel_e,
-                time_e,
-                store[f"attn_time_{layer}"],
-                store[f"attn_rel_{layer}"],
-                rel_table,
-                time_table,
-                probe=probe,
-            )
-        )
+        nu_time, nu_rel = store[f"attn_time_{layer}"], store[f"attn_rel_{layer}"]
+        acts.append(by_blocks(
+            lambda block, p: layer_forward(h_in, block, rel_rows(block), time_rows(block),
+                                           nu_time, nu_rel, rel_table, time_table, probe=p),
+            probe,
+        ))
+    time_mean = by_blocks(lambda block, _: incident_time_mean(time_rows(block), block), None)
     # every layer's output (layer 0 = raw embeddings), then the incident-time mean
-    return ad.concat_cols(acts + [incident_time_mean(time_e, graph)])
+    return ad.concat_cols(acts + [time_mean])
 

@@ -23,6 +23,7 @@ from .evaluate import DEFAULT_CSLS_K, RankingReport, partition_test_pairs, rank_
 from .model import (
     AttentionProbe,
     FlatGraph,
+    INT64_LIMIT,
     ModelConfig,
     init_params,
     model_forward,
@@ -69,6 +70,9 @@ class TrainConfig(ModelConfig):
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.negatives_per_positive < 0:
             raise ConfigError("negatives_per_positive must be >= 0 (0 = auto)")
+        if self.negatives_per_positive >= INT64_LIMIT:
+            raise ConfigError("negatives_per_positive must be below 2**63,"
+                              f" got {self.negatives_per_positive}")
         for name in ("eval_every", "patience", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -241,12 +245,13 @@ def score_model(
     ``sensitivity`` from :func:`build_graph`, the highly and lowly
     time-sensitive partitions are each re-ranked inside their own sub-pool
     after every whole-pool report. The forward builds no tape (see
-    :func:`autodiff.no_tape`), so each layer's per-link arrays are freed
-    when the layer returns. Raises NonFiniteError, naming how many entities
-    it affects, if a representation holds a NaN or infinity or is so large
-    that its L1 or CSLS scores could overflow (a row L1 norm above 1/16 of
-    the dtype's largest value), as finite tables whose forward overflows
-    give.
+    :func:`autodiff.no_tape`), so it runs one block of destination entities
+    at a time (:func:`model.model_forward`) and holds the per-link arrays of
+    one block, never of the whole graph. Raises NonFiniteError, naming how
+    many entities it affects, if a representation holds a NaN or infinity
+    or is so large that its L1 or CSLS scores could overflow (a row L1 norm
+    above 1/16 of the dtype's largest value), as finite tables whose forward
+    overflows give.
     """
     with ad.no_tape():
         reps = model_forward(store, graph, cfg, training=False).data

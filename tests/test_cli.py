@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tkgalign import cli
+from tkgalign import cli, model
 from tkgalign.checkpoint import FORMAT_VERSION, CheckpointMeta, load_checkpoint, save_checkpoint
 from tkgalign.cli import DATA_ROOT_ENV, _build_train_config, build_parser, main
 from tkgalign.forge import ForgeSpec
-from tkgalign.train import TrainConfig
+from tkgalign.tkg import merge_pair, parse_dataset
+from tkgalign.train import TrainConfig, build_graph
 
 SYNTH_ARGS = [
     "forge", "synth",
@@ -528,6 +529,25 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}, got {2 ** 1024}\n"
         assert read_manifest(out)["status"] == "failure"
 
+    @pytest.mark.parametrize("key, message", [
+        ("dim", "embedding dim must be below 2**63"),
+        ("num_layers", "layer count must be below 2**63"),
+        ("negatives_per_positive", "negatives_per_positive must be below 2**63"),
+    ], ids=["dim", "num_layers", "negatives_per_positive"])
+    def test_config_count_beyond_64_bits_exits_2(self, dataset_dir, tmp_path, capsys, monkeypatch,
+                                                 key, message):
+        """A count that sizes arrays is refused by name when the config is built,
+        before the dataset is parsed: nothing is ever sized by it."""
+        monkeypatch.setattr(cli, "parse_dataset", None)  # never reached
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({key: 10 ** 20}))
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(dataset_dir), "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}, got {10 ** 20}\n"
+        assert read_manifest(out)["status"] == "failure"
+
     def test_non_utf8_config_file_exits_2(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "latin1.json"
         cfg.write_bytes(b'{"dim": 4, "name": "caf\xe9"}')
@@ -772,9 +792,10 @@ class TestEval:
     @pytest.mark.parametrize("mode", ["time-aware", "time-unaware"])
     @pytest.mark.parametrize("self_loops", [True, False])
     @pytest.mark.parametrize("k_csls", [None, 3])
-    def test_eval_reproduces_train_time_reports(self, dataset_dir, tmp_path, mode, self_loops,
-                                                k_csls):
-        """eval's CSLS neighbourhood defaults to the one the run trained with."""
+    def test_eval_reproduces_train_time_reports(self, dataset_dir, tmp_path, monkeypatch, mode,
+                                                self_loops, k_csls):
+        """eval's CSLS neighbourhood defaults to the one the run trained with; an
+        inference forward cut into blocks of a few links each reports the same."""
         out = tmp_path / "run"
         k_flags = [] if k_csls is None else ["--k-csls", str(k_csls)]
         assert main(TRAIN_ARGS + k_flags + ["--mode", mode,
@@ -783,12 +804,18 @@ class TestEval:
         ck = out / "run_0" / "checkpoint.npz"
         _, meta = load_checkpoint(ck)
         assert (meta.mode, meta.self_loops, meta.k_csls) == (mode, self_loops, k_csls or 10)
-        assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset_dir),
-                     "--metric", "both", "--out", str(tmp_path / "ev")]) == 0
         trained = json.loads((out / "run_0" / "metrics.json").read_text())["reports"]
-        evaluated = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
         strip = lambda r: {k: v for k, v in r.items() if k != "seconds"}
-        assert [strip(r) for r in evaluated] == [strip(r) for r in trained]
+        graph, _ = build_graph(merge_pair(*parse_dataset(dataset_dir)[:2]), meta)
+        max_links = 3
+        assert len(graph.blocks(max_links)) > 3
+        for block_bytes in (model.INFERENCE_BLOCK_BYTES, max_links * meta.dim * 4):
+            monkeypatch.setattr(model, "INFERENCE_BLOCK_BYTES", block_bytes)
+            ev = tmp_path / f"ev{block_bytes}"
+            assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset_dir),
+                         "--metric", "both", "--out", str(ev)]) == 0
+            evaluated = json.loads((ev / "eval_report.json").read_text())
+            assert [strip(r) for r in evaluated] == [strip(r) for r in trained]
 
     def test_empty_ref_pairs_exits_2(self, dataset_dir, trained, tmp_path, capsys):
         data = copy_with_empty(dataset_dir, tmp_path / "no-test", "ref_pairs")

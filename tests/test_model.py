@@ -310,6 +310,89 @@ class TestConcatAndTimeMean:
         assert np.max(np.abs(time_e.grad - want)) < 1e-15
 
 
+def hub_and_isolated_pair(time_index, seed=0):
+    """Two 14-entity graphs: entities 0, 6, 7 and 13 of each take part in no
+    quadruple, and entity 3 in at least 12, so its inward run is long."""
+    rng = np.random.default_rng(seed)
+    linked = [e for e in range(14) if e not in (0, 6, 7, 13)]
+    graphs = []
+    for name in ("g1", "g2"):
+        quads = {quad(3, int(r), int(o), int(t))
+                 for r, o, t in zip(rng.integers(0, 3, 12), rng.choice(linked[1:], 12),
+                                    rng.integers(0, 7, 12))}
+        while len(quads) < 30:
+            s, o = rng.choice(linked, 2, replace=False)
+            quads.add(quad(int(s), int(rng.integers(0, 3)), int(o), int(rng.integers(0, 7))))
+        graphs.append(make_kg(14, 3, time_index, sorted(quads), name=name))
+    return graphs
+
+
+class TestBlockedInference:
+    """An inference forward runs each layer and the time mean one block of
+    destination entities at a time; the taped forward is the whole graph."""
+
+    @pytest.mark.parametrize("self_loops", [True, False], ids=["loops", "no-loops"])
+    def test_blocks_tile_the_entities_and_keep_runs_whole(self, time_index, self_loops):
+        merged = merge_pair(*hub_and_isolated_pair(time_index))
+        graph, _ = prepare_graph(merged, self_loops)
+        assert graph.blocks(graph.num_links) == [(0, graph)]
+        run_length = np.bincount(graph.dst, minlength=graph.num_entities)
+        for max_links in (1, 2, 5, 9, graph.num_links - 1):
+            blocks = graph.blocks(max_links)
+            firsts = [first for first, _ in blocks]
+            assert len(blocks) > 1 and firsts[0] == 0
+            assert [f + b.num_entities for f, b in blocks] == firsts[1:] + [graph.num_entities]
+            for first, block in blocks:
+                runs = run_length[first:first + block.num_entities]
+                assert block.num_links == runs.sum()
+                assert block.num_links <= max_links or np.count_nonzero(runs) == 1
+                assert first == 0 or runs[0] > 0  # a later block starts with its first run
+            for name in ("src", "rel", "time"):
+                assert np.array_equal(np.concatenate([getattr(b, name) for _, b in blocks]),
+                                      getattr(graph, name))
+            assert np.array_equal(np.concatenate([b.dst + f for f, b in blocks]), graph.dst)
+        assert max(run_length) > 9  # a run longer than the budget is a block of its own
+        isolated = run_length == 0
+        assert isolated.any() != self_loops
+
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("self_loops", [True, False], ids=["loops", "no-loops"])
+    @pytest.mark.parametrize("unaware", [False, True], ids=["aware", "unaware"])
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_blocked_forward_equals_the_whole_graph_bitwise(self, time_index, monkeypatch,
+                                                            precision, unaware, self_loops,
+                                                            layers):
+        """Blocks of 1 to 9 links, so a run longer than a block and (without
+        self-loops) entities with no inward link sit at block edges: every
+        bit and the probe's one deviation per layer and view are the taped
+        whole-graph forward's."""
+        merged = merge_pair(*hub_and_isolated_pair(time_index))
+        graph, _ = prepare_graph(merged, self_loops)
+        if unaware:
+            graph = apply_time_unaware(graph)
+        cfg = ModelConfig(dim=4, num_layers=layers, precision=precision)
+        store = init_params(np.random.default_rng(1), *table_sizes(merged, self_loops), cfg)
+        whole_probe = AttentionProbe()
+        whole = model_forward(store, graph, cfg, probe=whole_probe)
+        assert whole.backward_fn is not None
+        row_bytes = cfg.dim * cfg.dtype.itemsize
+        for max_links in (1, 2, 5, 9):
+            monkeypatch.setattr(model_module, "INFERENCE_BLOCK_BYTES", max_links * row_bytes)
+            probe = AttentionProbe()
+            with ad.no_tape():
+                blocked = model_forward(store, graph, cfg, probe=probe)
+            assert blocked.data.dtype == whole.data.dtype
+            assert blocked.data.tobytes() == whole.data.tobytes(), max_links
+            assert len(probe.deviations) == 2 * layers
+            assert probe.deviations == whole_probe.deviations
+
+    def test_attention_probe_merges_block_probes_per_view(self):
+        parts = [AttentionProbe([0.1, 0.4]), AttentionProbe([0.3, 0.2]), AttentionProbe([0.0, 0.0])]
+        probe = AttentionProbe([0.5, 0.6])
+        probe.merge(parts)
+        assert probe.deviations == [0.5, 0.6, 0.3, 0.4]
+
+
 class TestModelForward:
     def build(self, pair, self_loops=True, layers=2, dim=5, precision="f64", seed=0):
         g1, g2, _ = pair

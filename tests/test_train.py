@@ -413,6 +413,19 @@ class TestTrainConfig:
             TrainConfig(**{key: value})
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("key, name", [
+        ("dim", "embedding dim"),
+        ("num_layers", "layer count"),
+        ("negatives_per_positive", "negatives_per_positive"),
+    ], ids=["dim", "num_layers", "negatives_per_positive"])
+    def test_counts_must_fit_64_bits(self, key, name):
+        """Checked on the config alone: no table or forward is built here."""
+        for value in (2 ** 63, 10 ** 20):
+            with pytest.raises(ConfigError) as err:
+                TrainConfig(**{key: value})
+            assert str(err.value) == f"{name} must be below 2**63, got {value}"
+        assert getattr(TrainConfig(**{key: 2 ** 63 - 1}), key) == 2 ** 63 - 1
+
     def test_extends_model_config_without_redeclaring_it(self):
         """The architecture settings are declared once, in ModelConfig; a run's
         config is itself the model config it hands to the model."""
@@ -643,8 +656,9 @@ class TestMemoryRatchet:
     TRAINING_EPOCH = 15.3  # measured 14.39; 16.92 before the loss sealed each direction's
     # L1 chain, 22.92 before each layer's weighted sum was sealed, 23.06 with the
     # destination term, 29.02 while the tape kept every value
-    INFERENCE_FORWARD = 8.3  # measured 7.29; 7.84 before the layer dropped its gathered
-    # rows ahead of the weighted sum
+    INFERENCE_FORWARD = 2.1  # measured 1.85; 7.29 before it ran one block of destination
+    # entities at a time, 7.84 before the layer dropped its gathered rows ahead of the
+    # weighted sum
     LOSS = 6.5  # measured 6.06; 10.11 while one unsealed L1 chain held both directions
 
     @pytest.fixture(scope="class")

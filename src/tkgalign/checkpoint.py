@@ -35,6 +35,7 @@ import numpy as np
 from .errors import ConfigError, require_field_types
 from .model import param_shapes, table_sizes
 from .optim import ParameterStore
+from .tkg import write_file
 from .train import TrainConfig, TrainResult
 
 FORMAT_VERSION = 6
@@ -86,11 +87,10 @@ def meta_from_result(result: TrainResult) -> CheckpointMeta:
 
 
 def save_checkpoint(path: str | Path, store: ParameterStore, meta: CheckpointMeta) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    buffer = io.BytesIO()
     arrays = {name: t.data for name, t in store.items()}
-    with open(path, "wb") as f:  # np.savez appends ".npz" to a path, not to an open file
-        np.savez(f, __meta__=np.frombuffer(meta.to_json().encode(), dtype=np.uint8), **arrays)
+    np.savez(buffer, __meta__=np.frombuffer(meta.to_json().encode(), dtype=np.uint8), **arrays)
+    write_file(Path(path), buffer.getbuffer())
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParameterStore, CheckpointMeta]:

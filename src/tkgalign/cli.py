@@ -2,9 +2,17 @@
 
 Every invocation writes a ``run_manifest.json`` into its output directory —
 success or failure — recording the resolved configuration, input checksums,
-seeds, and a checksum for every artifact the run produced. Two refusals come
-before it and write none: arguments that do not parse (argparse's usage
-message, exit 2) and an ``--out`` that is, or lies under, a file (exit 2).
+seeds, and a checksum for every artifact the run produced. A manifest that
+replaces an earlier command's keeps that one under ``previous``. Three
+refusals come before it and write none: arguments that do not parse
+(argparse's usage message, exit 2), an ``--out`` that is, or lies under, a
+file (exit 2), and an ``--out`` that cannot be made (exit 1).
+
+Every file goes through ``tkg.write_file``, so it appears whole or not at
+all; a write that fails ends the command with ``error: cannot write PATH
+(reason)`` and exit 1. SIGINT and SIGTERM end it with ``error: interrupted``
+and exit 1, also with a failed manifest. Only SIGKILL can leave a
+``.NAME.PID.tmp`` file behind, which no manifest records.
 
 Reruns with the same seed produce byte-identical artifacts, with exactly two
 declared exceptions that record wall-clock time: the run manifest itself, and
@@ -24,6 +32,7 @@ import json
 import logging
 import os
 import platform
+import signal
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, meta_from_result, save_checkpoint
-from .errors import ConfigError, DatasetError, TkgAlignError, require_field_types
+from .errors import ConfigError, DatasetError, TkgAlignError, WriteError, require_field_types
 from .evaluate import average_reports
 from .experiments import EXPERIMENTS
 from .forge import (
@@ -47,7 +56,7 @@ from .forge import (
     write_dataset,
 )
 from .model import DTYPES, num_relation_rows, table_sizes
-from .tkg import DATASET_FILES, merge_pair, parse_dataset
+from .tkg import DATASET_FILES, merge_pair, parse_dataset, write_file
 from .train import MODES, TrainConfig, build_graph, score_model, train
 
 logger = logging.getLogger(__name__)
@@ -134,15 +143,22 @@ class RunManifest:
         self.data["artifacts"][str(path)] = _sha256(path)
 
     def finish(self, status: str, error: str | None = None) -> None:
+        """Write the manifest, keeping the one it replaces under ``previous``."""
         self.data["status"] = status
         self.data["error"] = error
         self.data["finished_at"] = _utcnow()
-        _write_json(self.out_dir / "run_manifest.json", self.data)
+        path = self.out_dir / "run_manifest.json"
+        if path.is_file():
+            text = path.read_text(encoding="utf-8", errors="replace")
+            try:
+                self.data["previous"] = json.loads(text)
+            except ValueError:  # not JSON, so no manifest: kept as it was
+                self.data["previous"] = text
+        _write_json(path, self.data)
 
 
 def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -193,7 +209,6 @@ def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
     if args.repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     g1, g2, seeds = _parse_ranked_pair(data_dir)
 
     repeats = args.repeats
@@ -206,12 +221,10 @@ def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
         run_cfg = dataclasses.replace(cfg, seed=run_seed)
         result = train(g1, g2, seeds, run_cfg)
         run_dir = out / f"run_{run_seed}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-
         ck_path = run_dir / "checkpoint.npz"
         save_checkpoint(ck_path, result.store, meta_from_result(result))
         history_path = run_dir / "history.csv"
-        history_path.write_text("\n".join(result.report.history_rows()) + "\n")
+        write_file(history_path, "\n".join(result.report.history_rows()) + "\n")
 
         run_reports = score_model(result.store, result.graph, run_cfg,
                                   result.merged.merged_pairs(seeds.test_pairs),
@@ -285,14 +298,13 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
     for rep in reports:
         rep.seed = meta.seed
 
-    out.mkdir(parents=True, exist_ok=True)
     json_path = out / "eval_report.json"
     _write_json(json_path, [vars(r) for r in reports])
     csv_path = out / "eval_report.csv"
     rows = reports[0].csv_rows()
     for r in reports[1:]:
         rows.extend(r.csv_rows()[1:])
-    csv_path.write_text("\n".join(rows) + "\n")
+    write_file(csv_path, "\n".join(rows) + "\n")
     manifest.record_artifact(json_path)
     manifest.record_artifact(csv_path)
     manifest.data["metrics"] = {
@@ -311,10 +323,9 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
 
 def _write_forged(result, args: argparse.Namespace, manifest: RunManifest) -> int:
     """Write a forged dataset directory, record its files and print its size table."""
-    out = write_dataset(Path(args.out), result.g1, result.g2, result.seeds, result.manifest)
-    for f in sorted(out.iterdir()):
-        if f.name != "run_manifest.json":
-            manifest.record_artifact(f)
+    out = Path(args.out)
+    for f in write_dataset(out, result.g1, result.g2, result.seeds, result.manifest):
+        manifest.record_artifact(f)
     print((out / "stats.txt").read_text(), end="")
     print(f"dataset written to {out}")
     return EXIT_OK
@@ -489,12 +500,19 @@ def main(argv: list[str] | None = None) -> int:
     if not next(p for p in (out, *out.parents) if p.exists()).is_dir():  # nowhere for the manifest
         print(f"error: --out {out} is a file or lies under one", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # nowhere for the manifest either
+        print(f"error: {WriteError(out, exc)}", file=sys.stderr)
+        return EXIT_RUNTIME
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     command = args.command if args.command != "forge" else f"forge {args.forge_command}"
     manifest = RunManifest(command, out, argv)
+    # SIGTERM then ends the command as Ctrl-C does, through the handler below
+    previous_handler = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         # a non-finite value is refused by the explicit checks on the loss,
         # gradients, representations and checkpoint arrays, as one error line
@@ -502,15 +520,22 @@ def main(argv: list[str] | None = None) -> int:
             code = args.func(args, manifest)
         manifest.finish("success")
         return code
-    except Exception as exc:  # noqa: BLE001 - the manifest must record any crash
-        manifest.finish("failure", f"{type(exc).__name__}: {exc}")
-        if isinstance(exc, MemoryError):
+    except (Exception, KeyboardInterrupt) as exc:  # noqa: BLE001 - the manifest must record any crash
+        try:
+            manifest.finish("failure", type(exc).__name__ + (f": {exc}" if str(exc) else ""))
+        except WriteError:
+            pass  # the first failure is the one reported
+        if isinstance(exc, KeyboardInterrupt):
+            print("error: interrupted", file=sys.stderr)
+        elif isinstance(exc, MemoryError):
             print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory", file=sys.stderr)
         elif isinstance(exc, TkgAlignError):
             print(f"error: {exc}", file=sys.stderr)
         else:
             raise
         return EXIT_USAGE if isinstance(exc, (ConfigError, DatasetError)) else EXIT_RUNTIME
+    finally:
+        signal.signal(signal.SIGTERM, previous_handler)
 
 
 if __name__ == "__main__":

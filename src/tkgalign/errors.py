@@ -42,6 +42,13 @@ class NonFiniteError(NumericsError):
     """NaN or Inf encountered where finite values are required."""
 
 
+class WriteError(TkgAlignError):
+    """A file or directory could not be written; names it and the system's reason."""
+
+    def __init__(self, path, exc: OSError):
+        super().__init__(f"cannot write {path} ({exc.strerror or exc})")
+
+
 class TrainingDivergedError(TkgAlignError):
     """Loss became non-finite; carries the epoch it happened in."""
 

@@ -14,17 +14,21 @@ The table keeps its form from the file reader through :func:`merge_pair` to
 links: the forward link carries the begin time and a reverse link (with a
 synthetic reverse relation) carries the end time, so a single attention pass
 sees relation direction and both interval endpoints.
+
+Files come in through :func:`read_table` and go out through
+:func:`write_file`, the package's only writer.
 """
 from __future__ import annotations
 
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, GraphError, ParseError
+from .errors import DatasetError, GraphError, ParseError, WriteError
 
 logger = logging.getLogger(__name__)
 
@@ -323,6 +327,28 @@ def read_table(path: Path, width: int, labelled: bool = False) -> tuple[np.ndarr
         labels = [data[s:e].decode("utf-8")
                   for s, e in zip(field_start[1::width].tolist(), field_end[1::width].tolist())]
     return values.reshape(-1, per_row), labels, (lines + 1).tolist()
+
+
+def write_file(path: Path, data: bytes | str) -> None:
+    """Write ``data`` (a str as UTF-8) to ``path`` whole or not at all.
+
+    Every file the package writes goes through here. The parent directory
+    is created, the bytes go to ``.<name>.<pid>.tmp`` beside ``path``, and
+    ``os.replace`` moves that onto ``path``; whatever ends the write early,
+    an exception or an interrupt, removes the temporary file, so ``path``
+    keeps its old content or has none. An OSError becomes a WriteError,
+    ``cannot write PATH (reason)``. No fsync: this covers the process
+    failing, not the machine losing power.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise WriteError(path, exc) from None
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _read_id_labels(path: Path, unique_labels: bool = False) -> tuple[list[str], int]:

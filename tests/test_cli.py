@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,7 @@ import pytest
 from tkgalign import cli, model
 from tkgalign.checkpoint import FORMAT_VERSION, CheckpointMeta, load_checkpoint, save_checkpoint
 from tkgalign.cli import DATA_ROOT_ENV, _build_train_config, build_parser, main
+from tkgalign.errors import WriteError
 from tkgalign.forge import ForgeSpec
 from tkgalign.tkg import merge_pair, parse_dataset
 from tkgalign.train import TrainConfig, build_graph
@@ -72,6 +74,50 @@ default = mapped_by_64_mib()
 code = main(json.loads(sys.argv[1]))
 print(json.dumps([default, code, mapped_by_64_mib()]))
 """
+
+
+# Run ``main`` in a child process whose files may grow to at most argv[1]
+# bytes. With SIGXFSZ ignored, a write past the limit fails with EFBIG, as a
+# write to a full disk fails with ENOSPC.
+LIMITED_MAIN = """
+import json, resource, signal, sys
+from tkgalign.cli import main
+
+limit = int(sys.argv[1])
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+sys.exit(main(json.loads(sys.argv[2])))
+"""
+
+# Run ``main`` in a child process that prints one stdout line when training
+# computes its first loss, so a signal sent after that line lands in the epochs.
+ANNOUNCED_MAIN = """
+import json, signal, sys
+from tkgalign import train
+from tkgalign.cli import main
+
+# Ctrl-C's handler, which a child of a shell's background job starts without
+signal.signal(signal.SIGINT, signal.default_int_handler)
+margin_loss = train.margin_loss
+
+def announce(*args, **kwargs):
+    train.margin_loss = margin_loss
+    print("in epochs", flush=True)
+    return margin_loss(*args, **kwargs)
+
+train.margin_loss = announce
+sys.exit(main(json.loads(sys.argv[1])))
+"""
+
+
+def child_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def leftovers(out: Path) -> list[Path]:
+    """Temporary files a write left under ``out``."""
+    return sorted(out.rglob(".*.tmp"))
 
 
 def has_mallinfo2() -> bool:
@@ -133,6 +179,25 @@ class TestForgeSynth:
             if name == "run_manifest.json":
                 continue
             assert (dataset_dir / name).read_bytes() == (twin / name).read_bytes(), name
+
+    @pytest.mark.parametrize("held", ["run-directory", "stray-file"])
+    def test_records_only_the_files_it_wrote(self, dataset_dir, trained, tmp_path, capsys, held):
+        # an --out that already holds a run directory, as the default runs/
+        # does after a train, or a file of its own
+        out = tmp_path / "shared"
+        if held == "run-directory":
+            shutil.copytree(trained, out)
+        else:
+            out.mkdir()
+            (out / "notes.txt").write_text("kept\n")
+        assert main(SYNTH_ARGS + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        artifacts = read_manifest(out)["artifacts"]
+        assert sorted(artifacts) == sorted(str(out / p.name) for p in dataset_dir.iterdir()
+                                           if p.name != "run_manifest.json")
+        for path, digest in artifacts.items():
+            assert digest == cli._sha256(dataset_dir / Path(path).name)
+        assert (out / "notes.txt").is_file() or (out / "run_0" / "checkpoint.npz").is_file()
 
     def test_stdout_reports_stats(self, tmp_path, capsys):
         assert main(SYNTH_ARGS + ["--out", str(tmp_path / "d")]) == 0
@@ -1118,6 +1183,14 @@ class TestMainPlumbing:
         assert manifest["status"] == "failure"
         assert manifest["error"] == "MemoryError: Unable to allocate 321. MiB for an array"
 
+    def test_manifest_that_is_not_json_is_kept_as_text(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "run_manifest.json").write_text('{"status": "runn')
+        assert main(["forge", "stats", "--data", str(dataset_dir), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert read_manifest(out)["previous"] == '{"status": "runn'
+
     @pytest.mark.parametrize("under", [False, True], ids=["is-file", "under-file"])
     @pytest.mark.parametrize("command", ["train", "eval", "forge-synth", "forge-split",
                                          "forge-stats"])
@@ -1142,12 +1215,102 @@ class TestMainPlumbing:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["source.tsv", "taken"]
 
 
+class TestWriteFailures:
+    """A write that fails ends the command with one ``error:`` line and exit 1,
+    and leaves no file at its final path cut short."""
+
+    def run_limited(self, limit: int, argv: list[str]) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", LIMITED_MAIN, str(limit), json.dumps(argv)],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+
+    def test_checkpoint_past_the_file_size_limit_exits_1_with_one_line(self, dataset_dir,
+                                                                       tmp_path):
+        out = tmp_path / "out"
+        # a 64-wide checkpoint is ~23 kB, the manifest ~3 kB
+        proc = self.run_limited(12_000, TRAIN_ARGS + ["--dim", "64", "--data", str(dataset_dir),
+                                                      "--out", str(out)])
+        checkpoint = out / "run_0" / "checkpoint.npz"
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: cannot write {checkpoint} (File too large)\n"
+        assert not checkpoint.exists() and leftovers(out) == []
+        manifest = read_manifest(out)
+        assert manifest["status"] == "failure" and manifest["artifacts"] == {}
+        assert manifest["error"] == f"WriteError: cannot write {checkpoint} (File too large)"
+
+    def test_manifest_past_the_limit_is_not_left_cut_short(self, dataset_dir, tmp_path):
+        out = tmp_path / "out"
+        proc = self.run_limited(600, TRAIN_ARGS + ["--data", str(dataset_dir), "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: cannot write {out / 'run_0' / 'checkpoint.npz'}"
+                               " (File too large)\n")
+        assert not (out / "run_manifest.json").exists() and leftovers(out) == []
+
+    def test_failed_success_manifest_is_the_failure(self, dataset_dir, tmp_path):
+        # forge stats writes nothing but its manifest
+        out = tmp_path / "out"
+        proc = self.run_limited(200, ["forge", "stats", "--data", str(dataset_dir),
+                                      "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: cannot write {out / 'run_manifest.json'} (File too large)\n"
+        assert list(out.iterdir()) == []
+
+    def test_failed_failure_manifest_keeps_the_first_error(self, dataset_dir, tmp_path,
+                                                           monkeypatch, capsys):
+        def no_room(path, payload):
+            raise WriteError(path, OSError(28, "No space left on device"))
+
+        monkeypatch.setattr(cli, "_write_json", no_room)
+        out = tmp_path / "out"
+        assert main(TRAIN_ARGS + ["--repeats", "0", "--data", str(dataset_dir),
+                                  "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: repeats must be >= 1, got 0\n"
+        assert list(out.iterdir()) == []
+
+    def test_out_that_cannot_be_made_exits_1_without_manifest(self, tmp_path, monkeypatch,
+                                                               capsys):
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "mkdir", denied)
+        out = tmp_path / "out"
+        assert main(SYNTH_ARGS + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out} (Permission denied)\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSignals:
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["term", "int"])
+    def test_signal_in_the_epochs_exits_1_with_a_failed_manifest(self, dataset_dir, tmp_path,
+                                                                 signum):
+        out = tmp_path / "out"
+        argv = TRAIN_ARGS + ["--epochs", "1000000", "--data", str(dataset_dir), "--out", str(out)]
+        proc = subprocess.Popen([sys.executable, "-c", ANNOUNCED_MAIN, json.dumps(argv)],
+                                env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True)
+        try:
+            assert proc.stdout.readline() == "in epochs\n"
+            proc.send_signal(signum)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, stdout, stderr) == (1, "", "error: interrupted\n")
+        manifest = read_manifest(out)
+        assert manifest["status"] == "failure" and manifest["error"] == "KeyboardInterrupt"
+        assert leftovers(out) == [] and list(out.iterdir()) == [out / "run_manifest.json"]
+
+    def test_sigterm_handler_is_restored_on_return(self, dataset_dir, tmp_path, capsys):
+        before = signal.getsignal(signal.SIGTERM)
+        assert main(["forge", "stats", "--data", str(dataset_dir), "--out", str(tmp_path)]) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+        capsys.readouterr()
+
+
 class TestHeapSetting:
     @pytest.mark.skipif(not has_mallinfo2(), reason="needs glibc's mallinfo2")
     def test_main_serves_large_blocks_from_the_heap(self, tmp_path):
         argv = SYNTH_ARGS + ["--out", str(tmp_path / "mini")]
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-        proc = subprocess.run([sys.executable, "-c", HEAP_PROBE, json.dumps(argv)], env=env,
+        proc = subprocess.run([sys.executable, "-c", HEAP_PROBE, json.dumps(argv)], env=child_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         default, code, after_main = json.loads(proc.stdout.splitlines()[-1])

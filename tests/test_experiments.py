@@ -175,3 +175,18 @@ def test_cli_manifest_records_report_and_config(tmp_path):
     resolved = json.loads(json.dumps(dataclasses.asdict(short(SENSITIVITY_GAP, epochs=2))))
     assert manifest["config"] == resolved == json.loads(path.read_text())["config"]
     assert manifest["seeds"] == [0]
+
+
+def test_cli_manifest_keeps_the_manifest_it_replaces(tmp_path, capsys):
+    out = tmp_path / "shared"
+    for name in ("planted_ambiguity", "sensitivity_gap"):
+        assert main(["experiment", name, "--epochs", "2", "--train-seeds", "0",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    first, second = out / "planted_ambiguity.json", out / "sensitivity_gap.json"
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["artifacts"] == {str(second): hashlib.sha256(second.read_bytes()).hexdigest()}
+    previous = manifest["previous"]
+    assert previous["argv"][:2] == ["experiment", "planted_ambiguity"]
+    assert previous["status"] == "success" and "previous" not in previous
+    assert previous["artifacts"] == {str(first): hashlib.sha256(first.read_bytes()).hexdigest()}

@@ -253,10 +253,11 @@ class TestSynth:
 
     def test_determinism_on_disk(self, tmp_path):
         spec = self.spec(planted_pairs=1, planted_untimed_pairs=1)
-        dirs = []
-        for tag in ("one", "two"):
+        dirs = [tmp_path / tag for tag in ("one", "two")]
+        for d in dirs:
             res = synth_tkg(spec)
-            dirs.append(write_dataset(tmp_path / tag, res.g1, res.g2, res.seeds, res.manifest))
+            written = write_dataset(d, res.g1, res.g2, res.seeds, res.manifest)
+            assert sorted(written) == sorted(d.iterdir())
         files1 = sorted(p.name for p in dirs[0].iterdir())
         files2 = sorted(p.name for p in dirs[1].iterdir())
         assert files1 == files2
@@ -266,7 +267,8 @@ class TestSynth:
     def test_quad_lines_match_a_line_per_row(self, tmp_path):
         res = synth_tkg(self.spec(planted_pairs=1, planted_untimed_pairs=1,
                                   nontemporal_entity_fraction=0.3))
-        d = write_dataset(tmp_path / "ds", res.g1, res.g2, res.seeds, res.manifest)
+        d = tmp_path / "ds"
+        write_dataset(d, res.g1, res.g2, res.seeds, res.manifest)
         offsets = {"triples_1": (res.g1, 0, 0),
                    "triples_2": (res.g2, res.g1.num_entities, res.g1.num_relations)}
         for name, (kg, eo, ro) in offsets.items():
@@ -281,7 +283,8 @@ class TestSynth:
 
     def test_roundtrip_through_disk(self, tmp_path):
         res = synth_tkg(self.spec(planted_pairs=1))
-        d = write_dataset(tmp_path / "ds", res.g1, res.g2, res.seeds, res.manifest)
+        d = tmp_path / "ds"
+        write_dataset(d, res.g1, res.g2, res.seeds, res.manifest)
         p1, p2, ps = parse_dataset(d)
         assert p1.quadruples == res.g1.quadruples
         assert p2.quadruples == res.g2.quadruples
@@ -413,7 +416,8 @@ FORGED_SHA256 = {
                          ids=lambda spec: spec.name)
 def test_forged_bytes_are_pinned(tmp_path, spec):
     res = synth_tkg(spec)
-    d = write_dataset(tmp_path / spec.name, res.g1, res.g2, res.seeds, res.manifest)
+    d = tmp_path / spec.name
+    write_dataset(d, res.g1, res.g2, res.seeds, res.manifest)
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(d.iterdir())}
     assert got == FORGED_SHA256[spec.name]
 
@@ -445,7 +449,8 @@ class TestSplitToResult:
     def test_graphs_validate_and_parse_back(self, tmp_path):
         quads = source_quads(60)
         res = split_to_result(quads, 0.5, seed_count=6, rng=np.random.default_rng(2))
-        d = write_dataset(tmp_path / "ds", res.g1, res.g2, res.seeds, res.manifest)
+        d = tmp_path / "ds"
+        write_dataset(d, res.g1, res.g2, res.seeds, res.manifest)
         p1, p2, ps = parse_dataset(d)
         assert p1.quadruples == res.g1.quadruples
         assert ps.train_pairs == res.seeds.train_pairs

@@ -1,11 +1,14 @@
-"""Package hygiene: no public code in ``tkgalign`` that only tests call, and a
-README that names every option and every test it cites."""
+"""Package hygiene: no public code in ``tkgalign`` that only tests call, one
+function that writes files, and a README that names every option and every
+test it cites."""
 from __future__ import annotations
 
 import argparse
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 from tkgalign.cli import build_parser
 
@@ -68,6 +71,85 @@ def test_references_are_defined_and_have_no_caller():
     for name in REFERENCES:
         assert name in definitions, name
         assert name.rsplit(".", 1)[-1] not in used, name
+
+
+# the package's only writer, ``tkg.write_file``
+WRITER = ("tkg", "write_file")
+NUMPY_SAVES = {"save", "savez", "savez_compressed"}
+
+
+def _is_write_mode(node: ast.expr | None) -> bool:
+    """True unless ``node`` is a constant read-only ``open`` mode; no mode reads."""
+    if node is None:
+        return False
+    return not (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and not set(node.value) & set("wax+"))
+
+
+def _writes(call: ast.Call, in_memory: set[str]) -> bool:
+    """Whether ``call`` writes a file; ``in_memory`` names the enclosing
+    function's ``io.BytesIO()`` buffers, which ``np.save*`` may fill."""
+    func, mode = call.func, next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if isinstance(func, ast.Name):
+        return func.id == "open" and _is_write_mode(call.args[1] if len(call.args) > 1 else mode)
+    if not isinstance(func, ast.Attribute):
+        return False
+    if func.attr == "open":  # Path.open(mode)
+        return _is_write_mode(call.args[0] if call.args else mode)
+    if func.attr in NUMPY_SAVES and isinstance(func.value, ast.Name) and func.value.id == "np":
+        target = call.args[0] if call.args else None
+        return not (isinstance(target, ast.Name) and target.id in in_memory)
+    return func.attr in {"write_text", "write_bytes", "tofile"}
+
+
+def file_writes(tree: ast.Module, module: str) -> list[str]:
+    """``module.function:line`` of every call outside ``WRITER`` that writes a file."""
+    found = []
+
+    def visit(node: ast.AST, where: str, in_memory: set[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+            in_memory = in_memory | {
+                target.id for sub in ast.walk(node) if isinstance(sub, ast.Assign)
+                and isinstance(sub.value, ast.Call) and ast.unparse(sub.value.func) == "io.BytesIO"
+                for target in sub.targets if isinstance(target, ast.Name)}
+        if isinstance(node, ast.Call) and _writes(node, in_memory) and (module, where) != WRITER:
+            found.append(f"{module}.{where}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, in_memory)
+
+    visit(tree, "<module>", set())
+    return found
+
+
+def test_write_file_is_the_only_function_that_writes_files():
+    found = [hit for path in sorted(PACKAGE.glob("*.py"))
+             for hit in file_writes(ast.parse(path.read_text()), path.stem)]
+    assert found == [], f"write these through tkg.write_file: {found}"
+    writer = ast.parse((PACKAGE / "tkg.py").read_text())
+    assert [n.name for n in writer.body if isinstance(n, ast.FunctionDef)].count("write_file") == 1
+
+
+@pytest.mark.parametrize("source, writes", [
+    ("def f(p):\n    open(p, 'w')", True),
+    ("def f(p):\n    open(p, mode='ab')", True),
+    ("def f(p, m):\n    open(p, m)", True),
+    ("def f(p):\n    p.open('r+')", True),
+    ("def f(p):\n    p.write_text('x')", True),
+    ("def f(p):\n    p.write_bytes(b'x')", True),
+    ("def f(p, a):\n    np.savez(p, a=a)", True),
+    ("def f(p, a):\n    np.save(p, a)", True),
+    ("def f(p, a):\n    np.savez_compressed(p, a=a)", True),
+    ("def f(p, a):\n    a.tofile(p)", True),
+    ("open('log', 'w')", True),
+    ("def f(p):\n    open(p)", False),
+    ("def f(p):\n    open(p, 'rb')", False),
+    ("def f(p):\n    p.open()", False),
+    ("def f(a):\n    buffer = io.BytesIO()\n    np.savez(buffer, a=a)", False),
+    ("def write_file(p):\n    p.write_bytes(b'x')", False),
+], ids=lambda v: v if isinstance(v, bool) else v.split("\n")[-1].strip())
+def test_write_guard_sees_each_kind_of_write(source, writes):
+    assert bool(file_writes(ast.parse(source), "tkg")) is writes
 
 
 def parsers(parser: argparse.ArgumentParser):

@@ -1,6 +1,7 @@
 """Data model, ingestion, reverse decomposition, and link grouping."""
 from __future__ import annotations
 
+import os
 import re
 import tempfile
 from collections import Counter
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkgalign.cli import main
-from tkgalign.errors import GraphError, ParseError
+from tkgalign.errors import GraphError, ParseError, WriteError
 from tkgalign.forge import write_dataset
 from tkgalign.model import prepare_graph
 from tkgalign.tkg import (
@@ -25,6 +26,7 @@ from tkgalign.tkg import (
     merge_pair,
     parse_dataset,
     read_table,
+    write_file,
 )
 
 from conftest import build_time_index, make_kg, quad, unvalidated_kg, write_dataset_dir
@@ -530,7 +532,8 @@ class TestParseDataset:
         g1, g2, seeds = data
         with tempfile.TemporaryDirectory() as tmp:
             if forge_writer:
-                d = write_dataset(Path(tmp), g1, g2, seeds, {})
+                d = Path(tmp)
+                write_dataset(d, g1, g2, seeds, {})
             else:
                 d = write_dataset_dir(Path(tmp), g1, g2, seeds, continue_ids=True)
             p1, p2, ps = parse_dataset(d)
@@ -679,3 +682,49 @@ class TestReadTableMatchesLineReader:
             path.write_bytes(body)
             got = outcome(read_table, path, width, labelled)
         assert got == outcome(line_reader, body, "table", width, labelled)
+
+
+class TestWriteFile:
+    def test_writes_text_as_utf8_and_bytes_as_given(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "file"
+        write_file(path, "caf\u00e9\n")
+        assert path.read_bytes() == "caf\u00e9\n".encode()
+        write_file(path, b"\x00\xff")
+        assert path.read_bytes() == b"\x00\xff"
+        assert sorted(p.name for p in path.parent.iterdir()) == ["file"]
+
+    @pytest.mark.parametrize("failure", [OSError(28, "No space left on device"),
+                                         KeyboardInterrupt()], ids=["enospc", "interrupt"])
+    def test_a_failed_write_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path,
+                                                                        monkeypatch, failure):
+        path = tmp_path / "file"
+        write_file(path, "old\n")
+        real_write_bytes = Path.write_bytes
+
+        def cut_short(self, data):
+            real_write_bytes(self, data[:2])
+            raise failure
+
+        monkeypatch.setattr(Path, "write_bytes", cut_short)
+        with pytest.raises(WriteError if isinstance(failure, OSError) else KeyboardInterrupt) as info:
+            write_file(path, "new content\n")
+        if isinstance(failure, OSError):
+            assert str(info.value) == f"cannot write {path} (No space left on device)"
+            assert info.value.__cause__ is None and info.value.__suppress_context__
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    def test_a_directory_in_the_way_is_refused(self, tmp_path):
+        path = tmp_path / "taken"
+        (path / "inside").mkdir(parents=True)
+        with pytest.raises(WriteError, match=f"^cannot write {re.escape(str(path))} \\("):
+            write_file(path, "x")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert [p.name for p in path.iterdir()] == ["inside"]
+
+    def test_temporary_name_is_hidden_beside_the_target(self, tmp_path, monkeypatch):
+        seen = []
+        real_replace = os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: seen.append(src) or real_replace(src, dst))
+        write_file(tmp_path / "file", "x")
+        assert seen == [tmp_path / f".file.{os.getpid()}.tmp"]

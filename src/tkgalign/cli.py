@@ -3,10 +3,11 @@
 Every invocation writes a ``run_manifest.json`` into its output directory —
 success or failure — recording the resolved configuration, input checksums,
 seeds, and a checksum for every artifact the run produced. A manifest that
-replaces an earlier command's keeps that one under ``previous``. Three
-refusals come before it and write none: arguments that do not parse
-(argparse's usage message, exit 2), an ``--out`` that is, or lies under, a
-file (exit 2), and an ``--out`` that cannot be made (exit 1).
+replaces an earlier command's keeps it, and the ones it kept, as one list
+under ``previous``, oldest first. Three refusals come before it and write
+none: arguments that do not parse (argparse's usage message, exit 2), an
+``--out`` that is, or lies under, a file (exit 2), and an ``--out`` that
+cannot be made (exit 1).
 
 Every file goes through ``tkg.write_file``, so it appears whole or not at
 all; a write that fails ends the command with ``error: cannot write PATH
@@ -143,18 +144,29 @@ class RunManifest:
         self.data["artifacts"][str(path)] = _sha256(path)
 
     def finish(self, status: str, error: str | None = None) -> None:
-        """Write the manifest, keeping the one it replaces under ``previous``."""
+        """Write the manifest, keeping the ones it replaces under ``previous``."""
         self.data["status"] = status
         self.data["error"] = error
         self.data["finished_at"] = _utcnow()
         path = self.out_dir / "run_manifest.json"
         if path.is_file():
-            text = path.read_text(encoding="utf-8", errors="replace")
-            try:
-                self.data["previous"] = json.loads(text)
-            except ValueError:  # not JSON, so no manifest: kept as it was
-                self.data["previous"] = text
+            self.data["previous"] = _earlier_manifests(
+                path.read_text(encoding="utf-8", errors="replace"))
         _write_json(path, self.data)
+
+
+def _earlier_manifests(text: str) -> list:
+    """The manifest ``text`` and the ones it kept, as one flat list, oldest
+    first. A chain nested one ``previous`` inside the next is unwound in a
+    loop; text that does not parse, or nests too deep to, is kept as it was."""
+    try:
+        chain = [json.loads(text)]  # newest first
+    except (ValueError, RecursionError):
+        return [text]
+    while isinstance(chain[-1], dict) and "previous" in chain[-1]:
+        earlier = chain[-1].pop("previous")
+        chain += earlier[::-1] if isinstance(earlier, list) else [earlier]
+    return chain[::-1]
 
 
 def _write_json(path: Path, payload) -> None:

@@ -14,8 +14,8 @@ A layer's output row depends only on the destination entity's own inward
 links, so an inference forward (no tape) computes each layer, and the time
 mean, one block of destination entities at a time
 (:meth:`FlatGraph.blocks`): its per-link arrays span one block's links, not
-the graph's. Training runs the whole graph as one block, because its
-backward needs every link's values.
+the graph's. :func:`model_forward` chooses once: on a tape it runs the whole
+graph, because the backward needs every link's values.
 
 The parameter layout is decided here alone: :func:`param_shapes` names every
 table and its shape, and :func:`table_sizes` counts a merged graph's rows.
@@ -268,7 +268,11 @@ def attention_logits(transformed: Tensor, table: Tensor, idx: Grouping, nu: Tens
 
 @dataclass
 class AttentionProbe:
-    """Per-layer max deviation of attention-weight sums from 1 (non-empty entities)."""
+    """Max deviation of attention-weight sums from 1 (non-empty entities),
+    one entry per :func:`layer_forward` call and view: per layer on a tape,
+    per layer and block in an inference forward. A softmax group is one
+    entity's inward links and never spans blocks, so ``worst`` is the whole
+    graph's either way."""
 
     deviations: list[float] = field(default_factory=list)
 
@@ -277,11 +281,6 @@ class AttentionProbe:
         occupied = np.bincount(dst, minlength=num_entities) > 0
         dev = float(np.max(np.abs(sums[occupied] - 1.0))) if occupied.any() else 0.0
         self.deviations.append(dev)
-
-    def merge(self, parts: list[AttentionProbe]) -> None:
-        """Record each view's worst deviation over ``parts``, the probes of one
-        layer's blocks: what one probe of the whole layer records."""
-        self.deviations += [max(view) for view in zip(*(p.deviations for p in parts))]
 
     @property
     def worst(self) -> float:
@@ -362,61 +361,48 @@ def model_forward(
     constraint is part of the differentiated graph; the stored tables may
     drift off-norm between steps without affecting model output.
 
-    On a tape the whole graph is one block: the per-link edge rows are
+    On a tape the forward runs the whole graph: the per-link edge rows are
     gathered once for every layer, and the backward reads them all. Inside
     :func:`autodiff.no_tape` each layer, and then the incident-time mean,
     runs over :meth:`FlatGraph.blocks` of at most
-    ``INFERENCE_BLOCK_BYTES`` per (links, k) array: each block gathers its
-    own edge rows and writes its entity range of the layer's (n, k) output.
-    A run's sums and softmax read only its own rows, so every bit, and the
-    probe's one deviation per layer and view, are the whole graph's at any
-    k > 1. (At k = 1 numpy sums a run pairwise when its length bucket in
-    :class:`~tkgalign.autodiff.Grouping` holds no other run, so a block can
-    round differently.)
+    ``INFERENCE_BLOCK_BYTES`` per (links, k) array (one block when the
+    graph fits): each block gathers the edge rows its step reads and writes
+    its entity range of the layer's (n, k) output. A run's sums and softmax
+    read only its own rows, so every bit, and the probe's ``worst``, are the
+    whole graph's at any k > 1. (At k = 1 numpy sums a run pairwise when its
+    length bucket in :class:`~tkgalign.autodiff.Grouping` holds no other
+    run, so a block can round differently.)
     """
     if training and cfg.dropout > 0.0 and rng is None:
         raise ConfigError("training with dropout requires an rng")
     rel_table = ad.normalize_rows(store["relation"])
     time_table = ad.normalize_rows(store["time"])
     entity = store["entity"]
-    blocks = [(0, graph)]
-    if not ad.recording():
-        blocks = graph.blocks(max(1, INFERENCE_BLOCK_BYTES // (entity.shape[1]
-                                                               * entity.dtype.itemsize)))
-    whole = len(blocks) == 1
-    if whole:
+    acts = [entity]  # layer 0 = raw embeddings
+    if ad.recording():
         rel_e = ad.gather_rows(rel_table, graph.by_rel)
         time_e = ad.gather_rows(time_table, graph.by_time)
+        for layer in range(cfg.num_layers):
+            h_in = ad.dropout(acts[-1], cfg.dropout, rng, training)
+            acts.append(layer_forward(h_in, graph, rel_e, time_e, store[f"attn_time_{layer}"],
+                                      store[f"attn_rel_{layer}"], rel_table, time_table, probe))
+        return ad.concat_cols(acts + [incident_time_mean(time_e, graph)])
+    row_bytes = entity.shape[1] * entity.dtype.itemsize
+    blocks = graph.blocks(max(1, INFERENCE_BLOCK_BYTES // row_bytes))
 
-    def rel_rows(block):
-        return rel_e if whole else ad.gather_rows(rel_table, block.by_rel)
-
-    def time_rows(block):
-        return time_e if whole else ad.gather_rows(time_table, block.by_time)
-
-    def by_blocks(fn, into: AttentionProbe | None) -> Tensor:
-        """``fn(block, block probe)`` for every block, its rows stacked in
-        entity order; the block probes merged ``into`` a layer's probe."""
-        if whole:
-            return fn(graph, into)
+    def by_blocks(fn) -> Tensor:
+        """``fn(block)`` for every block, its rows stacked in entity order."""
         out = np.empty(entity.shape, entity.dtype)
-        parts = [None if into is None else AttentionProbe() for _ in blocks]
-        for (first, block), part in zip(blocks, parts):
-            out[first:first + block.num_entities] = fn(block, part).data
-        if into is not None:
-            into.merge(parts)
+        for first, block in blocks:
+            out[first:first + block.num_entities] = fn(block).data
         return Tensor(out)
 
-    acts = [entity]
     for layer in range(cfg.num_layers):
         h_in = ad.dropout(acts[-1], cfg.dropout, rng, training)
         nu_time, nu_rel = store[f"attn_time_{layer}"], store[f"attn_rel_{layer}"]
-        acts.append(by_blocks(
-            lambda block, p: layer_forward(h_in, block, rel_rows(block), time_rows(block),
-                                           nu_time, nu_rel, rel_table, time_table, probe=p),
-            probe,
-        ))
-    time_mean = by_blocks(lambda block, _: incident_time_mean(time_rows(block), block), None)
-    # every layer's output (layer 0 = raw embeddings), then the incident-time mean
+        acts.append(by_blocks(lambda b: layer_forward(
+            h_in, b, ad.gather_rows(rel_table, b.by_rel), ad.gather_rows(time_table, b.by_time),
+            nu_time, nu_rel, rel_table, time_table, probe)))
+    time_mean = by_blocks(lambda b: incident_time_mean(ad.gather_rows(time_table, b.by_time), b))
     return ad.concat_cols(acts + [time_mean])
 

@@ -230,12 +230,30 @@ class TestForgeSynth:
         assert read_manifest(out)["status"] == "failure"
         assert not (out / "ref_pairs").exists()
 
-    def test_infeasible_spec_exits_2(self, tmp_path, capsys):
-        code = main(["forge", "synth", "--relations", "1", "--planted", "1",
-                     "--out", str(tmp_path / "bad")])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-        assert read_manifest(tmp_path / "bad")["status"] == "failure"
+    @pytest.mark.parametrize("flags, message", [
+        (["--relations", "0"], "relations must be >= 1"),
+        (["--time-steps", "0"], "time_steps must be >= 1"),
+        (["--quads-per-entity", "0"], "quads_per_entity must be >= 1"),
+        (["--planted", "-1"], "planted pair counts must be >= 0"),
+        (["--planted-untimed", "-1"], "planted pair counts must be >= 0"),
+        (["--nontemporal-fraction", "1.5"], "nontemporal_entity_fraction must be in [0,1]"),
+        (["--nontemporal-fraction", "-0.5"], "nontemporal_entity_fraction must be in [0,1]"),
+        (["--planted", "1", "--relations", "1"], "planting needs >= 2 relations, got 1"),
+        (["--planted", "3", "--time-steps", "5"],
+         "5 time steps cannot hold 6 disjoint windows of width 3"),
+        (["--planted", "3", "--ratio", "0"], "18 quads must be shared but the overlap quota is 0"),
+        (["--seeds", "1000"], "seed_count 1000 exceeds the 20 alignable non-twin entities"),
+    ], ids=["relations", "time-steps", "quads-per-entity", "planted", "planted-untimed",
+            "fraction-above", "fraction-below", "planting-one-relation", "windows", "quota",
+            "seeds"])
+    def test_infeasible_setting_exits_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        assert main(SYNTH_ARGS + flags + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        manifest = read_manifest(out)
+        assert manifest["status"] == "failure"
+        assert manifest["error"] == f"ConfigError: {message}"
+        assert not (out / "triples_1").exists()
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         out = tmp_path / "neg"
@@ -377,6 +395,25 @@ class TestForgeSplit:
         assert capsys.readouterr().err == f"error: seed_count must be >= 1, got {seeds}\n"
         assert read_manifest(out)["status"] == "failure"
         assert not (out / "sup_pairs").exists()
+
+    @pytest.mark.parametrize("rows, seeds, error, message", [
+        (0, "2", "DatasetError", "{source}: no quadruples"),
+        (8, "10", "ConfigError", "seed_count 10 exceeds 9 alignable pairs"),
+    ], ids=["empty-source", "seeds"])
+    def test_infeasible_source_or_seeds_exit_2(self, tmp_path, capsys, rows, seeds, error,
+                                               message):
+        src = tmp_path / "source.tsv"
+        src.write_text("".join(f"{s}\t0\t{s + 1}\t1\t2\n" for s in range(rows)) or "\n")
+        out = tmp_path / "o"
+        code = main(["forge", "split", "--source", str(src), "--ratio", "1.0", "--seeds", seeds,
+                     "--out", str(out)])
+        assert code == 2
+        message = message.format(source=src)
+        assert capsys.readouterr().err == f"error: {message}\n"
+        manifest = read_manifest(out)
+        assert manifest["status"] == "failure"
+        assert manifest["error"] == f"{error}: {message}"
+        assert not (out / "triples_1").exists()
 
     def test_missing_source_exits_2(self, tmp_path, capsys):
         code = main(["forge", "split", "--source", str(tmp_path / "ghost.tsv"),
@@ -575,6 +612,21 @@ class TestTrain:
                      "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {cfg}: {key!r} must be {kind}, got {value!r}\n"
+        assert read_manifest(out)["status"] == "failure"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("mode", "both", "mode must be one of ('time-aware', 'time-unaware'), got 'both'"),
+        ("precision", "f16", "precision must be one of ['f32', 'f64'], got 'f16'"),
+    ], ids=["mode", "precision"])
+    def test_config_value_outside_its_choices_exits_2(self, dataset_dir, tmp_path, capsys,
+                                                      key, value, message):
+        cfg = tmp_path / "choice.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(dataset_dir), "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert read_manifest(out)["status"] == "failure"
 
     @pytest.mark.parametrize("key, message", [
@@ -1183,13 +1235,37 @@ class TestMainPlumbing:
         assert manifest["status"] == "failure"
         assert manifest["error"] == "MemoryError: Unable to allocate 321. MiB for an array"
 
-    def test_manifest_that_is_not_json_is_kept_as_text(self, dataset_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ['{"status": "runn', '{"previous": ' * 1200 + "{}" + "}" * 1200],
+                             ids=["not-json", "nested-past-the-recursion-limit"])
+    def test_manifest_that_does_not_parse_is_kept_as_text(self, dataset_dir, tmp_path, capsys,
+                                                          text):
         out = tmp_path / "out"
         out.mkdir()
-        (out / "run_manifest.json").write_text('{"status": "runn')
+        (out / "run_manifest.json").write_text(text)
         assert main(["forge", "stats", "--data", str(dataset_dir), "--out", str(out)]) == 0
         capsys.readouterr()
-        assert read_manifest(out)["previous"] == '{"status": "runn'
+        manifest = read_manifest(out)
+        assert manifest["status"] == "success"
+        assert manifest["previous"] == [text]
+
+    def test_manifests_kept_as_one_flat_list(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        for argv in (["forge"], ["--verbose", "forge"], ["forge"]):
+            assert main(argv + ["stats", "--data", str(dataset_dir), "--out", str(out)]) == 0
+        capsys.readouterr()
+        manifest = read_manifest(out)
+        assert [m["argv"][0] for m in manifest["previous"]] == ["forge", "--verbose"]
+        assert manifest["argv"][0] == "forge"
+        assert not any("previous" in m for m in manifest["previous"])
+
+    def test_nested_manifest_chain_is_unwound_oldest_first(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        nested = {"command": "c", "previous": {"command": "b", "previous": {"command": "a"}}}
+        (out / "run_manifest.json").write_text(json.dumps(nested))
+        assert main(["forge", "stats", "--data", str(dataset_dir), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert read_manifest(out)["previous"] == [{"command": c} for c in "abc"]
 
     @pytest.mark.parametrize("under", [False, True], ids=["is-file", "under-file"])
     @pytest.mark.parametrize("command", ["train", "eval", "forge-synth", "forge-split",

@@ -186,7 +186,7 @@ def test_cli_manifest_keeps_the_manifest_it_replaces(tmp_path, capsys):
     first, second = out / "planted_ambiguity.json", out / "sensitivity_gap.json"
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["artifacts"] == {str(second): hashlib.sha256(second.read_bytes()).hexdigest()}
-    previous = manifest["previous"]
+    [previous] = manifest["previous"]
     assert previous["argv"][:2] == ["experiment", "planted_ambiguity"]
     assert previous["status"] == "success" and "previous" not in previous
     assert previous["artifacts"] == {str(first): hashlib.sha256(first.read_bytes()).hexdigest()}

@@ -364,8 +364,8 @@ class TestBlockedInference:
                                                             layers):
         """Blocks of 1 to 9 links, so a run longer than a block and (without
         self-loops) entities with no inward link sit at block edges: every
-        bit and the probe's one deviation per layer and view are the taped
-        whole-graph forward's."""
+        bit, and the probe's ``worst`` over its one deviation per layer, view
+        and block, are the taped whole-graph forward's."""
         merged = merge_pair(*hub_and_isolated_pair(time_index))
         graph, _ = prepare_graph(merged, self_loops)
         if unaware:
@@ -375,22 +375,17 @@ class TestBlockedInference:
         whole_probe = AttentionProbe()
         whole = model_forward(store, graph, cfg, probe=whole_probe)
         assert whole.backward_fn is not None
+        assert len(whole_probe.deviations) == 2 * layers
         row_bytes = cfg.dim * cfg.dtype.itemsize
-        for max_links in (1, 2, 5, 9):
+        for max_links in (1, 2, 5, 9, graph.num_links):
             monkeypatch.setattr(model_module, "INFERENCE_BLOCK_BYTES", max_links * row_bytes)
             probe = AttentionProbe()
             with ad.no_tape():
                 blocked = model_forward(store, graph, cfg, probe=probe)
             assert blocked.data.dtype == whole.data.dtype
             assert blocked.data.tobytes() == whole.data.tobytes(), max_links
-            assert len(probe.deviations) == 2 * layers
-            assert probe.deviations == whole_probe.deviations
-
-    def test_attention_probe_merges_block_probes_per_view(self):
-        parts = [AttentionProbe([0.1, 0.4]), AttentionProbe([0.3, 0.2]), AttentionProbe([0.0, 0.0])]
-        probe = AttentionProbe([0.5, 0.6])
-        probe.merge(parts)
-        assert probe.deviations == [0.5, 0.6, 0.3, 0.4]
+            assert len(probe.deviations) == 2 * layers * len(graph.blocks(max_links))
+            assert probe.worst == whole_probe.worst
 
 
 class TestModelForward:

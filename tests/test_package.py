@@ -1,6 +1,6 @@
 """Package hygiene: no public code in ``tkgalign`` that only tests call, one
-function that writes files, and a README that names every option and every
-test it cites."""
+function that writes files, and a README that names every option, every
+refusal a command can reach and every test it cites."""
 from __future__ import annotations
 
 import argparse
@@ -192,6 +192,58 @@ def test_refusal_table_cites_tests_that_exist():
                      and n.name == name]
             assert match, f"{node}: no {name} in {path}"
             body = match[0].body
+
+
+# the refusals that no command can reach, by the text the refusal-row check
+# takes from their message, each with the reason
+LIBRARY_REFUSALS = {
+    "dropout rate must be in [0, 1)": "autodiff.dropout; TrainConfig refuses the rate first",
+    "training with dropout requires an rng": "model_forward; train passes its rng",
+    "need at least one negative per positive": "sample_negatives; train derives eta >= 1",
+    "cannot corrupt within an id range of size":
+        "sample_negatives; a one-entity side cannot hold a seed and a test pair",
+    "eval_every needs at least one test pair to score":
+        "train; the CLI refuses an empty ref_pairs first",
+    "out of range for a": "csls_adjust; rank_pool clamps k to the pool",
+    "unknown metric space": "rank_alignment; --metric has fixed choices",
+    "cannot split an empty quadruple set":
+        "split_overlap; read_source_quads refuses an empty source first",
+    "forced_shared index out of range": "split_overlap; the planted twins' quads are in range",
+    "time-sensitive partition of": "the canned sensitivity_gap pair has test pairs in both",
+}
+REFUSALS = {"ConfigError", "DatasetError", "ParseError"}
+
+
+def refusal_texts() -> dict[str, str]:
+    """``module:line`` -> the longest constant text of each refusal's message,
+    trimmed of punctuation and of a ``, got VALUE`` tail. A message with no
+    text of its own passes another error's message on and is left out."""
+    texts = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in REFUSALS):
+                continue
+            message = node.args[2 if node.func.id == "ParseError" else 0]
+            parts = [n.value for n in ast.walk(message)
+                     if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+            text = max(parts, key=len, default="").split(", got")[0].strip(" :;,(")
+            if text:
+                texts[f"{path.stem}:{node.lineno}"] = text
+    return texts
+
+
+def test_every_refusal_has_a_readme_row():
+    messages = [row[2] for row in refusal_rows()]
+    missing = {where: text for where, text in refusal_texts().items()
+               if text not in LIBRARY_REFUSALS and not any(text in cell for cell in messages)}
+    assert not missing, f"no README refusal row holds {missing}"
+
+
+def test_library_refusals_are_still_raised():
+    """A refusal that is gone, or whose message changed, leaves the list."""
+    texts = set(refusal_texts().values())
+    assert not set(LIBRARY_REFUSALS) - texts
 
 
 def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):

@@ -15,11 +15,11 @@ all; a write that fails ends the command with ``error: cannot write PATH
 and exit 1, also with a failed manifest. Only SIGKILL can leave a
 ``.NAME.PID.tmp`` file behind, which no manifest records.
 
-Reruns with the same seed produce byte-identical artifacts, with exactly two
-declared exceptions that record wall-clock time: the run manifest itself, and
-the ``seconds`` column/field in training histories and evaluation reports.
-Checkpoints, datasets, metrics, summaries and experiment reports are strictly
-byte-identical.
+Reruns with the same seed produce byte-identical artifacts. Wall-clock time
+goes into the run manifest only, which is therefore the one file that differs:
+its timestamps and its ``seconds`` (each training run's epoch times, or the
+eval's scoring time). Comparing two runs' manifest ``artifacts`` maps is the
+whole determinism check.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
@@ -35,6 +35,7 @@ import os
 import platform
 import signal
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -132,6 +133,7 @@ class RunManifest:
             "inputs": {},
             "artifacts": {},
             "metrics": {},
+            "seconds": {},
         }
 
     def record_input_dir(self, directory: Path) -> None:
@@ -241,9 +243,6 @@ def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
         run_reports = score_model(result.store, result.graph, run_cfg,
                                   result.merged.merged_pairs(seeds.test_pairs),
                                   spaces=("l1", "csls"))
-        for rep in run_reports:
-            # metrics.json is byte-deterministic, so it carries no wall-clock time
-            rep.seed, rep.seconds = run_seed, None
         metrics_path = run_dir / "metrics.json"
         _write_json(metrics_path, {
             "seed": run_seed,
@@ -256,6 +255,7 @@ def cmd_train(args: argparse.Namespace, manifest: RunManifest) -> int:
         })
         for p in (ck_path, history_path, metrics_path):
             manifest.record_artifact(p)
+        manifest.data["seconds"][run_dir.name] = [round(s, 4) for s in result.report.epoch_seconds]
         reports.extend(run_reports)
         logger.info("run %d: csls hits@1 %.4f", run_seed,
                     next(r.hits1 for r in run_reports if r.metric_space == "csls"))
@@ -304,11 +304,11 @@ def cmd_eval(args: argparse.Namespace, manifest: RunManifest) -> int:
         )
     spaces = ("l1", "csls") if args.metric == "both" else (args.metric,)
     directions = ("g1->g2", "g2->g1") if args.direction == "both" else (args.direction,)
+    t0 = time.perf_counter()
     reports = score_model(store, graph, cfg, merged.merged_pairs(seeds.test_pairs),
                           spaces=spaces, directions=directions,
                           sensitivity=sensitivity if args.partition else None)
-    for rep in reports:
-        rep.seed = meta.seed
+    manifest.data["seconds"]["score"] = round(time.perf_counter() - t0, 4)
 
     json_path = out / "eval_report.json"
     _write_json(json_path, [vars(r) for r in reports])

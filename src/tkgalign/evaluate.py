@@ -9,7 +9,6 @@ degenerate embeddings.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,17 +37,15 @@ class RankingReport:
     metric_space: str = "l1"  # l1 | csls
     direction: str = "g1->g2"
     seed: int | None = None
-    seconds: float | None = None
 
     @property
     def num_pairs(self) -> int:
         return len(self.ranks)
 
     def csv_rows(self) -> list[str]:
-        head = "metric,value,partition,metric_space,direction,seed,seconds"
+        head = "metric,value,partition,metric_space,direction,seed"
         seed = "" if self.seed is None else str(self.seed)
-        secs = "" if self.seconds is None else f"{self.seconds:.4f}"
-        tail = f"{self.partition},{self.metric_space},{self.direction},{seed},{secs}"
+        tail = f"{self.partition},{self.metric_space},{self.direction},{seed}"
         return [
             head,
             f"mrr,{self.mrr:.6f},{tail}",
@@ -295,9 +292,8 @@ def rank_pool(
     time-sensitive) takes the whole-pool report under its own name, with no
     sub-pool ranked again. Each pool's and partition's CSLS means are taken
     once, in the first direction, and passed to :func:`rank_alignment` in
-    the other. A whole-pool report's ``seconds`` is the wall time of its
-    own ranking from the L1 matrix (CSLS means where taken, ranks); the
-    matrix is in no report's ``seconds``, and partition reports carry none.
+    the other. Reports hold no wall-clock time, so a rerun writes the same
+    bytes; ``tkgalign eval`` times its whole scoring into the run manifest.
     """
     pairs = _as_pairs(pairs)
     if len(pairs) == 0:
@@ -319,15 +315,13 @@ def rank_pool(
     reports = []
     for space in spaces:
         for direction in directions:
-            t0 = time.perf_counter()
             rep = rank(space, direction)
-            rep.seconds = time.perf_counter() - t0
             reports.append(rep)
             for i, (name, idx) in enumerate(partitions):
                 if len(idx) == 0:
                     continue
                 if np.array_equal(idx, whole):
-                    reports.append(replace(rep, partition=name, seconds=None))
+                    reports.append(replace(rep, partition=name))
                 else:
                     reports.append(rank(space, direction, i))
     return reports

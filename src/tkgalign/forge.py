@@ -117,6 +117,7 @@ class SplitResult:
     alignment: np.ndarray  # (a, 2) local_1, local_2 of both-side entities, source-id order
     shared_count: int
     total: int
+    warnings: list[str]  # logged by ``_assemble`` once the pair is accepted
 
 
 @dataclass
@@ -135,12 +136,12 @@ def split_overlap(
 ) -> SplitResult:
     """Divide (n, 5) source quads into two overlapping, similarly sized subsets.
 
-    ``overlap_ratio`` of the quads (rounded, with a warning when inexact) go
-    to both sides with identical timestamps; the rest is halved. Indices in
-    ``forced_shared`` are guaranteed into the shared portion (they count
-    toward its quota). Entity and relation ids are re-indexed densely per
-    side in source-id order, and the gold entity alignment over both-side
-    entities is returned.
+    ``overlap_ratio`` of the quads (rounded) go to both sides with identical
+    timestamps; the rest is halved. An inexact ratio and an odd remainder are
+    noted in ``warnings``. Indices in ``forced_shared`` are guaranteed into
+    the shared portion (they count toward its quota). Entity and relation ids
+    are re-indexed densely per side in source-id order, and the gold entity
+    alignment over both-side entities is returned.
     """
     quads = QuadTable(quads).rows
     n = len(quads)
@@ -150,11 +151,9 @@ def split_overlap(
         raise ConfigError(f"overlap_ratio must be in [0,1], got {overlap_ratio}")
     exact = n * overlap_ratio
     shared_n = int(round(exact))
+    warnings = []
     if abs(exact - shared_n) > 1e-9:
-        logger.warning(
-            "overlap %g of %d quads is not integral; using %d shared",
-            overlap_ratio, n, shared_n,
-        )
+        warnings.append(f"overlap {overlap_ratio:g} of {n} quads is not integral; using {shared_n} shared")
     forced = np.unique(np.asarray(forced_shared, dtype=np.int64))
     if ((forced < 0) | (forced >= n)).any():
         raise ConfigError("forced_shared index out of range")
@@ -164,7 +163,7 @@ def split_overlap(
         )
     rest = n - shared_n
     if rest % 2:
-        logger.warning("%d exclusive quads split unevenly (%d vs %d)", rest, rest // 2, rest - rest // 2)
+        warnings.append(f"{rest} exclusive quads split unevenly ({rest // 2} vs {rest - rest // 2})")
 
     is_forced = np.zeros(n, dtype=bool)
     is_forced[forced] = True
@@ -187,7 +186,7 @@ def split_overlap(
     q2, ents2, rels2 = build_side(side2)
     both = np.intersect1d(ents1, ents2)
     alignment = np.stack([np.searchsorted(ents1, both), np.searchsorted(ents2, both)], axis=1)
-    return SplitResult(q1, q2, ents1, ents2, rels1, rels2, alignment, shared_n, n)
+    return SplitResult(q1, q2, ents1, ents2, rels1, rels2, alignment, shared_n, n, warnings)
 
 
 def _assemble(
@@ -204,7 +203,8 @@ def _assemble(
 
     A local entity is labelled ``labels[source id]``, else ``e<source id>``,
     and a local relation ``r<source id>``. ``manifest`` gets the split's
-    sizes. A pair whose seeds leave no test pair is refused.
+    sizes. A pair whose seeds leave no test pair is refused. The split's
+    warnings are logged last, so a refused pair prints only its error.
     """
     if is_seed.all():
         raise ConfigError(f"seed_count {len(is_seed)} takes every alignable pair, leaving no test pair")
@@ -229,8 +229,11 @@ def _assemble(
     seeds.validate()
     manifest = {"source_quads": split.total, "shared_quads": split.shared_count,
                 "overlap": split.shared_count / split.total, **manifest}
-    return ForgeResult(side(1, split.quads_1, split.ents_1, split.rels_1),
-                       side(2, split.quads_2, split.ents_2, split.rels_2), seeds, manifest)
+    g1 = side(1, split.quads_1, split.ents_1, split.rels_1)
+    g2 = side(2, split.quads_2, split.ents_2, split.rels_2)
+    for warning in split.warnings:
+        logger.warning("%s", warning)
+    return ForgeResult(g1, g2, seeds, manifest)
 
 
 def measured_overlap(g1: TemporalKG, g2: TemporalKG, all_pairs) -> float:

@@ -241,7 +241,8 @@ def score_model(
 
     Validation, ``tkgalign train``/``eval`` and the experiments all score
     through here, in the report order of :func:`evaluate.rank_pool`, with
-    CSLS over ``cfg.k_csls`` neighbours. Given the per-entity
+    CSLS over ``cfg.k_csls`` neighbours, and each report's seed is
+    ``cfg.seed``. Given the per-entity
     ``sensitivity`` from :func:`build_graph`, the highly and lowly
     time-sensitive partitions are each re-ranked inside their own sub-pool
     after every whole-pool report. The forward builds no tape (see
@@ -264,8 +265,9 @@ def score_model(
     partitions = ()
     if sensitivity is not None:
         partitions = tuple(zip(("highly", "lowly"), partition_test_pairs(pairs, sensitivity)))
-    return rank_pool(reps, pairs, spaces=spaces, directions=directions, k_csls=cfg.k_csls,
-                     partitions=partitions)
+    reports = rank_pool(reps, pairs, spaces=spaces, directions=directions, k_csls=cfg.k_csls,
+                        partitions=partitions)
+    return [replace(rep, seed=cfg.seed) for rep in reports]
 
 
 @dataclass
@@ -287,15 +289,17 @@ class TrainReport:
         return h.hexdigest()
 
     def history_rows(self) -> list[str]:
-        """CSV lines: epoch,loss,mrr,hits1,hits10,seconds (metrics blank between evals)."""
+        """CSV lines: epoch,loss,mrr,hits1,hits10 (metrics blank between evals).
+        No wall-clock time, so reruns write the same bytes; ``epoch_seconds``
+        goes to the run manifest."""
         by_epoch = {e["epoch"]: e for e in self.eval_history}
-        rows = ["epoch,loss,mrr,hits1,hits10,seconds"]
-        for i, (loss, sec) in enumerate(zip(self.losses, self.epoch_seconds)):
+        rows = ["epoch,loss,mrr,hits1,hits10"]
+        for i, loss in enumerate(self.losses):
             ev = by_epoch.get(i)
             mrr = f"{ev['mrr']:.6f}" if ev else ""
             h1 = f"{ev['hits1']:.6f}" if ev else ""
             h10 = f"{ev['hits10']:.6f}" if ev else ""
-            rows.append(f"{i},{loss:.6f},{mrr},{h1},{h10},{sec:.4f}")
+            rows.append(f"{i},{loss:.6f},{mrr},{h1},{h10}")
         return rows
 
 

@@ -18,6 +18,7 @@ from tkgalign import cli, model
 from tkgalign.checkpoint import FORMAT_VERSION, CheckpointMeta, load_checkpoint, save_checkpoint
 from tkgalign.cli import DATA_ROOT_ENV, _build_train_config, build_parser, main
 from tkgalign.errors import WriteError
+from tkgalign.evaluate import RankingReport
 from tkgalign.forge import ForgeSpec
 from tkgalign.tkg import merge_pair, parse_dataset
 from tkgalign.train import TrainConfig, build_graph
@@ -254,6 +255,22 @@ class TestForgeSynth:
         assert manifest["status"] == "failure"
         assert manifest["error"] == f"ConfigError: {message}"
         assert not (out / "triples_1").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--entities", "20", "--relations", "3", "--time-steps", "24", "--quads-per-entity", "2",
+          "--seeds", "6", "--planted", "2", "--ratio", "0.1"],
+         "12 quads must be shared but the overlap quota is 5"),
+        (["--entities", "30", "--seeds", "1000"],
+         "seed_count 1000 exceeds the 30 alignable non-twin entities"),
+    ], ids=["inexact-ratio-then-quota", "uneven-split-then-seeds"])
+    def test_refusal_after_split_warnings_prints_one_line(self, tmp_path, flags, message):
+        """The split's inexact-ratio and uneven-split warnings wait until the pair
+        is accepted. A child process, because pytest's log capture keeps
+        ``main``'s stderr log handler from being installed here."""
+        proc = subprocess.run([sys.executable, "-m", "tkgalign.cli", "forge", "synth", *flags,
+                               "--out", str(tmp_path / "o")],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         out = tmp_path / "neg"
@@ -530,7 +547,7 @@ class TestTrain:
 
     def test_history_layout(self, trained):
         rows = (trained / "run_0" / "history.csv").read_text().splitlines()
-        assert rows[0] == "epoch,loss,mrr,hits1,hits10,seconds"
+        assert rows[0] == "epoch,loss,mrr,hits1,hits10"
         assert len(rows) == 3  # header + 2 epochs
 
     def test_repeats_make_run_dirs(self, dataset_dir, tmp_path):
@@ -542,22 +559,31 @@ class TestTrain:
         assert (out / "run_7").is_dir() and (out / "run_8").is_dir()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["l1"]["runs"] == 2
-        assert read_manifest(out)["seeds"] == [7, 8]
+        man = read_manifest(out)
+        assert man["seeds"] == [7, 8]
+        # the wall-clock file: each run's epoch times, one per history row
+        assert {run: len(times) for run, times in man["seconds"].items()} == {
+            run: len((out / run / "history.csv").read_text().splitlines()) - 1
+            for run in ("run_7", "run_8")}
 
     def test_deterministic_artifacts_across_reruns(self, dataset_dir, tmp_path):
-        outs = []
+        """Train, then eval, into each of two directories: every artifact either
+        command wrote has the same checksum, keyed by its path under ``--out``."""
+        artifacts = []
         for tag in ("a", "b"):
             out = tmp_path / tag
-            code = main(TRAIN_ARGS + ["--data", str(dataset_dir), "--out", str(out)])
-            assert code == 0
-            outs.append(out)
-        a, b = outs
-        for rel in ("run_0/checkpoint.npz", "run_0/metrics.json", "summary.json"):
-            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
-        # history differs only in the wall-clock column
-        strip = lambda text: [",".join(r.split(",")[:-1]) for r in text.splitlines()]
-        assert strip((a / "run_0/history.csv").read_text()) == \
-               strip((b / "run_0/history.csv").read_text())
+            assert main(TRAIN_ARGS + ["--data", str(dataset_dir), "--out", str(out)]) == 0
+            assert main(["eval", "--checkpoint", str(out / "run_0" / "checkpoint.npz"),
+                         "--data", str(dataset_dir), "--metric", "both", "--direction", "both",
+                         "--partition", "--out", str(out)]) == 0
+            man = read_manifest(out)
+            artifacts.append([{str(Path(path).relative_to(out)): digest
+                               for path, digest in m["artifacts"].items()}
+                              for m in man["previous"] + [man]])
+        assert [sorted(a) for a in artifacts[0]] == [
+            ["run_0/checkpoint.npz", "run_0/history.csv", "run_0/metrics.json", "summary.json"],
+            ["eval_report.csv", "eval_report.json"]]
+        assert artifacts[0] == artifacts[1]
 
     def test_config_file_then_flags_precedence(self, dataset_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -866,12 +892,17 @@ class TestEval:
         assert combos == {("l1", "g1->g2"), ("l1", "g2->g1"),
                           ("csls", "g1->g2"), ("csls", "g2->g1")}
         csv = (out / "eval_report.csv").read_text().splitlines()
-        assert csv[0] == "metric,value,partition,metric_space,direction,seed,seconds"
+        assert csv[0] == "metric,value,partition,metric_space,direction,seed"
         assert len(csv) == 1 + 3 * len(reports)
         text = capsys.readouterr().out
         assert "hits@1" in text
         man = read_manifest(out)
         assert "csls/g1->g2/all" in man["metrics"]
+        assert man["seconds"].keys() == {"score"}
+        # train and eval reports hold the report's fields and no wall-clock one
+        trained_reports = json.loads((trained / "run_0" / "metrics.json").read_text())["reports"]
+        fields = {f.name for f in dataclasses.fields(RankingReport)}
+        assert [r.keys() for r in trained_reports + reports] == [fields] * (2 + len(reports))
 
     def test_partition_rows(self, dataset_dir, trained, tmp_path):
         out = tmp_path / "evp"
@@ -901,7 +932,6 @@ class TestEval:
                         for space in ("l1", "csls")
                         for direction in ("g1->g2", "g2->g1")
                         for part in ("all", *parts)]
-        assert [r["seconds"] is not None for r in reports] == [k[2] == "all" for k in keys]
         csv = (out / "eval_report.csv").read_text().splitlines()[1:]
         assert [tuple(row.split(",")[2:5]) for row in csv[::3]] == \
                [(p, s, d) for s, d, p in keys]
@@ -922,7 +952,6 @@ class TestEval:
         _, meta = load_checkpoint(ck)
         assert (meta.mode, meta.self_loops, meta.k_csls) == (mode, self_loops, k_csls or 10)
         trained = json.loads((out / "run_0" / "metrics.json").read_text())["reports"]
-        strip = lambda r: {k: v for k, v in r.items() if k != "seconds"}
         graph, _ = build_graph(merge_pair(*parse_dataset(dataset_dir)[:2]), meta)
         max_links = 3
         assert len(graph.blocks(max_links)) > 3
@@ -932,7 +961,7 @@ class TestEval:
             assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset_dir),
                          "--metric", "both", "--out", str(ev)]) == 0
             evaluated = json.loads((ev / "eval_report.json").read_text())
-            assert [strip(r) for r in evaluated] == [strip(r) for r in trained]
+            assert evaluated == trained
 
     def test_empty_ref_pairs_exits_2(self, dataset_dir, trained, tmp_path, capsys):
         data = copy_with_empty(dataset_dir, tmp_path / "no-test", "ref_pairs")
@@ -962,8 +991,7 @@ class TestEval:
                          "--data", str(dataset_dir), "--partition", "--direction", "both",
                          "--out", str(out)] + flags) == 0
             reports = json.loads((out / "eval_report.json").read_text())
-            evals.append(([{k: v for k, v in r.items() if k != "seconds"} for r in reports],
-                          read_manifest(out)["config"]["k_csls"]))
+            evals.append((reports, read_manifest(out)["config"]["k_csls"]))
         assert evals[0] == evals[1]
         assert evals[0][1] == 3
 
@@ -1200,7 +1228,6 @@ class TestEval:
         reports = json.loads((out / "eval_report.json").read_text())
         assert len(reports) == 1
         assert reports[0]["metric_space"] == "csls"
-        assert reports[0]["seconds"] is not None
 
 
 class TestMainPlumbing:

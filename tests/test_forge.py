@@ -179,10 +179,12 @@ class TestSplitOverlap:
         with pytest.raises(ConfigError, match="empty"):
             split_overlap([], 0.5, np.random.default_rng(0))
 
-    def test_inexact_ratio_warns(self, caplog):
+    def test_inexact_ratio_and_uneven_split_are_noted(self, caplog):
         with caplog.at_level("WARNING", logger="tkgalign.forge"):
-            split_overlap(source_quads(10), 0.33, np.random.default_rng(0))
-        assert any("not integral" in r.message for r in caplog.records)
+            split = split_overlap(source_quads(10), 0.33, np.random.default_rng(0))
+        assert split.warnings == ["overlap 0.33 of 10 quads is not integral; using 3 shared",
+                                  "7 exclusive quads split unevenly (3 vs 4)"]
+        assert caplog.records == []  # logged once the pair is accepted
 
     def test_same_rng_seed_reproduces(self):
         quads = source_quads(20)
@@ -435,6 +437,21 @@ class TestSplitToResult:
         quads = source_quads(40)
         with pytest.raises(ConfigError, match="seed_count"):
             split_to_result(quads, 0.5, seed_count=10 ** 6, rng=np.random.default_rng(0))
+
+    def test_inexact_ratio_warns(self, caplog):
+        with caplog.at_level("WARNING", logger="tkgalign.forge"):
+            split_to_result(source_quads(40), 0.33, seed_count=1, rng=np.random.default_rng(0))
+        assert [r.getMessage() for r in caplog.records] == [
+            "overlap 0.33 of 40 quads is not integral; using 13 shared",
+            "27 exclusive quads split unevenly (13 vs 14)"]
+
+    def test_refused_split_logs_no_warning(self, caplog):
+        """A refusal is the command's one stderr line: no split warning before it."""
+        with caplog.at_level("WARNING", logger="tkgalign.forge"):
+            with pytest.raises(ConfigError, match="seed_count"):
+                split_to_result(source_quads(40), 0.33, seed_count=10 ** 6,
+                                rng=np.random.default_rng(0))
+        assert caplog.records == []
 
     def test_seeds_and_test_disjoint_and_cover(self):
         quads = source_quads(60)

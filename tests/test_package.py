@@ -1,6 +1,6 @@
 """Package hygiene: no public code in ``tkgalign`` that only tests call, one
-function that writes files, and a README that names every option, every
-refusal a command can reach and every test it cites."""
+function that writes files, two modules that read a clock, and a README that
+names every option, every refusal a command can reach and every test it cites."""
 from __future__ import annotations
 
 import argparse
@@ -150,6 +150,44 @@ def test_write_file_is_the_only_function_that_writes_files():
 ], ids=lambda v: v if isinstance(v, bool) else v.split("\n")[-1].strip())
 def test_write_guard_sees_each_kind_of_write(source, writes):
     assert bool(file_writes(ast.parse(source), "tkg")) is writes
+
+
+# the modules that may read a clock: ``cli`` stamps and times the run manifest,
+# ``train`` times each epoch for it; every other artifact holds no wall-clock value
+CLOCK_MODULES = {"time", "datetime"}
+CLOCK_READERS = {"cli", "train"}
+
+
+def clock_imports(tree: ast.Module) -> set[str]:
+    """The clock modules that ``tree`` imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.split(".")[0])
+    return names & CLOCK_MODULES
+
+
+def test_only_cli_and_train_read_a_clock():
+    found = {path.stem: sorted(clock_imports(ast.parse(path.read_text())))
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem not in CLOCK_READERS}
+    assert {stem: mods for stem, mods in found.items() if mods} == {}, \
+        "time the run in cli or train and record it in the run manifest"
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("import time", True),
+    ("def f():\n    import time as t", True),
+    ("from time import perf_counter", True),
+    ("from datetime import datetime", True),
+    ("import datetime.timezone", True),
+    ("def f(time):\n    return time", False),
+    ("from .evaluate import time_sensitivity", False),
+    ("import timeit", False),
+])
+def test_clock_guard_sees_each_kind_of_import(source, reads):
+    assert bool(clock_imports(ast.parse(source))) is reads
 
 
 def parsers(parser: argparse.ArgumentParser):

@@ -538,7 +538,7 @@ class TestTrainLoop:
         cfg = self.small_config(epochs=10, eval_every=4)
         result = train(g1, g2, seeds, cfg)
         rows = result.report.history_rows()
-        assert rows[0] == "epoch,loss,mrr,hits1,hits10,seconds"
+        assert rows[0] == "epoch,loss,mrr,hits1,hits10"
         assert len(rows) == 1 + 10
         # epochs 0, 4, 8 and the final epoch carry metrics
         assert rows[1].split(",")[2] != ""

@@ -44,9 +44,10 @@ so they are gone before the rest of the forward allocates.
 
 Inference: inside :func:`no_tape` every op still computes its value, but
 the node it returns keeps no parents and no backward rule, so nothing on the
-way to a result outlives the code that made it (a no-grad mode), and
-:func:`recording` tells code that can then work in pieces. The training
-path never enters it.
+way to a result outlives the code that made it (a no-grad mode).
+:func:`by_blocks` uses it in every forward, training included: it runs all
+but one block of a composition untaped and reruns each of them on a tape
+in its rule (gradient checkpointing, Chen et al. 2016, arXiv 1604.06174).
 """
 from __future__ import annotations
 
@@ -71,11 +72,6 @@ def no_tape() -> Iterator[None]:
         yield
     finally:
         _recording = previous
-
-
-def recording() -> bool:
-    """Whether ops build a tape here: False inside :func:`no_tape`."""
-    return _recording
 
 
 class Tensor:
@@ -186,12 +182,20 @@ def seal(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
     """
     if not _recording:
         return fn(*inputs)
-    stand_ins = tuple(leaf(x.data, x.name) for x in inputs)
-    inner = fn(*stand_ins)
+    inner, bw = _stand_in_tape(fn, inputs, [x.data for x in inputs])
     out = inner.data
-    for node in _tape_order(inner):
-        if node.backward_fn is not None:
-            node.data = None
+    _release(inner)
+    return Tensor(out, inputs, bw)
+
+
+def _stand_in_tape(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
+                   arrays: Sequence[np.ndarray]) -> tuple[Tensor, Callable[[np.ndarray], None]]:
+    """``fn`` on leaf stand-ins of ``inputs`` that hold ``arrays``: its output
+    node, and a rule that backpropagates a gradient through the tape so
+    built, which that consumes, and hands each stand-in's gradient to its
+    input."""
+    stand_ins = tuple(leaf(a, x.name) for a, x in zip(arrays, inputs))
+    inner = fn(*stand_ins)
 
     def bw(g):
         _propagate(inner, g)
@@ -199,6 +203,60 @@ def seal(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
             if s.grad is not None:
                 x.accumulate(s.grad)
                 s.grad = None
+
+    return inner, bw
+
+
+def _release(root: Tensor) -> None:
+    """Release the value of every node on ``root``'s tape that has a rule,
+    ``root`` included, as :func:`backward` would (see the values rule)."""
+    for node in _tape_order(root):
+        if node.backward_fn is not None:
+            node.data = None
+
+
+def by_blocks(fn: Callable[..., Tensor], blocks: Sequence[tuple[int, object]], rows: int,
+              *inputs: Tensor) -> Tensor:
+    """The (``rows``, ...) stack of ``fn(block, *inputs, replay=...)`` over
+    ``(first, block)`` pairs, each block's output at rows ``first`` onward,
+    as one node: exact gradient checkpointing over a partition of the rows.
+
+    The forward runs every block but the last under :func:`no_tape`, so it
+    holds one block's inner values at a time. It runs the last block on a
+    tape of leaf stand-ins of ``inputs``, sealed as :func:`seal` seals, and
+    keeps that tape. The rule backpropagates the last block's rows of the
+    gradient through it, then reruns each other block, last to first, on a
+    fresh tape of stand-ins that hold the input arrays as captured here, and
+    backpropagates that block's rows. Each tape hands its stand-ins'
+    gradients to the inputs, so an input's gradient is summed per block,
+    then across blocks. ``fn`` gets ``replay=True`` on a rerun, so that it
+    can leave out what it records. It must reach the tape through its inputs
+    only, and a block's output rows must read nothing of another block's.
+    One block is never rerun: a graph that fits in one costs one taped pass.
+    """
+    arrays = [x.data for x in inputs]
+    *head, (last_first, last) = blocks
+    out, spans = None, []
+
+    def put(first, y):
+        nonlocal out
+        if out is None:
+            out = np.empty((rows,) + y.shape[1:], y.dtype)
+        out[first:first + len(y)] = y
+        spans.append((first, first + len(y)))
+
+    with no_tape():
+        for first, block in head:
+            put(first, fn(block, *inputs, replay=False).data)
+    inner, kept = _stand_in_tape(lambda *xs: fn(last, *xs, replay=False), inputs, arrays)
+    put(last_first, inner.data)
+    _release(inner)
+
+    def bw(g):
+        kept(g[slice(*spans[-1])])
+        for (first, block), span in zip(reversed(head), reversed(spans[:-1])):
+            _, rule = _stand_in_tape(lambda *xs: fn(block, *xs, replay=True), inputs, arrays)
+            rule(g[slice(*span)])
 
     return Tensor(out, inputs, bw)
 
@@ -270,22 +328,25 @@ class Grouping:
     (L, c) positions, position-major (every run's first row, then its second
     and so on) and as narrow as ``positions``, or a slice for one run in place.
 
-    Scalar rows are reduced with one ``ufunc.reduceat`` over the id-order
-    layout, which walks each run contiguously: ``x`` is read in place where
-    the index is non-decreasing, else its m values are gathered first. Rows
-    of width k reduce one bucket at a time: its span gathers an (L, c, k)
-    block that one ``ufunc.reduce`` over axis 0 collapses, with long
-    contiguous inner loops and each run taken left to right. That is one
-    Python step per distinct run length, at most sqrt(2m) for m positions
-    whatever the skew of the index, and one bucket's rows copied at a time,
-    none for a slice (the time column of a time-unaware graph).
+    Scalar rows, and rows of width 1, are reduced with one ``ufunc.reduceat``
+    over the id-order layout, which walks each run contiguously: ``x`` is
+    read in place where the index is non-decreasing, else its m values are
+    gathered first. Each run's result so depends on that run alone (numpy
+    would sum a width-1 bucket of one run pairwise, and of several in
+    order). Rows of width k > 1 reduce one bucket at a time: its span
+    gathers an (L, c, k) block that one ``ufunc.reduce`` over axis 0
+    collapses, with long contiguous inner loops and each run taken left to
+    right. That is one Python step per distinct run length, at most sqrt(2m)
+    for m positions whatever the skew of the index, and one bucket's rows
+    copied at a time, none for a slice (the time column of a time-unaware
+    graph).
 
     So a grouping fixes the summation order of every reduction by an index
     (the segment sum and softmax of the aggregation, the gradient of a row
     gather), and that order is part of the determinism contract: a kernel
     that sums a run in another order changes a seed's results by rounding.
-    A graph groups each link column once (``model.FlatGraph``) and every
-    epoch reuses it.
+    A graph groups each link column once, and each block of its cut
+    (``model.FlatGraph``), and every epoch reuses them.
     """
 
     __slots__ = ("index", "by_id", "buckets")
@@ -321,10 +382,11 @@ class Grouping:
         """``ufunc`` over the rows of ``x`` in each run; ``fill`` where no row falls."""
         rest = x.shape[1:]
         out = np.full((size,) + rest, fill, dtype=x.dtype)
-        if not rest:
+        if rest in ((), (1,)):
             pos, starts, ids = self.by_id
             if len(ids):
-                out[ids] = ufunc.reduceat(x if pos is None else x.take(pos), starts)
+                x = x.reshape(len(x))
+                out.reshape(size)[ids] = ufunc.reduceat(x if pos is None else x.take(pos), starts)
             return out
         for span, ids in self.buckets:
             block = x[span] if isinstance(span, slice) else x.take(span, axis=0)

@@ -79,10 +79,12 @@ def _keep_freed_memory_in_heap() -> None:
     """Serve blocks under 1 GiB from the heap and keep up to 1 GiB freed there.
 
     Sets glibc's ``M_MMAP_THRESHOLD`` and ``M_TRIM_THRESHOLD`` (mallopt(3))
-    for this process. Training allocates and frees per-link arrays every
-    epoch. glibc maps each block above its mmap threshold (adaptive, at most
-    32 MiB) afresh, faults it in page by page and unmaps it on free; from
-    the heap the next epoch reuses the same pages. Values are unaffected.
+    for this process. Every forward and backward allocates and frees
+    per-link arrays of one block of links (up to ``model.BLOCK_BYTES``)
+    many times per epoch. glibc maps each allocation above its mmap
+    threshold (adaptive, at most 32 MiB) afresh, faults it in page by page
+    and unmaps it on free; from the heap the next block reuses the same
+    pages. Values are unaffected.
     :func:`main` calls it first, so library callers that never enter
     ``cli.main`` keep the allocator's defaults. A no-op on any other C
     library, and a refused setting is ignored.
@@ -357,10 +359,11 @@ def cmd_forge_split(args: argparse.Namespace, manifest: RunManifest) -> int:
     manifest.data["seeds"] = [args.seed]
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
-    quads = read_source_quads(args.source)
+    notes: list[str] = []  # logged once the split is accepted, so a refusal prints one line
+    quads = read_source_quads(args.source, notes)
     manifest.data["inputs"][args.source] = _sha256(Path(args.source))
     result = split_to_result(quads, args.overlap_ratio, args.seed_count,
-                             np.random.default_rng(args.seed), name=args.name)
+                             np.random.default_rng(args.seed), name=args.name, notes=notes)
     return _write_forged(result, args, manifest)
 
 

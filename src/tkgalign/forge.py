@@ -23,6 +23,7 @@ import logging
 import math
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -517,9 +518,10 @@ def write_dataset(
     return [directory / name for name in files]
 
 
-def read_source_quads(path: str | Path) -> np.ndarray:
+def read_source_quads(path: str | Path, notes: list[str] | None = None) -> np.ndarray:
     """Read a raw source file of five tab-separated ints per line (s r o tb te)
-    into (n, 5) int64 rows; time ids must be >= 0, repeated rows are dropped."""
+    into (n, 5) int64 rows; time ids must be >= 0, repeated rows are dropped
+    (see :func:`~tkgalign.tkg.drop_repeated_rows` for ``notes``)."""
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"source quad file not found: {path}")
@@ -530,7 +532,7 @@ def read_source_quads(path: str | Path) -> np.ndarray:
     if len(negative):
         i = int(negative[0])
         raise ParseError(path.name, line_no[i], f"negative time id in {rows[i].tolist()}")
-    return drop_repeated_rows(rows, path.name)
+    return drop_repeated_rows(rows, path.name, notes)
 
 
 def split_to_result(
@@ -539,11 +541,15 @@ def split_to_result(
     seed_count: int,
     rng: np.random.Generator,
     name: str = "split",
+    notes: Sequence[str] = (),
 ) -> ForgeResult:
-    """Split an externally supplied (n, 5) source into a dataset pair with seeds."""
+    """Split an externally supplied (n, 5) source into a dataset pair with
+    seeds. ``notes`` (the source reader's) are logged before the split's own
+    warnings, once the pair is accepted."""
     if seed_count < 1:
         raise ConfigError(f"seed_count must be >= 1, got {seed_count}")
     split = split_overlap(quads, overlap_ratio, rng)
+    split.warnings[:0] = notes
     if seed_count > len(split.alignment):
         raise ConfigError(
             f"seed_count {seed_count} exceeds {len(split.alignment)} alignable pairs"

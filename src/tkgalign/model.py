@@ -4,18 +4,17 @@ Entities, relations, and timestamps share one embedding space of width k.
 Each relation/time embedding, kept unit-norm, parameterizes an orthogonal
 reflection applied to neighbor features; per-link attention over both the
 time view and the relation view, scored without the paper's destination
-term (constant per softmax group), weights the aggregation. Each layer's
-weighted sum is one sealed node, whose inner values are freed as soon as it
-is built (:func:`layer_forward`). Final entity representations concatenate
-every layer's output with the mean embedding of the entity's incident
-timestamps.
+term (constant per softmax group), weights the aggregation. Final entity
+representations concatenate every layer's output with the mean embedding of
+the entity's incident timestamps.
 
 A layer's output row depends only on the destination entity's own inward
-links, so an inference forward (no tape) computes each layer, and the time
-mean, one block of destination entities at a time
-(:meth:`FlatGraph.blocks`): its per-link arrays span one block's links, not
-the graph's. :func:`model_forward` chooses once: on a tape it runs the whole
-graph, because the backward needs every link's values.
+links, so every forward, training included, computes each layer, and the
+time mean, one block of destination entities at a time
+(:meth:`FlatGraph.blocks`, :func:`autodiff.by_blocks`): its per-link arrays
+span one block's links, not the graph's. A training step keeps each
+layer's last block on its tape and reruns the others in the backward, so no
+step holds a per-link array of the whole graph either.
 
 The parameter layout is decided here alone: :func:`param_shapes` names every
 table and its shape, and :func:`table_sizes` counts a merged graph's rows.
@@ -38,9 +37,9 @@ from .tkg import UNKNOWN_TIME_ID, MergedGraph
 DTYPES = {"f32": np.float32, "f64": np.float64}
 # a count that sizes arrays or loops must fit numpy's int64
 INT64_LIMIT = 2 ** 63
-# Bytes of one (links, k) array of a block in an inference forward. Fixed,
+# Bytes of one (links, k) array of a block in every forward and backward. Fixed,
 # never taken from the host, so a graph is cut the same way on every machine.
-INFERENCE_BLOCK_BYTES = 1 << 20
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -93,10 +92,11 @@ class FlatGraph:
     which builds its own.
 
     :meth:`blocks` cuts the rows into consecutive blocks of whole ``dst``
-    runs for an inference forward. A block is a graph of its own entity
-    range: its ``dst`` counts from the range's first entity, while ``src``,
-    ``rel`` and ``time`` keep naming rows of the whole entity, relation and
-    time tables.
+    runs for the forward and its backward. A block is a graph of its own
+    entity range: its ``dst`` counts from the range's first entity, while
+    ``src``, ``rel`` and ``time`` keep naming rows of the whole entity,
+    relation and time tables. The graph keeps each cut, so every epoch and
+    every validation reuses the same blocks and their groupings.
     """
 
     num_entities: int
@@ -104,6 +104,7 @@ class FlatGraph:
     dst: np.ndarray
     rel: np.ndarray
     time: np.ndarray
+    _cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_links(self) -> int:
@@ -138,7 +139,8 @@ class FlatGraph:
     def blocks(self, max_links: int) -> list[tuple[int, FlatGraph]]:
         """``(first entity, block)`` for consecutive blocks of whole ``dst``
         runs, each of at most ``max_links`` rows unless one run alone is
-        longer; the graph itself when it fits in one.
+        longer; the graph itself when it fits in one. Cut once per
+        ``max_links``: later calls return the same list.
 
         A block's entities run from its first to the next block's first
         (the last block's to ``num_entities``), so the ranges tile 0..n, and
@@ -146,6 +148,11 @@ class FlatGraph:
         first block, for those before every link) and gets the zero row of
         an empty run there.
         """
+        if max_links not in self._cuts:
+            self._cuts[max_links] = self._cut(max_links)
+        return self._cuts[max_links]
+
+    def _cut(self, max_links: int) -> list[tuple[int, FlatGraph]]:
         m = self.num_links
         if m <= max_links:
             return [(0, self)]
@@ -269,10 +276,10 @@ def attention_logits(transformed: Tensor, table: Tensor, idx: Grouping, nu: Tens
 @dataclass
 class AttentionProbe:
     """Max deviation of attention-weight sums from 1 (non-empty entities),
-    one entry per :func:`layer_forward` call and view: per layer on a tape,
-    per layer and block in an inference forward. A softmax group is one
-    entity's inward links and never spans blocks, so ``worst`` is the whole
-    graph's either way."""
+    one entry per :func:`layer_forward` call and view, so per layer, view
+    and block of the forward (a backward's reruns record nothing). A softmax
+    group is one entity's inward links and never spans blocks, so ``worst``
+    is the whole graph's."""
 
     deviations: list[float] = field(default_factory=list)
 
@@ -307,11 +314,6 @@ def layer_forward(
     a zero output row (ReLU of an empty sum). ``h`` must already carry
     dropout if training. The time view, then the relation view, runs
     through one loop body; the probe records their weights in that order.
-
-    The weighted sum is sealed (:func:`~tkgalign.autodiff.seal`): its two
-    scaled views and their sum, three (links, k) values that no backward
-    rule reads, are freed as soon as the sum is reduced. Each of the four
-    inputs has one other reader at most, so every gradient keeps its bits.
     """
     h_src = ad.gather_rows(h, graph.by_src)
     views = []
@@ -325,12 +327,9 @@ def layer_forward(
             probe.record(weights.data, graph.dst, graph.num_entities)
         views += (via, weights)
     del h_src  # outside a tape nothing else holds it: freed before the sum allocates
-
-    def aggregate(via_t, omega, via_r, upsilon):
-        message = ad.add(ad.scale_rows(via_t, omega), ad.scale_rows(via_r, upsilon))
-        return ad.segment_sum(message, graph.by_dst, graph.num_entities)
-
-    return ad.relu(ad.seal(aggregate, *views))
+    via_t, omega, via_r, upsilon = views
+    message = ad.add(ad.scale_rows(via_t, omega), ad.scale_rows(via_r, upsilon))
+    return ad.relu(ad.segment_sum(message, graph.by_dst, graph.num_entities))
 
 
 def incident_time_mean(time_e: Tensor, graph: FlatGraph) -> Tensor:
@@ -361,48 +360,37 @@ def model_forward(
     constraint is part of the differentiated graph; the stored tables may
     drift off-norm between steps without affecting model output.
 
-    On a tape the forward runs the whole graph: the per-link edge rows are
-    gathered once for every layer, and the backward reads them all. Inside
-    :func:`autodiff.no_tape` each layer, and then the incident-time mean,
-    runs over :meth:`FlatGraph.blocks` of at most
-    ``INFERENCE_BLOCK_BYTES`` per (links, k) array (one block when the
-    graph fits): each block gathers the edge rows its step reads and writes
-    its entity range of the layer's (n, k) output. A run's sums and softmax
-    read only its own rows, so every bit, and the probe's ``worst``, are the
-    whole graph's at any k > 1. (At k = 1 numpy sums a run pairwise when its
-    length bucket in :class:`~tkgalign.autodiff.Grouping` holds no other
-    run, so a block can round differently.)
+    Each layer, and then the incident-time mean, is one
+    :func:`autodiff.by_blocks` node over :meth:`FlatGraph.blocks` of at most
+    ``BLOCK_BYTES`` per (links, k) array (one block when the graph fits):
+    each block gathers the edge rows its step reads and writes its entity
+    range of the (n, k) output. Every block but the last runs untaped, and
+    on a tape the node's rule reruns those block by block; training and
+    inference take this one path. A run's sums and softmax read only its own
+    rows, so the values, and the probe's ``worst``, are the whole graph's
+    bit for bit at any width (a width-1 run is reduced alone, see
+    :class:`~tkgalign.autodiff.Grouping`). A gradient is summed per block,
+    then across blocks.
     """
     if training and cfg.dropout > 0.0 and rng is None:
         raise ConfigError("training with dropout requires an rng")
     rel_table = ad.normalize_rows(store["relation"])
     time_table = ad.normalize_rows(store["time"])
     entity = store["entity"]
+    n = graph.num_entities
+    blocks = graph.blocks(max(1, BLOCK_BYTES // (entity.shape[1] * entity.dtype.itemsize)))
+
+    def layer(block, h, rel, time, nu_time, nu_rel, replay):
+        return layer_forward(h, block, ad.gather_rows(rel, block.by_rel),
+                             ad.gather_rows(time, block.by_time), nu_time, nu_rel, rel, time,
+                             None if replay else probe)
+
+    def time_mean(block, time, replay):
+        return incident_time_mean(ad.gather_rows(time, block.by_time), block)
+
     acts = [entity]  # layer 0 = raw embeddings
-    if ad.recording():
-        rel_e = ad.gather_rows(rel_table, graph.by_rel)
-        time_e = ad.gather_rows(time_table, graph.by_time)
-        for layer in range(cfg.num_layers):
-            h_in = ad.dropout(acts[-1], cfg.dropout, rng, training)
-            acts.append(layer_forward(h_in, graph, rel_e, time_e, store[f"attn_time_{layer}"],
-                                      store[f"attn_rel_{layer}"], rel_table, time_table, probe))
-        return ad.concat_cols(acts + [incident_time_mean(time_e, graph)])
-    row_bytes = entity.shape[1] * entity.dtype.itemsize
-    blocks = graph.blocks(max(1, INFERENCE_BLOCK_BYTES // row_bytes))
-
-    def by_blocks(fn) -> Tensor:
-        """``fn(block)`` for every block, its rows stacked in entity order."""
-        out = np.empty(entity.shape, entity.dtype)
-        for first, block in blocks:
-            out[first:first + block.num_entities] = fn(block).data
-        return Tensor(out)
-
-    for layer in range(cfg.num_layers):
+    for i in range(cfg.num_layers):
         h_in = ad.dropout(acts[-1], cfg.dropout, rng, training)
-        nu_time, nu_rel = store[f"attn_time_{layer}"], store[f"attn_rel_{layer}"]
-        acts.append(by_blocks(lambda b: layer_forward(
-            h_in, b, ad.gather_rows(rel_table, b.by_rel), ad.gather_rows(time_table, b.by_time),
-            nu_time, nu_rel, rel_table, time_table, probe)))
-    time_mean = by_blocks(lambda b: incident_time_mean(ad.gather_rows(time_table, b.by_time), b))
-    return ad.concat_cols(acts + [time_mean])
-
+        acts.append(ad.by_blocks(layer, blocks, n, h_in, rel_table, time_table,
+                                 store[f"attn_time_{i}"], store[f"attn_rel_{i}"]))
+    return ad.concat_cols(acts + [ad.by_blocks(time_mean, blocks, n, time_table)])

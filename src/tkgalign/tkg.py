@@ -402,11 +402,17 @@ def _read_local_ids(path: Path, columns) -> np.ndarray:
     return raw - shift
 
 
-def drop_repeated_rows(rows: np.ndarray, name: str) -> np.ndarray:
-    """The rows without those that repeat an earlier row, warning when any go."""
+def drop_repeated_rows(rows: np.ndarray, name: str, notes: list[str] | None = None) -> np.ndarray:
+    """The rows without those that repeat an earlier row. When any go, a
+    warning that counts them is logged, or appended to ``notes`` for a
+    caller that logs it once its own checks have passed."""
     keep = first_occurrences(rows)
     if not keep.all():
-        logger.warning("%s: dropped %d duplicate quadruples", name, len(keep) - keep.sum())
+        note = f"{name}: dropped {len(keep) - keep.sum()} duplicate quadruples"
+        if notes is None:
+            logger.warning("%s", note)
+        else:
+            notes.append(note)
     return rows[keep]
 
 

@@ -246,9 +246,10 @@ def score_model(
     ``sensitivity`` from :func:`build_graph`, the highly and lowly
     time-sensitive partitions are each re-ranked inside their own sub-pool
     after every whole-pool report. The forward builds no tape (see
-    :func:`autodiff.no_tape`), so :func:`model.model_forward` runs it one
-    block of destination entities at a time and holds the per-link arrays
-    of one block, the whole graph's only when it fits in one. Raises NonFiniteError, naming how
+    :func:`autodiff.no_tape`); like every forward, it runs one block of
+    destination entities at a time, on the blocks that training used (the
+    graph keeps its cut, :meth:`model.FlatGraph.blocks`), so a validation
+    cuts and groups nothing anew. Raises NonFiniteError, naming how
     many entities it affects, if a representation holds a NaN or infinity
     or is so large that its L1 or CSLS scores could overflow (a row L1 norm
     above 1/16 of the dtype's largest value), as finite tables whose forward

@@ -952,6 +952,69 @@ class TestSeal:
         assert all(t.grad is not None for t in leaves)
 
 
+class TestByBlocks:
+    """Rows of a composition computed block by block: untaped, the last block
+    on a kept tape, and the others rerun on a tape in the rule."""
+
+    # three blocks of output rows: 0-1, 2-4 and 5, each gathering rows of a 4-row input
+    BLOCKS = [(0, ad.Grouping([3, 0])), (2, ad.Grouping([1, 3, 3])), (5, ad.Grouping([2]))]
+
+    @staticmethod
+    def step(calls):
+        def fn(block, a, w, replay):
+            calls.append((block, replay, ad._recording))
+            return ad.relu(ad.scale_rows(ad.gather_rows(a, block), ad.gather_rows(w, block)))
+        return fn
+
+    def test_values_and_gradients_equal_the_whole_composition(self, rng):
+        a, w = rng.normal(size=(4, 3)), rng.normal(size=4)
+        c = rng.integers(-3, 4, size=(6, 3)).astype(float)  # integer weights: exact sums
+        calls = []
+        leaves = [ad.leaf(a.copy()), ad.leaf(w.copy())]
+        out = ad.by_blocks(self.step(calls), self.BLOCKS, 6, *leaves)
+        assert out.parents == tuple(leaves) and out.shape == (6, 3)
+        blocks = [b for _, b in self.BLOCKS]
+        assert calls == [(blocks[0], False, False), (blocks[1], False, False),
+                         (blocks[2], False, True)]
+        value = out.data.copy()
+        ad.backward(sum_all(mul(out, ad.leaf(c))))
+        assert calls[3:] == [(blocks[1], True, True), (blocks[0], True, True)]
+
+        whole = ad.Grouping([3, 0, 1, 3, 3, 2])
+        want_leaves = [ad.leaf(a.copy()), ad.leaf(w.copy())]
+        want = self.step([])(whole, *want_leaves, replay=False)
+        assert value.tobytes() == want.data.tobytes()
+        ad.backward(sum_all(mul(want, ad.leaf(c))))
+        for got, ref in zip(leaves, want_leaves):
+            assert np.allclose(got.grad, ref.grad, rtol=1e-14, atol=0)
+
+    def test_keeps_the_last_blocks_captured_values_only(self, rng):
+        built = []
+
+        def fn(block, a, replay):
+            nodes = [ad.gather_rows(a, block)]
+            nodes.append(ad.normalize_rows(nodes[-1]))  # its rule captures its own value
+            nodes.append(ad.relu(nodes[-1]))
+            built.append([weakref.ref(n.data) for n in nodes])
+            return nodes[-1]
+
+        out = ad.by_blocks(fn, self.BLOCKS, 6, ad.leaf(rng.normal(size=(4, 3))))
+        assert out.backward_fn is not None
+        for refs in built[:-1]:  # untaped: nothing outlives its block
+            assert all(ref() is None for ref in refs)
+        # the output was copied into the stack; relu's rule keeps its mask
+        assert [ref() is not None for ref in built[-1]] == [False, True, False]
+
+    def test_builds_no_tape_outside_one(self, rng):
+        calls = []
+        x = ad.leaf(rng.normal(size=(4, 3)))
+        with ad.no_tape():
+            out = ad.by_blocks(self.step(calls), self.BLOCKS, 6, x, ad.leaf(np.ones(4)))
+        assert out.parents == () and out.backward_fn is None
+        assert [replay or recording for _, replay, recording in calls] == [False] * 3
+        assert out.data.tobytes() == np.maximum(x.data[[3, 0, 1, 3, 3, 2]], 0).tobytes()
+
+
 def copying_accumulate(self, g):
     """The reference rule: every first contribution is copied."""
     if self.grad is None:

@@ -481,6 +481,26 @@ class TestForgeSplit:
         for name in ("triples_1", "triples_2", "sup_pairs", "ref_pairs", "manifest.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    def test_refusal_after_a_repeated_source_line_prints_one_line(self, tmp_path):
+        """The duplicate count waits, like the split's own warnings, until the
+        pair is accepted; an accepted split still logs it. A child process, as
+        for ``forge synth``'s refusals."""
+        src = tmp_path / "source.tsv"
+        src.write_text("".join(f"{s}\t0\t{s + 1}\t1\t2\n" for s in range(40)) + "0\t0\t1\t1\t2\n")
+
+        def split(seeds):
+            return subprocess.run([sys.executable, "-m", "tkgalign.cli", "forge", "split",
+                                   "--source", str(src), "--seeds", seeds,
+                                   "--out", str(tmp_path / seeds)],
+                                  env=child_env(), capture_output=True, text=True, timeout=120)
+
+        refused = split("1000")
+        assert (refused.returncode, refused.stderr) == (
+            2, "error: seed_count 1000 exceeds 35 alignable pairs\n")
+        accepted = split("2")
+        assert accepted.returncode == 0
+        assert "source.tsv: dropped 1 duplicate quadruples" in accepted.stderr
+
 
 class TestForgeStats:
     def test_stats_and_param_count(self, dataset_dir, tmp_path, capsys):
@@ -941,8 +961,8 @@ class TestEval:
     @pytest.mark.parametrize("k_csls", [None, 3])
     def test_eval_reproduces_train_time_reports(self, dataset_dir, tmp_path, monkeypatch, mode,
                                                 self_loops, k_csls):
-        """eval's CSLS neighbourhood defaults to the one the run trained with; an
-        inference forward cut into blocks of a few links each reports the same."""
+        """eval's CSLS neighbourhood defaults to the one the run trained with; a
+        forward cut into blocks of a few links each reports the same."""
         out = tmp_path / "run"
         k_flags = [] if k_csls is None else ["--k-csls", str(k_csls)]
         assert main(TRAIN_ARGS + k_flags + ["--mode", mode,
@@ -955,8 +975,8 @@ class TestEval:
         graph, _ = build_graph(merge_pair(*parse_dataset(dataset_dir)[:2]), meta)
         max_links = 3
         assert len(graph.blocks(max_links)) > 3
-        for block_bytes in (model.INFERENCE_BLOCK_BYTES, max_links * meta.dim * 4):
-            monkeypatch.setattr(model, "INFERENCE_BLOCK_BYTES", block_bytes)
+        for block_bytes in (model.BLOCK_BYTES, max_links * meta.dim * 4):
+            monkeypatch.setattr(model, "BLOCK_BYTES", block_bytes)
             ev = tmp_path / f"ev{block_bytes}"
             assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset_dir),
                          "--metric", "both", "--out", str(ev)]) == 0

@@ -327,9 +327,31 @@ def hub_and_isolated_pair(time_index, seed=0):
     return graphs
 
 
+def whole_graph_forward(store, graph, cfg, training=False, rng=None, probe=None):
+    """The taped whole-graph forward that training ran before it went by
+    blocks: the relation and time rows gathered once for every layer, each
+    layer and the time mean one pass over every link."""
+    rel_table = ad.normalize_rows(store["relation"])
+    time_table = ad.normalize_rows(store["time"])
+    rel_e = ad.gather_rows(rel_table, graph.by_rel)
+    time_e = ad.gather_rows(time_table, graph.by_time)
+    acts = [store["entity"]]
+    for layer in range(cfg.num_layers):
+        h_in = ad.dropout(acts[-1], cfg.dropout, rng, training)
+        acts.append(layer_forward(h_in, graph, rel_e, time_e, store[f"attn_time_{layer}"],
+                                  store[f"attn_rel_{layer}"], rel_table, time_table, probe))
+    return ad.concat_cols(acts + [incident_time_mean(time_e, graph)])
+
+
+def set_block_links(monkeypatch, cfg, max_links):
+    """Cut the model's blocks at ``max_links`` links for ``cfg``'s width."""
+    monkeypatch.setattr(model_module, "BLOCK_BYTES", max_links * cfg.dim * cfg.dtype.itemsize)
+
+
 class TestBlockedInference:
-    """An inference forward runs each layer and the time mean one block of
-    destination entities at a time; the taped forward is the whole graph."""
+    """Every forward runs each layer and the time mean one block of
+    destination entities at a time; a block budget of every link makes the
+    whole graph one block."""
 
     @pytest.mark.parametrize("self_loops", [True, False], ids=["loops", "no-loops"])
     def test_blocks_tile_the_entities_and_keep_runs_whole(self, time_index, self_loops):
@@ -373,12 +395,12 @@ class TestBlockedInference:
         cfg = ModelConfig(dim=4, num_layers=layers, precision=precision)
         store = init_params(np.random.default_rng(1), *table_sizes(merged, self_loops), cfg)
         whole_probe = AttentionProbe()
+        set_block_links(monkeypatch, cfg, graph.num_links)
         whole = model_forward(store, graph, cfg, probe=whole_probe)
         assert whole.backward_fn is not None
         assert len(whole_probe.deviations) == 2 * layers
-        row_bytes = cfg.dim * cfg.dtype.itemsize
         for max_links in (1, 2, 5, 9, graph.num_links):
-            monkeypatch.setattr(model_module, "INFERENCE_BLOCK_BYTES", max_links * row_bytes)
+            set_block_links(monkeypatch, cfg, max_links)
             probe = AttentionProbe()
             with ad.no_tape():
                 blocked = model_forward(store, graph, cfg, probe=probe)
@@ -386,6 +408,114 @@ class TestBlockedInference:
             assert blocked.data.tobytes() == whole.data.tobytes(), max_links
             assert len(probe.deviations) == 2 * layers * len(graph.blocks(max_links))
             assert probe.worst == whole_probe.worst
+
+    @pytest.mark.parametrize("unaware", [False, True], ids=["aware", "unaware"])
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_width_one_blocks_equal_the_whole_graph_bitwise(self, time_index, monkeypatch,
+                                                            precision, unaware):
+        """At dim 1 a run's sum no longer depends on which other runs share
+        its length: 1-link blocks give the whole graph's bits."""
+        merged = merge_pair(*hub_and_isolated_pair(time_index))
+        graph, _ = prepare_graph(merged)
+        if unaware:
+            graph = apply_time_unaware(graph)
+        cfg = ModelConfig(dim=1, num_layers=2, precision=precision)
+        store = init_params(np.random.default_rng(1), *table_sizes(merged, True), cfg)
+        with ad.no_tape():
+            set_block_links(monkeypatch, cfg, graph.num_links)
+            whole = model_forward(store, graph, cfg).data
+            set_block_links(monkeypatch, cfg, 1)
+            blocked = model_forward(store, graph, cfg).data
+        assert len(graph.blocks(1)) > 20
+        assert blocked.tobytes() == whole.tobytes()
+        assert whole_graph_forward(store, graph, cfg).data.tobytes() == whole.tobytes()
+
+    def test_each_cut_is_made_once(self, time_index):
+        graph, _ = prepare_graph(merge_pair(*hub_and_isolated_pair(time_index)))
+        blocks = graph.blocks(5)
+        assert graph.blocks(5) is blocks and graph.blocks(9) is not blocks
+        assert [b.by_src for _, b in graph.blocks(5)] == [b.by_src for _, b in blocks]
+        assert graph.blocks(graph.num_links) == [(0, graph)]
+        assert apply_time_unaware(graph).blocks(5) is not blocks
+
+
+class TestBlockedTraining:
+    """A taped forward is one node per layer, and one for the time mean, over
+    the graph's blocks; the backward reruns each block on its own tape."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("self_loops", [True, False], ids=["loops", "no-loops"])
+    @pytest.mark.parametrize("unaware", [False, True], ids=["aware", "unaware"])
+    def test_values_and_gradients_equal_the_whole_graph_tape(self, time_index, monkeypatch,
+                                                             unaware, self_loops, layers,
+                                                             dropout):
+        """f64, blocks of 1 to 9 links and of every link (a run longer than a
+        block, entities with no inward link at block edges): the training
+        forward, the probe's ``worst`` and every parameter gradient equal the
+        whole-graph tape's, the gradients to 1e-12 of each one's largest
+        entry. Only the summation order of a gradient moves."""
+        merged = merge_pair(*hub_and_isolated_pair(time_index))
+        graph, _ = prepare_graph(merged, self_loops)
+        if unaware:
+            graph = apply_time_unaware(graph)
+        cfg = ModelConfig(dim=4, num_layers=layers, dropout=dropout, precision="f64")
+        sizes = table_sizes(merged, self_loops)
+        c = np.random.default_rng(2).normal(size=(graph.num_entities, (layers + 2) * cfg.dim))
+
+        def run(forward):
+            store = init_params(np.random.default_rng(1), *sizes, cfg)
+            probe = AttentionProbe()
+            reps = forward(store, graph, cfg, training=True, rng=np.random.default_rng(3),
+                           probe=probe)
+            out = reps.data.copy()
+            ad.backward(sum_all(mul(reps, ad.leaf(c))))
+            return out, probe, {name: t.grad for name, t in store.items()}
+
+        want_out, want_probe, want = run(whole_graph_forward)
+        for max_links in (1, 2, 5, 9, graph.num_links):
+            set_block_links(monkeypatch, cfg, max_links)
+            out, probe, got = run(model_forward)
+            assert out.tobytes() == want_out.tobytes(), max_links
+            assert probe.worst == want_probe.worst
+            assert len(probe.deviations) == 2 * layers * len(graph.blocks(max_links))
+            assert got.keys() == want.keys()
+            for name, grad in got.items():
+                if want[name] is None:  # the relation table, without a layer
+                    assert grad is None and layers == 0, name
+                    continue
+                scale = np.max(np.abs(want[name]))
+                assert np.max(np.abs(grad - want[name])) <= 1e-12 * scale, (name, max_links)
+                if name.startswith("attn_"):
+                    assert not grad[:cfg.dim].any(), name
+        assert len(graph.blocks(9)) > 1 and max(np.bincount(graph.dst)) > 9
+
+    def test_a_layer_is_one_node_whose_rule_reruns_each_block(self, time_index, monkeypatch):
+        """The forward calls each block's layer untaped, the last one on the
+        tape it keeps, and records the probe; the backward calls every other
+        block's layer again, last to first, on a tape, and records nothing."""
+        merged = merge_pair(*hub_and_isolated_pair(time_index))
+        graph, _ = prepare_graph(merged)
+        cfg = ModelConfig(dim=4, num_layers=1, dropout=0.0, precision="f64")
+        store = init_params(np.random.default_rng(1), *table_sizes(merged, True), cfg)
+        set_block_links(monkeypatch, cfg, 9)
+        calls = []
+
+        def counting(h, block, *args):
+            out = layer_forward(h, block, *args)
+            calls.append((block, out.backward_fn is not None, args[-1] is not None))
+            return out
+
+        monkeypatch.setattr(model_module, "layer_forward", counting)
+        probe = AttentionProbe()
+        reps = model_forward(store, graph, cfg, training=True, probe=probe)
+        blocks = [b for _, b in graph.blocks(9)]
+        layer = reps.parents[1]
+        assert layer.parents[0] is store["entity"] and layer.parents[3] is store["attn_time_0"]
+        assert calls == [(b, b is blocks[-1], True) for b in blocks]
+        ad.backward(sum_all(reps))
+        assert calls[len(blocks):] == [(b, True, False) for b in reversed(blocks[:-1])]
+        assert len(probe.deviations) == 2 * len(blocks)
 
 
 class TestModelForward:
@@ -597,42 +727,6 @@ class TestModelForward:
             if name.startswith("attn_"):
                 assert np.array_equal(grad[:k], np.zeros(k)), name
                 assert np.max(np.abs(want_grads[name][:k])) <= 1e-12, name
-
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("self_loops", [True, False], ids=["loops", "no-loops"])
-    @pytest.mark.parametrize("unaware", [False, True], ids=["time-aware", "time-unaware"])
-    def test_sealed_sum_equals_the_unsealed_tail_bitwise(self, fixture_6ent, monkeypatch,
-                                                         layers, self_loops, unaware):
-        """f64: sealing each layer's weighted sum changes no bit of the
-        training-mode output or of any parameter gradient."""
-        _, graph, _, cfg, merged = self.build(fixture_6ent, self_loops=self_loops, layers=layers)
-        if unaware:
-            graph = apply_time_unaware(graph)
-        c = np.random.default_rng(1).normal(size=(graph.num_entities, (layers + 2) * cfg.dim))
-
-        def run(seal):
-            sealed = []
-
-            def counting(fn, *inputs):
-                out = seal(fn, *inputs)
-                sealed.append(out.parents == inputs)
-                return out
-
-            store = init_params(np.random.default_rng(0), *table_sizes(merged, self_loops), cfg)
-            with monkeypatch.context() as patch:
-                patch.setattr(ad, "seal", counting)
-                reps = model_forward(store, graph, cfg, training=True, rng=np.random.default_rng(2))
-            out = reps.data.copy()
-            ad.backward(sum_all(mul(reps, ad.leaf(c))))
-            return sealed, out, {name: t.grad for name, t in store.items()}
-
-        sealed, out, grads = run(ad.seal)
-        unsealed, want_out, want_grads = run(lambda fn, *inputs: fn(*inputs))
-        assert sealed == [True] * layers and unsealed == [False] * layers
-        assert out.tobytes() == want_out.tobytes()
-        assert grads.keys() == want_grads.keys()
-        for name, grad in grads.items():
-            assert grad.tobytes() == want_grads[name].tobytes(), name
 
     def test_training_with_dropout_requires_rng(self, fixture_6ent):
         store, graph, _, cfg, _ = self.build(fixture_6ent)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkgalign import autodiff as ad
+from tkgalign import model as model_module
 from tkgalign.checkpoint import meta_from_result, save_checkpoint
 from tkgalign.errors import ConfigError, NonFiniteError, TrainingDivergedError
 from tkgalign.experiments import SENSITIVITY_GAP
@@ -620,8 +621,11 @@ class TestModelTapeOwnership:
         monkeypatch.setattr(ad.Tensor, "accumulate", copying_accumulate)
         _, want, kept = parameter_grads(backward_keeping_tape)
 
-        # 44 before the loss sealed each direction's L1 chain
-        assert len(released) == len(kept) >= 41
+        # the two normalized tables, two dropouts, one node per layer and one for the
+        # time mean (each reruns its blocks on a tape of its own), the concatenation
+        # and the loss's two sealed L1 blocks; 41 while every per-link op of the
+        # layers was on this tape, 44 before the loss sealed each direction's L1 chain
+        assert len(released) == len(kept) == 10
         assert all(n.data is None for n in released)
         assert all(n.data is not None for n in kept)
 
@@ -653,9 +657,10 @@ class TestMemoryRatchet:
     A change that lowers a peak lowers its bound with it; one that has to
     raise a bound says why."""
 
-    TRAINING_EPOCH = 15.3  # measured 14.39; 16.92 before the loss sealed each direction's
-    # L1 chain, 22.92 before each layer's weighted sum was sealed, 23.06 with the
-    # destination term, 29.02 while the tape kept every value
+    TRAINING_EPOCH = 6.3  # measured 5.92 (6 blocks, each layer keeping its last block's
+    # tape); 14.39 while training ran the whole graph on its tape, 16.92 before the loss
+    # sealed each direction's L1 chain, 22.92 before each layer's weighted sum was
+    # sealed, 23.06 with the destination term, 29.02 while the tape kept every value
     INFERENCE_FORWARD = 2.1  # measured 1.85; 7.29 before it ran one block of destination
     # entities at a time, 7.84 before the layer dropped its gathered rows ahead of the
     # weighted sum
@@ -708,11 +713,14 @@ class TestTapeRatchet:
     dim 25 with 2 layers (acceptance criterion 8's shape, where per-node
     Python overhead sets the epoch time), once the graph's column groupings
     exist: the tape nodes reachable from the loss, leaves included, and the
-    groupings built. A change that removes nodes lowers the bound with it."""
+    groupings built. A change that removes nodes lowers the bound with it.
+    Each layer, and the time mean, is one node here; its rule builds a tape
+    per block (one block at this shape) and consumes it at once."""
 
-    TAPE_NODES = 49  # 52 before the loss sealed each direction's L1 chain, 58 before
-    # each layer's weighted sum was sealed, 70 with the destination term; 82 while
-    # nu was cut into slices by gathers
+    TAPE_NODES = 18  # 49 while every per-link op of the layers was on this tape,
+    # 52 before the loss sealed each direction's L1 chain, 58 before each layer's
+    # weighted sum was sealed, 70 with the destination term; 82 while nu was cut
+    # into slices by gathers
     GROUPINGS = 2  # the loss's two negative columns; 14 with those gathers
 
     def test_one_training_epoch(self, monkeypatch):
@@ -746,6 +754,29 @@ class TestTapeRatchet:
         assert nodes <= self.TAPE_NODES
         assert len(built) == self.GROUPINGS
         assert all(store[name].grad is not None for name, _ in store.items())
+
+    def test_each_block_is_grouped_once_per_run(self, monkeypatch):
+        """Three epochs, each validated, on blocks of at most 200 links: every
+        block's four groupings are built once, when the first epoch's forward
+        reaches it, and every later forward, rerun and validation reuses them."""
+        data = synth_tkg(SENSITIVITY_GAP.forge)
+        cfg = dataclasses.replace(SENSITIVITY_GAP.train, epochs=3, eval_every=1)
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", 200 * cfg.dim * 4)
+        built = []
+        grouping_init = ad.Grouping.__init__
+
+        def counting_init(grouping, index):
+            built.append(index)
+            grouping_init(grouping, index)
+
+        monkeypatch.setattr(ad.Grouping, "__init__", counting_init)
+        result = train(data.g1, data.g2, data.seeds, cfg)
+        blocks = [b for _, b in result.graph.blocks(200)]
+        columns = [getattr(b, name) for b in blocks for name in ("src", "dst", "rel", "time")]
+        assert len(blocks) > 4 and len(result.report.eval_history) == 3
+        assert all(sum(index is c for index in built) == 1 for c in columns)
+        # beside them, the loss's two fixed columns once and its two negative ones per epoch
+        assert len(built) == len(columns) + 2 + 2 * cfg.epochs
 
 
 class TestInferenceForward:

@@ -38,7 +38,7 @@ gathered block that only feeds a difference) is freed at once, before
 gradients are allocated. :func:`matvec` keeps a view of its slice of ``v``,
 which keeps all of ``v`` alive until its rule has run. A rule that still
 read a released value would fail on ``None`` rather than read stale data.
-:func:`seal` applies the same rule as soon as a composition is built: it
+:func:`by_blocks` applies the same rule as soon as a block is built: it
 releases the values of the nodes inside it then, not when backward starts,
 so they are gone before the rest of the forward allocates.
 
@@ -48,6 +48,9 @@ way to a result outlives the code that made it (a no-grad mode).
 :func:`by_blocks` uses it in every forward, training included: it runs all
 but one block of a composition untaped and reruns each of them on a tape
 in its rule (gradient checkpointing, Chen et al. 2016, arXiv 1604.06174).
+A block may read only some rows of an input; its gradient is then added
+back at those rows (:meth:`Tensor.accumulate` with ``rows``), so no block
+allocates a gradient of the whole input.
 """
 from __future__ import annotations
 
@@ -96,8 +99,19 @@ class Tensor:
         self.backward_fn = backward_fn
         self.name = name
 
-    def accumulate(self, g: np.ndarray) -> None:
-        """Add ``g`` into this node's gradient (see the ownership rule above)."""
+    def accumulate(self, g: np.ndarray, rows: np.ndarray | None = None) -> None:
+        """Add ``g`` into this node's gradient (see the ownership rule above),
+        or, given ``rows``, into those distinct rows of it (axis 0). A
+        row-wise first contribution allocates the node's whole gradient,
+        zero-filled, once, and shares no memory with ``g``."""
+        if rows is not None:
+            if g.shape != (len(rows),) + self.shape[1:]:
+                raise ValueError(f"gradient of shape {g.shape} for {len(rows)} rows"
+                                 f" of a node of shape {self.shape}")
+            if self.grad is None:
+                self.grad = np.zeros(self.shape, self.dtype)
+            self.grad[rows] += g
+            return
         if g.shape != self.shape:
             raise ValueError(f"gradient of shape {g.shape} for a node of shape {self.shape}")
         if self.grad is None:
@@ -166,42 +180,23 @@ def _propagate(root: Tensor, seed: np.ndarray) -> None:
             node.parents = ()
 
 
-def seal(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
-    """``fn(*inputs)`` as one node whose inner values are released at once.
-
-    ``fn`` runs on leaf stand-ins of ``inputs`` (the same arrays and names)
-    and must reach the tape through its arguments only. Once it returns,
-    every node it built gives up its value, as :func:`backward` would: what
-    the rules captured lives on, the rest is freed before the forward goes
-    on. The returned node's parents are ``inputs``. Its rule backpropagates
-    its gradient through the inner tape, which that consumes, and hands each
-    stand-in's gradient to its input. Every op inside still runs its own
-    rule; what an input gets from inside ``fn`` reaches it as one term, so an
-    input whose gradient sums at most two terms keeps its bits. Under
-    :func:`no_tape` it returns ``fn(*inputs)``.
-    """
-    if not _recording:
-        return fn(*inputs)
-    inner, bw = _stand_in_tape(fn, inputs, [x.data for x in inputs])
-    out = inner.data
-    _release(inner)
-    return Tensor(out, inputs, bw)
-
-
 def _stand_in_tape(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
-                   arrays: Sequence[np.ndarray]) -> tuple[Tensor, Callable[[np.ndarray], None]]:
-    """``fn`` on leaf stand-ins of ``inputs`` that hold ``arrays``: its output
+                   arrays: Sequence[np.ndarray], reads: Sequence[np.ndarray | None],
+                   ) -> tuple[Tensor, Callable[[np.ndarray], None]]:
+    """``fn`` on leaf stand-ins of ``inputs`` that hold ``arrays``, or the
+    rows of them that ``reads`` names (None: the whole array): its output
     node, and a rule that backpropagates a gradient through the tape so
     built, which that consumes, and hands each stand-in's gradient to its
-    input."""
-    stand_ins = tuple(leaf(a, x.name) for a, x in zip(arrays, inputs))
+    input, at those rows."""
+    stand_ins = tuple(leaf(a if r is None else a.take(r, axis=0), x.name)
+                      for x, a, r in zip(inputs, arrays, reads))
     inner = fn(*stand_ins)
 
     def bw(g):
         _propagate(inner, g)
-        for x, s in zip(inputs, stand_ins):
+        for x, s, r in zip(inputs, stand_ins, reads):
             if s.grad is not None:
-                x.accumulate(s.grad)
+                x.accumulate(s.grad, r)
                 s.grad = None
 
     return inner, bw
@@ -215,27 +210,39 @@ def _release(root: Tensor) -> None:
             node.data = None
 
 
-def by_blocks(fn: Callable[..., Tensor], blocks: Sequence[tuple[int, object]], rows: int,
+def by_blocks(fn: Callable[..., Tensor], blocks: Sequence[tuple], rows: int,
               *inputs: Tensor) -> Tensor:
-    """The (``rows``, ...) stack of ``fn(block, *inputs, replay=...)`` over
-    ``(first, block)`` pairs, each block's output at rows ``first`` onward,
-    as one node: exact gradient checkpointing over a partition of the rows.
+    """The (``rows``, ...) stack of ``fn(block, *stand_ins, replay=...)``
+    over ``(first, block)`` or ``(first, block, reads)`` entries, each
+    block's output at rows ``first`` onward, as one node: exact gradient
+    checkpointing over a partition of the rows.
+
+    ``fn`` gets leaf stand-ins of ``inputs`` (their names, and the input
+    arrays as captured here). ``reads`` names, for each input, the distinct
+    rows of it that the block reads, or None for the whole input, and an
+    entry without ``reads`` reads every input whole. A stand-in of named rows
+    holds those rows alone, in that order, so the block's indices into it
+    count within them.
 
     The forward runs every block but the last under :func:`no_tape`, so it
     holds one block's inner values at a time. It runs the last block on a
-    tape of leaf stand-ins of ``inputs``, sealed as :func:`seal` seals, and
-    keeps that tape. The rule backpropagates the last block's rows of the
-    gradient through it, then reruns each other block, last to first, on a
-    fresh tape of stand-ins that hold the input arrays as captured here, and
-    backpropagates that block's rows. Each tape hands its stand-ins'
-    gradients to the inputs, so an input's gradient is summed per block,
-    then across blocks. ``fn`` gets ``replay=True`` on a rerun, so that it
-    can leave out what it records. It must reach the tape through its inputs
-    only, and a block's output rows must read nothing of another block's.
-    One block is never rerun: a graph that fits in one costs one taped pass.
+    tape and keeps that tape, with every inner value that no rule captured
+    released at once (see the values rule). The rule backpropagates the last
+    block's rows of the gradient through it, then reruns each other block,
+    last to first, on a fresh tape, and backpropagates that block's rows.
+    Each tape hands its stand-ins' gradients to the inputs, at the rows they
+    hold, so an input's gradient is summed per block, then across blocks, and
+    no block allocates one of a whole input that it reads by rows. ``fn``
+    gets ``replay=True`` on a rerun, so that it can leave out what it
+    records. It must reach the tape through its stand-ins only, and a
+    block's output rows must read nothing of another block's. One block is
+    never rerun: a composition that fits in one costs one taped pass, with
+    its inner values released as soon as it is built.
     """
     arrays = [x.data for x in inputs]
-    *head, (last_first, last) = blocks
+    whole = (None,) * len(inputs)
+    *head, (last_first, last, last_reads) = [(b[0], b[1], b[2] if len(b) > 2 else whole)
+                                             for b in blocks]
     out, spans = None, []
 
     def put(first, y):
@@ -245,18 +252,20 @@ def by_blocks(fn: Callable[..., Tensor], blocks: Sequence[tuple[int, object]], r
         out[first:first + len(y)] = y
         spans.append((first, first + len(y)))
 
+    def tape(block, reads, replay):
+        return _stand_in_tape(lambda *xs: fn(block, *xs, replay=replay), inputs, arrays, reads)
+
     with no_tape():
-        for first, block in head:
-            put(first, fn(block, *inputs, replay=False).data)
-    inner, kept = _stand_in_tape(lambda *xs: fn(last, *xs, replay=False), inputs, arrays)
+        for first, block, reads in head:
+            put(first, tape(block, reads, False)[0].data)
+    inner, kept = tape(last, last_reads, False)
     put(last_first, inner.data)
     _release(inner)
 
     def bw(g):
         kept(g[slice(*spans[-1])])
-        for (first, block), span in zip(reversed(head), reversed(spans[:-1])):
-            _, rule = _stand_in_tape(lambda *xs: fn(block, *xs, replay=True), inputs, arrays)
-            rule(g[slice(*span)])
+        for (_, block, reads), span in zip(reversed(head), reversed(spans[:-1])):
+            tape(block, reads, True)[1](g[slice(*span)])
 
     return Tensor(out, inputs, bw)
 
@@ -361,21 +370,29 @@ class Grouping:
             # yields exactly the stable order
             order = np.argsort(idx * m + np.arange(m)).astype(narrow)
             idx = idx[order]
-        starts = np.flatnonzero(np.diff(idx, prepend=idx[:1] - 1))
-        lengths = np.diff(starts, append=m)
+        new_run = np.empty(m, dtype=bool)
+        new_run[:1] = True
+        np.not_equal(idx[1:], idx[:-1], out=new_run[1:])
+        starts = np.flatnonzero(new_run)
+        lengths = np.diff(np.append(starts, m))
         ids = idx[starts]
         self.by_id = (order, starts, ids)
         by_length = np.argsort(lengths, kind="stable")
         lengths, starts, ids = lengths[by_length], starts[by_length], ids[by_length]
-        bounds = np.flatnonzero(np.diff(lengths, prepend=0, append=m + 1)).tolist()
+        # every run's positions, the runs in length order, so that each bucket's
+        # (L, c) span is one slice of them, transposed
+        firsts = np.cumsum(lengths) - lengths
+        flat = np.repeat(starts - firsts, lengths) + np.arange(m)
+        flat = flat.astype(narrow) if order is None else order[flat]
+        bounds = np.flatnonzero(np.diff(np.concatenate(([0], lengths, [m + 1])))).tolist()
         self.buckets = []
         for lo, hi in zip(bounds, bounds[1:]):
-            a, length = int(starts[lo]), int(lengths[lo])
+            length = int(lengths[lo])
             if order is None and hi - lo == 1:
-                span = slice(a, a + length)
+                span = slice(int(starts[lo]), int(starts[lo]) + length)
             else:
-                span = starts[lo:hi] + np.arange(length)[:, None]
-                span = span.astype(narrow) if order is None else order[span]
+                a = int(firsts[lo])
+                span = flat[a:a + (hi - lo) * length].reshape(hi - lo, length).T
             self.buckets.append((span, ids[lo:hi]))
 
     def reduce(self, ufunc: np.ufunc, x: np.ndarray, size: int, fill=0) -> np.ndarray:
@@ -495,11 +512,11 @@ def householder_apply(h: Tensor, x: Tensor) -> Tensor:
         hg = np.einsum("nk,nk->n", h_val, g)
         gx = (2.0 * hg)[:, None] * h_val
         x.accumulate(np.subtract(g, gx, out=gx))
-        # -2.0 * (hg[:, None] * x + hx[:, None] * g)
-        gh = hg[:, None] * x_val
-        g *= hx[:, None]
+        # -2.0 * (hg[:, None] * x + hx[:, None] * g), with each factor scaled
+        # first: a power of two scales exactly outside the subnormal range
+        gh = (-2.0 * hg)[:, None] * x_val
+        g *= (-2.0 * hx)[:, None]
         gh += g
-        gh *= -2.0
         h.accumulate(gh)
 
     return Tensor(out, (h, x), bw)

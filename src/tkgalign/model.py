@@ -37,9 +37,16 @@ from .tkg import UNKNOWN_TIME_ID, MergedGraph
 DTYPES = {"f32": np.float32, "f64": np.float64}
 # a count that sizes arrays or loops must fit numpy's int64
 INT64_LIMIT = 2 ** 63
-# Bytes of one (links, k) array of a block in every forward and backward. Fixed,
-# never taken from the host, so a graph is cut the same way on every machine.
+# Bytes of one (rows, width) array of a block in every forward and backward: a
+# layer's (links, k) arrays and the loss's (pairs, width) ones. Fixed, never
+# taken from the host, so a graph and a loss are cut the same way on every machine.
 BLOCK_BYTES = 1 << 20
+
+
+def block_rows(width: int, dtype: np.dtype) -> int:
+    """Rows of one block of (rows, ``width``) ``dtype`` arrays within
+    ``BLOCK_BYTES``, at least one."""
+    return max(1, BLOCK_BYTES // (width * np.dtype(dtype).itemsize))
 
 
 @dataclass(frozen=True)
@@ -85,11 +92,12 @@ class FlatGraph:
 
     The graph owns the :class:`~tkgalign.autodiff.Grouping` of each column
     (``by_src``, ``by_dst``, ``by_rel``, ``by_time``), which every gather
-    and segment reduction over links takes. Each is built on first use and
-    kept: building a graph (``train(epochs=0)``) groups nothing, and every
-    later forward and backward reuses the same groupings. The columns must
-    not be changed in place; ``dataclasses.replace`` makes a new graph,
-    which builds its own.
+    and segment reduction over links takes, and each entity's ``in_degree``,
+    which the time mean and the attention probe read. Each is built on
+    first use and kept: building a graph (``train(epochs=0)``) groups
+    nothing, and every later forward and backward reuses the same
+    groupings. The columns must not be changed in place;
+    ``dataclasses.replace`` makes a new graph, which builds its own.
 
     :meth:`blocks` cuts the rows into consecutive blocks of whole ``dst``
     runs for the forward and its backward. A block is a graph of its own
@@ -135,6 +143,11 @@ class FlatGraph:
     @cached_property
     def by_time(self) -> Grouping:
         return Grouping(self.time)
+
+    @cached_property
+    def in_degree(self) -> np.ndarray:
+        """Each entity's inward links: ``dst`` counted over ``num_entities``."""
+        return np.bincount(self.dst, minlength=self.num_entities)
 
     def blocks(self, max_links: int) -> list[tuple[int, FlatGraph]]:
         """``(first entity, block)`` for consecutive blocks of whole ``dst``
@@ -283,9 +296,11 @@ class AttentionProbe:
 
     deviations: list[float] = field(default_factory=list)
 
-    def record(self, weights: np.ndarray, dst: np.ndarray, num_entities: int) -> None:
-        sums = np.bincount(dst, weights=weights.astype(np.float64), minlength=num_entities)
-        occupied = np.bincount(dst, minlength=num_entities) > 0
+    def record(self, weights: np.ndarray, graph: FlatGraph) -> None:
+        """One deviation for ``weights``, one per link of ``graph``."""
+        sums = np.bincount(graph.dst, weights=weights.astype(np.float64),
+                           minlength=graph.num_entities)
+        occupied = graph.in_degree > 0
         dev = float(np.max(np.abs(sums[occupied] - 1.0))) if occupied.any() else 0.0
         self.deviations.append(dev)
 
@@ -324,7 +339,7 @@ def layer_forward(
         # softmax within each destination entity's inward links
         weights = ad.segment_softmax(logits, graph.by_dst, graph.num_entities)
         if probe is not None:
-            probe.record(weights.data, graph.dst, graph.num_entities)
+            probe.record(weights.data, graph)
         views += (via, weights)
     del h_src  # outside a tape nothing else holds it: freed before the sum allocates
     via_t, omega, via_r, upsilon = views
@@ -338,7 +353,7 @@ def incident_time_mean(time_e: Tensor, graph: FlatGraph) -> Tensor:
     ``time_e`` holds one time embedding per link, the time table gathered by
     ``graph.time``.
     """
-    counts = np.bincount(graph.dst, minlength=graph.num_entities)
+    counts = graph.in_degree
     inv = np.zeros(graph.num_entities, dtype=time_e.data.dtype)
     nonzero = counts > 0
     inv[nonzero] = 1.0 / counts[nonzero]
@@ -378,7 +393,7 @@ def model_forward(
     time_table = ad.normalize_rows(store["time"])
     entity = store["entity"]
     n = graph.num_entities
-    blocks = graph.blocks(max(1, BLOCK_BYTES // (entity.shape[1] * entity.dtype.itemsize)))
+    blocks = graph.blocks(block_rows(entity.shape[1], entity.dtype))
 
     def layer(block, h, rel, time, nu_time, nu_rel, replay):
         return layer_forward(h, block, ad.gather_rows(rel, block.by_rel),

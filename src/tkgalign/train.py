@@ -25,6 +25,7 @@ from .model import (
     FlatGraph,
     INT64_LIMIT,
     ModelConfig,
+    block_rows,
     init_params,
     model_forward,
     prepare_graph,
@@ -139,20 +140,11 @@ def sample_negatives(
     return out[0], out[1]
 
 
-def fixed_pair_columns(pairs: np.ndarray, eta: int) -> tuple[Grouping, Grouping]:
-    """The two columns of :func:`margin_loss` that no negative draw changes,
-    grouped: the target corruptions' left column (every source, then every
-    source ``eta`` times) and the source corruptions' right column (every
-    target ``eta`` times). :func:`train` builds them once per run."""
-    pairs = np.asarray(pairs)
-    src, tgt = pairs[:, 0], pairs[:, 1]
-    return Grouping(np.concatenate([src, np.repeat(src, eta)])), Grouping(np.repeat(tgt, eta))
-
-
-def _sealed_l1(reps: Tensor, left: Grouping, right: Grouping) -> Tensor:
-    """:func:`l1_rows` between the rows of ``reps`` that ``left`` and ``right``
-    name, as one sealed node (see :func:`autodiff.seal`)."""
-    return ad.seal(lambda r: l1_rows(ad.gather_rows(r, left), ad.gather_rows(r, right)), reps)
+def _l1_block(columns: tuple[Grouping, Grouping], reps: Tensor, replay: bool) -> Tensor:
+    """:func:`l1_rows` between the rows of ``reps`` that a block's left and
+    right ``columns`` name (a step of :func:`margin_loss`)."""
+    left, right = columns
+    return l1_rows(ad.gather_rows(reps, left), ad.gather_rows(reps, right))
 
 
 def margin_loss(
@@ -161,34 +153,41 @@ def margin_loss(
     neg_src: np.ndarray,
     neg_tgt: np.ndarray,
     margin: float,
-    fixed: tuple[Grouping, Grouping] | None = None,
 ) -> Tensor:
     """Hinge loss summed over both corruption directions.
 
     Every corrupted pair contributes ReLU(d(pos) + margin - d(neg)); the
-    positive distance is shared across its eta corruptions. The L1 distances
-    come in two sealed blocks, one per corruption direction: the P positive
-    distances then the P*eta target corruptions (left ``[src, src*eta]``,
-    right ``[tgt, neg_tgt]``), and the P*eta source corruptions (left
-    ``neg_src``, right ``tgt*eta``). A block's gathers, difference and
-    absolute value are freed as soon as it is built, and only its sign rows
-    wait for the backward, so the two directions' temporaries are never
-    alive together. ``fixed`` is :func:`fixed_pair_columns` of ``pairs`` and
-    eta, built here when not given.
+    positive distance is shared across its eta corruptions. The P(1 + 2 eta)
+    L1 distances are one :func:`autodiff.by_blocks` node: the P positive
+    distances (left ``src``, right ``tgt``), the P*eta target corruptions
+    (left ``src*eta``, right ``neg_tgt``), then the P*eta source corruptions
+    (left ``neg_src``, right ``tgt*eta``), cut into blocks of at most
+    ``model.BLOCK_BYTES`` per (rows, width) array. Each block reads only the
+    distinct rows of ``reps`` that its two columns name, gathered by
+    block-local groupings, and its gradient is added back at those rows. So
+    the loss holds one block's arrays at a time, not P*eta*width ones, and
+    the backward reruns every block but the last.
 
-    The hinges, their ReLU and both sums are one tape node over both
-    blocks, which hands each block its slice of the gradient. The split
-    moves no bit: each row's L1 is still one contiguous row sum, and from a
-    backward root the gradient that reaches ``reps`` is integer-valued, so
-    summing it per block and then across blocks is exact in any order.
+    The hinges, their ReLU and both sums are one tape node over the
+    distances. The blocks move no bit: each row's L1 is still one contiguous
+    row sum, and from a backward root the gradient that reaches ``reps`` is
+    integer-valued, so summing it per block and then across blocks is exact
+    in any order.
     """
     pairs = np.asarray(pairs)
     num_pos, eta = neg_tgt.shape
-    left_t, right_s = fixed or fixed_pair_columns(pairs, eta)
-    d_t = _sealed_l1(reps, left_t, Grouping(np.concatenate([pairs[:, 1], neg_tgt.reshape(-1)])))
-    d_s = _sealed_l1(reps, Grouping(neg_src.reshape(-1)), right_s)
-    d_pos = d_t.data[:num_pos]
-    d_neg = np.concatenate([d_t.data[num_pos:], d_s.data])
+    src, tgt = pairs[:, 0], pairs[:, 1]
+    left = np.concatenate([src, np.repeat(src, eta), neg_src.reshape(-1)])
+    right = np.concatenate([tgt, neg_tgt.reshape(-1), np.repeat(tgt, eta)])
+    step = block_rows(reps.shape[1], reps.dtype)
+    blocks = []
+    for lo in range(0, len(left), step):
+        ends = left[lo:lo + step], right[lo:lo + step]
+        used, local = np.unique(np.concatenate(ends), return_inverse=True)
+        cut = len(ends[0])
+        blocks.append((lo, (Grouping(local[:cut]), Grouping(local[cut:])), (used,)))
+    d = ad.by_blocks(_l1_block, blocks, len(left), reps)
+    d_pos, d_neg = d.data[:num_pos], d.data[num_pos:]
     hinge = (np.tile(np.repeat(d_pos, eta), 2) - d_neg) + margin
     active = hinge > 0
     hinge = np.where(active, hinge, 0)
@@ -197,15 +196,13 @@ def margin_loss(
     uses = active.reshape(2, num_pos, eta).sum(axis=(0, 2))
 
     def bw(g):
-        grad = np.empty(num_pos + len(active), dtype=d_t.dtype)
+        grad = np.empty(num_pos + len(active), dtype=d.dtype)
         grad[:num_pos] = uses
         grad[num_pos:] = np.where(active, -1, 0)
         grad *= g
-        split = num_pos * (1 + eta)
-        d_t.accumulate(grad[:split])
-        d_s.accumulate(grad[split:])
+        d.accumulate(grad)
 
-    return Tensor(np.asarray(loss), (d_t, d_s), bw)
+    return Tensor(np.asarray(loss), (d,), bw)
 
 
 def apply_time_unaware(graph: FlatGraph) -> FlatGraph:
@@ -354,15 +351,13 @@ def train(
     )
 
     best_mrr, evals_since_best = -1.0, 0
-    fixed = None  # the loss's pair columns that no draw changes, grouped when epoch 0 starts
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        fixed = fixed or fixed_pair_columns(train_pairs, eta)
         neg_src, neg_tgt = sample_negatives(train_pairs, eta, src_range, tgt_range, rng)
         probe = AttentionProbe()
         store.zero_grads()
         reps = model_forward(store, graph, config, training=True, rng=rng, probe=probe)
-        loss = margin_loss(reps, train_pairs, neg_src, neg_tgt, config.margin, fixed)
+        loss = margin_loss(reps, train_pairs, neg_src, neg_tgt, config.margin)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise TrainingDivergedError(epoch)

@@ -867,9 +867,9 @@ class TestNoTape:
 
 
 def weighted_tail(built):
-    """A composition for ``ad.seal`` that reads ``a`` twice and records the
-    nodes it builds in ``built``; each entry pairs a node with a weak
-    reference to its value."""
+    """A composition for :func:`one_block` that reads ``a`` twice and
+    records the nodes it builds in ``built``; each entry pairs a node with a
+    weak reference to its value."""
 
     def fn(a, w, b):
         nodes = [ad.scale_rows(a, w)]
@@ -883,6 +883,11 @@ def weighted_tail(built):
     return fn
 
 
+def one_block(fn, *inputs):
+    """``fn(*inputs)``, three rows, as a one-block ``ad.by_blocks`` node."""
+    return ad.by_blocks(lambda _, *xs, replay: fn(*xs), [(0, None)], 3, *inputs)
+
+
 def sealed_loss(fn, seal, a, w, b, c):
     """A scalar over ``seal(fn, a, w, b)`` in which ``b`` and ``w`` have a
     second reader outside ``fn``, and ``a`` none."""
@@ -891,7 +896,10 @@ def sealed_loss(fn, seal, a, w, b, c):
     return ad.add(outside, sum_all(ad.scale_rows(ad.leaf(np.ones((4, 1))), w))), out
 
 
-class TestSeal:
+class TestOneBlock:
+    """A composition that fits in one block is one node whose inner values
+    are released as soon as it is built, and which is never rerun."""
+
     def arrays(self, rng):
         return (rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=(4, 3)),
                 rng.normal(size=(3, 3)))
@@ -899,17 +907,17 @@ class TestSeal:
     def test_inner_values_released_once_built_and_captured_values_kept(self, rng):
         built = []
         a, w, b, c = (ad.leaf(x) for x in self.arrays(rng))
-        out = ad.seal(weighted_tail(built), a, w, b)
+        out = one_block(weighted_tail(built), a, w, b)
         assert out.parents == (a, w, b) and out.backward_fn is not None
         assert out.data is not None and out.shape == (3, 3)
         assert len(built) == 5 and all(node.data is None for node, _ in built)
-        assert built[-1][1]() is out.data  # the sum, now the sealed node's value
+        assert built[-1][0].shape == out.shape  # the sum, copied into the node's value
         captured = {1}  # normalize_rows' output, which its own rule reads
-        for i, (_, value) in enumerate(built[:-1]):
+        for i, (_, value) in enumerate(built):
             assert (value() is not None) == (i in captured), i
         assert all(x.data is not None for x in (a, w, b))
 
-    def test_values_and_gradients_equal_the_unsealed_composition(self, rng):
+    def test_values_and_gradients_equal_the_unblocked_composition(self, rng):
         arrays = self.arrays(rng)
 
         def run(seal):
@@ -919,15 +927,15 @@ class TestSeal:
             ad.backward(root)
             return value, root.data, [t.grad for t in leaves]
 
-        got_value, got_root, got = run(ad.seal)
+        got_value, got_root, got = run(one_block)
         want_value, want_root, want = run(lambda fn, *inputs: fn(*inputs))
         assert got_value.tobytes() == want_value.tobytes()
         assert got_root.tobytes() == want_root.tobytes()
         for g, w in zip(got, want):
             assert g.dtype == np.float64 and g.tobytes() == w.tobytes()
 
-    def test_passes_fn_through_outside_a_tape(self, rng):
-        x = ad.leaf(rng.normal(size=(2, 3)))
+    def test_runs_fn_untaped_outside_a_tape(self, rng):
+        x = ad.leaf(rng.normal(size=(3, 3)))
         seen = []
 
         def fn(a):
@@ -935,15 +943,15 @@ class TestSeal:
             return ad.relu(a)
 
         with ad.no_tape():
-            out = ad.seal(fn, x)
-        assert seen == [x] and seen[0] is x
+            out = one_block(fn, x)
+        assert len(seen) == 1 and seen[0].data is x.data
         assert out.parents == () and out.backward_fn is None
         assert out.data.tobytes() == np.maximum(x.data, 0).tobytes()
 
     def test_backward_consumes_the_inner_tape(self, rng):
         built = []
         leaves = [ad.leaf(x) for x in self.arrays(rng)]
-        root, out = sealed_loss(weighted_tail(built), ad.seal, *leaves)
+        root, out = sealed_loss(weighted_tail(built), one_block, *leaves)
         ad.backward(root)
         assert out.data is None and out.backward_fn is None and not out.parents
         for node, value in built:
@@ -1005,6 +1013,39 @@ class TestByBlocks:
         # the output was copied into the stack; relu's rule keeps its mask
         assert [ref() is not None for ref in built[-1]] == [False, True, False]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_that_read_rows_equal_the_whole_reads(self, rng, dtype):
+        """The same blocks over stand-ins of only the rows each one reads
+        (block-local indices): the same value and gradient bits, each summed
+        per block, then across blocks in the same order; each stand-in holds
+        its rows alone and no gradient row that no block reads is touched."""
+        a = rng.normal(size=(5, 3)).astype(dtype)
+        w = rng.normal(size=5).astype(dtype)
+        c = rng.integers(-3, 4, size=(6, 3)).astype(dtype)
+        reads = [np.array([0, 3]), np.array([1, 3]), np.array([2])]
+        blocks = [(first, ad.Grouping(np.searchsorted(r, block.index)), (r, r))
+                  for (first, block), r in zip(self.BLOCKS, reads)]
+        held = []
+
+        def fn(block, a, w, replay):
+            held.append((a.shape, w.shape))
+            return self.step([])(block, a, w, replay)
+
+        def run(blocks, fn):
+            leaves = [ad.leaf(a.copy()), ad.leaf(w.copy())]
+            out = ad.by_blocks(fn, blocks, 6, *leaves)
+            value = out.data.copy()
+            ad.backward(sum_all(mul(out, ad.leaf(c))))
+            return value, leaves
+
+        value, got = run(blocks, fn)
+        assert held[:3] == [((len(r), 3), (len(r),)) for r in reads]
+        want_value, want = run(self.BLOCKS, self.step([]))
+        assert value.tobytes() == want_value.tobytes()
+        for g, ref in zip(got, want):
+            assert g.grad.dtype == dtype and g.grad.tobytes() == ref.grad.tobytes()
+        assert not got[0].grad[4].any() and not got[1].grad[4]
+
     def test_builds_no_tape_outside_one(self, rng):
         calls = []
         x = ad.leaf(rng.normal(size=(4, 3)))
@@ -1015,9 +1056,14 @@ class TestByBlocks:
         assert out.data.tobytes() == np.maximum(x.data[[3, 0, 1, 3, 3, 2]], 0).tobytes()
 
 
-def copying_accumulate(self, g):
-    """The reference rule: every first contribution is copied."""
-    if self.grad is None:
+def copying_accumulate(self, g, rows=None):
+    """The reference rule: every first contribution is copied, and a row-wise
+    one is scattered into a zero gradient by ``np.add.at``."""
+    if rows is not None:
+        if self.grad is None:
+            self.grad = np.zeros(self.shape, self.dtype)
+        np.add.at(self.grad, rows, g)
+    elif self.grad is None:
         self.grad = np.array(g, dtype=self.dtype, copy=True)
     else:
         self.grad += g
@@ -1026,12 +1072,18 @@ def copying_accumulate(self, g):
 def aliasing_loss(x, y, z, v, c1, c2):
     """``add`` hands one gradient to x and y, whose next contributions come
     from ``concat_cols`` slices; z's first contribution is ``sum_all``'s
-    read-only broadcast, v's a slice view."""
+    read-only broadcast, v's a slice view. Two blocks that read rows of z
+    and v add theirs row by row (the block's stand-in gradients)."""
     s = ad.add(x, y)
     first = ad.add(sum_all(mul(s, c1)), sum_all(z))
     cat = ad.concat_cols([v, x, y, z])
     second = sum_all(mul(ad.relu(cat), c2))
-    return ad.add(first, second), s, cat
+    rows = [(0, ad.Grouping([1, 0]), (np.array([0, 2]),) * 2),
+            (2, ad.Grouping([0]), (np.array([1]),) * 2)]
+    by_rows = ad.by_blocks(lambda block, a, b, replay: mul(ad.gather_rows(a, block),
+                                                           ad.gather_rows(b, block)),
+                           rows, 3, z, v)
+    return ad.add(ad.add(first, second), sum_all(by_rows)), s, cat
 
 
 def read_only_array():
@@ -1072,6 +1124,32 @@ class TestAccumulate:
             t.accumulate(np.ones((2, 3)))
         with pytest.raises(ValueError, match=r"shape \(1, 3\) for a node of shape \(2, 3\)"):
             t.accumulate(np.ones((1, 3)))
+
+    @pytest.mark.parametrize("row_wise_first", [True, False], ids=["rows-first", "rows-later"])
+    def test_row_wise_contribution_adds_at_its_rows_and_never_aliases(self, row_wise_first):
+        """A row-wise first contribution allocates the whole gradient once; a
+        later one adds in place into the gradient kept before it."""
+        t = ad.leaf(np.zeros((4, 3)))
+        rows, g_rows, g_full = np.array([3, 1]), np.ones((2, 3)), np.full((4, 3), 2.0)
+        if row_wise_first:
+            t.accumulate(g_rows, rows)
+            kept = t.grad
+            t.accumulate(g_full)
+            assert t.grad is kept
+        else:
+            t.accumulate(g_full)
+            t.accumulate(g_rows, rows)
+            assert t.grad is g_full
+        assert not np.shares_memory(t.grad, g_rows) and t.grad.flags.writeable
+        assert t.grad.tolist() == [[2.0] * 3, [3.0] * 3, [2.0] * 3, [3.0] * 3]
+
+    @pytest.mark.parametrize("earlier", [0, 1], ids=["first", "later"])
+    def test_row_wise_contribution_of_another_shape_refused(self, earlier):
+        t = ad.leaf(np.zeros((4, 3)))
+        for _ in range(earlier):
+            t.accumulate(np.ones((4, 3)))
+        with pytest.raises(ValueError, match=r"shape \(2, 2\) for 2 rows of a node of shape"):
+            t.accumulate(np.ones((2, 2)), np.array([0, 1]))
 
     def test_later_contributions_add_in_place(self):
         t = ad.leaf(np.zeros(3))

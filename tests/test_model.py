@@ -155,8 +155,8 @@ class TestAttentionPieces:
 
     def test_attention_probe_tracks_deviation(self):
         probe = AttentionProbe()
-        probe.record(np.array([0.5, 0.5]), np.array([0, 0]), 2)
-        probe.record(np.array([0.9, 0.2]), np.array([1, 1]), 2)
+        probe.record(np.array([0.5, 0.5]), links_into(np.array([0, 0]), 2))
+        probe.record(np.array([0.9, 0.2]), links_into(np.array([1, 1]), 2))
         assert probe.worst == pytest.approx(0.1, abs=1e-12)
 
     def test_attention_probe_equals_scatter_reference(self, rng):
@@ -170,8 +170,13 @@ class TestAttentionPieces:
             np.add.at(sums, dst, weights.astype(np.float64))
             occupied = np.zeros(6, dtype=bool)
             occupied[dst] = True
-            probe.record(weights, dst, 6)
+            probe.record(weights, links_into(dst, 6))
             assert probe.deviations[-1] == float(np.max(np.abs(sums[occupied] - 1.0)))
+
+
+def links_into(dst, num_entities):
+    """A graph of ``num_entities`` whose links point into ``dst``."""
+    return FlatGraph(num_entities, dst, dst, dst, dst)
 
 
 def unit_table(rng, rows, k):

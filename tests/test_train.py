@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import inspect
 import tracemalloc
@@ -26,7 +27,6 @@ from tkgalign.train import (
     apply_time_unaware,
     build_graph,
     default_negatives,
-    fixed_pair_columns,
     l1_rows,
     margin_loss,
     sample_negatives,
@@ -295,37 +295,126 @@ class TestMarginLossOracle:
             assert exactly_equal(reps.grad, loop_gradient(x, *args))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_per_run_groupings_bitwise_over_draws(self, dtype):
-        """The fixed pair columns grouped once and reused over several negative
-        draws give the value and gradient of the loss that groups them itself."""
+    def test_bitwise_over_draws(self, dtype):
+        """Several negative draws over pairs with repeated ids: each loss
+        groups its own block-local columns and keeps the composed value and
+        the hinge loop's gradient."""
         gen = np.random.default_rng(13)
         x = gen.normal(size=(16, 6)).astype(dtype)
         pairs = np.array([[0, 8], [1, 9], [2, 10], [3, 8], [1, 11]])  # repeated ids
         eta = 3
-        fixed = fixed_pair_columns(pairs, eta)
         for margin in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
             neg_src, neg_tgt = sample_negatives(pairs, eta, (0, 8), (8, 16), gen)
             args = (pairs, neg_src, neg_tgt, margin)
             reps = ad.leaf(x.copy())
-            loss = margin_loss(reps, *args, fixed)
+            loss = margin_loss(reps, *args)
             assert loss.data.tobytes() == composed_loss(x, *args).tobytes()
             ad.backward(loss)
             assert exactly_equal(reps.grad, loop_gradient(x, *args))
 
-    def test_hinges_are_one_node_over_two_sealed_l1_chains(self):
+    def test_hinges_are_one_node_over_one_blocked_l1_node(self):
         x, *args = oracle_cases()["shared-and-repeated"]
         pairs, neg_src, _, _ = args
         reps = ad.leaf(x)
         loss = margin_loss(reps, *args)
-        d_t, d_s = loss.parents
+        (d,) = loss.parents
         assert loss.data.shape == ()
-        assert d_t.data.shape == (len(pairs) + neg_src.size,)
-        assert d_s.data.shape == (neg_src.size,)
-        # each direction's gathers, difference, |.| and row sum sit inside its
-        # seal, so each block reads reps alone: loss, two blocks and reps
-        for block in (d_t, d_s):
-            assert len(block.parents) == 1 and block.parents[0] is reps
-        assert len(tape_order(loss)) == 4
+        assert d.data.shape == (len(pairs) + 2 * neg_src.size,)
+        # the gathers, difference, |.| and row sum of every block sit inside the
+        # one by_blocks node, which reads reps alone: loss, distances and reps
+        assert d.parents == (reps,)
+        assert len(tape_order(loss)) == 3
+
+
+def sealed_directions_loss(reps, pairs, neg_src, neg_tgt, margin):
+    """The loss as it was before it ran by row blocks: each corruption
+    direction's L1 chain is one sealed node over the whole of ``reps`` (a
+    one-block ``by_blocks``), the P positive distances then the P*eta target
+    corruptions in one, the P*eta source corruptions in the other, and the
+    hinges one node over both."""
+    pairs = np.asarray(pairs)
+    num_pos, eta = neg_tgt.shape
+    src, tgt = pairs[:, 0], pairs[:, 1]
+
+    def sealed_l1(left, right):
+        columns = ad.Grouping(left), ad.Grouping(right)
+        return ad.by_blocks(lambda _, r, replay: l1_rows(ad.gather_rows(r, columns[0]),
+                                                         ad.gather_rows(r, columns[1])),
+                            [(0, None)], len(left), reps)
+
+    d_t = sealed_l1(np.concatenate([src, np.repeat(src, eta)]),
+                    np.concatenate([tgt, neg_tgt.reshape(-1)]))
+    d_s = sealed_l1(neg_src.reshape(-1), np.repeat(tgt, eta))
+    d_pos = d_t.data[:num_pos]
+    d_neg = np.concatenate([d_t.data[num_pos:], d_s.data])
+    hinge = (np.tile(np.repeat(d_pos, eta), 2) - d_neg) + margin
+    active = hinge > 0
+    hinge = np.where(active, hinge, 0)
+    loss = hinge[:num_pos * eta].sum() + hinge[num_pos * eta:].sum()
+    uses = active.reshape(2, num_pos, eta).sum(axis=(0, 2))
+
+    def bw(g):
+        grad = np.empty(num_pos + len(active), dtype=d_t.dtype)
+        grad[:num_pos] = uses
+        grad[num_pos:] = np.where(active, -1, 0)
+        grad *= g
+        split = num_pos * (1 + eta)
+        d_t.accumulate(grad[:split])
+        d_s.accumulate(grad[split:])
+
+    return ad.Tensor(np.asarray(loss), (d_t, d_s), bw)
+
+
+class TestBlockedLoss:
+    """The loss by row blocks against its two sealed directions, bit for
+    bit, at every block size from one row to all of them."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", list(oracle_cases()))
+    def test_bitwise_against_sealed_directions_at_every_block_size(self, case, dtype,
+                                                                   monkeypatch):
+        x, *args = oracle_cases()[case]
+        x = x.astype(dtype)
+        pairs, neg_src = args[0], args[1]
+        total = len(pairs) + 2 * neg_src.size
+        want_reps = ad.leaf(x.copy())
+        want = sealed_directions_loss(want_reps, *args)
+        ad.backward(want)
+        for rows in range(1, total + 1):
+            monkeypatch.setattr(model_module, "BLOCK_BYTES", rows * x.shape[1] * x.itemsize)
+            reps = ad.leaf(x.copy())
+            loss = margin_loss(reps, *args)
+            assert loss.data.tobytes() == want.data.tobytes(), rows
+            ad.backward(loss)
+            assert reps.grad.tobytes() == want_reps.grad.tobytes(), rows
+
+    def test_blocks_read_only_their_rows(self, monkeypatch):
+        """Two rows per block: each block's stand-in holds the distinct rows
+        of ``reps`` that its two columns name, and the rerun ones again."""
+        x, pairs, neg_src, neg_tgt, margin = oracle_cases()["shared-and-repeated"]
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", 2 * x.shape[1] * x.itemsize)
+        src, tgt = pairs[:, 0], pairs[:, 1]
+        eta = neg_tgt.shape[1]
+        left = np.concatenate([src, np.repeat(src, eta), neg_src.reshape(-1)])
+        right = np.concatenate([tgt, neg_tgt.reshape(-1), np.repeat(tgt, eta)])
+        held = []
+        gather = ad.gather_rows
+
+        def recording(a, runs):
+            held.append((a.data.copy(), runs.index))
+            return gather(a, runs)
+
+        monkeypatch.setattr(ad, "gather_rows", recording)
+        loss = margin_loss(ad.leaf(x), pairs, neg_src, neg_tgt, margin)
+        ad.backward(loss)
+        blocks = [(lo, lo + 2) for lo in range(0, len(left), 2)]
+        order = blocks + blocks[-2::-1]  # the forward, then the reruns last to first
+        assert len(held) == 2 * len(order)
+        for (lo, hi), (a_left, i_left), (a_right, i_right) in zip(order, held[::2], held[1::2]):
+            rows = np.unique(np.concatenate([left[lo:hi], right[lo:hi]]))
+            assert a_left.tobytes() == a_right.tobytes() == x[rows].tobytes()
+            assert rows[i_left].tolist() == left[lo:hi].tolist()
+            assert rows[i_right].tolist() == right[lo:hi].tolist()
 
 
 class TestApplyTimeUnaware:
@@ -478,21 +567,6 @@ class TestTrainLoop:
         b = train(g1, g2, seeds, self.small_config(epochs=10, seed=1))
         assert a.report.fingerprint() != b.report.fingerprint()
 
-    @pytest.mark.parametrize("epochs", [0, 3])
-    def test_fixed_pair_columns_grouped_once_per_run(self, fixture_6ent, monkeypatch, epochs):
-        """The loss's fixed columns are grouped when the first epoch starts, so a
-        run of no epochs groups none and every epoch after the first reuses them."""
-        g1, g2, seeds = fixture_6ent
-        built = []
-
-        def counting(pairs, eta):
-            built.append(fixed_pair_columns(pairs, eta))
-            return built[-1]
-
-        monkeypatch.setattr("tkgalign.train.fixed_pair_columns", counting)
-        train(g1, g2, seeds, self.small_config(epochs=epochs))
-        assert len(built) == min(epochs, 1)
-
     def test_attention_sums_hold_every_epoch(self, fixture_6ent):
         g1, g2, seeds = fixture_6ent
         result = train(g1, g2, seeds, self.small_config(epochs=30))
@@ -623,9 +697,10 @@ class TestModelTapeOwnership:
 
         # the two normalized tables, two dropouts, one node per layer and one for the
         # time mean (each reruns its blocks on a tape of its own), the concatenation
-        # and the loss's two sealed L1 blocks; 41 while every per-link op of the
-        # layers was on this tape, 44 before the loss sealed each direction's L1 chain
-        assert len(released) == len(kept) == 10
+        # and the loss's one node of L1 blocks; 10 while the loss sealed each
+        # direction's L1 chain apart, 41 while every per-link op of the layers was on
+        # this tape, 44 before the loss sealed each direction's L1 chain
+        assert len(released) == len(kept) == 9
         assert all(n.data is None for n in released)
         assert all(n.data is not None for n in kept)
 
@@ -657,14 +732,18 @@ class TestMemoryRatchet:
     A change that lowers a peak lowers its bound with it; one that has to
     raise a bound says why."""
 
-    TRAINING_EPOCH = 6.3  # measured 5.92 (6 blocks, each layer keeping its last block's
-    # tape); 14.39 while training ran the whole graph on its tape, 16.92 before the loss
-    # sealed each direction's L1 chain, 22.92 before each layer's weighted sum was
-    # sealed, 23.06 with the destination term, 29.02 while the tape kept every value
+    TRAINING_EPOCH = 4.1  # measured 3.82 (6 blocks, each layer keeping its last block's
+    # tape, the loss by row blocks); 5.92 while the loss sealed each corruption
+    # direction over all its rows, 14.39 while training ran the whole graph on its
+    # tape, 16.92 before the loss sealed each direction's L1 chain, 22.92 before each
+    # layer's weighted sum was sealed, 23.06 with the destination term, 29.02 while
+    # the tape kept every value
     INFERENCE_FORWARD = 2.1  # measured 1.85; 7.29 before it ran one block of destination
     # entities at a time, 7.84 before the layer dropped its gathered rows ahead of the
     # weighted sum
-    LOSS = 6.5  # measured 6.06; 10.11 while one unsealed L1 chain held both directions
+    LOSS = 2.8  # measured 2.41, and 2.56 at 4x eta; 6.06 while each corruption
+    # direction's L1 chain was one sealed block over all its rows, 10.11 while one
+    # unsealed L1 chain held both directions
 
     @pytest.fixture(scope="class")
     def pair(self):
@@ -686,26 +765,34 @@ class TestMemoryRatchet:
         assert reps.shape == (result.graph.num_entities, 4 * cfg.dim)
         assert peak <= self.INFERENCE_FORWARD * result.graph.num_links * cfg.dim * 4
 
-    def test_margin_loss_at_the_wide_shape(self):
+    def loss_peak(self, eta):
         """The loss's forward and backward at perfbench train-wide-tu's shape
-        (3000 entities, 30 seed pairs, eta 101, f32 rows 400 wide), in units
-        of one corruption direction's (P*eta x width) array. The 3000 x 400
-        gradient of ``reps`` is one such unit."""
+        (3000 entities, 30 seed pairs, f32 rows 400 wide) with ``eta``
+        corruptions per pair: its tracemalloc peak in bytes."""
         gen = np.random.default_rng(0)
-        num_pos, eta, width = 30, 101, 400
+        num_pos, width = 30, 400
         reps = ad.leaf(gen.normal(size=(3000, width)).astype(np.float32))
         pairs = np.stack([np.arange(num_pos), 1500 + np.arange(num_pos)], axis=1)
         neg_src, neg_tgt = sample_negatives(pairs, eta, (0, 1500), (1500, 3000), gen)
-        fixed = fixed_pair_columns(pairs, eta)
 
         def loss_and_backward():
-            loss = margin_loss(reps, pairs, neg_src, neg_tgt, 3.0, fixed)
+            loss = margin_loss(reps, pairs, neg_src, neg_tgt, 3.0)
             ad.backward(loss)
             return loss
 
         loss, peak = traced_peak(loss_and_backward)
         assert loss.data > 0 and reps.grad.any()
-        assert peak <= self.LOSS * num_pos * eta * width * 4
+        return peak
+
+    def test_margin_loss_at_the_wide_shape(self):
+        """In units of one corruption direction's (P*eta x width) array at eta
+        101; the 3000 x 400 gradient of ``reps`` is one such unit."""
+        assert self.loss_peak(101) <= self.LOSS * 30 * 101 * 400 * 4
+
+    def test_margin_loss_peak_does_not_grow_with_eta(self):
+        """At 4x eta the loss still holds one block's arrays at a time: its
+        peak stays within the bound at eta 101, in the same bytes."""
+        assert self.loss_peak(4 * 101) <= self.LOSS * 30 * 101 * 400 * 4
 
 
 class TestTapeRatchet:
@@ -717,11 +804,13 @@ class TestTapeRatchet:
     Each layer, and the time mean, is one node here; its rule builds a tape
     per block (one block at this shape) and consumes it at once."""
 
-    TAPE_NODES = 18  # 49 while every per-link op of the layers was on this tape,
-    # 52 before the loss sealed each direction's L1 chain, 58 before each layer's
-    # weighted sum was sealed, 70 with the destination term; 82 while nu was cut
-    # into slices by gathers
-    GROUPINGS = 2  # the loss's two negative columns; 14 with those gathers
+    TAPE_NODES = 17  # 18 while the loss sealed each direction's L1 chain apart,
+    # 49 while every per-link op of the layers was on this tape, 52 before the loss
+    # sealed each direction's L1 chain, 58 before each layer's weighted sum was
+    # sealed, 70 with the destination term; 82 while nu was cut into slices by gathers
+    GROUPINGS = 2  # the loss's two block-local columns (one block at this shape); 2
+    # while its two negative columns were grouped per epoch and the two fixed ones
+    # once per run, 14 with the layers' gathers
 
     def test_one_training_epoch(self, monkeypatch):
         data = synth_tkg(SENSITIVITY_GAP.forge)
@@ -737,7 +826,6 @@ class TestTapeRatchet:
         eta = default_negatives(data.g1.num_entities, data.g2.num_entities, len(pairs))
         tgt_range = (merged.entity_offset, merged.entity_offset + data.g2.num_entities)
         neg_src, neg_tgt = sample_negatives(pairs, eta, (0, data.g1.num_entities), tgt_range, rng)
-        fixed = fixed_pair_columns(pairs, eta)  # built once per run, not per epoch
 
         built = []
         grouping_init = ad.Grouping.__init__
@@ -748,7 +836,7 @@ class TestTapeRatchet:
 
         monkeypatch.setattr(ad.Grouping, "__init__", counting_init)
         reps = model_forward(store, graph, cfg, training=True, rng=rng)
-        loss = margin_loss(reps, pairs, neg_src, neg_tgt, cfg.margin, fixed)
+        loss = margin_loss(reps, pairs, neg_src, neg_tgt, cfg.margin)
         nodes = len(tape_order(loss))
         ad.backward(loss)
         assert nodes <= self.TAPE_NODES
@@ -757,26 +845,40 @@ class TestTapeRatchet:
 
     def test_each_block_is_grouped_once_per_run(self, monkeypatch):
         """Three epochs, each validated, on blocks of at most 200 links: every
-        block's four groupings are built once, when the first epoch's forward
-        reaches it, and every later forward, rerun and validation reuses them."""
+        block's four groupings, and its in-degree, are built once, when the
+        first epoch's forward reaches it, and every later forward, rerun and
+        validation reuses them."""
         data = synth_tkg(SENSITIVITY_GAP.forge)
         cfg = dataclasses.replace(SENSITIVITY_GAP.train, epochs=3, eval_every=1)
         monkeypatch.setattr(model_module, "BLOCK_BYTES", 200 * cfg.dim * 4)
-        built = []
+        built, counted = [], []
         grouping_init = ad.Grouping.__init__
+        in_degree = model_module.FlatGraph.in_degree.func
 
         def counting_init(grouping, index):
             built.append(index)
             grouping_init(grouping, index)
 
+        def counting_in_degree(graph):
+            counted.append(graph)
+            return in_degree(graph)
+
         monkeypatch.setattr(ad.Grouping, "__init__", counting_init)
+        cached = functools.cached_property(counting_in_degree)
+        cached.__set_name__(model_module.FlatGraph, "in_degree")
+        monkeypatch.setattr(model_module.FlatGraph, "in_degree", cached)
         result = train(data.g1, data.g2, data.seeds, cfg)
         blocks = [b for _, b in result.graph.blocks(200)]
         columns = [getattr(b, name) for b in blocks for name in ("src", "dst", "rel", "time")]
         assert len(blocks) > 4 and len(result.report.eval_history) == 3
         assert all(sum(index is c for index in built) == 1 for c in columns)
-        # beside them, the loss's two fixed columns once and its two negative ones per epoch
-        assert len(built) == len(columns) + 2 + 2 * cfg.epochs
+        assert len(counted) == len(blocks) and all(any(g is b for g in counted) for b in blocks)
+        # beside them, the loss's two block-local columns per block and epoch: a
+        # block of (rows, 4 * dim) f32 arrays holds a quarter of the layers' links
+        eta = default_negatives(data.g1.num_entities, data.g2.num_entities,
+                                len(data.seeds.train_pairs))
+        loss_blocks = -(-len(data.seeds.train_pairs) * (1 + 2 * eta) // 50)
+        assert len(built) == len(columns) + 2 * loss_blocks * cfg.epochs
 
 
 class TestInferenceForward:
